@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -39,6 +40,8 @@ from .singularities import resolution_curve_count
 USAGE_ERROR = 2
 FAILURE = 1
 DEFAULT_CHI_MAX = 10_000
+# The most constructions one verify-theorem --sweep may build.
+MAX_SWEEP_BUILDS = 10_000
 
 
 class UsageError(ValueError):
@@ -56,7 +59,10 @@ def _default_chi_max() -> int:
 
 
 def _parse_sweep(spec: str) -> dict[str, list[int]]:
-    """Parse a sweep like 'm=2..8,n=4,6,8' into {'m': [...], 'n': [...]}."""
+    """Parse a sweep like 'm=2..8,n=4,6,8' into {'m': [...], 'n': [...]}.
+    Ranges must be nonempty.  Neither a parameter's list nor the number of
+    (m, n) combinations may exceed MAX_SWEEP_BUILDS; a range is checked
+    before it is added to the list."""
     out: dict[str, list[int]] = {}
     current: str | None = None
     for token in spec.split(","):
@@ -75,14 +81,25 @@ def _parse_sweep(spec: str) -> dict[str, list[int]]:
         token = token.strip()
         if not token:
             raise UsageError("empty value in sweep")
+        lo_text, dots, hi_text = token.partition("..")
         try:
-            if ".." in token:
-                lo, _, hi = token.partition("..")
-                out[current].extend(range(int(lo), int(hi) + 1))
-            else:
-                out[current].append(int(token))
+            lo = int(lo_text)
+            hi = int(hi_text) if dots else lo
         except ValueError:
             raise UsageError(f"bad sweep value {token!r}") from None
+        if hi < lo:
+            raise UsageError(f"empty sweep range {token!r}")
+        if len(out[current]) + hi - lo + 1 > MAX_SWEEP_BUILDS:
+            raise UsageError(
+                f"sweep parameter {current!r} takes more than {MAX_SWEEP_BUILDS} values"
+            )
+        out[current].extend(range(lo, hi + 1))
+    combinations = math.prod(len(values) for values in out.values())
+    if combinations > MAX_SWEEP_BUILDS:
+        raise UsageError(
+            f"the sweep has {combinations} parameter combinations, "
+            f"more than {MAX_SWEEP_BUILDS}"
+        )
     return out
 
 

@@ -13,16 +13,27 @@ The five families, by label:
   T   the overlap-witness family (2t(t-1)(t-4)+8, t(t-1)(t-3)/2+1) for
       even t >= 6.
 
-Unbounded ("infinitely many") claims are certified at desk scale in two
-parts: nonemptiness of every doubling chi-window inside the bound, and,
-where a parameter substitution is claimed, a symbolic polynomial identity
-checked coefficient by coefficient.
+The set relations are computed from the closed forms, without enumerating
+a pair.  A1, B and T have O(sqrt(chi_max)) members and are walked one by
+one.  A2 and A3 lie on lines, one per n, on which K2 and chi are affine in
+m: membership of a value is an integer quadratic in n, A2 meets A3 where a
+2x2 integer system per pair of lines has a solution, and counts, first
+members, doubling windows, parities and the Noether slices are read off
+each line.  The cost grows with the number of lines, not of pairs.
+enumerate_set lists every pair and feeds only the figure and table
+emitters.
+
+Unbounded ("infinitely many") claims are certified in two parts:
+nonemptiness of every doubling chi-window inside the bound, and, where a
+parameter substitution is claimed, a symbolic polynomial identity checked
+coefficient by coefficient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -336,23 +347,220 @@ def _is_perfect_square(x: int) -> bool:
     return r * r == x
 
 
-def _window_coverage(chis: list[int], chi_max: int) -> tuple[bool, str]:
+# Closed-form membership.  Each solver returns the parameters, in GeoPair
+# params form, of every member of its family with the value (K2, chi); each
+# candidate is checked against the family's own pair function.
+
+
+def _solve_a1(K2: int, chi: int) -> list:
+    # K2 = (2n - 3)^2 with 2n - 3 >= 1.
+    if not _is_perfect_square(K2):
+        return []
+    n = (math.isqrt(K2) + 3) // 2
+    return [(("n", n),)] if n >= 2 and family1_pair(n) == (K2, chi) else []
+
+
+def _solve_b(K2: int, chi: int) -> list:
+    # K2 = 2*(n - 3)^2 with n - 3 >= 1.
+    if K2 % 2 or not _is_perfect_square(K2 // 2):
+        return []
+    n = 3 + math.isqrt(K2 // 2)
+    return [(("n", n),)] if n >= 4 and set_b_pair(n) == (K2, chi) else []
+
+
+def _integer_roots(a: int, b: int, c: int) -> list[int]:
+    """The integer roots of a*x^2 + b*x + c, for a > 0."""
+    disc = b * b - 4 * a * c
+    if not _is_perfect_square(disc):
+        return []
+    s = math.isqrt(disc)
+    return sorted({(e - b) // (2 * a) for e in (s, -s) if (e - b) % (2 * a) == 0})
+
+
+def _solve_a2(K2: int, chi: int) -> list:
+    # K2 - 4*chi = 4 - 4*N with N = n*(m + 1), and chi - 1 = n*(N - n - 1).
+    N, r = divmod(4 * chi - K2 + 4, 4)
+    if r:
+        return []
+    out = []
+    for n in _integer_roots(1, 1 - N, chi - 1):
+        if n >= 2 and n % 2 == 0 and N % n == 0:
+            m = N // n - 1
+            if m >= 3 and family2_pair(m, n) == (K2, chi):
+                out.append((("m", m), ("n", n)))
+    return out
+
+
+def _solve_a3(K2: int, chi: int) -> list:
+    # K2 - 4*chi = 4 - 2*N with N = n*(m + 2), and 2*(chi - 1) = (N - 2n)*(n - 1).
+    N, r = divmod(4 * chi - K2 + 4, 2)
+    if r:
+        return []
+    out = []
+    for n in _integer_roots(2, -(N + 2), N + 2 * chi - 2):
+        if n >= 4 and n % 2 == 0 and N % n == 0:
+            m = N // n - 2
+            if m >= 2 and family3_pair(m, n) == (K2, chi):
+                out.append((("m", m), ("n", n)))
+    return out
+
+
+_SOLVERS = {"A1": _solve_a1, "A2": _solve_a2, "A3": _solve_a3, "B": _solve_b}
+
+# The families with O(sqrt(chi_max)) members: pair function, first
+# parameter and parameter step.
+_SPARSE = {"A1": (family1_pair, 2, 1), "B": (set_b_pair, 4, 1), "T": (set_t_pair, 6, 2)}
+
+
+def _sparse_members(label: str, chi_max: int):
+    """(parameter, (K2, chi)) for every member with chi <= chi_max, in
+    parameter order, which is also chi order."""
+    pair, p, step = _SPARSE[label]
+    while (value := pair(p))[1] <= chi_max:
+        yield p, value
+        p += step
+
+
+@dataclass(frozen=True)
+class _Line:
+    """Family 2 or 3 at one n.  K2 and chi are affine in m; the members
+    within the bound are m_first <= m <= m_last."""
+
+    n: int
+    m_first: int
+    m_last: int
+    k2_step: int
+    k2_0: int
+    chi_step: int
+    chi_0: int
+
+    def value(self, m: int) -> tuple[int, int]:
+        return (self.k2_step * m + self.k2_0, self.chi_step * m + self.chi_0)
+
+    @property
+    def count(self) -> int:
+        return self.m_last - self.m_first + 1
+
+    def m_window(self, lo: int, hi: int) -> range:
+        """The members' m with lo <= chi <= hi."""
+        first = max(self.m_first, -((self.chi_0 - lo) // self.chi_step))
+        last = min(self.m_last, (hi - self.chi_0) // self.chi_step)
+        return range(first, last + 1)
+
+
+# The families on lines: pair function, smallest m, smallest n (n steps by 2).
+_LINE_FAMILIES = {"A2": (family2_pair, 3, 2), "A3": (family3_pair, 2, 4)}
+
+
+def _lines(label: str, chi_max: int) -> list[_Line]:
+    """Every line of the family with a member within the bound.  chi at the
+    smallest m grows with n, so the first empty line ends the list."""
+    pair, m_first, n = _LINE_FAMILIES[label]
+    lines = []
+    while True:
+        k2_0, chi_0 = pair(0, n)
+        k2_1, chi_1 = pair(1, n)
+        m_last = (chi_max - chi_0) // (chi_1 - chi_0)
+        if m_last < m_first:
+            return lines
+        lines.append(_Line(n, m_first, m_last, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0))
+        n += 2
+
+
+def _all_of_parity(step: int, first: int, count: int, parity: int) -> bool:
+    """Whether first + step*j has the given parity for j = 0 .. count-1."""
+    return first % 2 == parity and (count == 1 or step % 2 == 0)
+
+
+def _meet(l2: _Line, l3: _Line) -> Optional[tuple[int, int]]:
+    """The (m2, m3) within both lines' ranges with l2.value(m2) ==
+    l3.value(m3), or None.  Equal chi and equal K2 are two linear equations
+    in (m2, m3), solved by Cramer's rule in integers."""
+    a, b, e = l2.chi_step, l3.chi_step, l3.chi_0 - l2.chi_0
+    c, d, f = l2.k2_step, l3.k2_step, l3.k2_0 - l2.k2_0
+    # a*m2 - b*m3 = e and c*m2 - d*m3 = f; for the A2 line n2 and the A3
+    # line n3 the determinant is 2*n2*n3*(n2 - n3 + 1), never 0 for even n.
+    det = b * c - a * d
+    m2, r2 = divmod(b * f - d * e, det)
+    m3, r3 = divmod(a * f - c * e, det)
+    if r2 or r3 or not (l2.m_first <= m2 <= l2.m_last and l3.m_first <= m3 <= l3.m_last):
+        return None
+    return m2, m3
+
+
+def _a2_a3_meets(a2_lines: list[_Line], a3_lines: list[_Line]) -> list[tuple[int, int, int, int]]:
+    """Every (m2, n2, m3, n3) with family2_pair(m2, n2) == family3_pair(m3, n3)
+    within the bound.  The solution of _meet is m2 = n3/n2, m3 = 2*n2/n3, so
+    only the line pairs with n3 a multiple of n2 are solved."""
+    a3_by_n = {l3.n: l3 for l3 in a3_lines}
+    n3_max = max(a3_by_n, default=0)
+    meets = []
+    for l2 in a2_lines:
+        for n3 in range(l2.n, n3_max + 1, l2.n):
+            l3 = a3_by_n.get(n3)
+            solution = _meet(l2, l3) if l3 is not None else None
+            if solution is not None:
+                meets.append((solution[0], l2.n, solution[1], n3))
+    return meets
+
+
+def _noether_zeros(lines: list[_Line]) -> tuple[list[_Line], list[tuple[int, int]]]:
+    """The lines lying on the Noether line K2 = 2*chi - 6, and the (m, n) of
+    the other lines' members on it.  K2 - 2*chi + 6 is affine in m on a line:
+    2*(n-2)*(m*n-3) for family 2 and (n-3)*(m*n-4) for family 3."""
+    whole, points = [], []
+    for line in lines:
+        step = line.k2_step - 2 * line.chi_step
+        at0 = line.k2_0 - 2 * line.chi_0 + 6
+        if step == 0:
+            if at0 == 0:
+                whole.append(line)
+        elif at0 % step == 0 and line.m_first <= -at0 // step <= line.m_last:
+            points.append((-at0 // step, line.n))
+    return whole, points
+
+
+def _window_coverage(
+    count: int, first: Optional[int], inhabited, chi_max: int
+) -> tuple[bool, str]:
     """Every doubling window [c, 2c] from the first member up to the bound
-    must contain a member."""
-    if not chis:
+    must contain a member; inhabited(lo, hi) says whether [lo, hi] does."""
+    if not count:
         return False, "no members within the bound"
-    chis = sorted(chis)
-    c = chis[0]
+    c = first
     gaps = []
     while 2 * c <= chi_max:
-        if not any(c <= chi <= 2 * c for chi in chis):
+        if not inhabited(c, 2 * c):
             gaps.append(c)
         c *= 2
     if gaps:
         return False, f"empty chi-windows [c, 2c] at c in {gaps}"
-    return True, f"{len(chis)} members, first at chi={chis[0]}, all doubling windows inhabited"
+    return True, f"{count} members, first at chi={first}, all doubling windows inhabited"
 
 
+def _difference_coverage(lines: list[_Line], excluded: set, chi_max: int) -> tuple[bool, str]:
+    """_window_coverage for the members of the lines whose (m, n) is not
+    excluded, counted and located line by line."""
+    count = sum(line.count for line in lines) - len(excluded)
+    firsts = []
+    for line in lines:
+        m = line.m_first
+        while (m, line.n) in excluded:
+            m += 1
+        if m <= line.m_last:
+            firsts.append(line.value(m)[1])
+
+    def inhabited(lo: int, hi: int) -> bool:
+        for line in lines:
+            window = line.m_window(lo, hi)
+            if len(window) > sum(1 for m, n in excluded if n == line.n and m in window):
+                return True
+        return False
+
+    return _window_coverage(count, min(firsts, default=None), inhabited, chi_max)
+
+
+@cache
 def _t_identity_in_a3() -> bool:
     """T's pair equals family 3's pair at (m, n) = (t-3, t), as polynomial
     identities in t (coefficient comparison)."""
@@ -363,6 +571,7 @@ def _t_identity_in_a3() -> bool:
     return k2_t == k2_a3 and chi_t == chi_a3
 
 
+@cache
 def _t_identity_in_a2() -> bool:
     """T's pair equals family 2's pair at (m, n) = (t/2 - 1, t - 1), again as
     polynomial identities in t."""
@@ -375,16 +584,21 @@ def _t_identity_in_a2() -> bool:
 
 def set_relations_report(chi_max: int) -> SetRelationsReport:
     """Certify the pairwise-disjointness and overlap claims for the five
-    families within the chi bound."""
+    families within the chi bound, from the closed forms: A1, B and T are
+    walked member by member, A2 and A3 line by line, and no pair set is
+    built."""
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
-    sets = {label: enumerate_set(label, chi_max) for label in SET_LABELS}
-    values = {label: {p.value for p in pairs} for label, pairs in sets.items()}
+    lines = {label: _lines(label, chi_max) for label in _LINE_FAMILIES}
     claims: list[Claim] = []
 
-    # Claim i): five empty intersections.
+    # Claim i): five empty intersections.  Walk the side with O(sqrt(chi))
+    # members and solve for the other side.
     for left, right in (("A1", "B"), ("A2", "B"), ("A3", "B"), ("A1", "A2"), ("A1", "A3")):
-        overlap = sorted(values[left] & values[right])
+        walk, other = (left, right) if left in _SPARSE else (right, left)
+        overlap = sorted(
+            {value for _, value in _sparse_members(walk, chi_max) if _SOLVERS[other](*value)}
+        )
         claims.append(
             Claim(
                 claim_id=f"{left}-disjoint-{right}",
@@ -402,91 +616,107 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     ingredients = (
         (
             "B-half-K2-square",
-            all(_is_perfect_square(p.K2 // 2) and p.K2 % 2 == 0 for p in sets["B"]),
+            all(
+                k2 % 2 == 0 and _is_perfect_square(k2 // 2)
+                for _, (k2, _) in _sparse_members("B", chi_max)
+            ),
             "K2/2 is a perfect square for every B pair",
         ),
         (
             "A1-K2-odd",
-            all(p.K2 % 2 == 1 for p in sets["A1"]),
+            all(k2 % 2 == 1 for _, (k2, _) in _sparse_members("A1", chi_max)),
             "K2 is odd for every A1 pair",
         ),
         (
             "A2-A3-K2-even",
-            all(p.K2 % 2 == 0 for p in sets["A2"] + sets["A3"]),
+            all(
+                _all_of_parity(line.k2_step, line.value(line.m_first)[0], line.count, 0)
+                for line in lines["A2"] + lines["A3"]
+            ),
             "K2 is even for every A2 and A3 pair",
         ),
         (
             "A2-chi-odd",
-            all(p.chi % 2 == 1 for p in sets["A2"]),
+            all(
+                _all_of_parity(line.chi_step, line.value(line.m_first)[1], line.count, 1)
+                for line in lines["A2"]
+            ),
             "chi is odd for every A2 pair",
         ),
     )
     for claim_id, ok, detail in ingredients:
         claims.append(Claim(claim_id, VERIFIED if ok else REFUTED, detail))
 
-    # Claim ii): both differences are infinite; desk-scale certificate via
-    # doubling windows plus counts.
+    # Claim ii): both differences are infinite; certified within the bound
+    # by doubling windows plus counts.  The members of one family that lie
+    # in the other are the line-against-line solutions.
+    meets = _a2_a3_meets(lines["A2"], lines["A3"])
+    shared_params = {
+        "A2": {(m2, n2) for m2, n2, _, _ in meets},
+        "A3": {(m3, n3) for _, _, m3, n3 in meets},
+    }
     for left, right in (("A2", "A3"), ("A3", "A2")):
-        diff = [p.chi for p in sets[left] if p.value not in values[right]]
-        ok, detail = _window_coverage(diff, chi_max)
+        ok, detail = _difference_coverage(lines[left], shared_params[left], chi_max)
         claims.append(Claim(f"{left}-minus-{right}-infinite", VERIFIED if ok else REFUTED, detail))
 
     # Noether-line slices.
-    noether_a2 = sorted(p for p in sets["A2"] if p.K2 == 2 * p.chi - 6)
-    expected_slice = []
-    m = 3
-    while 4 * m - 1 <= chi_max:
-        expected_slice.append((8 * m - 8, 4 * m - 1))
-        m += 1
-    slice_ok = [p.value for p in noether_a2] == expected_slice and all(
-        dict(p.params)["n"] == 2 for p in noether_a2
-    )
+    whole, points = _noether_zeros(lines["A2"])
+    found = sum(line.count for line in whole) + len(points)
+    # Expected: all of the n=2 line, (8m-8, 4m-1) for 3 <= m <= (chi_max+1)/4.
+    expected = [_Line(2, 3, (chi_max + 1) // 4, 8, -8, 4, -1)] if 4 * 3 - 1 <= chi_max else []
+    slice_ok = not points and whole == expected
     claims.append(
         Claim(
             "A2-noether-slice",
             VERIFIED if slice_ok else REFUTED,
             f"A2 meets the Noether line exactly in the n=2 members (8m-8, 4m-1); "
-            f"{len(noether_a2)} found within the bound",
+            f"{found} found within the bound",
         )
     )
-    noether_a3 = [p.value for p in sets["A3"] if p.K2 == 2 * p.chi - 6]
+    whole, points = _noether_zeros(lines["A3"])
+    # The first five members on the Noether line, in enumeration order.
+    on_noether = points + [
+        (m, line.n) for line in whole for m in range(line.m_first, line.m_last + 1)[:5]
+    ]
+    first_five = sorted((family3_pair(m, n)[::-1], m, n) for m, n in on_noether)[:5]
+    noether_a3 = [(k2, chi) for (chi, k2), _, _ in first_five]
     claims.append(
         Claim(
             "A3-noether-empty",
             VERIFIED if not noether_a3 else REFUTED,
             "A3 does not meet the Noether line within the bound"
             if not noether_a3
-            else f"members on the line: {noether_a3[:5]}",
+            else f"members on the line: {noether_a3}",
         )
     )
 
     # Claim iii) machinery: T inside A3 (symbolic plus membership), and the
     # T-in-A2 audit under printed and relaxed parity.
+    t_members = list(_sparse_members("T", chi_max))
     t_in_a3_symbolic = _t_identity_in_a3()
-    t_members_in_a3 = all(p.value in values["A3"] for p in sets["T"])
+    t_members_in_a3 = all(_solve_a3(*value) for _, value in t_members)
     claims.append(
         Claim(
             "T-subset-A3",
             VERIFIED if (t_in_a3_symbolic and t_members_in_a3) else REFUTED,
             "substitution (m, n) = (t-3, t): polynomial identity holds and every "
-            f"T pair within the bound is an enumerated A3 pair ({len(sets['T'])} checked)",
+            f"T pair within the bound is an enumerated A3 pair ({len(t_members)} checked)",
         )
     )
 
     t_in_a2_symbolic = _t_identity_in_a2()
     audits = []
     strict_hits = 0
-    for p in sets["T"]:
-        t = dict(p.params)["t"]
+    for t, value in t_members:
         m_w, n_w = t // 2 - 1, t - 1
         witness_pair = family2_pair(m_w, n_w)
-        strict = p.value in values["A2"]
+        strict = bool(_solve_a2(*value))
         strict_hits += strict
         audits.append(
             {
                 "t": t,
                 "witness": {"m": m_w, "n": n_w},
-                "witness_value_matches": witness_pair == p.value,
+                "witness_value_matches": witness_pair == value,
                 "witness_n_parity_ok": n_w % 2 == 0,
                 "witness_m_bound_ok": m_w >= 3,
                 "in_A2_printed_constraints": strict,
@@ -510,9 +740,12 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         status, detail = REFUTED, "witness substitution does not reproduce the T pairs"
     claims.append(Claim("T-subset-A2", status, detail, tuple(audits)))
 
-    overlap = sorted(values["A2"] & values["A3"])
+    overlap = sorted({family2_pair(m2, n2) for m2, n2, _, _ in meets})
     if overlap:
-        ok, win_detail = _window_coverage([chi for _, chi in overlap], chi_max)
+        chis = [chi for _, chi in overlap]
+        ok, win_detail = _window_coverage(
+            len(chis), min(chis), lambda lo, hi: any(lo <= chi <= hi for chi in chis), chi_max
+        )
         claims.append(
             Claim(
                 "A2-intersect-A3-infinite",

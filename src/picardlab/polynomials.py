@@ -217,6 +217,11 @@ def substitute(
 # Homogeneous ternary forms.
 
 
+# localize expands every term binomially, up to (d/2 + 1)^2 products for a
+# form of degree d, so it refuses forms above this degree.
+MAX_LOCALIZE_DEGREE = 128
+
+
 class PointOffCurveError(ValueError):
     """The point handed to localize does not lie on the zero locus."""
 
@@ -330,6 +335,10 @@ class HomPoly:
         point is required to lie on the zero locus."""
         if chart not in (0, 1, 2):
             raise ValueError("chart must be 0, 1 or 2")
+        if self.degree > MAX_LOCALIZE_DEGREE:
+            raise ValueError(
+                f"form degree {self.degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
+            )
         pt = [Fraction(c) for c in point]
         if pt[chart] == 0:
             raise ValueError(f"chart coordinate {chart} vanishes at the point")

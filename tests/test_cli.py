@@ -1,10 +1,19 @@
 """Exit-code contract and output determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from picardlab.cli import main
+import picardlab
+from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
+from picardlab.polynomials import MAX_LOCALIZE_DEGREE
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(capsys, *argv):
@@ -48,6 +57,27 @@ class TestVerifyTheorem:
         payload = json.loads(text)
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
         assert payload["reports"][0]["maximal"] is True
+
+    def test_empty_sweep_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify-theorem", "1", "--sweep", "n=5..2")
+        assert code == 2
+        assert "empty sweep range '5..2'" in err
+        assert "certified" not in out
+
+    def test_oversized_sweeps_are_refused_before_building(self, capsys):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "verify-theorem", "1", "--sweep", "n=2..100000000000")
+        assert code == 2
+        assert f"more than {MAX_SWEEP_BUILDS} values" in err
+        code, _, err = run(capsys, "verify-theorem", "2", "--sweep", "m=3..200,n=2..200")
+        assert code == 2
+        assert "39402 parameter combinations" in err
+        assert time.perf_counter() - start < 0.5
+
+    def test_sweep_cap_admits_the_largest_benchmark_sweep(self):
+        evens = ",".join(str(n) for n in range(2, 129, 2))
+        sweep = _parse_sweep(f"m=3..8,n={evens}")
+        assert len(sweep["m"]) * len(sweep["n"]) == 384 <= MAX_SWEEP_BUILDS
 
     def test_bad_theorem_id_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -97,6 +127,19 @@ class TestGeography:
         code, out, _ = run(capsys, "geography", "--sets", "A1")
         assert code == 0
         assert "chi <= 40" in out
+
+    @pytest.mark.parametrize("chi_max", [10, 46, 10_000])
+    def test_claims_match_golden_output(self, capsys, tmp_path, monkeypatch, chi_max):
+        # Golden files: stdout and claims.json of the enumeration-based report.
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(
+            capsys, "geography", "--chi-max", str(chi_max), "--claims", "--emit", "json"
+        )
+        assert code == 1
+        assert out == (GOLDEN / f"geography_claims_{chi_max}.stdout").read_text(encoding="utf-8")
+        assert (tmp_path / "claims.json").read_bytes() == (
+            GOLDEN / f"geography_claims_{chi_max}.json"
+        ).read_bytes()
 
     def test_outputs_deterministic(self, capsys, tmp_path):
         args = ("geography", "--chi-max", "60", "--sets", "A1,A2", "--emit", "csv,svg")
@@ -150,6 +193,18 @@ class TestClassify:
     def test_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "classify", "--local", "x*y", "--curve-C", "2")
         assert code == 2
+
+    def test_form_above_degree_cap_is_refused_quickly(self):
+        # The binomial expansion of this form never ends without the cap.
+        assert MAX_LOCALIZE_DEGREE < 6000
+        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", "classify",
+             "--homogeneous", "X0^3000*X1^3000-X2^6000", "--point", "1,1,1"],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert result.returncode == 2
+        assert f"exceeds the localization cap {MAX_LOCALIZE_DEGREE}" in result.stderr
 
     def test_fixed_jet_bound(self, capsys):
         code, out, _ = run(capsys, "classify", "--local", "y^2 - x^5", "--jet-bound", "12")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from picardlab.polynomials import (
+    MAX_LOCALIZE_DEGREE,
     BinaryForm,
     HomPoly,
     LocalPoly,
@@ -78,6 +79,14 @@ class TestHomPoly:
         form = parse_ternary_form("X0*X2 - X1^2")
         with pytest.raises(ValueError):
             form.localize((0, 0, 1), 0)
+
+    def test_localize_degree_cap(self):
+        half = MAX_LOCALIZE_DEGREE // 2
+        at_cap = parse_ternary_form(f"X0^{half}*X1^{half} - X2^{2 * half}")
+        assert at_cap.localize((1, 1, 1), 2).constant_term == 0
+        above = parse_ternary_form(f"X0^{half + 1}*X1^{half} - X2^{2 * half + 1}")
+        with pytest.raises(ValueError, match="localization cap"):
+            above.localize((1, 1, 1), 2)
 
     def test_partial(self):
         form = parse_ternary_form("X0^3 + X0*X1*X2")
