@@ -1,0 +1,65 @@
+"""CLI outputs pinned byte for byte: stdout, written files, stderr and exit
+codes of geography, verify-theorem and slopes runs and of usage errors.
+
+The golden files in data/golden/ hold, per case, `<case>.stdout`,
+`<case>.stderr` and one `<case>.<file>` for every file the run writes; the
+exit codes of all cases are in `exit_codes.json`.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from picardlab.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+# case name -> (argv, files the run writes into its working directory)
+CASES = {
+    "geography_emit_1000": (
+        ("geography", "--chi-max", "1000", "--emit", "csv,svg"), ("sets.csv", "figure.svg")
+    ),
+    "verify_1_sweep": (
+        ("verify-theorem", "1", "--sweep", "n=2..6", "--json", "reports.json"), ("reports.json",)
+    ),
+    "verify_2_sweep": (
+        ("verify-theorem", "2", "--sweep", "m=3..5,n=2,4", "--json", "reports.json"),
+        ("reports.json",),
+    ),
+    "verify_3_sweep": (
+        ("verify-theorem", "3", "--sweep", "m=2..4,n=4,6", "--json", "reports.json"),
+        ("reports.json",),
+    ),
+    "slopes_fix_n4": (("slopes", "--fix", "n=4", "--m-max", "12"), ()),
+    "slopes_fix_m3": (("slopes", "--fix", "m=3", "--n-max", "20"), ()),
+    "verify_2_m2": (("verify-theorem", "2", "--m", "2", "--n", "2"), ()),
+    "verify_3_m2": (("verify-theorem", "3", "--m", "2", "--n", "2"), ()),
+    "verify_1_with_m": (("verify-theorem", "1", "--n", "2", "--m", "3"), ()),
+    "slopes_fix_n3": (("slopes", "--fix", "n=3", "--m-max", "5"), ()),
+    "geography_sets_a4": (("geography", "--sets", "A4"), ()),
+}
+
+
+def run_case(name, capsys, monkeypatch, workdir):
+    """Run one case in workdir; return its exit code and {golden file: bytes}."""
+    argv, files = CASES[name]
+    monkeypatch.chdir(workdir)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    outputs = {
+        f"{name}.stdout": captured.out.encode(),
+        f"{name}.stderr": captured.err.encode(),
+    }
+    for file in files:
+        outputs[f"{name}.{file}"] = (workdir / file).read_bytes()
+    return code, outputs
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
+    code, outputs = run_case(name, capsys, monkeypatch, tmp_path)
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert code == codes[name]
+    for file, data in outputs.items():
+        assert data == (GOLDEN / file).read_bytes(), file
