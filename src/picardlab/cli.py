@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .constructions import ConstructionReport, ParameterError, build
+from .constructions import THEOREMS, ConstructionReport, ParameterError, build
 from .covers import BidoubleCoverData
 from .curves import (
     DegenerateGermError,
@@ -28,9 +28,10 @@ from .curves import (
     classify_ak,
     singular_points_report,
 )
+from .figures import figure_csv, figure_svg
 from .geography import (
     SET_LABELS,
-    emit_figure,
+    enumerate_set,
     set_relations_report,
     slope_limit_report,
 )
@@ -136,31 +137,27 @@ def _print_report(report: ConstructionReport) -> None:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    needed = {1: {"n"}, 2: {"m", "n"}, 3: {"m", "n"}}[theorem]
-    combos: list[dict[str, int]]
+    names = [p.name for p in THEOREMS[theorem].params]
     if args.sweep:
         if args.n is not None or args.m is not None:
             raise UsageError("give either --sweep or explicit parameters, not both")
         sweep = _parse_sweep(args.sweep)
-        if set(sweep) != needed:
+        if set(sweep) != set(names):
             raise UsageError(
-                f"theorem {theorem} sweeps exactly the parameters {sorted(needed)}"
+                f"theorem {theorem} sweeps exactly the parameters {sorted(names)}"
             )
-        if theorem == 1:
-            combos = [{"n": n} for n in sorted(sweep["n"])]
-        else:
-            combos = [
-                {"m": m, "n": n}
-                for m, n in sorted(product(sweep["m"], sweep["n"]))
-            ]
+        combos = [
+            dict(zip(names, values))
+            for values in sorted(product(*(sweep[name] for name in names)))
+        ]
     else:
         if args.n is None:
             raise UsageError("provide --n (and --m for theorems 2 and 3) or --sweep")
-        if "m" in needed and args.m is None:
+        if "m" in names and args.m is None:
             raise UsageError(f"theorem {theorem} needs --m")
-        if "m" not in needed and args.m is not None:
-            raise UsageError("theorem 1 takes no --m")
-        combos = [{"n": args.n, **({"m": args.m} if args.m is not None else {})}]
+        if "m" not in names and args.m is not None:
+            raise UsageError(f"theorem {theorem} takes no --m")
+        combos = [{name: getattr(args, name) for name in names}]
 
     try:
         reports = [build(theorem, **combo) for combo in combos]
@@ -209,17 +206,21 @@ def _cmd_geography(args: argparse.Namespace) -> int:
         if args.claims:
             print(f"      {claim.detail}")
 
+    # Both emitters draw on one enumeration of each selected set.
+    pairs_by_set = (
+        {label: enumerate_set(label, chi_max) for label in labels}
+        if "csv" in emits or "svg" in emits
+        else {}
+    )
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         if "csv" in emits:
-            (out_dir / "sets.csv").write_text(
-                emit_figure(labels, chi_max, "CSV"), encoding="utf-8"
-            )
+            (out_dir / "sets.csv").write_text(figure_csv(pairs_by_set), encoding="utf-8")
             print(f"wrote {out_dir / 'sets.csv'}")
         if "svg" in emits:
             (out_dir / "figure.svg").write_text(
-                emit_figure(labels, chi_max, "SVG"), encoding="utf-8"
+                figure_svg(pairs_by_set, chi_max), encoding="utf-8"
             )
             print(f"wrote {out_dir / 'figure.svg'}")
         if "json" in emits:
@@ -369,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     vt = sub.add_parser("verify-theorem", help="run one family pipeline and certify it")
-    vt.add_argument("theorem", type=int, choices=(1, 2, 3))
+    vt.add_argument("theorem", type=int, choices=sorted(THEOREMS))
     vt.add_argument("--n", type=int, default=None)
     vt.add_argument("--m", type=int, default=None)
     vt.add_argument("--sweep", type=str, default=None, help="e.g. m=2..8,n=4,6,8")

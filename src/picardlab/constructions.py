@@ -1,4 +1,12 @@
-"""The three construction pipelines and their certification reports.
+"""The family table, the three construction pipelines and their
+certification reports.
+
+FAMILIES holds one record per family of invariant pairs: families 1-3
+(set labels A1, A2, A3), the classical double planes B and the overlap
+family T.  Each record defines the family's parameter domain, its
+closed-form (K2, chi), its membership solver, for A2 and A3 the line of
+each n-slice, and for families 1-3 the pipeline; validation, building,
+enumeration, membership and the line reports all read it.
 
 Each pipeline assembles exact branch data for one family of canonical
 models, computes the cover invariants and the transported singular set,
@@ -21,19 +29,20 @@ cover of F_m.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from fractions import Fraction
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .covers import (
     BidoubleCoverData,
+    CoverDataError,
     DoubleCoverData,
     SurfaceInvariants,
     bidouble_invariants,
     canonical_ample_check,
     cyclic_pullback_class,
     double_invariants,
-    validate_bidouble,
-    validate_double,
 )
 from .curves import seed_curve
 from .singularities import (
@@ -55,9 +64,15 @@ class ParameterError(ValueError):
     """A construction parameter violates its family's constraints."""
 
 
-# Closed-form invariants of the three families.  These are plain ring
+# Closed-form invariants of the five families.  These are plain ring
 # expressions so the geography module can also evaluate them on symbolic
 # polynomial arguments.
+
+
+def _half(x):
+    # Every halved integer below is even, so integer arguments stay integers.
+    return x // 2 if isinstance(x, int) else Fraction(1, 2) * x
+
 
 def family1_pair(n):
     return (4 * n * n - 12 * n + 9, n * n - n + 1)
@@ -68,53 +83,125 @@ def family2_pair(m, n):
 
 
 def family3_pair(m, n):
-    # chi = m*n*(n-1)/2 + 1 written without division so that integer and
-    # polynomial arguments both work (n*(n-1) is even for integer n).
-    half = m * n * (n - 1)
-    if isinstance(half, int):
-        return (2 * m * n * n - 4 * (m + 1) * n + 8, half // 2 + 1)
-    from fractions import Fraction
-
-    return (2 * m * n * n - 4 * (m + 1) * n + 8, Fraction(1, 2) * half + 1)
+    return (2 * m * n * n - 4 * (m + 1) * n + 8, _half(m * n * (n - 1)) + 1)
 
 
-def _check_family1(n: int) -> None:
-    if n < 2:
-        raise ParameterError(f"family 1 needs n >= 2, got n={n}")
+def set_b_pair(n):
+    return (2 * (n - 3) * (n - 3), _half((n - 1) * (n - 2)) + 1)
 
 
-def _check_family2(m: int, n: int) -> None:
-    if m < 3:
-        raise ParameterError(f"family 2 needs m >= 3, got m={m}")
-    if n < 2 or n % 2:
-        raise ParameterError(f"family 2 needs n even and >= 2, got n={n}")
+def set_t_pair(t):
+    return (2 * t * (t - 1) * (t - 4) + 8, _half(t * (t - 1) * (t - 3)) + 1)
 
 
-def _check_family3(m: int, n: int) -> None:
-    if m < 2:
-        raise ParameterError(f"family 3 needs m >= 2, got m={m}")
-    if n < 4 or n % 2:
-        raise ParameterError(f"family 3 needs n even and >= 4, got n={n}")
+# The line through the members of families 2 and 3 at fixed n, as (a, b, c)
+# with a*K2 = b*chi - c.
 
 
-def closed_form_invariants(theorem: int, *, n: int, m: int | None = None) -> tuple[int, int]:
-    """The family's closed-form (K2, chi), after validating the parameters."""
-    if theorem == 1:
-        if m is not None:
-            raise ParameterError("family 1 takes no m parameter")
-        _check_family1(n)
-        return family1_pair(n)
-    if theorem == 2:
-        if m is None:
-            raise ParameterError("family 2 needs an m parameter")
-        _check_family2(m, n)
-        return family2_pair(m, n)
-    if theorem == 3:
-        if m is None:
-            raise ParameterError("family 3 needs an m parameter")
-        _check_family3(m, n)
-        return family3_pair(m, n)
-    raise ParameterError(f"unknown theorem id {theorem}")
+def family2_line(n):
+    return (n, 4 * (n - 1), 4 * (n + 1) * (n - 1))
+
+
+def family3_line(n):
+    return (n - 1, 4 * (n - 2), 4 * n * (n - 2))
+
+
+# Closed-form membership.  Each solver returns the candidate parameters of
+# the members with the value (K2, chi); Family.members keeps the candidates
+# inside the domain whose pair is that value.
+
+
+def _is_perfect_square(x: int) -> bool:
+    if x < 0:
+        return False
+    r = math.isqrt(x)
+    return r * r == x
+
+
+def _integer_roots(a: int, b: int, c: int) -> list[int]:
+    """The integer roots of a*x^2 + b*x + c, for a > 0."""
+    disc = b * b - 4 * a * c
+    if not _is_perfect_square(disc):
+        return []
+    s = math.isqrt(disc)
+    return sorted({(e - b) // (2 * a) for e in (s, -s) if (e - b) % (2 * a) == 0})
+
+
+def _solve_a1(K2: int, chi: int) -> list:
+    # K2 = (2n - 3)^2 with 2n - 3 >= 1.
+    return [((math.isqrt(K2) + 3) // 2,)] if _is_perfect_square(K2) else []
+
+
+def _solve_b(K2: int, chi: int) -> list:
+    # K2 = 2*(n - 3)^2 with n - 3 >= 1.
+    if K2 % 2 or not _is_perfect_square(K2 // 2):
+        return []
+    return [(3 + math.isqrt(K2 // 2),)]
+
+
+def _solve_a2(K2: int, chi: int) -> list:
+    # K2 - 4*chi = 4 - 4*N with N = n*(m + 1), and chi - 1 = n*(N - n - 1).
+    N, r = divmod(4 * chi - K2 + 4, 4)
+    if r:
+        return []
+    return [(N // n - 1, n) for n in _integer_roots(1, 1 - N, chi - 1) if n]
+
+
+def _solve_a3(K2: int, chi: int) -> list:
+    # K2 - 4*chi = 4 - 2*N with N = n*(m + 2), and 2*(chi - 1) = (N - 2n)*(n - 1).
+    N, r = divmod(4 * chi - K2 + 4, 2)
+    if r:
+        return []
+    return [(N // n - 2, n) for n in _integer_roots(2, -(N + 2), N + 2 * chi - 2) if n]
+
+
+class Param(NamedTuple):
+    """A family parameter ranging over minimum, minimum + step, ...; a step
+    of 2 with an even minimum makes the parameter even."""
+
+    name: str
+    minimum: int
+    step: int
+
+    def admits(self, value: int) -> bool:
+        return value >= self.minimum and (value - self.minimum) % self.step == 0
+
+
+class Family(NamedTuple):
+    """One family of invariant pairs: its set label, the theorem that
+    constructs it (None for the comparison families B and T), its parameters
+    and closed-form pair, the membership solver, the line of each n-slice
+    for the families on lines (parameters m and n), and the construction
+    pipeline of families 1-3."""
+
+    label: str
+    theorem: Optional[int]
+    params: tuple[Param, ...]
+    pair: Callable
+    solve: Optional[Callable] = None
+    line: Optional[Callable] = None
+    build: Optional[Callable] = None
+
+    def admits(self, *values: int) -> bool:
+        return all(map(Param.admits, self.params, values))
+
+    def check(self, *values: int) -> None:
+        """Raise ParameterError for the first parameter outside its domain."""
+        for p, v in zip(self.params, values):
+            if not p.admits(v):
+                even = " even and" if p.step == 2 else ""
+                raise ParameterError(
+                    f"family {self.theorem} needs {p.name}{even} >= {p.minimum}, got {p.name}={v}"
+                )
+
+    def members(self, K2: int, chi: int) -> list:
+        """The parameters, in GeoPair params form, of every member with the
+        value (K2, chi)."""
+        return [
+            tuple((p.name, v) for p, v in zip(self.params, values))
+            for values in self.solve(K2, chi)
+            if self.admits(*values) and self.pair(*values) == (K2, chi)
+        ]
 
 
 @dataclass(frozen=True)
@@ -237,14 +324,11 @@ def _finish(
     n_indep: int,
     closed_form: tuple[int, int],
 ) -> ConstructionReport:
-    if isinstance(data, BidoubleCoverData):
-        problems = validate_bidouble(data)
-        invariants = bidouble_invariants(data)
-    else:
-        problems = validate_double(data)
-        invariants = double_invariants(data)
-    if problems:
-        raise ParameterError("assembled building data is invalid: " + "; ".join(problems))
+    invariants_of = bidouble_invariants if isinstance(data, BidoubleCoverData) else double_invariants
+    try:
+        invariants = invariants_of(data)
+    except CoverDataError as exc:
+        raise ParameterError(f"assembled building data is invalid: {exc}") from None
     lower = picard_lower_bound(cover_inventory, n_indep)
     return ConstructionReport(
         theorem=theorem,
@@ -268,7 +352,7 @@ def _finish(
 def build_theorem1(n: int) -> ConstructionReport:
     """Family 1: bidouble cover of the plane, branch divisors the coordinate
     lines l1, l2 and l3 + (seed curve)."""
-    _check_family1(n)
+    FAMILIES["A1"].check(n)
     plane = projective_plane()
     line = plane.divisor(1)
     data = BidoubleCoverData(
@@ -342,7 +426,7 @@ def build_theorem2(m: int, n: int) -> ConstructionReport:
     """Family 2: bidouble cover of F_m branched over the two branch fibers
     (split by the parity of m), the negative section, the transformed third
     line and the pulled-back curve."""
-    _check_family2(m, n)
+    FAMILIES["A2"].check(m, n)
     fm, curve_up, third_line_up, on_fibers, interior = _pullback_setup(m, n)
     fiber = fm.divisor(0, 1)
     section = fm.divisor(1, 0)
@@ -398,7 +482,7 @@ def build_theorem2(m: int, n: int) -> ConstructionReport:
 def build_theorem3(m: int, n: int) -> ConstructionReport:
     """Family 3: double cover of F_m branched over the pulled-back curve plus
     the two branch fibers."""
-    _check_family3(m, n)
+    FAMILIES["A3"].check(m, n)
     fm, curve_up, _third_line_up, on_fibers, interior = _pullback_setup(m, n)
     fiber = fm.divisor(0, 1)
     branch = curve_up + 2 * fiber
@@ -433,18 +517,46 @@ def build_theorem3(m: int, n: int) -> ConstructionReport:
     )
 
 
+FAMILIES = {
+    family.label: family
+    for family in (
+        Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, build=build_theorem1),
+        Family(
+            "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
+            family2_line, build_theorem2,
+        ),
+        Family(
+            "A3", 3, (Param("m", 2, 1), Param("n", 4, 2)), family3_pair, _solve_a3,
+            family3_line, build_theorem3,
+        ),
+        Family("B", None, (Param("n", 4, 1),), set_b_pair, _solve_b),
+        Family("T", None, (Param("t", 6, 2),), set_t_pair),
+    )
+}
+THEOREMS = {family.theorem: family for family in FAMILIES.values() if family.theorem}
+
+
+def _theorem_family(theorem: int, n: int, m: int | None) -> tuple[Family, tuple[int, ...]]:
+    """The family of a theorem id and its parameter values in table order."""
+    family = THEOREMS.get(theorem)
+    if family is None:
+        raise ParameterError(f"unknown theorem id {theorem}")
+    takes_m = any(p.name == "m" for p in family.params)
+    if takes_m and m is None:
+        raise ParameterError(f"family {theorem} needs an m parameter")
+    if not takes_m and m is not None:
+        raise ParameterError(f"family {theorem} takes no m parameter")
+    return family, tuple({"m": m, "n": n}[p.name] for p in family.params)
+
+
+def closed_form_invariants(theorem: int, *, n: int, m: int | None = None) -> tuple[int, int]:
+    """The family's closed-form (K2, chi), after validating the parameters."""
+    family, values = _theorem_family(theorem, n, m)
+    family.check(*values)
+    return family.pair(*values)
+
+
 def build(theorem: int, *, n: int, m: int | None = None) -> ConstructionReport:
-    """Dispatch to the family's pipeline by theorem id."""
-    if theorem == 1:
-        if m is not None:
-            raise ParameterError("family 1 takes no m parameter")
-        return build_theorem1(n)
-    if theorem == 2:
-        if m is None:
-            raise ParameterError("family 2 needs an m parameter")
-        return build_theorem2(m, n)
-    if theorem == 3:
-        if m is None:
-            raise ParameterError("family 3 needs an m parameter")
-        return build_theorem3(m, n)
-    raise ParameterError(f"unknown theorem id {theorem}")
+    """Run the family's pipeline by theorem id."""
+    family, values = _theorem_family(theorem, n, m)
+    return family.build(*values)

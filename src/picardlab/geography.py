@@ -3,15 +3,11 @@ against the Noether and Bogomolov-Miyaoka-Yau bounds, exact slopes and
 their Severi-line limits, the set-relation certificates, and the figure
 and table emitters.
 
-The five families, by label:
-
-  A1  family 1, parameter n >= 2,
-  A2  family 2, parameters m >= 3 and even n >= 2,
-  A3  family 3, parameters m >= 2 and even n >= 4,
-  B   the classical double-plane family (2*(n-3)^2, (n-1)*(n-2)/2 + 1)
-      for n >= 4, kept for disjointness checks,
-  T   the overlap-witness family (2t(t-1)(t-4)+8, t(t-1)(t-3)/2+1) for
-      even t >= 6.
+The five families are the records of constructions.FAMILIES, by label: A1,
+A2 and A3 (families 1-3), the classical double planes B, kept for
+disjointness checks, and the overlap-witness family T.  Each record gives
+the parameter domain, the closed-form pair and the membership solver; this
+module reads them from there and keeps no family constant of its own.
 
 The set relations are computed from the closed forms, without enumerating
 a pair.  A1, B and T have O(sqrt(chi_max)) members and are walked one by
@@ -20,8 +16,8 @@ m: membership of a value is an integer quadratic in n, A2 meets A3 where a
 2x2 integer system per pair of lines has a solution, and counts, first
 members, doubling windows, parities and the Noether slices are read off
 each line.  The cost grows with the number of lines, not of pairs.
-enumerate_set lists every pair and feeds only the figure and table
-emitters.
+enumerate_set walks the same members and lines to list every pair, for
+the figure and table emitters only.
 
 Unbounded ("infinitely many") claims are certified in two parts:
 nonemptiness of every doubling chi-window inside the bound, and, where a
@@ -31,25 +27,16 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .constructions import family1_pair, family2_pair, family3_pair
+from .constructions import FAMILIES, THEOREMS, _is_perfect_square
 from .figures import figure_csv, figure_svg
 from .polynomials import LocalPoly
 
-SET_LABELS = ("A1", "A2", "A3", "B", "T")
-
-
-def set_b_pair(n):
-    return (2 * (n - 3) * (n - 3), (n - 1) * (n - 2) // 2 + 1)
-
-
-def set_t_pair(t):
-    return (2 * t * (t - 1) * (t - 4) + 8, t * (t - 1) * (t - 3) // 2 + 1)
+SET_LABELS = tuple(FAMILIES)
 
 
 @dataclass(frozen=True, order=True)
@@ -80,53 +67,19 @@ def enumerate_set(which: str, chi_max: int) -> list[GeoPair]:
         raise ValueError(f"unknown set label {which!r} (expected one of {', '.join(SET_LABELS)})")
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
-    pairs: list[GeoPair] = []
-    if which == "A1":
-        n = 2
-        while True:
-            k2, chi = family1_pair(n)
-            if chi > chi_max:
-                break
-            pairs.append(GeoPair(chi, k2, "A1", (("n", n),)))
-            n += 1
-    elif which == "A2":
-        n = 2
-        while family2_pair(3, n)[1] <= chi_max:
-            m = 3
-            while True:
-                k2, chi = family2_pair(m, n)
-                if chi > chi_max:
-                    break
-                pairs.append(GeoPair(chi, k2, "A2", (("m", m), ("n", n))))
-                m += 1
-            n += 2
-    elif which == "A3":
-        n = 4
-        while family3_pair(2, n)[1] <= chi_max:
-            m = 2
-            while True:
-                k2, chi = family3_pair(m, n)
-                if chi > chi_max:
-                    break
-                pairs.append(GeoPair(chi, k2, "A3", (("m", m), ("n", n))))
-                m += 1
-            n += 2
-    elif which == "B":
-        n = 4
-        while True:
-            k2, chi = set_b_pair(n)
-            if chi > chi_max:
-                break
-            pairs.append(GeoPair(chi, k2, "B", (("n", n),)))
-            n += 1
+    family = FAMILIES[which]
+    if len(family.params) == 1:
+        name = family.params[0].name
+        pairs = [
+            GeoPair(chi, k2, which, ((name, p),)) for p, (k2, chi) in _sparse_members(which, chi_max)
+        ]
     else:
-        t = 6
-        while True:
-            k2, chi = set_t_pair(t)
-            if chi > chi_max:
-                break
-            pairs.append(GeoPair(chi, k2, "T", (("t", t),)))
-            t += 2
+        m_name, n_name = (p.name for p in family.params)
+        pairs = []
+        for line in _lines(which, chi_max):
+            for m in range(line.m_first, line.m_last + 1):
+                k2, chi = line.value(m)
+                pairs.append(GeoPair(chi, k2, which, ((m_name, m), (n_name, line.n))))
     return sorted(pairs)
 
 
@@ -186,7 +139,7 @@ def _symbolic_slope_identity() -> bool:
     # K2 == 4*chi + 4*(1 - n - m*n) as polynomials in (m, n).
     m = LocalPoly.variable(0)
     n = LocalPoly.variable(1)
-    k2, chi = family2_pair(m, n)
+    k2, chi = FAMILIES["A2"].pair(m, n)
     return k2 == 4 * chi + 4 * (1 - n - m * n)
 
 
@@ -201,22 +154,24 @@ def slope_limit_report(
     if (fixed_n is None) == (fixed_m is None):
         raise ValueError("fix exactly one of n or m")
     rows: list[SlopeRow] = []
+    a2 = FAMILIES["A2"]
+    m_param, n_param = a2.params
     if fixed_n is not None:
-        if fixed_n < 2 or fixed_n % 2:
-            raise ValueError(f"fixed n must be even and >= 2, got {fixed_n}")
+        if not n_param.admits(fixed_n):
+            raise ValueError(f"fixed n must be even and >= {n_param.minimum}, got {fixed_n}")
         limit = 4 - Fraction(4, fixed_n)
-        sweep = [(m, fixed_n) for m in range(3, sweep_bound + 1)]
+        sweep = [(m, fixed_n) for m in range(m_param.minimum, sweep_bound + 1)]
         fixed = ("n", fixed_n)
     else:
-        if fixed_m < 3:
-            raise ValueError(f"fixed m must be >= 3, got {fixed_m}")
+        if not m_param.admits(fixed_m):
+            raise ValueError(f"fixed m must be >= {m_param.minimum}, got {fixed_m}")
         limit = Fraction(4)
-        sweep = [(fixed_m, n) for n in range(2, sweep_bound + 1, 2)]
+        sweep = [(fixed_m, n) for n in range(n_param.minimum, sweep_bound + 1, n_param.step)]
         fixed = ("m", fixed_m)
     if not sweep:
         raise ValueError("empty sweep range")
     for m, n in sweep:
-        k2, chi = family2_pair(m, n)
+        k2, chi = a2.pair(m, n)
         mu = Fraction(k2, chi)
         rows.append(SlopeRow(m, n, k2, chi, mu, mu == _mu_closed_form(m, n)))
     final_gap = abs(rows[-1].mu - limit)
@@ -272,29 +227,20 @@ class LinesReport:
 
 
 def lines_report(family: int, n: int, m_values: Iterable[int]) -> LinesReport:
-    if family == 2:
-        if n < 2 or n % 2:
-            raise ValueError(f"family 2 line needs even n >= 2, got {n}")
-        pair, m_min = family2_pair, 3
-        line_slope = Fraction(4 * (n - 1), n)
-    elif family == 3:
-        if n < 4 or n % 2:
-            raise ValueError(f"family 3 line needs even n >= 4, got {n}")
-        pair, m_min = family3_pair, 2
-        line_slope = Fraction(4 * (n - 2), n - 1)
-    else:
+    fam = THEOREMS.get(family)
+    if fam is None or fam.line is None:
         raise ValueError("lines are defined for families 2 and 3")
+    m_param, n_param = fam.params
+    if not n_param.admits(n):
+        raise ValueError(f"family {family} line needs even n >= {n_param.minimum}, got {n}")
+    a, b, c = fam.line(n)
     rows = []
     for m in m_values:
-        if m < m_min:
-            raise ValueError(f"family {family} needs m >= {m_min}, got {m}")
-        k2, chi = pair(m, n)
-        if family == 2:
-            lhs, rhs = n * k2, 4 * (n - 1) * chi - 4 * (n + 1) * (n - 1)
-        else:
-            lhs, rhs = (n - 1) * k2, 4 * (n - 2) * chi - 4 * n * (n - 2)
-        rows.append(LineRow(m, k2, chi, lhs, rhs))
-    return LinesReport(family=family, n=n, rows=tuple(rows), line_slope=line_slope)
+        if not m_param.admits(m):
+            raise ValueError(f"family {family} needs m >= {m_param.minimum}, got {m}")
+        k2, chi = fam.pair(m, n)
+        rows.append(LineRow(m, k2, chi, a * k2, b * chi - c))
+    return LinesReport(family=family, n=n, rows=tuple(rows), line_slope=Fraction(b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -340,82 +286,12 @@ class SetRelationsReport:
         return {"bound": self.bound, "claims": [c.to_json() for c in self.claims]}
 
 
-def _is_perfect_square(x: int) -> bool:
-    if x < 0:
-        return False
-    r = math.isqrt(x)
-    return r * r == x
-
-
-# Closed-form membership.  Each solver returns the parameters, in GeoPair
-# params form, of every member of its family with the value (K2, chi); each
-# candidate is checked against the family's own pair function.
-
-
-def _solve_a1(K2: int, chi: int) -> list:
-    # K2 = (2n - 3)^2 with 2n - 3 >= 1.
-    if not _is_perfect_square(K2):
-        return []
-    n = (math.isqrt(K2) + 3) // 2
-    return [(("n", n),)] if n >= 2 and family1_pair(n) == (K2, chi) else []
-
-
-def _solve_b(K2: int, chi: int) -> list:
-    # K2 = 2*(n - 3)^2 with n - 3 >= 1.
-    if K2 % 2 or not _is_perfect_square(K2 // 2):
-        return []
-    n = 3 + math.isqrt(K2 // 2)
-    return [(("n", n),)] if n >= 4 and set_b_pair(n) == (K2, chi) else []
-
-
-def _integer_roots(a: int, b: int, c: int) -> list[int]:
-    """The integer roots of a*x^2 + b*x + c, for a > 0."""
-    disc = b * b - 4 * a * c
-    if not _is_perfect_square(disc):
-        return []
-    s = math.isqrt(disc)
-    return sorted({(e - b) // (2 * a) for e in (s, -s) if (e - b) % (2 * a) == 0})
-
-
-def _solve_a2(K2: int, chi: int) -> list:
-    # K2 - 4*chi = 4 - 4*N with N = n*(m + 1), and chi - 1 = n*(N - n - 1).
-    N, r = divmod(4 * chi - K2 + 4, 4)
-    if r:
-        return []
-    out = []
-    for n in _integer_roots(1, 1 - N, chi - 1):
-        if n >= 2 and n % 2 == 0 and N % n == 0:
-            m = N // n - 1
-            if m >= 3 and family2_pair(m, n) == (K2, chi):
-                out.append((("m", m), ("n", n)))
-    return out
-
-
-def _solve_a3(K2: int, chi: int) -> list:
-    # K2 - 4*chi = 4 - 2*N with N = n*(m + 2), and 2*(chi - 1) = (N - 2n)*(n - 1).
-    N, r = divmod(4 * chi - K2 + 4, 2)
-    if r:
-        return []
-    out = []
-    for n in _integer_roots(2, -(N + 2), N + 2 * chi - 2):
-        if n >= 4 and n % 2 == 0 and N % n == 0:
-            m = N // n - 2
-            if m >= 2 and family3_pair(m, n) == (K2, chi):
-                out.append((("m", m), ("n", n)))
-    return out
-
-
-_SOLVERS = {"A1": _solve_a1, "A2": _solve_a2, "A3": _solve_a3, "B": _solve_b}
-
-# The families with O(sqrt(chi_max)) members: pair function, first
-# parameter and parameter step.
-_SPARSE = {"A1": (family1_pair, 2, 1), "B": (set_b_pair, 4, 1), "T": (set_t_pair, 6, 2)}
-
-
 def _sparse_members(label: str, chi_max: int):
     """(parameter, (K2, chi)) for every member with chi <= chi_max, in
     parameter order, which is also chi order."""
-    pair, p, step = _SPARSE[label]
+    family = FAMILIES[label]
+    (param,) = family.params
+    pair, p, step = family.pair, param.minimum, param.step
     while (value := pair(p))[1] <= chi_max:
         yield p, value
         p += step
@@ -448,23 +324,21 @@ class _Line:
         return range(first, last + 1)
 
 
-# The families on lines: pair function, smallest m, smallest n (n steps by 2).
-_LINE_FAMILIES = {"A2": (family2_pair, 3, 2), "A3": (family3_pair, 2, 4)}
-
-
 def _lines(label: str, chi_max: int) -> list[_Line]:
     """Every line of the family with a member within the bound.  chi at the
     smallest m grows with n, so the first empty line ends the list."""
-    pair, m_first, n = _LINE_FAMILIES[label]
+    family = FAMILIES[label]
+    m_param, n_param = family.params
+    m_first, n = m_param.minimum, n_param.minimum
     lines = []
     while True:
-        k2_0, chi_0 = pair(0, n)
-        k2_1, chi_1 = pair(1, n)
+        k2_0, chi_0 = family.pair(0, n)
+        k2_1, chi_1 = family.pair(1, n)
         m_last = (chi_max - chi_0) // (chi_1 - chi_0)
         if m_last < m_first:
             return lines
         lines.append(_Line(n, m_first, m_last, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0))
-        n += 2
+        n += n_param.step
 
 
 def _all_of_parity(step: int, first: int, count: int, parity: int) -> bool:
@@ -561,25 +435,13 @@ def _difference_coverage(lines: list[_Line], excluded: set, chi_max: int) -> tup
 
 
 @cache
-def _t_identity_in_a3() -> bool:
-    """T's pair equals family 3's pair at (m, n) = (t-3, t), as polynomial
-    identities in t (coefficient comparison)."""
+def _t_identity(label: str) -> bool:
+    """T's pair equals the family's pair at the substitution (m, n) = (t-3, t)
+    for A3 and (t/2 - 1, t - 1) for A2, as polynomial identities in t
+    (coefficient comparison)."""
     t = LocalPoly.variable(0)
-    k2_t = 2 * t * (t - 1) * (t - 4) + 8
-    chi_t = Fraction(1, 2) * t * (t - 1) * (t - 3) + 1
-    k2_a3, chi_a3 = family3_pair(t - 3, t)
-    return k2_t == k2_a3 and chi_t == chi_a3
-
-
-@cache
-def _t_identity_in_a2() -> bool:
-    """T's pair equals family 2's pair at (m, n) = (t/2 - 1, t - 1), again as
-    polynomial identities in t."""
-    t = LocalPoly.variable(0)
-    k2_t = 2 * t * (t - 1) * (t - 4) + 8
-    chi_t = Fraction(1, 2) * t * (t - 1) * (t - 3) + 1
-    k2_a2, chi_a2 = family2_pair(Fraction(1, 2) * t - 1, t - 1)
-    return k2_t == k2_a2 and chi_t == chi_a2
+    m, n = {"A3": (t - 3, t), "A2": (Fraction(1, 2) * t - 1, t - 1)}[label]
+    return FAMILIES["T"].pair(t) == FAMILIES[label].pair(m, n)
 
 
 def set_relations_report(chi_max: int) -> SetRelationsReport:
@@ -589,15 +451,17 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     built."""
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
-    lines = {label: _lines(label, chi_max) for label in _LINE_FAMILIES}
+    a2, a3 = FAMILIES["A2"], FAMILIES["A3"]
+    m_param, n_param = a2.params
+    lines = {label: _lines(label, chi_max) for label in ("A2", "A3")}
     claims: list[Claim] = []
 
     # Claim i): five empty intersections.  Walk the side with O(sqrt(chi))
     # members and solve for the other side.
     for left, right in (("A1", "B"), ("A2", "B"), ("A3", "B"), ("A1", "A2"), ("A1", "A3")):
-        walk, other = (left, right) if left in _SPARSE else (right, left)
+        walk, other = (left, right) if len(FAMILIES[left].params) == 1 else (right, left)
         overlap = sorted(
-            {value for _, value in _sparse_members(walk, chi_max) if _SOLVERS[other](*value)}
+            {value for _, value in _sparse_members(walk, chi_max) if FAMILIES[other].members(*value)}
         )
         claims.append(
             Claim(
@@ -662,8 +526,13 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     # Noether-line slices.
     whole, points = _noether_zeros(lines["A2"])
     found = sum(line.count for line in whole) + len(points)
-    # Expected: all of the n=2 line, (8m-8, 4m-1) for 3 <= m <= (chi_max+1)/4.
-    expected = [_Line(2, 3, (chi_max + 1) // 4, 8, -8, 4, -1)] if 4 * 3 - 1 <= chi_max else []
+    # Expected: all of the n=2 line, (8m-8, 4m-1) for m from its minimum up to
+    # (chi_max+1)/4.
+    expected = (
+        [_Line(n_param.minimum, m_param.minimum, (chi_max + 1) // 4, 8, -8, 4, -1)]
+        if 4 * m_param.minimum - 1 <= chi_max
+        else []
+    )
     slice_ok = not points and whole == expected
     claims.append(
         Claim(
@@ -678,7 +547,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     on_noether = points + [
         (m, line.n) for line in whole for m in range(line.m_first, line.m_last + 1)[:5]
     ]
-    first_five = sorted((family3_pair(m, n)[::-1], m, n) for m, n in on_noether)[:5]
+    first_five = sorted((a3.pair(m, n)[::-1], m, n) for m, n in on_noether)[:5]
     noether_a3 = [(k2, chi) for (chi, k2), _, _ in first_five]
     claims.append(
         Claim(
@@ -693,8 +562,8 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     # Claim iii) machinery: T inside A3 (symbolic plus membership), and the
     # T-in-A2 audit under printed and relaxed parity.
     t_members = list(_sparse_members("T", chi_max))
-    t_in_a3_symbolic = _t_identity_in_a3()
-    t_members_in_a3 = all(_solve_a3(*value) for _, value in t_members)
+    t_in_a3_symbolic = _t_identity("A3")
+    t_members_in_a3 = all(a3.members(*value) for _, value in t_members)
     claims.append(
         Claim(
             "T-subset-A3",
@@ -704,21 +573,21 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         )
     )
 
-    t_in_a2_symbolic = _t_identity_in_a2()
+    t_in_a2_symbolic = _t_identity("A2")
     audits = []
     strict_hits = 0
     for t, value in t_members:
         m_w, n_w = t // 2 - 1, t - 1
-        witness_pair = family2_pair(m_w, n_w)
-        strict = bool(_solve_a2(*value))
+        witness_pair = a2.pair(m_w, n_w)
+        strict = bool(a2.members(*value))
         strict_hits += strict
         audits.append(
             {
                 "t": t,
                 "witness": {"m": m_w, "n": n_w},
                 "witness_value_matches": witness_pair == value,
-                "witness_n_parity_ok": n_w % 2 == 0,
-                "witness_m_bound_ok": m_w >= 3,
+                "witness_n_parity_ok": (n_w - n_param.minimum) % n_param.step == 0,
+                "witness_m_bound_ok": m_w >= m_param.minimum,
                 "in_A2_printed_constraints": strict,
             }
         )
@@ -740,7 +609,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         status, detail = REFUTED, "witness substitution does not reproduce the T pairs"
     claims.append(Claim("T-subset-A2", status, detail, tuple(audits)))
 
-    overlap = sorted({family2_pair(m2, n2) for m2, n2, _, _ in meets})
+    overlap = sorted({a2.pair(m2, n2) for m2, n2, _, _ in meets})
     if overlap:
         chis = [chi for _, chi in overlap]
         ok, win_detail = _window_coverage(

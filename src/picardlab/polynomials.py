@@ -217,9 +217,12 @@ def substitute(
 # Homogeneous ternary forms.
 
 
-# localize expands every term binomially, up to (d/2 + 1)^2 products for a
-# form of degree d, so it refuses forms above this degree.
+# localize expands every term binomially, (e0 + 1)*(e1 + 1) products for a
+# term with exponents e0, e1 in the two local variables, so it refuses forms
+# above this degree and forms whose terms need more products in total.  A
+# dense form of degree 33 needs 66,045 products.
 MAX_LOCALIZE_DEGREE = 128
+MAX_LOCALIZE_PRODUCTS = 100_000
 
 
 class PointOffCurveError(ValueError):
@@ -339,13 +342,19 @@ class HomPoly:
             raise ValueError(
                 f"form degree {self.degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
             )
+        remaining = [i for i in range(3) if i != chart]
+        products = sum((e[remaining[0]] + 1) * (e[remaining[1]] + 1) for e in self.coeffs)
+        if products > MAX_LOCALIZE_PRODUCTS:
+            raise ValueError(
+                f"localizing the form takes {products} binomial products, "
+                f"more than the cap {MAX_LOCALIZE_PRODUCTS}"
+            )
         pt = [Fraction(c) for c in point]
         if pt[chart] == 0:
             raise ValueError(f"chart coordinate {chart} vanishes at the point")
         pt = [c / pt[chart] for c in pt]
         if self(*pt) != 0:
             raise PointOffCurveError(f"point {tuple(point)} is not on the zero locus")
-        remaining = [i for i in range(3) if i != chart]
         acc: dict[tuple[int, int], Rat] = {}
         for e, c in self.coeffs.items():
             # (p + v)^e expanded binomially for each of the two local variables.

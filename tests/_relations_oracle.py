@@ -1,24 +1,31 @@
 """The enumeration-based set-relations report, kept as a test oracle.
 
-It materialises every pair of the five families and intersects Python
+It materialises every pair of the five families by plain loops over their
+parameters, calling the pair functions directly, and intersects Python
 sets, so it costs O(chi_max) time and memory.  picardlab computes the same
-report from the closed forms line by line; the tests compare the two.
+report from the closed forms line by line, and enumerate_set walks the same
+family table and lines; the tests compare both with this module.
 """
 
 import math
 from fractions import Fraction
 
-from picardlab.constructions import family2_pair
+from picardlab.constructions import (
+    family1_pair,
+    family2_pair,
+    family3_pair,
+    set_b_pair,
+    set_t_pair,
+)
 from picardlab.geography import (
     REFUTED,
     RELAXED,
     SET_LABELS,
     VERIFIED,
     Claim,
+    GeoPair,
     SetRelationsReport,
-    _t_identity_in_a2,
-    _t_identity_in_a3,
-    enumerate_set,
+    _t_identity,
 )
 
 
@@ -44,8 +51,62 @@ def _window_coverage(chis, chi_max):
     return True, f"{len(chis)} members, first at chi={chis[0]}, all doubling windows inhabited"
 
 
+def brute_force_set(which, chi_max):
+    """All pairs of the labeled family with chi <= chi_max, sorted, by loops
+    over the parameter domains written out here rather than read from the
+    family table."""
+    pairs = []
+    if which == "A1":
+        n = 2
+        while True:
+            k2, chi = family1_pair(n)
+            if chi > chi_max:
+                break
+            pairs.append(GeoPair(chi, k2, "A1", (("n", n),)))
+            n += 1
+    elif which == "A2":
+        n = 2
+        while family2_pair(3, n)[1] <= chi_max:
+            m = 3
+            while True:
+                k2, chi = family2_pair(m, n)
+                if chi > chi_max:
+                    break
+                pairs.append(GeoPair(chi, k2, "A2", (("m", m), ("n", n))))
+                m += 1
+            n += 2
+    elif which == "A3":
+        n = 4
+        while family3_pair(2, n)[1] <= chi_max:
+            m = 2
+            while True:
+                k2, chi = family3_pair(m, n)
+                if chi > chi_max:
+                    break
+                pairs.append(GeoPair(chi, k2, "A3", (("m", m), ("n", n))))
+                m += 1
+            n += 2
+    elif which == "B":
+        n = 4
+        while True:
+            k2, chi = set_b_pair(n)
+            if chi > chi_max:
+                break
+            pairs.append(GeoPair(chi, k2, "B", (("n", n),)))
+            n += 1
+    else:
+        t = 6
+        while True:
+            k2, chi = set_t_pair(t)
+            if chi > chi_max:
+                break
+            pairs.append(GeoPair(chi, k2, "T", (("t", t),)))
+            t += 2
+    return sorted(pairs)
+
+
 def enumerated_sets(chi_max):
-    return {label: enumerate_set(label, chi_max) for label in SET_LABELS}
+    return {label: brute_force_set(label, chi_max) for label in SET_LABELS}
 
 
 def restrict(sets, chi_max):
@@ -126,7 +187,7 @@ def oracle_report(chi_max, sets=None):
         )
     )
 
-    t_in_a3_symbolic = _t_identity_in_a3()
+    t_in_a3_symbolic = _t_identity("A3")
     t_members_in_a3 = all(p.value in values["A3"] for p in sets["T"])
     claims.append(
         Claim(
@@ -137,7 +198,7 @@ def oracle_report(chi_max, sets=None):
         )
     )
 
-    t_in_a2_symbolic = _t_identity_in_a2()
+    t_in_a2_symbolic = _t_identity("A2")
     audits = []
     strict_hits = 0
     for p in sets["T"]:

@@ -11,7 +11,7 @@ import pytest
 
 import picardlab
 from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
-from picardlab.polynomials import MAX_LOCALIZE_DEGREE
+from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -205,6 +205,16 @@ class TestClassify:
         )
         assert result.returncode == 2
         assert f"exceeds the localization cap {MAX_LOCALIZE_DEGREE}" in result.stderr
+
+    def test_dense_form_above_product_cap_is_refused_quickly(self, capsys):
+        # Degree 128, under the degree cap and through (1:1:1), but 366,145
+        # binomial products: expanding them takes seconds.
+        form = " + ".join(f"X0^{a}*X1^{128 - a}" for a in range(128)) + " - 128*X0^128"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "classify", "--homogeneous", form, "--point", "1,1,1")
+        assert code == 2
+        assert f"more than the cap {MAX_LOCALIZE_PRODUCTS}" in err
+        assert time.perf_counter() - start < 1.0
 
     def test_fixed_jet_bound(self, capsys):
         code, out, _ = run(capsys, "classify", "--local", "y^2 - x^5", "--jet-bound", "12")

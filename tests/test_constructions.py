@@ -4,18 +4,20 @@ import json
 
 import pytest
 
+from picardlab import covers
 from picardlab.constructions import (
     ParameterError,
+    _finish,
     build,
     build_theorem1,
     build_theorem2,
     build_theorem3,
     closed_form_invariants,
 )
-from picardlab.covers import validate_bidouble, validate_double, BidoubleCoverData
+from picardlab.covers import validate_bidouble, validate_double, BidoubleCoverData, DoubleCoverData
 from picardlab.curves import singular_points_report
 from picardlab.singularities import A, D, SingInventory
-from picardlab.surfaces import hirzebruch
+from picardlab.surfaces import hirzebruch, projective_plane
 
 
 class TestClosedForms:
@@ -185,3 +187,20 @@ def test_report_json_round_trip():
         {"family": "D", "index": 4, "count": 12},
     ]
     assert payload["building_data"]["type"] == "bidouble"
+
+
+def test_finish_rejects_inconsistent_building_data():
+    plane = projective_plane()
+    data = DoubleCoverData(plane, L=plane.divisor(2), B=plane.divisor(3))
+    with pytest.raises(ParameterError, match=r"^assembled building data is invalid: B = .* is not twice L"):
+        _finish(3, (("m", 2), ("n", 4)), data, (), SingInventory.from_counts({}), 2, (24, 13))
+
+
+def test_building_data_is_validated_once(monkeypatch):
+    calls = []
+    for name in ("validate_bidouble", "validate_double"):
+        original = getattr(covers, name)
+        monkeypatch.setattr(covers, name, lambda data, f=original: calls.append(data) or f(data))
+    build_theorem2(3, 2)
+    build_theorem3(2, 4)
+    assert len(calls) == 2

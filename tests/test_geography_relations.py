@@ -1,15 +1,16 @@
 """The closed-form set-relations report against the enumeration oracle."""
 
 import dataclasses
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 
-from _relations_oracle import enumerated_sets, oracle_report, restrict
+from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
-from picardlab.constructions import family2_pair, family3_pair
+from picardlab.constructions import FAMILIES, family2_pair, family3_pair
 from picardlab.geography import (
-    _SOLVERS,
+    SET_LABELS,
     _a2_a3_meets,
     _lines,
     _meet,
@@ -32,6 +33,20 @@ def test_equivalent_to_enumeration_at_larger_bounds(chi_max):
     assert set_relations_report(chi_max).to_json() == oracle_report(chi_max).to_json()
 
 
+def test_enumerate_set_matches_brute_force():
+    # enumerate_set walks the family table and the lines; the oracle loops
+    # over parameter domains of its own.
+    full = enumerated_sets(2000)
+    for label in SET_LABELS:
+        chis = [p.chi for p in full[label]]
+        for chi_max in range(3, 2001):
+            expected = full[label][: bisect_right(chis, chi_max)]
+            assert enumerate_set(label, chi_max) == expected, (label, chi_max)
+    big = enumerated_sets(100_000)
+    for label in SET_LABELS:
+        assert enumerate_set(label, 100_000) == big[label], label
+
+
 def test_report_enumerates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("set_relations_report must not enumerate")
@@ -44,7 +59,7 @@ def test_report_enumerates_nothing(monkeypatch):
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "B"])
 def test_membership_solver_matches_enumeration(label):
     members = {p.value: [p.params] for p in enumerate_set(label, 100)}
-    solve = _SOLVERS[label]
+    solve = FAMILIES[label].members
     for chi in range(1, 101):
         for k2 in range(1, 9 * chi + 1):
             if admissible(k2, chi):
@@ -60,7 +75,9 @@ def test_lines_cover_the_enumerated_sets():
             for line in _lines(label, 5000)
             for m in range(line.m_first, line.m_last + 1)
         )
-        enumerated = [(p.chi, p.K2, *(v for _, v in p.params)) for p in enumerate_set(label, 5000)]
+        enumerated = [
+            (p.chi, p.K2, *(v for _, v in p.params)) for p in brute_force_set(label, 5000)
+        ]
         assert on_lines == enumerated
 
 

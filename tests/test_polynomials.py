@@ -6,6 +6,7 @@ import pytest
 
 from picardlab.polynomials import (
     MAX_LOCALIZE_DEGREE,
+    MAX_LOCALIZE_PRODUCTS,
     BinaryForm,
     HomPoly,
     LocalPoly,
@@ -87,6 +88,16 @@ class TestHomPoly:
         above = parse_ternary_form(f"X0^{half + 1}*X1^{half} - X2^{2 * half + 1}")
         with pytest.raises(ValueError, match="localization cap"):
             above.localize((1, 1, 1), 2)
+
+    def test_localize_product_cap(self):
+        # A dense form of degree 33, the largest the benchmark localizes,
+        # needs sum over a + b <= 33 of (a + 1)*(b + 1) products.
+        dense_33 = sum((a + 1) * (s - a + 1) for s in range(34) for a in range(s + 1))
+        assert dense_33 == 66_045 <= MAX_LOCALIZE_PRODUCTS
+        terms = " + ".join(f"X0^{a}*X1^{128 - a}" for a in range(128))
+        dense = parse_ternary_form(terms + " - 128*X0^128")
+        with pytest.raises(ValueError, match="366145 binomial products"):
+            dense.localize((1, 1, 1), 2)
 
     def test_partial(self):
         form = parse_ternary_form("X0^3 + X0*X1*X2")
