@@ -32,7 +32,6 @@ from .curves import (
     Smooth,
     classify,
     classify_ak,
-    localize,
     restrict_to_line,
     seed_curve,
     singular_points_report,
@@ -50,9 +49,8 @@ from .geography import (
 )
 from .polynomials import (
     BinaryForm,
-    HomPoly,
-    LocalPoly,
     PointOffCurveError,
+    Poly,
     PolyParseError,
     parse_local_poly,
     parse_ternary_form,

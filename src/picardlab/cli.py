@@ -19,7 +19,7 @@ from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .constructions import THEOREMS, ConstructionReport, ParameterError, build
+from .constructions import MAX_SWEEP_BUILDS, THEOREMS, ConstructionReport, ParameterError, build
 from .covers import BidoubleCoverData
 from .curves import (
     DegenerateGermError,
@@ -41,8 +41,6 @@ from .singularities import resolution_curve_count
 USAGE_ERROR = 2
 FAILURE = 1
 DEFAULT_CHI_MAX = 10_000
-# The most constructions one verify-theorem --sweep may build.
-MAX_SWEEP_BUILDS = 10_000
 
 
 class UsageError(ValueError):

@@ -64,6 +64,11 @@ class ParameterError(ValueError):
     """A construction parameter violates its family's constraints."""
 
 
+# The most constructions one verify-theorem --sweep may build, and the most
+# rows of one slope table.
+MAX_SWEEP_BUILDS = 10_000
+
+
 # Closed-form invariants of the five families.  These are plain ring
 # expressions so the geography module can also evaluate them on symbolic
 # polynomial arguments.
@@ -213,6 +218,10 @@ class DoubleBranchPoint:
     count: int
     origin: str
 
+    @property
+    def branch_type(self) -> SingType:
+        return self.sing
+
 
 BranchPoint = Union[BidoubleBranchPoint, DoubleBranchPoint]
 
@@ -298,21 +307,7 @@ class ConstructionReport:
 
 def _branch_inventory(points: Sequence[BranchPoint]) -> SingInventory:
     """Singularity types of the total branch divisor at the annotated points."""
-    counts: list[tuple[SingType, int]] = []
-    for p in points:
-        if isinstance(p, DoubleBranchPoint):
-            counts.append((p.sing, p.count))
-            continue
-        if p.meets is None:
-            counts.append((p.sing, p.count))
-        elif p.sing is None:
-            if p.contact > 1:
-                counts.append((union_type(None, p.contact), p.count))
-            else:
-                counts.append((A(1), p.count))  # plain node of the union
-        else:
-            counts.append((union_type(p.sing, p.contact), p.count))
-    return SingInventory.from_counts(counts)
+    return SingInventory.from_counts((p.branch_type, p.count) for p in points)
 
 
 def _finish(
@@ -502,10 +497,7 @@ def build_theorem3(m: int, n: int) -> ConstructionReport:
         points.append(
             DoubleBranchPoint(sing, count, "curve point away from the branch fibers")
         )
-    branch_inventory = SingInventory.from_counts(
-        [(p.sing, p.count) for p in points]
-    )
-    cover_inventory = transport_double(branch_inventory)
+    cover_inventory = transport_double(_branch_inventory(points))
     return _finish(
         3,
         (("m", m), ("n", n)),

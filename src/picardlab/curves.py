@@ -24,15 +24,9 @@ decrease total degree, so truncation at the jet bound is sound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
-from .polynomials import (
-    BinaryForm,
-    HomPoly,
-    LocalPoly,
-    substitute,
-)
+from .polynomials import BinaryForm, Poly, substitute
 from .singularities import A, SingType
 
 JET_BOUND_CAP = 64
@@ -66,35 +60,28 @@ class CorankAtLeastTwo:
 GermType = Union[SingType, Smooth, CorankAtLeastTwo]
 
 
-def seed_curve(n: int) -> HomPoly:
+def seed_curve(n: int) -> Poly:
     """The degree-2n seed curve, built through the exact form arithmetic."""
     if n < 2:
         raise ValueError(f"the seed curve needs n >= 2, got {n}")
-    x0, x1, x2 = (HomPoly.variable(i) for i in range(3))
+    x0, x1, x2 = (Poly.variable(i, 3) for i in range(3))
     powers = x0**n + x1**n + x2**n
     pair_products = (x0 * x1) ** n + (x0 * x2) ** n + (x1 * x2) ** n
     return powers * powers - 4 * pair_products
 
 
-def restrict_to_line(curve: HomPoly, line_index: int) -> BinaryForm:
+def restrict_to_line(curve: Poly, line_index: int) -> BinaryForm:
     """Restrict to the coordinate line l_i = [X_{i-1} = 0], i in {1, 2, 3}."""
     if line_index not in (1, 2, 3):
         raise ValueError("line index must be 1, 2 or 3")
     return curve.restrict(line_index - 1)
 
 
-def localize(
-    p: HomPoly, point: tuple[int | Fraction, int | Fraction, int | Fraction], chart: int
-) -> LocalPoly:
-    """Dehomogenize in the chart and center the point at the origin."""
-    return p.localize(point, chart)
+_X = Poly.variable(0)
+_Y = Poly.variable(1)
 
 
-_X = LocalPoly.variable(0)
-_Y = LocalPoly.variable(1)
-
-
-def classify_ak(f: LocalPoly, jet_bound: int) -> GermType:
+def classify_ak(f: Poly, jet_bound: int) -> GermType:
     """Classify a plane-curve germ as Smooth, A_k or corank >= 2.
 
     Works modulo total degree jet_bound.  Raises JetBoundError when the pure
@@ -137,13 +124,13 @@ def classify_ak(f: LocalPoly, jet_bound: int) -> GermType:
             return A(min(pure) - 1)
         # One square-completion step; the order of the y-linear part rises
         # strictly, so the loop terminates within jet_bound passes.
-        beta = LocalPoly({(i, 0): coeff / (2 * unit) for i, coeff in linear_in_y.items()})
+        beta = Poly({(i, 0): coeff / (2 * unit) for i, coeff in linear_in_y.items()})
         g = substitute(g, _X, _Y - beta, trunc=jet_bound)
     raise JetBoundError(f"square completion failed to settle below degree {jet_bound}")
 
 
 def classify(
-    f: LocalPoly, expected_k: Optional[int] = None, cap: int = JET_BOUND_CAP
+    f: Poly, expected_k: Optional[int] = None, cap: int = JET_BOUND_CAP
 ) -> GermType:
     """classify_ak with automatic jet-bound doubling, capped.
 
@@ -164,7 +151,7 @@ def classify(
             bound = min(2 * bound, cap)
 
 
-def tangent_cone_avoids(f: LocalPoly, direction: tuple[int, int]) -> bool:
+def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:
     """Whether the tangent cone (lowest homogeneous part) does not vanish on
     the given direction vector, i.e. the direction is transversal."""
     order = f.order()
@@ -246,7 +233,7 @@ def singular_points_report(n: int, *, max_n: int = 8) -> CurveSingularityReport:
 
         rep = _REPRESENTATIVES[line_index]
         chart = _CHARTS[line_index]
-        local = localize(curve, rep, chart)
+        local = curve.localize(rep, chart)
         partials_vanish = not local.homogeneous_part(1)
         if not partials_vanish:
             failures.append(f"vanishing-partials line {line_index}")

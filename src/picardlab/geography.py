@@ -32,9 +32,9 @@ from functools import cache
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .constructions import FAMILIES, THEOREMS, _is_perfect_square
+from .constructions import FAMILIES, MAX_SWEEP_BUILDS, THEOREMS, _is_perfect_square
 from .figures import figure_csv, figure_svg
-from .polynomials import LocalPoly
+from .polynomials import Poly
 
 SET_LABELS = tuple(FAMILIES)
 
@@ -137,8 +137,8 @@ def _mu_closed_form(m, n):
 
 def _symbolic_slope_identity() -> bool:
     # K2 == 4*chi + 4*(1 - n - m*n) as polynomials in (m, n).
-    m = LocalPoly.variable(0)
-    n = LocalPoly.variable(1)
+    m = Poly.variable(0)
+    n = Poly.variable(1)
     k2, chi = FAMILIES["A2"].pair(m, n)
     return k2 == 4 * chi + 4 * (1 - n - m * n)
 
@@ -150,27 +150,33 @@ def slope_limit_report(
     sweep_bound: int,
     threshold: Fraction = Fraction(1, 100),
 ) -> SlopeLimitReport:
-    """Slope table and convergence evidence for family 2, one parameter fixed."""
+    """Slope table and convergence evidence for family 2, one parameter fixed.
+    A table of more than MAX_SWEEP_BUILDS rows is refused before any row is
+    built."""
     if (fixed_n is None) == (fixed_m is None):
         raise ValueError("fix exactly one of n or m")
-    rows: list[SlopeRow] = []
     a2 = FAMILIES["A2"]
     m_param, n_param = a2.params
     if fixed_n is not None:
         if not n_param.admits(fixed_n):
             raise ValueError(f"fixed n must be even and >= {n_param.minimum}, got {fixed_n}")
         limit = 4 - Fraction(4, fixed_n)
-        sweep = [(m, fixed_n) for m in range(m_param.minimum, sweep_bound + 1)]
+        moving = range(m_param.minimum, sweep_bound + 1)
         fixed = ("n", fixed_n)
     else:
         if not m_param.admits(fixed_m):
             raise ValueError(f"fixed m must be >= {m_param.minimum}, got {fixed_m}")
         limit = Fraction(4)
-        sweep = [(fixed_m, n) for n in range(n_param.minimum, sweep_bound + 1, n_param.step)]
+        moving = range(n_param.minimum, sweep_bound + 1, n_param.step)
         fixed = ("m", fixed_m)
-    if not sweep:
+    if not moving:
         raise ValueError("empty sweep range")
-    for m, n in sweep:
+    # A slice, because len() of a range overflows past sys.maxsize.
+    if len(moving[: MAX_SWEEP_BUILDS + 1]) > MAX_SWEEP_BUILDS:
+        raise ValueError(f"the sweep has more than {MAX_SWEEP_BUILDS} rows")
+    rows: list[SlopeRow] = []
+    for value in moving:
+        m, n = (value, fixed_n) if fixed_n is not None else (fixed_m, value)
         k2, chi = a2.pair(m, n)
         mu = Fraction(k2, chi)
         rows.append(SlopeRow(m, n, k2, chi, mu, mu == _mu_closed_form(m, n)))
@@ -439,7 +445,7 @@ def _t_identity(label: str) -> bool:
     """T's pair equals the family's pair at the substitution (m, n) = (t-3, t)
     for A3 and (t/2 - 1, t - 1) for A2, as polynomial identities in t
     (coefficient comparison)."""
-    t = LocalPoly.variable(0)
+    t = Poly.variable(0)
     m, n = {"A3": (t - 3, t), "A2": (Fraction(1, 2) * t - 1, t - 1)}[label]
     return FAMILIES["T"].pair(t) == FAMILIES[label].pair(m, n)
 

@@ -2,12 +2,12 @@
 
 Polynomials are dictionaries from exponent tuples to Fraction coefficients;
 zero coefficients are never stored, so identity testing is plain dictionary
-equality.  Three shapes are used throughout the package:
+equality.  Two shapes are used throughout the package:
 
-  LocalPoly    bivariate polynomial in local coordinates, the working shape
-               for curve germs at a point,
-  HomPoly      homogeneous ternary form, the working shape for projective
-               plane curves,
+  Poly         sparse polynomial in a fixed number of variables: two for
+               curve germs in local coordinates and for the symbolic
+               identities of the geography, three for projective plane
+               curves, which are homogeneous ternary forms,
   BinaryForm   homogeneous binary form, the restriction of a ternary form
                to a coordinate line.
 
@@ -25,11 +25,7 @@ Rat = Fraction
 Scalar = Union[int, Fraction]
 
 # ---------------------------------------------------------------------------
-# Raw dict arithmetic (shared by LocalPoly and HomPoly).
-
-
-def _clean(coeffs: dict) -> dict:
-    return {e: c for e, c in coeffs.items() if c}
+# Raw dict arithmetic.  Every result is clean: no zero coefficient is stored.
 
 
 def _add(a: dict, b: dict) -> dict:
@@ -43,7 +39,7 @@ def _add(a: dict, b: dict) -> dict:
     return out
 
 
-def _scale(a: dict, k: Rat) -> dict:
+def _scale(a: dict, k: Scalar) -> dict:
     if not k:
         return {}
     return {e: c * k for e, c in a.items()}
@@ -66,133 +62,258 @@ def _mul(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate local polynomials.
+# Sparse polynomials.
 
 
-class LocalPoly:
-    """Bivariate polynomial in local coordinates with exact rational
-    coefficients, the shape used for curve germs centered at a point."""
+# localize expands every term binomially, (e0 + 1)*(e1 + 1) products for a
+# term with exponents e0, e1 in the two local variables, so it refuses forms
+# above this degree and forms whose terms need more products in total.  A
+# dense form of degree 33 needs 66,045 products.
+MAX_LOCALIZE_DEGREE = 128
+MAX_LOCALIZE_PRODUCTS = 100_000
 
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[Mapping[tuple[int, int], Scalar]] = None):
-        cleaned: dict[tuple[int, int], Rat] = {}
+class PointOffCurveError(ValueError):
+    """The point handed to localize does not lie on the zero locus."""
+
+
+class Poly:
+    """Sparse polynomial with exact rational coefficients in nvars variables.
+
+    Germs and symbolic identities use two variables, plane curves three;
+    partial, restrict, exponents_divisible_by and localize are the methods
+    for ternary forms.
+    """
+
+    __slots__ = ("coeffs", "nvars")
+
+    def __init__(self, coeffs: Optional[Mapping[tuple[int, ...], Scalar]] = None, nvars: int = 2):
+        cleaned: dict[tuple[int, ...], Rat] = {}
         for e, c in (coeffs or {}).items():
-            i, j = e
-            if i < 0 or j < 0:
+            if len(e) != nvars:
+                raise ValueError(f"exponent {e} does not have {nvars} entries")
+            if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
             frac = Fraction(c)
             if frac:
-                cleaned[(int(i), int(j))] = frac
+                cleaned[tuple(int(x) for x in e)] = frac
         self.coeffs = cleaned
+        self.nvars = nvars
+
+    @classmethod
+    def _wrap(cls, coeffs: dict, nvars: int) -> "Poly":
+        # For the clean dicts of the raw arithmetic: no checks repeated.
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        p.nvars = nvars
+        return p
 
     @staticmethod
-    def variable(index: int) -> "LocalPoly":
-        if index not in (0, 1):
-            raise ValueError("local polynomials have two variables")
-        return LocalPoly({(1, 0) if index == 0 else (0, 1): 1})
+    def variable(index: int, nvars: int = 2) -> "Poly":
+        if not 0 <= index < nvars:
+            raise ValueError(f"variable index {index} out of range for {nvars} variables")
+        e = [0] * nvars
+        e[index] = 1
+        return Poly._wrap({tuple(e): Fraction(1)}, nvars)
 
-    @staticmethod
-    def constant(c: Scalar) -> "LocalPoly":
-        return LocalPoly({(0, 0): c})
-
-    def coefficient(self, e: tuple[int, int]) -> Rat:
+    def coefficient(self, e: tuple[int, ...]) -> Rat:
         return self.coeffs.get(e, Fraction(0))
 
     @property
     def constant_term(self) -> Rat:
-        return self.coefficient((0, 0))
+        return self.coefficient((0,) * self.nvars)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LocalPoly):
+        if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == _clean({(0, 0): Fraction(other)})
+            return self.coeffs == ({(0,) * self.nvars: other} if other else {})
         return NotImplemented
 
     __hash__ = None  # type: ignore[assignment]
 
-    def __add__(self, other: Union["LocalPoly", Scalar]) -> "LocalPoly":
+    def _coerce(self, other: object) -> Optional["Poly"]:
         if isinstance(other, (int, Fraction)):
-            other = LocalPoly.constant(other)
-        if not isinstance(other, LocalPoly):
+            return Poly({(0,) * self.nvars: other}, self.nvars)
+        if not isinstance(other, Poly):
+            return None
+        if other.nvars != self.nvars:
+            raise ValueError(f"cannot combine polynomials in {self.nvars} and {other.nvars} variables")
+        return other
+
+    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return LocalPoly(_add(self.coeffs, other.coeffs))
+        return Poly._wrap(_add(self.coeffs, other.coeffs), self.nvars)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LocalPoly":
-        return LocalPoly(_scale(self.coeffs, Fraction(-1)))
+    def __neg__(self) -> "Poly":
+        return Poly._wrap(_scale(self.coeffs, -1), self.nvars)
 
-    def __sub__(self, other: Union["LocalPoly", Scalar]) -> "LocalPoly":
+    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
+        return self + -other
+
+    def __rsub__(self, other: Scalar) -> "Poly":
+        return -self + other
+
+    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = LocalPoly.constant(other)
-        if not isinstance(other, LocalPoly):
+            return Poly._wrap(_scale(self.coeffs, other), self.nvars)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "LocalPoly":
-        return LocalPoly.constant(other) + (-self)
-
-    def __mul__(self, other: Union["LocalPoly", Scalar]) -> "LocalPoly":
-        if isinstance(other, (int, Fraction)):
-            return LocalPoly(_scale(self.coeffs, Fraction(other)))
-        if not isinstance(other, LocalPoly):
-            return NotImplemented
-        return LocalPoly(_mul(self.coeffs, other.coeffs))
+        return Poly._wrap(_mul(self.coeffs, other.coeffs), self.nvars)
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "LocalPoly":
+    def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative powers are not polynomials")
-        result = LocalPoly.constant(1)
+        result = Poly({(0,) * self.nvars: 1}, self.nvars)
         for _ in range(k):
             result = result * self
         return result
 
-    def __call__(self, x: Scalar, y: Scalar) -> Rat:
-        x, y = Fraction(x), Fraction(y)
+    def __call__(self, *point: Scalar) -> Rat:
+        if len(point) != self.nvars:
+            raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
+        pt = [Fraction(x) for x in point]
         total = Fraction(0)
-        for (i, j), c in self.coeffs.items():
-            total += c * x**i * y**j
+        for e, c in self.coeffs.items():
+            for x, k in zip(pt, e):
+                if k:
+                    c *= x**k
+            total += c
         return total
 
     def order(self) -> Optional[int]:
         """Minimal total degree of a nonzero term, None for the zero polynomial."""
         if not self.coeffs:
             return None
-        return min(i + j for i, j in self.coeffs)
+        return min(sum(e) for e in self.coeffs)
 
     def degree(self) -> int:
+        """Maximal total degree of a nonzero term, -1 for the zero polynomial."""
         if not self.coeffs:
             return -1
-        return max(i + j for i, j in self.coeffs)
+        return max(sum(e) for e in self.coeffs)
 
-    def homogeneous_part(self, d: int) -> "LocalPoly":
-        return LocalPoly({e: c for e, c in self.coeffs.items() if sum(e) == d})
+    def homogeneous_part(self, d: int) -> "Poly":
+        return Poly._wrap({e: c for e, c in self.coeffs.items() if sum(e) == d}, self.nvars)
 
-    def truncated(self, bound: int) -> "LocalPoly":
+    def truncated(self, bound: int) -> "Poly":
         """Drop every term of total degree >= bound."""
-        return LocalPoly({e: c for e, c in self.coeffs.items() if sum(e) < bound})
+        return Poly._wrap({e: c for e, c in self.coeffs.items() if sum(e) < bound}, self.nvars)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, int], Rat]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
-    def to_text(self, names: tuple[str, str] = ("x", "y")) -> str:
+    def to_text(self) -> str:
+        names = ("x", "y") if self.nvars == 2 else tuple(f"X{i}" for i in range(self.nvars))
         return _render_terms(self.sorted_terms(), names)
 
     def __repr__(self) -> str:
-        return f"LocalPoly({self.to_text()!r})"
+        return f"Poly({self.to_text()!r})"
+
+    # -- ternary forms ------------------------------------------------------
+
+    def form_degree(self) -> int:
+        """The degree of a homogeneous ternary form (0 for the zero form);
+        ValueError for any other shape."""
+        if self.nvars != 3:
+            raise ValueError(f"expected a ternary form, got a polynomial in {self.nvars} variables")
+        degrees = {sum(e) for e in self.coeffs}
+        if len(degrees) > 1:
+            raise ValueError(f"polynomial is not homogeneous: term degrees {sorted(degrees)}")
+        return degrees.pop() if degrees else 0
+
+    def partial(self, index: int) -> "Poly":
+        out: dict[tuple[int, ...], Rat] = {}
+        for e, c in self.coeffs.items():
+            if e[index] == 0:
+                continue
+            new = list(e)
+            new[index] -= 1
+            out[tuple(new)] = c * e[index]
+        return Poly._wrap(out, self.nvars)
+
+    def exponents_divisible_by(self, n: int) -> bool:
+        """Whether every exponent of every monomial is a multiple of n."""
+        return all(all(x % n == 0 for x in e) for e in self.coeffs)
+
+    def restrict(self, zero_var: int) -> "BinaryForm":
+        """Set the given variable of a ternary form to zero, producing a
+        binary form in the two remaining variables (kept in ascending index
+        order)."""
+        degree = self.form_degree()
+        remaining = [i for i in range(3) if i != zero_var]
+        out: dict[int, Rat] = {}
+        for e, c in self.coeffs.items():
+            if e[zero_var]:
+                continue
+            out[e[remaining[0]]] = out.get(e[remaining[0]], Fraction(0)) + c
+        return BinaryForm.from_dict(degree, out)
+
+    def localize(self, point: tuple[Scalar, Scalar, Scalar], chart: int) -> "Poly":
+        """Dehomogenize a ternary form in the given chart and translate the
+        point to the origin.  The two local variables are the non-chart
+        coordinates in ascending index order; the result has zero constant
+        term because the point is required to lie on the zero locus."""
+        degree = self.form_degree()
+        if chart not in (0, 1, 2):
+            raise ValueError("chart must be 0, 1 or 2")
+        if degree > MAX_LOCALIZE_DEGREE:
+            raise ValueError(
+                f"form degree {degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
+            )
+        remaining = [i for i in range(3) if i != chart]
+        products = sum((e[remaining[0]] + 1) * (e[remaining[1]] + 1) for e in self.coeffs)
+        if products > MAX_LOCALIZE_PRODUCTS:
+            raise ValueError(
+                f"localizing the form takes {products} binomial products, "
+                f"more than the cap {MAX_LOCALIZE_PRODUCTS}"
+            )
+        pt = [Fraction(c) for c in point]
+        if pt[chart] == 0:
+            raise ValueError(f"chart coordinate {chart} vanishes at the point")
+        pt = [c / pt[chart] for c in pt]
+        if self(*pt) != 0:
+            raise PointOffCurveError(f"point {tuple(point)} is not on the zero locus")
+        p0, p1 = pt[remaining[0]], pt[remaining[1]]
+        acc: dict[tuple[int, int], Rat] = {}
+        for e, c in self.coeffs.items():
+            # (p + v)^e expanded binomially for each of the two local variables.
+            e0, e1 = e[remaining[0]], e[remaining[1]]
+            for s0 in range(e0 + 1):
+                c0 = math.comb(e0, s0) * p0 ** (e0 - s0)
+                if not c0:
+                    continue
+                for s1 in range(e1 + 1):
+                    c1 = math.comb(e1, s1) * p1 ** (e1 - s1)
+                    if not c1:
+                        continue
+                    key = (s0, s1)
+                    val = acc.get(key, Fraction(0)) + c * c0 * c1
+                    acc[key] = val
+        local = Poly(acc, 2)
+        assert local.constant_term == 0
+        return local
 
 
-def substitute(
-    f: LocalPoly, gx: LocalPoly, gy: LocalPoly, trunc: Optional[int] = None
-) -> LocalPoly:
-    """Evaluate f(gx, gy), optionally truncating at total degree >= trunc.
+# Old names of Poly, kept as plain aliases: perfbench/tracing.py patches
+# HomPoly.localize, HomPoly.__mul__ and HomPoly.__rmul__ by name, and the
+# acceptance tests import LocalPoly.
+LocalPoly = HomPoly = Poly
+
+
+def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly:
+    """Evaluate the bivariate f(gx, gy), optionally truncating at total
+    degree >= trunc.
 
     Truncation is sound whenever both substituted expressions have order
     >= 1, because then no product can drop below the degree of the source
@@ -210,179 +331,7 @@ def substitute(
     for (i, j), c in f.coeffs.items():
         term = _mul(xpow[i], ypow[j], trunc)
         acc = _add(acc, _scale(term, c))
-    return LocalPoly(acc)
-
-
-# ---------------------------------------------------------------------------
-# Homogeneous ternary forms.
-
-
-# localize expands every term binomially, (e0 + 1)*(e1 + 1) products for a
-# term with exponents e0, e1 in the two local variables, so it refuses forms
-# above this degree and forms whose terms need more products in total.  A
-# dense form of degree 33 needs 66,045 products.
-MAX_LOCALIZE_DEGREE = 128
-MAX_LOCALIZE_PRODUCTS = 100_000
-
-
-class PointOffCurveError(ValueError):
-    """The point handed to localize does not lie on the zero locus."""
-
-
-class HomPoly:
-    """Homogeneous ternary form with exact rational coefficients."""
-
-    __slots__ = ("degree", "coeffs")
-
-    def __init__(self, degree: int, coeffs: Mapping[tuple[int, int, int], Scalar]):
-        if degree < 0:
-            raise ValueError("degree must be nonnegative")
-        cleaned: dict[tuple[int, int, int], Rat] = {}
-        for e, c in coeffs.items():
-            i, j, k = e
-            if min(i, j, k) < 0:
-                raise ValueError(f"negative exponent in {e}")
-            if i + j + k != degree:
-                raise ValueError(f"exponent triple {e} does not sum to the degree {degree}")
-            frac = Fraction(c)
-            if frac:
-                cleaned[(int(i), int(j), int(k))] = frac
-        self.degree = degree
-        self.coeffs = cleaned
-
-    @staticmethod
-    def variable(index: int) -> "HomPoly":
-        e = [0, 0, 0]
-        e[index] = 1
-        return HomPoly(1, {tuple(e): 1})
-
-    def coefficient(self, e: tuple[int, int, int]) -> Rat:
-        return self.coeffs.get(e, Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        # Zero forms of different declared degrees count as equal.
-        if not self.coeffs and not other.coeffs:
-            return True
-        return self.degree == other.degree and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other: "HomPoly") -> "HomPoly":
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        if self.coeffs and other.coeffs and self.degree != other.degree:
-            raise ValueError("cannot add forms of different degrees")
-        degree = self.degree if self.coeffs else other.degree
-        return HomPoly(degree, _add(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "HomPoly") -> "HomPoly":
-        return self + (-1) * other
-
-    def __mul__(self, other: Union["HomPoly", Scalar]) -> "HomPoly":
-        if isinstance(other, (int, Fraction)):
-            return HomPoly(self.degree, _scale(self.coeffs, Fraction(other)))
-        if not isinstance(other, HomPoly):
-            return NotImplemented
-        return HomPoly(self.degree + other.degree, _mul(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "HomPoly":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        result = HomPoly(0, {(0, 0, 0): 1})
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def __call__(self, x0: Scalar, x1: Scalar, x2: Scalar) -> Rat:
-        pt = (Fraction(x0), Fraction(x1), Fraction(x2))
-        total = Fraction(0)
-        for (i, j, k), c in self.coeffs.items():
-            total += c * pt[0] ** i * pt[1] ** j * pt[2] ** k
-        return total
-
-    def partial(self, index: int) -> "HomPoly":
-        out: dict[tuple[int, int, int], Rat] = {}
-        for e, c in self.coeffs.items():
-            if e[index] == 0:
-                continue
-            new = list(e)
-            new[index] -= 1
-            out[tuple(new)] = c * e[index]
-        return HomPoly(max(self.degree - 1, 0), out)
-
-    def exponents_divisible_by(self, n: int) -> bool:
-        """Whether every exponent of every monomial is a multiple of n."""
-        return all(all(x % n == 0 for x in e) for e in self.coeffs)
-
-    def restrict(self, zero_var: int) -> "BinaryForm":
-        """Set the given variable to zero, producing a binary form in the two
-        remaining variables (kept in ascending index order)."""
-        remaining = [i for i in range(3) if i != zero_var]
-        out: dict[int, Rat] = {}
-        for e, c in self.coeffs.items():
-            if e[zero_var]:
-                continue
-            out[e[remaining[0]]] = out.get(e[remaining[0]], Fraction(0)) + c
-        return BinaryForm.from_dict(self.degree, out)
-
-    def localize(
-        self, point: tuple[Scalar, Scalar, Scalar], chart: int
-    ) -> LocalPoly:
-        """Dehomogenize in the given chart and translate the point to the
-        origin.  The two local variables are the non-chart coordinates in
-        ascending index order; the result has zero constant term because the
-        point is required to lie on the zero locus."""
-        if chart not in (0, 1, 2):
-            raise ValueError("chart must be 0, 1 or 2")
-        if self.degree > MAX_LOCALIZE_DEGREE:
-            raise ValueError(
-                f"form degree {self.degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
-            )
-        remaining = [i for i in range(3) if i != chart]
-        products = sum((e[remaining[0]] + 1) * (e[remaining[1]] + 1) for e in self.coeffs)
-        if products > MAX_LOCALIZE_PRODUCTS:
-            raise ValueError(
-                f"localizing the form takes {products} binomial products, "
-                f"more than the cap {MAX_LOCALIZE_PRODUCTS}"
-            )
-        pt = [Fraction(c) for c in point]
-        if pt[chart] == 0:
-            raise ValueError(f"chart coordinate {chart} vanishes at the point")
-        pt = [c / pt[chart] for c in pt]
-        if self(*pt) != 0:
-            raise PointOffCurveError(f"point {tuple(point)} is not on the zero locus")
-        acc: dict[tuple[int, int], Rat] = {}
-        for e, c in self.coeffs.items():
-            # (p + v)^e expanded binomially for each of the two local variables.
-            e0, e1 = e[remaining[0]], e[remaining[1]]
-            p0, p1 = pt[remaining[0]], pt[remaining[1]]
-            for s0 in range(e0 + 1):
-                c0 = math.comb(e0, s0) * p0 ** (e0 - s0)
-                if not c0:
-                    continue
-                for s1 in range(e1 + 1):
-                    c1 = math.comb(e1, s1) * p1 ** (e1 - s1)
-                    if not c1:
-                        continue
-                    key = (s0, s1)
-                    val = acc.get(key, Fraction(0)) + c * c0 * c1
-                    acc[key] = val
-        local = LocalPoly(acc)
-        assert local.constant_term == 0
-        return local
-
-    def sorted_terms(self) -> list[tuple[tuple[int, int, int], Rat]]:
-        return sorted(self.coeffs.items())
-
-    def to_text(self) -> str:
-        return _render_terms(self.sorted_terms(), ("X0", "X1", "X2"))
-
-    def __repr__(self) -> str:
-        return f"HomPoly(degree={self.degree}, {self.to_text()!r})"
+    return Poly._wrap(acc, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +381,6 @@ class BinaryForm:
         if _udeg(g) < self.degree:  # (1 : 0) is a root
             count += 1
         return count
-
-    def to_text(self, names: tuple[str, str] = ("u", "v")) -> str:
-        terms = [
-            ((i, self.degree - i), c)
-            for i, c in enumerate(self.coeffs)
-            if c
-        ]
-        return _render_terms(terms, names)
 
 
 def _utrim(p: Iterable[Rat]) -> tuple[Rat, ...]:
@@ -607,21 +548,19 @@ def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple
     return result
 
 
-def parse_local_poly(text: str) -> LocalPoly:
+def parse_local_poly(text: str) -> Poly:
     """Parse a bivariate polynomial in the variables x and y."""
-    return LocalPoly(_parse_terms(text, {"x": 0, "y": 1}, 2))
+    return Poly(_parse_terms(text, {"x": 0, "y": 1}, 2), 2)
 
 
-def parse_ternary_form(text: str) -> HomPoly:
+def parse_ternary_form(text: str) -> Poly:
     """Parse a homogeneous polynomial in the variables X0, X1, X2."""
-    coeffs = _parse_terms(text, {"X0": 0, "X1": 1, "X2": 2}, 3)
-    degrees = {sum(e) for e in coeffs}
-    if len(degrees) > 1:
-        raise PolyParseError(
-            f"polynomial is not homogeneous: term degrees {sorted(degrees)}", 1
-        )
-    degree = degrees.pop() if degrees else 0
-    return HomPoly(degree, coeffs)
+    form = Poly(_parse_terms(text, {"X0": 0, "X1": 1, "X2": 2}, 3), 3)
+    try:
+        form.form_degree()
+    except ValueError as exc:
+        raise PolyParseError(str(exc), 1) from None
+    return form
 
 
 def _render_terms(terms, names) -> str:

@@ -215,6 +215,12 @@ class BidoubleBranchPoint:
         if self.count < 1:
             raise ValueError(f"count must be positive, got {self.count}")
 
+    @property
+    def branch_type(self) -> Optional[SingType]:
+        """Type of the total branch divisor at the point: the carrier's own
+        type away from the other divisors, else the union rule."""
+        return self.sing if self.meets is None else union_type(self.sing, self.contact)
+
     def describe(self) -> str:
         where = f"B{self.carrier}"
         if self.sing is None:
@@ -253,22 +259,15 @@ def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:
                 )
             # R3: an isolated ADE point of the branch locus doubles upstairs.
             out.append((p.sing, 2 * p.count))
-        elif p.sing is None:
-            union = union_type(None, p.contact)
-            if p.contact == 1:
-                continue  # R0: transverse crossing, smooth upstairs
-            # R1: union A_{2c-1} with c >= 2 gives A_{c-1}.
-            assert union == A(2 * p.contact - 1)
-            out.append((A(p.contact - 1), p.count))
-        elif p.sing.family == "A":
-            union = union_type(p.sing, p.contact)  # validates transversality
-            assert union == D(p.sing.index + 3)
-            # R2: A_k meeting a transversal smooth divisor gives A_{2k+1}.
-            out.append((A(2 * p.sing.index + 1), p.count))
-        else:
-            raise TransportError(
-                f"entry '{p.describe()}' matches no bidouble transport rule"
-            )
+            continue
+        union = p.branch_type  # TransportError outside the union rules
+        if union.family == "D":
+            # R2: A_k met transversally (union D_{k+3}) gives A_{2k+1}.
+            out.append((A(2 * union.index - 5), p.count))
+        elif union.index > 1:
+            # R1: contact c >= 2 (union A_{2c-1}) gives A_{c-1}.
+            out.append((A((union.index - 1) // 2), p.count))
+        # R0: a transverse crossing (union A_1) is smooth upstairs.
     return SingInventory.from_counts(out)
 
 

@@ -248,6 +248,23 @@ class TestSlopes:
         assert code == 0
         assert "below threshold 1/100" in out
 
+    @pytest.mark.parametrize("fix, bound", [("n=4", "--m-max"), ("m=3", "--n-max")])
+    def test_oversized_table_is_refused_quickly(self, capsys, fix, bound):
+        # Building these tables row by row runs out of memory or time.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "slopes", "--fix", fix, bound, "100000000")
+        assert code == 2 and out == ""
+        assert f"more than {MAX_SWEEP_BUILDS} rows" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_table_at_the_row_cap_is_built(self, capsys):
+        # m runs from 3, so m <= MAX_SWEEP_BUILDS + 2 gives exactly the cap.
+        last = MAX_SWEEP_BUILDS + 2
+        code, out, _ = run(capsys, "slopes", "--fix", "n=4", "--m-max", str(last))
+        assert code == 0 and out.count(" ok\n") == MAX_SWEEP_BUILDS + 1
+        code, _, _ = run(capsys, "slopes", "--fix", "n=4", "--m-max", str(last + 1))
+        assert code == 2
+
 
 def test_version(capsys):
     with pytest.raises(SystemExit) as err:

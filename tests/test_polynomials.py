@@ -8,9 +8,9 @@ from picardlab.polynomials import (
     MAX_LOCALIZE_DEGREE,
     MAX_LOCALIZE_PRODUCTS,
     BinaryForm,
-    HomPoly,
     LocalPoly,
     PointOffCurveError,
+    Poly,
     PolyParseError,
     parse_local_poly,
     parse_ternary_form,
@@ -55,9 +55,21 @@ class TestLocalPoly:
 
 
 class TestHomPoly:
-    def test_homogeneity_enforced(self):
-        with pytest.raises(ValueError):
-            HomPoly(2, {(1, 0, 0): 1})
+    def test_localize_refuses_other_shapes(self):
+        # X0*X2 - X1^3 vanishes at (1:0:0) but is not homogeneous.
+        uneven = Poly({(1, 0, 1): 1, (0, 3, 0): -1}, 3)
+        with pytest.raises(ValueError, match="not homogeneous"):
+            uneven.localize((1, 0, 0), 0)
+        with pytest.raises(ValueError, match="ternary form"):
+            parse_local_poly("x*y").localize((1, 0, 0), 0)
+
+    def test_variable_counts_do_not_mix(self):
+        germ, form = Poly.variable(0), Poly.variable(0, 3)
+        assert germ.nvars == 2 and form.nvars == 3
+        with pytest.raises(ValueError, match="2 and 3 variables"):
+            germ + form
+        assert (germ - germ).degree() == -1
+        assert form(2, 5, 7) == 2
 
     def test_restrict(self):
         form = parse_ternary_form("X0^2*X1 - X1^3 + X0*X1*X2")
