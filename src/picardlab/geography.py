@@ -171,8 +171,8 @@ def slope_limit_report(
         fixed = ("m", fixed_m)
     if not moving:
         raise ValueError("empty sweep range")
-    # A slice, because len() of a range overflows past sys.maxsize.
-    if len(moving[: MAX_SWEEP_BUILDS + 1]) > MAX_SWEEP_BUILDS:
+    # Not len(moving): it overflows past sys.maxsize.
+    if moving[MAX_SWEEP_BUILDS:]:
         raise ValueError(f"the sweep has more than {MAX_SWEEP_BUILDS} rows")
     rows: list[SlopeRow] = []
     for value in moving:

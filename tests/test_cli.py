@@ -248,11 +248,15 @@ class TestSlopes:
         assert code == 0
         assert "below threshold 1/100" in out
 
-    @pytest.mark.parametrize("fix, bound", [("n=4", "--m-max"), ("m=3", "--n-max")])
-    def test_oversized_table_is_refused_quickly(self, capsys, fix, bound):
+    @pytest.mark.parametrize(
+        "fix, bound, value",
+        [("n=4", "--m-max", "100000000"), ("m=3", "--n-max", "100000000"),
+         ("m=3", "--n-max", str(10**30))],  # past sys.maxsize
+    )
+    def test_oversized_table_is_refused_quickly(self, capsys, fix, bound, value):
         # Building these tables row by row runs out of memory or time.
         start = time.perf_counter()
-        code, out, err = run(capsys, "slopes", "--fix", fix, bound, "100000000")
+        code, out, err = run(capsys, "slopes", "--fix", fix, bound, value)
         assert code == 2 and out == ""
         assert f"more than {MAX_SWEEP_BUILDS} rows" in err
         assert time.perf_counter() - start < 1.0
