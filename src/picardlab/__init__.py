@@ -29,10 +29,12 @@ from .curves import (
     CurveSingularityReport,
     DegenerateGermError,
     JetBoundError,
+    SeedCertificate,
     Smooth,
     classify,
     classify_ak,
     restrict_to_line,
+    seed_certificate,
     seed_curve,
     singular_points_report,
 )

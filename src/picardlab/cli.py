@@ -26,7 +26,7 @@ from .curves import (
     JetBoundError,
     classify,
     classify_ak,
-    singular_points_report,
+    seed_certificate,
 )
 from .figures import figure_csv, figure_svg
 from .geography import (
@@ -240,28 +240,17 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         raise UsageError("choose exactly one of --curve-C, --local, --homogeneous")
     if args.curve_n is not None:
         try:
-            report = singular_points_report(args.curve_n)
+            certificate = seed_certificate(args.curve_n)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        per_line = report.lines[0].distinct_points
-        print(
-            f"curve n={report.n} (degree {2 * report.n}): "
-            f"3 lines x {per_line} points"
-        )
-        for check in report.lines:
-            print(
-                f"  line {check.line_index}: restriction square: "
-                f"{'yes' if check.restriction_is_square else 'NO'}, "
-                f"{check.distinct_points} contact points, representative "
-                f"{''.join(map(str, check.representative))} -> {check.germ}, "
-                f"transversal: {'yes' if check.transversal else 'NO'}"
-            )
-        print(f"  torus exponent divisibility: {'yes' if report.torus_invariant else 'NO'}")
-        print(f"  note: {report.note}")
-        if report.failures:
-            print("failed stages: " + ", ".join(report.failures), file=sys.stderr)
+        n = certificate.n
+        print(f"curve n={n} (degree {2 * n}): 3 lines x {certificate.points_per_line} points")
+        for stage in certificate.stages:
+            print(f"  {stage}")
+        if not certificate.ok:
+            print("failed stages: " + ", ".join(certificate.failures), file=sys.stderr)
             return FAILURE
-        print(f"all points certified {report.expected_type}")
+        print(f"all points certified {certificate.singularity}")
         return 0
 
     try:

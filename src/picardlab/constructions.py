@@ -24,7 +24,9 @@ curve to the ruled surface F_1 (blow-up of the plane at the intersection
 point of two of the lines, which never lies on the curve), pull it back
 along the degree-m cyclic cover F_m -> F_1 branched over the two line
 transforms, and then take a bidouble (family 2) or double (family 3)
-cover of F_m.
+cover of F_m.  Every pipeline takes the seed curve's singular points (3n
+points of type A_{n-1}, n on each coordinate line) and the fact that it
+misses the coordinate vertices from curves.seed_certificate.
 """
 
 from __future__ import annotations
@@ -44,9 +46,8 @@ from .covers import (
     cyclic_pullback_class,
     double_invariants,
 )
-from .curves import seed_curve
+from .curves import seed_certificate
 from .singularities import (
-    A,
     BidoubleBranchPoint,
     SingInventory,
     SingType,
@@ -344,10 +345,22 @@ def _finish(
     )
 
 
+def _certified_seed(n: int) -> tuple[SingType, int]:
+    """The seed curve's singular type and its number of points on each
+    coordinate line, as its certificate proves them."""
+    certificate = seed_certificate(n)
+    if not certificate.ok:
+        raise ParameterError(
+            f"the seed curve certificate fails at n={n}: {', '.join(certificate.failures)}"
+        )
+    return certificate.singularity, certificate.points_per_line
+
+
 def build_theorem1(n: int) -> ConstructionReport:
     """Family 1: bidouble cover of the plane, branch divisors the coordinate
     lines l1, l2 and l3 + (seed curve)."""
     FAMILIES["A1"].check(n)
+    sing, per_line = _certified_seed(n)
     plane = projective_plane()
     line = plane.divisor(1)
     data = BidoubleCoverData(
@@ -359,15 +372,14 @@ def build_theorem1(n: int) -> ConstructionReport:
         B2=line,
         B3=plane.divisor(2 * n + 1),
     )
-    # The curve has n A_{n-1} points on each coordinate line.  On l3 (part of
-    # B3) they merge with the line into D_{n+2} points of B3 itself, away
-    # from B1 and B2; on l1 and l2 the second branch divisor passes through
-    # the A_{n-1} point of B3 transversally.
-    on_third_line = union_type(A(n - 1), 1)
+    # The curve has n A_{n-1} points on each coordinate line, transversal to
+    # it.  On l3 (part of B3) they merge with the line into D_{n+2} points of
+    # B3 itself, away from B1 and B2; on l1 and l2 the second branch divisor
+    # passes through the A_{n-1} point of B3 transversally.
     points = (
-        BidoubleBranchPoint(carrier=3, sing=on_third_line, count=n),
-        BidoubleBranchPoint(carrier=3, sing=A(n - 1), meets=1, contact=1, count=n),
-        BidoubleBranchPoint(carrier=3, sing=A(n - 1), meets=2, contact=1, count=n),
+        BidoubleBranchPoint(carrier=3, sing=union_type(sing, 1), count=per_line),
+        BidoubleBranchPoint(carrier=3, sing=sing, meets=1, contact=1, count=per_line),
+        BidoubleBranchPoint(carrier=3, sing=sing, meets=2, contact=1, count=per_line),
     )
     cover_inventory = transport_bidouble(points)
     return _finish(
@@ -382,13 +394,11 @@ def _pullback_setup(m: int, n: int):
     classes, plus the transported singular sets of the curve, split by
     whether the points sit on the branch fibers.
     """
-    # The triangle vertices must stay off the curve: the blow-up center is
-    # the intersection of the first two coordinate lines, and the other two
-    # vertices are where the third-line transform crosses the branch fibers.
-    curve = seed_curve(n)
-    for vertex in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
-        if curve(*vertex) == 0:
-            raise ParameterError(f"coordinate vertex {vertex} lies on the seed curve")
+    # The certificate's vertex stage keeps the triangle vertices off the
+    # curve: the blow-up center is the intersection of the first two
+    # coordinate lines, and the other two vertices are where the third-line
+    # transform crosses the branch fibers.
+    sing, per_line = _certified_seed(n)
     f1 = hirzebruch(1)
     curve_class = f1.divisor(2 * n, 2 * n)
     third_line_class = f1.divisor(1, 1)
@@ -399,9 +409,9 @@ def _pullback_setup(m: int, n: int):
     # The curve meets each blown-up line in n transversal A_{n-1} points and
     # carries n more on the transform of the third line.
     on_fibers = transport_cyclic(
-        (CyclicBranchPoint(A(n - 1), on_fiber=True, count=2 * n),), m
+        (CyclicBranchPoint(sing, on_fiber=True, count=2 * per_line),), m
     )
-    interior = transport_cyclic((CyclicBranchPoint(A(n - 1), count=n),), m)
+    interior = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m)
 
     # Intersection bookkeeping: the pulled-back curve meets each branch fiber
     # in its n on-fiber double points and the third-line transform in its

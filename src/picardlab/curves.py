@@ -1,16 +1,19 @@
-"""Plane-curve laboratory: the seed curve behind every branch locus, its
-singular-point structure, and exact A_k germ recognition.
+"""Plane-curve laboratory: the seed curve behind every branch locus, the
+certificate of its singular points, and exact A_k germ recognition.
 
 The seed curve of parameter n is the degree-2n plane curve
 
-    (X0^n + X1^n + X2^n)^2 - 4*((X0*X1)^n + (X0*X2)^n + (X1*X2)^n).
+    C_n = Q(X0^n, X1^n, X2^n),   Q(u, v, w) = (u + v + w)^2 - 4*(uv + uw + vw),
 
-Its restriction to each coordinate line is the perfect square
-(X_i^n - X_j^n)^2, so it meets each line in n points of intersection
-multiplicity two, and at each of those points it has an A_{n-1}
-singularity transversal to the line.  This module verifies all of that by
-exact rational computation for small n, reducing the n points per line to
-the single rational representative via the curve's torus symmetry (every
+that is (X0^n + X1^n + X2^n)^2 - 4*((X0*X1)^n + (X0*X2)^n + (X1*X2)^n).
+seed_certificate(n) proves, for every n >= 2 and in a number of exact steps
+that does not grow with n, that its singular points are exactly 3n points
+of type A_{n-1}, n on each coordinate line and transversal to it.
+
+singular_points_report(n) is the independent laboratory check for small n:
+it expands the curve, restricts it to each coordinate line and classifies
+the germ at one rational representative per line, reducing the n points
+per line to that representative via the curve's torus symmetry (every
 exponent is a multiple of n, so scaling two coordinates by n-th roots of
 unity permutes the singular points without changing the local type).
 
@@ -23,8 +26,10 @@ decrease total degree, so truncation at the jet bound is sound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from fractions import Fraction
+from typing import NamedTuple, Optional, Union
 
 from .polynomials import BinaryForm, Poly, substitute
 from .singularities import A, SingType
@@ -37,8 +42,9 @@ class JetBoundError(RuntimeError):
 
 
 class DegenerateGermError(ValueError):
-    """No finite A-type order appeared up to the jet cap; the germ may be
-    non-reduced or have non-isolated singular locus."""
+    """No A-type order appeared below the jet cap: the germ is A_k with k at
+    least the cap minus one, or it is non-reduced or has a non-isolated
+    singular locus."""
 
 
 @dataclass(frozen=True)
@@ -145,8 +151,8 @@ def classify(
         except JetBoundError:
             if bound >= cap:
                 raise DegenerateGermError(
-                    f"no finite A-type order up to the jet cap {cap}; "
-                    "the germ may be non-reduced or non-isolated"
+                    f"the germ's type is undecided at jet cap {cap}: it may be "
+                    f"A_k with k >= {cap - 1}, or a non-reduced or non-isolated germ"
                 ) from None
             bound = min(2 * bound, cap)
 
@@ -158,6 +164,204 @@ def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:
     if order is None:
         raise ValueError("the zero germ has no tangent cone")
     return f.homogeneous_part(order)(*direction) != 0
+
+
+# ---------------------------------------------------------------------------
+# The seed-curve certificate: O(1) exact stages for every n.
+
+
+def _conic(u, v, w):
+    """Q(u, v, w) for coordinates that are numbers or polynomials."""
+    return (u + v + w) ** 2 - 4 * (u * v + u * w + v * w)
+
+
+def _on_line(form: Poly, index: int) -> Poly:
+    """A ternary form with X_index = 0, as a sparse binary form in the other
+    two coordinates (ascending index order)."""
+    return Poly({e[:index] + e[index + 1 :]: c for e, c in form.coeffs.items() if not e[index]})
+
+
+def _normal_form_type(f: Poly) -> Optional[SingType]:
+    """A_{k-1} when f is a*y^2 + c*x^k with a, c nonzero and k >= 2, the
+    normal form of that germ; None for any other polynomial."""
+    others = [e for e in f.coeffs if e != (0, 2)]
+    if (0, 2) not in f.coeffs or len(others) != 1:
+        return None
+    k, j = others[0]
+    return A(k - 1) if j == 0 and k >= 2 else None
+
+
+def _show(value) -> str:
+    if isinstance(value, Poly):
+        return value.to_text()
+    if isinstance(value, bool):
+        return "yes" if value else "NO"
+    if isinstance(value, tuple):
+        return ", ".join(map(_show, value))
+    return str(value)
+
+
+class Stage(NamedTuple):
+    """One stage of a certificate: its name, the exact values it computed
+    (by key), whether they are the values the argument needs, and the
+    sentence that states them."""
+
+    name: str
+    values: tuple[tuple[str, object], ...]
+    ok: bool
+    statement: str
+
+    def value(self, key: str):
+        return dict(self.values)[key]
+
+    def __str__(self) -> str:
+        stated = self.statement.format(**{key: _show(v) for key, v in self.values})
+        return f"{self.name}: {stated}" + ("" if self.ok else "  FAILED")
+
+
+class SeedCertificate(NamedTuple):
+    """The singular points of the seed curve C_n, proved stage by stage:
+    points_per_line points on each coordinate line, all of the type read
+    off the local normal form (None if it could not be read)."""
+
+    n: int
+    stages: tuple[Stage, ...]
+    singularity: Optional[SingType]
+    points_per_line: int
+
+    @property
+    def ok(self) -> bool:
+        return all(stage.ok for stage in self.stages)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(stage.name for stage in self.stages if not stage.ok)
+
+    def stage(self, name: str) -> Stage:
+        return next(stage for stage in self.stages if stage.name == name)
+
+
+@functools.lru_cache(maxsize=None)
+def _conic_facts() -> tuple:
+    """The facts about Q that do not depend on n, computed once per process:
+    Q, its Hessian determinant, its values at the coordinate vertices, Q on
+    the line X2 = 0 and whether Q is the square of the difference of the
+    other two coordinates on every coordinate line, Q near the tangency
+    point (1:1:0), whether it is (x + y)^2 - 4x there and its completed
+    square y^2 - 4x, and whether Q is symmetric in its three arguments."""
+    x0, x1, x2 = (Poly.variable(i, 3) for i in range(3))
+    q = _conic(x0, x1, x2)
+    (a, b, c), (d, e, f), (g, h, i) = (
+        [q.partial(r).partial(s).constant_term for s in range(3)] for r in range(3)
+    )
+    hessian_determinant = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # The vertices' coordinates are 0 and 1, their own n-th powers, so C_n
+    # takes the same values there as Q.
+    vertices = tuple(q(*vertex) for vertex in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    on_lines = tuple(_on_line(q, index) for index in range(3))
+    tangent = all(line == (_X - _Y) ** 2 for line in on_lines)
+    # Chart X0 = 1 at (1:1:0) with u = 1, v = 1 - y, w = x.
+    local = _conic(1, 1 - _Y, _X)
+    local_ok = local == (_X + _Y) ** 2 - 4 * _X
+    completed = substitute(local, _X, _Y - _X)
+    # Two transpositions generate the symmetric group.
+    symmetric = _conic(x1, x0, x2) == q and _conic(x0, x2, x1) == q
+    return (q, hessian_determinant, vertices, on_lines[2], tangent, local, local_ok,
+            completed, symmetric)
+
+
+def seed_certificate(n: int) -> SeedCertificate:
+    """Certify the singular points of the seed curve C_n, for any n >= 2.
+
+    Each stage is a fixed number of exact operations on polynomials of at
+    most six terms, whatever n is; the curve is never expanded.
+
+      smooth conic            Q has nonzero Hessian determinant.
+      vertices                C_n is nonzero at the three coordinate
+                              vertices.
+      tangency                Q is (u - v)^2 on each coordinate line, so C_n
+                              is (u^n - v^n)^2 there; t^n - 1 is prime to its
+                              derivative, so each line carries n distinct
+                              points of C_n.
+      etale off the triangle  the power map X -> X^n has Jacobian
+                              determinant n^3*(X0*X1*X2)^(n-1), so C_n is
+                              smooth off X0*X1*X2 = 0, as the conic is.
+      local normal form       in the chart X0 = 1 at (1:1:0), Q(1, 1 - y, x)
+                              is (x + y)^2 - 4x, and y^2 - 4x after
+                              y -> y - x.  At a point (1:z:0) with z^n = 1,
+                              1 - X1^n is a local coordinate (its derivative
+                              -n*z^(n-1) is nonzero) and w = X2^n, so
+                              x -> x^n gives the curve as y^2 - 4x^n in the
+                              local coordinates x = X2, y = 1 - X1^n + X2^n:
+                              A_{n-1}, transversal to the line x = 0.  Q is
+                              symmetric, so the same holds on the other two
+                              lines.
+    """
+    if n < 2:
+        raise ValueError(f"the seed curve needs n >= 2, got {n}")
+    (q, hessian_determinant, vertices, q_on_line, tangent, q_local, local_ok, completed,
+     symmetric) = _conic_facts()
+    curve = q.power_pullback((n, n, n))
+
+    # Q = (u - v)^2 on a line gives C_n = (u^n - v^n)^2 there, whose roots
+    # are those of t^n - 1.  One Euclid step: t^n - 1 - (t/n)*(n*t^(n-1)) is
+    # a nonzero constant, so t^n - 1 is prime to its derivative and has n
+    # distinct roots.
+    t_root = _X.power_pullback((n, 1)) - 1
+    remainder = t_root - Poly({(1, 0): Fraction(1, n)}) * t_root.partial(0)
+    points_per_line = t_root.degree()
+
+    # Each coordinate of the power map depends on one variable only, so its
+    # Jacobian matrix is diagonal.
+    power_map = [Poly.variable(i, 3).power_pullback((n, n, n)) for i in range(3)]
+    jacobian = power_map[0].partial(0) * power_map[1].partial(1) * power_map[2].partial(2)
+
+    torus = curve.exponents_divisible_by(n)
+
+    normal_form = completed.power_pullback((n, 1))
+    singularity = _normal_form_type(normal_form)
+    # The line X2 = 0 is x = 0, running along the y-direction.
+    transversal = tangent_cone_avoids(normal_form, (0, 1))
+
+    stages = (
+        Stage(
+            "smooth conic",
+            (("determinant", hessian_determinant),),
+            hessian_determinant != 0,
+            "Hessian determinant of Q = {determinant}",
+        ),
+        Stage(
+            "vertices",
+            (("values", vertices),),
+            all(vertices),
+            "Q = C = {values} at (1:0:0), (0:1:0), (0:0:1)",
+        ),
+        Stage(
+            "tangency",
+            (("conic", q_on_line), ("curve", q_on_line.power_pullback((n, n))),
+             ("remainder", remainder), ("points", points_per_line)),
+            tangent and remainder.degree() == 0,
+            "Q = {conic} and C = {curve} on each coordinate line; "
+            "t^n - 1 - (t/n)*(n*t^(n-1)) = {remainder}, so {points} contact points per line",
+        ),
+        Stage(
+            "etale off the triangle",
+            (("jacobian", jacobian), ("torus", torus)),
+            list(jacobian.coeffs) == [(n - 1,) * 3] and torus,
+            "Jacobian determinant of the power map = {jacobian}; "
+            "torus exponent divisibility: {torus}",
+        ),
+        Stage(
+            "local normal form",
+            (("conic", q_local), ("completed", completed), ("curve", normal_form),
+             ("type", singularity), ("transversal", transversal), ("symmetric", symmetric)),
+            local_ok and singularity is not None and transversal and symmetric,
+            "Q(1, 1 - y, x) = {conic} at (1:1:0), {completed} after y -> y - x; "
+            "with x -> x^n the curve is {curve} -> {type}, transversal: {transversal}; "
+            "Q symmetric: {symmetric}",
+        ),
+    )
+    return SeedCertificate(n, stages, singularity, points_per_line)
 
 
 # Rational representatives of the singular points, one per coordinate line,

@@ -177,16 +177,19 @@ def h0(d: DivisorClass) -> int:
     On the plane this is the count of degree-d monomials in three variables.
     On F_e the pushforward to the base line splits as a sum of line bundles
     O(b), O(b-e), ..., O(b-a*e), and the section count is the total number
-    of monomial lattice points, sum over j of max(0, b - j*e + 1).
+    of monomial lattice points, sum over j of max(0, b - j*e + 1), summed
+    in closed form.
     """
     s = d.surface
     if s.kind == PLANE:
         deg = d.coeffs[0]
         return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
     a, b = d.coeffs
-    if a < 0:
+    if a < 0 or b < 0:
         return 0
-    return sum(max(0, b - j * s.e + 1) for j in range(a + 1))
+    # The summands are positive exactly for j <= b // e.
+    top = a if s.e == 0 else min(a, b // s.e)
+    return (top + 1) * (b + 1) - s.e * top * (top + 1) // 2
 
 
 def is_ample(d: DivisorClass) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import picardlab
+from picardlab import cli, curves
 from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
 from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
 
@@ -156,6 +157,63 @@ class TestClassify:
         assert "3 lines x 2 points" in out
         assert "-> A1" in out
         assert "torus exponent divisibility: yes" in out
+
+    @pytest.mark.parametrize("n", [9, 64, 1000])
+    def test_curve_certificate_for_any_n(self, capsys, n):
+        code, out, err = run(capsys, "classify", "--curve-C", str(n))
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert lines[0] == f"curve n={n} (degree {2 * n}): 3 lines x {n} points"
+        assert [line.split(":")[0].strip() for line in lines[1:-1]] == [
+            "smooth conic", "vertices", "tangency", "etale off the triangle", "local normal form",
+        ]
+        assert f"y^2 - 4*x^{n} -> A{n - 1}" in lines[-2]
+        assert lines[-1] == f"all points certified A{n - 1}"
+
+    def test_failed_certificate_stage_exits_1(self, capsys, monkeypatch):
+        def broken(n):
+            certificate = curves.seed_certificate(n)
+            first, *rest = certificate.stages
+            return certificate._replace(stages=(first._replace(ok=False), *rest))
+
+        monkeypatch.setattr(cli, "seed_certificate", broken)
+        code, out, err = run(capsys, "classify", "--curve-C", "3")
+        assert code == 1
+        assert "smooth conic: Hessian determinant of Q = -32  FAILED" in out
+        assert "certified" not in out
+        assert err.strip() == "failed stages: smooth conic"
+
+    def test_curve_below_two_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "classify", "--curve-C", "1")
+        assert code == 2
+        assert "n >= 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify-theorem", "3", "--m", "2", "--n", "1000000"),
+            ("classify", "--curve-C", "100000"),
+        ],
+    )
+    def test_large_n_answers_at_once(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        elapsed = time.perf_counter() - start
+        assert result.returncode == 0, result.stderr
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("germ", ["x^100000000 + y^2", "y^2"])
+    def test_type_above_the_jet_cap_is_undecided(self, capsys, germ):
+        code, out, err = run(capsys, "classify", "--local", germ)
+        assert code == 1 and not out
+        assert err.strip() == (
+            "the germ's type is undecided at jet cap 64: it may be A_k with k >= 63, "
+            "or a non-reduced or non-isolated germ"
+        )
 
     def test_local_cusp(self, capsys):
         code, out, _ = run(capsys, "classify", "--local", "y^2 - x^3")

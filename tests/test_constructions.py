@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from picardlab import covers
+from picardlab import constructions, covers, curves
 from picardlab.constructions import (
     ParameterError,
     _finish,
@@ -204,3 +204,27 @@ def test_building_data_is_validated_once(monkeypatch):
     build_theorem2(3, 2)
     build_theorem3(2, 4)
     assert len(calls) == 2
+
+
+def test_families_build_without_expanding_the_seed_curve(monkeypatch):
+    def expand(n):
+        raise AssertionError(f"seed_curve({n}) was expanded")
+
+    monkeypatch.setattr(curves, "seed_curve", expand)
+    reports = (build_theorem1(5), build_theorem2(3, 4), build_theorem2(4, 6), build_theorem3(2, 8))
+    assert all(report.certified() for report in reports)
+
+
+def test_a_failing_certificate_stage_stops_the_build(monkeypatch):
+    def broken(n):
+        certificate = curves.seed_certificate(n)
+        stages = tuple(
+            stage._replace(ok=False) if stage.name == "vertices" else stage
+            for stage in certificate.stages
+        )
+        return certificate._replace(stages=stages)
+
+    monkeypatch.setattr(constructions, "seed_certificate", broken)
+    for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 4}), (3, {"m": 2, "n": 4})):
+        with pytest.raises(ParameterError, match="certificate fails at n=4: vertices"):
+            build(theorem, **params)

@@ -1,6 +1,7 @@
 """The seed curve, its singular-point report and A_k recognition."""
 
 import random
+import time
 
 import pytest
 
@@ -9,9 +10,11 @@ from picardlab.curves import (
     DegenerateGermError,
     JetBoundError,
     Smooth,
+    _normal_form_type,
     classify,
     classify_ak,
     restrict_to_line,
+    seed_certificate,
     seed_curve,
     singular_points_report,
     tangent_cone_avoids,
@@ -177,3 +180,91 @@ class TestReport:
 
     def test_note_mentions_scope(self):
         assert "coordinate lines" in singular_points_report(2).note
+
+
+class TestSeedCertificate:
+    STAGES = (
+        "smooth conic", "vertices", "tangency", "etale off the triangle", "local normal form",
+    )
+
+    @pytest.mark.parametrize("n", [*range(2, 17), 32, 63])
+    def test_agrees_with_the_laboratory(self, n):
+        certificate = seed_certificate(n)
+        report = singular_points_report(n, max_n=63)
+        assert certificate.ok and report.ok, (certificate.failures, report.failures)
+        assert certificate.singularity == report.expected_type == A(n - 1)
+        assert certificate.points_per_line == n
+        assert report.total_points == 3 * n
+        tangency = certificate.stage("tangency")
+        on_line = BinaryForm.from_dict(
+            2 * n, {e[0]: c for e, c in tangency.value("curve").coeffs.items()}
+        )
+        curve = seed_curve(n)
+        for check in report.lines:
+            assert check.restriction_is_square
+            assert restrict_to_line(curve, check.line_index) == on_line
+            assert check.distinct_points == certificate.points_per_line
+            assert check.germ == certificate.singularity
+            assert check.transversal
+        normal_form = certificate.stage("local normal form")
+        assert normal_form.value("transversal")
+        assert certificate.stage("etale off the triangle").value("torus") == report.torus_invariant
+
+    def test_stages_and_their_numbers(self):
+        certificate = seed_certificate(5)
+        assert tuple(stage.name for stage in certificate.stages) == self.STAGES
+        assert certificate.stage("smooth conic").value("determinant") == -32
+        assert certificate.stage("vertices").value("values") == (1, 1, 1)
+        tangency = certificate.stage("tangency")
+        assert tangency.value("conic") == parse_local_poly("x^2 - 2*x*y + y^2")
+        assert tangency.value("curve") == parse_local_poly("x^10 - 2*x^5*y^5 + y^10")
+        assert tangency.value("remainder") == -1
+        jacobian = certificate.stage("etale off the triangle").value("jacobian")
+        assert jacobian.coeffs == {(4, 4, 4): 125}
+        normal_form = certificate.stage("local normal form")
+        assert normal_form.value("conic") == parse_local_poly("x^2 + 2*x*y + y^2 - 4*x")
+        assert normal_form.value("curve") == parse_local_poly("y^2 - 4*x^5")
+        assert str(certificate.stage("smooth conic")) == (
+            "smooth conic: Hessian determinant of Q = -32"
+        )
+
+    def test_any_n_in_constant_time(self):
+        start = time.perf_counter()
+        for n in (10**6, 10**12):
+            certificate = seed_certificate(n)
+            assert certificate.ok
+            assert certificate.singularity == A(n - 1)
+            assert certificate.points_per_line == n
+        assert time.perf_counter() - start < 0.5
+
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="n >= 2"):
+            seed_certificate(1)
+
+    def test_type_read_off_the_normal_form(self):
+        assert _normal_form_type(parse_local_poly("y^2 - 4*x^7")) == A(6)
+        assert _normal_form_type(parse_local_poly("2*y^2 + 3*x^2")) == A(1)
+        for text in ("y^2", "y^2 + x", "y^2 + x*y", "y^2 + x^3 + x^4", "x^2 + y^3"):
+            assert _normal_form_type(parse_local_poly(text)) is None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_singular_scheme_is_supported_on_the_3n_points(n):
+    """Independent check with sympy: in each affine chart, x*y and
+    x^n + y^n - 1 lie in the radical of (F, F_x, F_y), so every singular
+    point lies on a coordinate line with the other two coordinates n-th
+    roots of unity; those are the 3n points."""
+    sympy = pytest.importorskip("sympy")
+    x, y, t = sympy.symbols("x y t")
+    X = sympy.symbols("X0:3")
+    F = (X[0] ** n + X[1] ** n + X[2] ** n) ** 2 - 4 * (
+        (X[0] * X[1]) ** n + (X[0] * X[2]) ** n + (X[1] * X[2]) ** n
+    )
+    for chart in range(3):
+        u, v = (X[i] for i in range(3) if i != chart)
+        f = sympy.expand(F.subs({X[chart]: 1, u: x, v: y}))
+        ideal = [f, f.diff(x), f.diff(y)]
+        for g in (x * y, x**n + y**n - 1):
+            # Rabinowitsch: g is in the radical iff 1 is in (ideal, 1 - t*g).
+            basis = sympy.groebner([*ideal, 1 - t * g], t, x, y, order="grevlex")
+            assert list(basis.exprs) == [1], (chart, g)
