@@ -1,5 +1,6 @@
 """CLI outputs pinned byte for byte: stdout, written files, stderr and exit
-codes of geography, verify-theorem and slopes runs and of usage errors.
+codes of geography, verify-theorem, slopes and classify runs and of usage
+errors.
 
 The golden files in data/golden/ hold, per case, `<case>.stdout`,
 `<case>.stderr` and one `<case>.<file>` for every file the run writes; the
@@ -38,6 +39,17 @@ CASES = {
     "verify_1_with_m": (("verify-theorem", "1", "--n", "2", "--m", "3"), ()),
     "slopes_fix_n3": (("slopes", "--fix", "n=3", "--m-max", "5"), ()),
     "geography_sets_a4": (("geography", "--sets", "A4"), ()),
+    "classify_curve_c2": (("classify", "--curve-C", "2"), ()),
+    "classify_curve_c9": (("classify", "--curve-C", "9"), ()),
+    "classify_curve_c1": (("classify", "--curve-C", "1"), ()),
+    "classify_local_a4": (("classify", "--local", "y^2 - x^5"), ()),
+    "classify_local_jet_cap": (("classify", "--local", "x^100000000 + y^2"), ()),
+    "classify_homogeneous_cusp": (
+        ("classify", "--homogeneous", "X1^2*X2 - X0^3", "--point", "0,0,1", "--chart", "2"), ()
+    ),
+    "classify_point_off_curve": (
+        ("classify", "--homogeneous", "X1^2*X2 - X0^3", "--point", "1,0,1", "--chart", "2"), ()
+    ),
 }
 
 
