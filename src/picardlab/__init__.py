@@ -33,7 +33,6 @@ from .curves import (
     Smooth,
     classify,
     classify_ak,
-    restrict_to_line,
     seed_certificate,
     seed_curve,
     singular_points_report,
@@ -50,7 +49,6 @@ from .geography import (
     slope_limit_report,
 )
 from .polynomials import (
-    BinaryForm,
     PointOffCurveError,
     Poly,
     PolyParseError,

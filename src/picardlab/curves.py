@@ -10,12 +10,13 @@ seed_certificate(n) proves, for every n >= 2 and in a number of exact steps
 that does not grow with n, that its singular points are exactly 3n points
 of type A_{n-1}, n on each coordinate line and transversal to it.
 
-singular_points_report(n) is the independent laboratory check for small n:
-it expands the curve, restricts it to each coordinate line and classifies
-the germ at one rational representative per line, reducing the n points
-per line to that representative via the curve's torus symmetry (every
-exponent is a multiple of n, so scaling two coordinates by n-th roots of
-unity permutes the singular points without changing the local type).
+singular_points_report(n) is the independent laboratory check for
+2 <= n <= 63, the range in which the jet cap decides A_{n-1}: it expands
+the curve, restricts it to each coordinate line and classifies the germ at
+one rational representative per line, reducing the n points per line to
+that representative via the curve's torus symmetry (every exponent is a
+multiple of n, so scaling two coordinates by n-th roots of unity permutes
+the singular points without changing the local type).
 
 A_k recognition works by iterated square completion on a truncated jet:
 after normalizing the rank-one quadratic part to r*y^2, substitutions
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .polynomials import BinaryForm, Poly, substitute
+from .polynomials import Poly, substitute
 from .singularities import A, SingType
 
 JET_BOUND_CAP = 64
@@ -74,13 +75,6 @@ def seed_curve(n: int) -> Poly:
     powers = x0**n + x1**n + x2**n
     pair_products = (x0 * x1) ** n + (x0 * x2) ** n + (x1 * x2) ** n
     return powers * powers - 4 * pair_products
-
-
-def restrict_to_line(curve: Poly, line_index: int) -> BinaryForm:
-    """Restrict to the coordinate line l_i = [X_{i-1} = 0], i in {1, 2, 3}."""
-    if line_index not in (1, 2, 3):
-        raise ValueError("line index must be 1, 2 or 3")
-    return curve.restrict(line_index - 1)
 
 
 _X = Poly.variable(0)
@@ -175,12 +169,6 @@ def _conic(u, v, w):
     return (u + v + w) ** 2 - 4 * (u * v + u * w + v * w)
 
 
-def _on_line(form: Poly, index: int) -> Poly:
-    """A ternary form with X_index = 0, as a sparse binary form in the other
-    two coordinates (ascending index order)."""
-    return Poly({e[:index] + e[index + 1 :]: c for e, c in form.coeffs.items() if not e[index]})
-
-
 def _normal_form_type(f: Poly) -> Optional[SingType]:
     """A_{k-1} when f is a*y^2 + c*x^k with a, c nonzero and k >= 2, the
     normal form of that germ; None for any other polynomial."""
@@ -258,7 +246,7 @@ def _conic_facts() -> tuple:
     # The vertices' coordinates are 0 and 1, their own n-th powers, so C_n
     # takes the same values there as Q.
     vertices = tuple(q(*vertex) for vertex in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    on_lines = tuple(_on_line(q, index) for index in range(3))
+    on_lines = tuple(q.restrict(index) for index in range(3))
     tangent = all(line == (_X - _Y) ** 2 for line in on_lines)
     # Chart X0 = 1 at (1:1:0) with u = 1, v = 1 - y, w = x.
     local = _conic(1, 1 - _Y, _X)
@@ -299,7 +287,7 @@ def seed_certificate(n: int) -> SeedCertificate:
     """
     if n < 2:
         raise ValueError(f"the seed curve needs n >= 2, got {n}")
-    (q, hessian_determinant, vertices, q_on_line, tangent, q_local, local_ok, completed,
+    (q, hessian_determinant, vertices, q_line, tangent, q_local, local_ok, completed,
      symmetric) = _conic_facts()
     curve = q.power_pullback((n, n, n))
 
@@ -338,7 +326,7 @@ def seed_certificate(n: int) -> SeedCertificate:
         ),
         Stage(
             "tangency",
-            (("conic", q_on_line), ("curve", q_on_line.power_pullback((n, n))),
+            (("conic", q_line), ("curve", q_line.power_pullback((n, n))),
              ("remainder", remainder), ("points", points_per_line)),
             tangent and remainder.degree() == 0,
             "Q = {conic} and C = {curve} on each coordinate line; "
@@ -403,8 +391,9 @@ class CurveSingularityReport:
         return sum(check.distinct_points for check in self.lines)
 
 
-def singular_points_report(n: int, *, max_n: int = 8) -> CurveSingularityReport:
-    """Verify the seed curve's singular-point structure for a small n.
+def singular_points_report(n: int) -> CurveSingularityReport:
+    """Verify the seed curve's singular-point structure for 2 <= n <= 63:
+    above that the jet cap cannot decide A_{n-1}.
 
     Per line: the restriction identity (X_i^n - X_j^n)^2, the count of n
     distinct contact points, vanishing partials at the rational
@@ -414,20 +403,21 @@ def singular_points_report(n: int, *, max_n: int = 8) -> CurveSingularityReport:
     the remaining points.  Failed stages are collected by name in
     report.failures.
     """
-    if n < 2:
-        raise ValueError(f"the seed curve needs n >= 2, got {n}")
-    if n > max_n:
-        raise ValueError(f"n = {n} exceeds the desk-scale bound {max_n}")
+    if not 2 <= n < JET_BOUND_CAP:
+        raise ValueError(
+            f"the laboratory decides A_(n-1) only for 2 <= n <= {JET_BOUND_CAP - 1} "
+            f"(jet cap {JET_BOUND_CAP}), got n = {n}"
+        )
     curve = seed_curve(n)
     expected = A(n - 1)
     failures: list[str] = []
 
-    # Restriction of the curve to any coordinate line, as a binary form.
-    expected_restriction = BinaryForm.from_dict(2 * n, {2 * n: 1, n: -2, 0: 1})
+    # Restriction of the curve to any coordinate line: (u^n - v^n)^2.
+    expected_restriction = Poly({(2 * n, 0): 1, (n, n): -2, (0, 2 * n): 1})
 
     checks: list[LineCheck] = []
     for line_index in (1, 2, 3):
-        form = restrict_to_line(curve, line_index)
+        form = curve.restrict(line_index - 1)
         identity_ok = form == expected_restriction
         if not identity_ok:
             failures.append(f"restriction-identity line {line_index}")

@@ -2,14 +2,13 @@
 
 Polynomials are dictionaries from exponent tuples to Fraction coefficients;
 zero coefficients are never stored, so identity testing is plain dictionary
-equality.  Two shapes are used throughout the package:
+equality.  One type, Poly, serves the whole package; it has a fixed number
+of variables:
 
-  Poly         sparse polynomial in a fixed number of variables: two for
-               curve germs in local coordinates and for the symbolic
-               identities of the geography, three for projective plane
-               curves, which are homogeneous ternary forms,
-  BinaryForm   homogeneous binary form, the restriction of a ternary form
-               to a coordinate line.
+  two    curve germs in local coordinates, the symbolic identities of the
+         geography, and binary forms, the restrictions of ternary forms to
+         the coordinate lines,
+  three  projective plane curves, which are homogeneous ternary forms.
 
 All values are immutable by convention: no method mutates its receiver.
 """
@@ -17,9 +16,8 @@ All values are immutable by convention: no method mutates its receiver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 Rat = Fraction
 Scalar = Union[int, Fraction]
@@ -80,9 +78,10 @@ class PointOffCurveError(ValueError):
 class Poly:
     """Sparse polynomial with exact rational coefficients in nvars variables.
 
-    Germs and symbolic identities use two variables, plane curves three;
-    partial, restrict, exponents_divisible_by and localize are the methods
-    for ternary forms.
+    Germs, symbolic identities and binary forms use two variables, plane
+    curves three; partial, restrict, exponents_divisible_by and localize
+    are the methods for ternary forms, distinct_projective_roots the one
+    for binary forms.
     """
 
     __slots__ = ("coeffs", "nvars")
@@ -230,13 +229,14 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r})"
 
-    # -- ternary forms ------------------------------------------------------
+    # -- forms ----------------------------------------------------------------
 
-    def form_degree(self) -> int:
-        """The degree of a homogeneous ternary form (0 for the zero form);
-        ValueError for any other shape."""
-        if self.nvars != 3:
-            raise ValueError(f"expected a ternary form, got a polynomial in {self.nvars} variables")
+    def form_degree(self, nvars: int = 3) -> int:
+        """The degree of a homogeneous form in nvars variables, ternary by
+        default (0 for the zero form); ValueError for any other shape."""
+        if self.nvars != nvars:
+            kind = "binary" if nvars == 2 else "ternary"
+            raise ValueError(f"expected a {kind} form, got a polynomial in {self.nvars} variables")
         degrees = {sum(e) for e in self.coeffs}
         if len(degrees) > 1:
             raise ValueError(f"polynomial is not homogeneous: term degrees {sorted(degrees)}")
@@ -256,18 +256,29 @@ class Poly:
         """Whether every exponent of every monomial is a multiple of n."""
         return all(all(x % n == 0 for x in e) for e in self.coeffs)
 
-    def restrict(self, zero_var: int) -> "BinaryForm":
+    def restrict(self, zero_var: int) -> "Poly":
         """Set the given variable of a ternary form to zero, producing a
         binary form in the two remaining variables (kept in ascending index
         order)."""
-        degree = self.form_degree()
-        remaining = [i for i in range(3) if i != zero_var]
-        out: dict[int, Rat] = {}
-        for e, c in self.coeffs.items():
-            if e[zero_var]:
-                continue
-            out[e[remaining[0]]] = out.get(e[remaining[0]], Fraction(0)) + c
-        return BinaryForm.from_dict(degree, out)
+        self.form_degree()
+        if zero_var not in (0, 1, 2):
+            raise ValueError(f"variable index {zero_var} out of range for 3 variables")
+        return Poly._wrap(
+            {e[:zero_var] + e[zero_var + 1 :]: c for e, c in self.coeffs.items() if not e[zero_var]},
+            2,
+        )
+
+    def distinct_projective_roots(self) -> int:
+        """Number of distinct roots of a binary form f(u, v) on the projective
+        line, counted exactly: deg g - deg gcd(g, g') for g = f(t, 1), plus
+        one when (1 : 0) is a root; no root isolation."""
+        degree = self.form_degree(2)
+        if not self.coeffs:
+            raise ValueError("the zero form has no well-defined root count")
+        g = {e[0]: c for e, c in self.coeffs.items()}
+        top = max(g)
+        gcd = _ugcd(g, {k - 1: k * c for k, c in g.items() if k})
+        return top - max(gcd) + (top < degree)
 
     def localize(self, point: tuple[Scalar, Scalar, Scalar], chart: int) -> "Poly":
         """Dehomogenize a ternary form in the given chart and translate the
@@ -345,100 +356,22 @@ def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly
 
 
 # ---------------------------------------------------------------------------
-# Binary forms and exact univariate helpers.
+# Sparse univariate helpers: dicts from exponents to nonzero coefficients.
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous binary form in (u, v); coeffs[i] is the coefficient of
-    u^i * v^(degree - i)."""
-
-    degree: int
-    coeffs: tuple[Rat, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("a degree-d binary form carries d + 1 coefficients")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
-
-    @staticmethod
-    def from_dict(degree: int, coeffs: Mapping[int, Scalar]) -> "BinaryForm":
-        row = [Fraction(0)] * (degree + 1)
-        for i, c in coeffs.items():
-            row[i] = Fraction(c)
-        return BinaryForm(degree, tuple(row))
-
-    def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return BinaryForm(self.degree + other.degree, tuple(out))
-
-    def dehomogenized(self) -> tuple[Rat, ...]:
-        """The univariate polynomial f(t, 1), coefficients by ascending degree."""
-        return _utrim(self.coeffs)
-
-    def distinct_projective_roots(self) -> int:
-        """Number of distinct roots on the projective line, counted exactly via
-        the square-free part (gcd with the derivative); no root isolation."""
-        g = self.dehomogenized()
-        if not g:
-            raise ValueError("the zero form has no well-defined root count")
-        count = _udeg(_usquarefree(g))
-        if _udeg(g) < self.degree:  # (1 : 0) is a root
-            count += 1
-        return count
-
-
-def _utrim(p: Iterable[Rat]) -> tuple[Rat, ...]:
-    row = list(p)
-    while row and not row[-1]:
-        row.pop()
-    return tuple(row)
-
-
-def _udeg(p: tuple[Rat, ...]) -> int:
-    return len(p) - 1
-
-
-def _uderiv(p: tuple[Rat, ...]) -> tuple[Rat, ...]:
-    return _utrim(i * c for i, c in enumerate(p) if i)
-
-
-def _udivmod(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[tuple[Rat, ...], tuple[Rat, ...]]:
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    inv = 1 / b[-1]
-    for shift in range(len(rem) - len(b), -1, -1):
-        factor = rem[shift + len(b) - 1] * inv
-        if factor:
-            quot[shift] = factor
-            for i, c in enumerate(b):
-                rem[shift + i] -= factor * c
-    return _utrim(quot), _utrim(rem)
-
-
-def _ugcd(a: tuple[Rat, ...], b: tuple[Rat, ...]) -> tuple[Rat, ...]:
-    a, b = _utrim(a), _utrim(b)
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
+def _urem(a: dict, b: dict) -> dict:
+    top = max(b)
+    inv = 1 / b[top]
+    while a and (lead := max(a)) >= top:
+        shift, factor = lead - top, a[lead] * inv
+        a = _add(a, {shift + k: -factor * c for k, c in b.items()})
     return a
 
 
-def _usquarefree(p: tuple[Rat, ...]) -> tuple[Rat, ...]:
-    p = _utrim(p)
-    if _udeg(p) <= 0:
-        return p
-    quot, rem = _udivmod(p, _ugcd(p, _uderiv(p)))
-    assert not rem
-    return quot
+def _ugcd(a: dict, b: dict) -> dict:
+    while b:
+        a, b = b, _urem(a, b)
+    return a
 
 
 # ---------------------------------------------------------------------------

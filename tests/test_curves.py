@@ -13,13 +13,12 @@ from picardlab.curves import (
     _normal_form_type,
     classify,
     classify_ak,
-    restrict_to_line,
     seed_certificate,
     seed_curve,
     singular_points_report,
     tangent_cone_avoids,
 )
-from picardlab.polynomials import BinaryForm, LocalPoly, parse_local_poly, substitute
+from picardlab.polynomials import LocalPoly, Poly, parse_local_poly, substitute
 from picardlab.singularities import A
 
 
@@ -53,18 +52,19 @@ class TestRestriction:
     def test_identity_on_all_lines(self):
         for n in range(2, 9):
             c = seed_curve(n)
-            root = BinaryForm.from_dict(n, {n: 1, 0: -1})
+            root = Poly({(n, 0): 1, (0, n): -1})
             expected = root * root
-            for line in (1, 2, 3):
-                assert restrict_to_line(c, line) == expected
+            for index in range(3):
+                assert c.restrict(index) == expected
 
     def test_distinct_root_count(self):
         for n in range(2, 7):
-            assert restrict_to_line(seed_curve(n), 1).distinct_projective_roots() == n
+            assert seed_curve(n).restrict(0).distinct_projective_roots() == n
 
     def test_bad_line_index(self):
-        with pytest.raises(ValueError):
-            restrict_to_line(seed_curve(2), 0)
+        for index in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                seed_curve(2).restrict(index)
 
 
 class TestLocalize:
@@ -172,11 +172,10 @@ class TestReport:
         assert singular_points_report(3).ok
 
     def test_bounds(self):
-        with pytest.raises(ValueError):
-            singular_points_report(1)
-        with pytest.raises(ValueError):
-            singular_points_report(9)
-        assert singular_points_report(8, max_n=8).ok
+        for n in (1, 64):
+            with pytest.raises(ValueError, match="2 <= n <= 63"):
+                singular_points_report(n)
+        assert singular_points_report(8).ok
 
     def test_note_mentions_scope(self):
         assert "coordinate lines" in singular_points_report(2).note
@@ -190,19 +189,16 @@ class TestSeedCertificate:
     @pytest.mark.parametrize("n", [*range(2, 17), 32, 63])
     def test_agrees_with_the_laboratory(self, n):
         certificate = seed_certificate(n)
-        report = singular_points_report(n, max_n=63)
+        report = singular_points_report(n)
         assert certificate.ok and report.ok, (certificate.failures, report.failures)
         assert certificate.singularity == report.expected_type == A(n - 1)
         assert certificate.points_per_line == n
         assert report.total_points == 3 * n
         tangency = certificate.stage("tangency")
-        on_line = BinaryForm.from_dict(
-            2 * n, {e[0]: c for e, c in tangency.value("curve").coeffs.items()}
-        )
         curve = seed_curve(n)
         for check in report.lines:
             assert check.restriction_is_square
-            assert restrict_to_line(curve, check.line_index) == on_line
+            assert curve.restrict(check.line_index - 1) == tangency.value("curve")
             assert check.distinct_points == certificate.points_per_line
             assert check.germ == certificate.singularity
             assert check.transversal

@@ -1,5 +1,8 @@
-"""Exact polynomial arithmetic, restriction, localization and parsing."""
+"""Exact polynomial arithmetic, restriction, binary forms, localization and
+parsing."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,7 +10,6 @@ import pytest
 from picardlab.polynomials import (
     MAX_LOCALIZE_DEGREE,
     MAX_LOCALIZE_PRODUCTS,
-    BinaryForm,
     LocalPoly,
     PointOffCurveError,
     Poly,
@@ -85,7 +87,14 @@ class TestHomPoly:
     def test_restrict(self):
         form = parse_ternary_form("X0^2*X1 - X1^3 + X0*X1*X2")
         restricted = form.restrict(2)  # X2 = 0
-        assert restricted == BinaryForm.from_dict(3, {2: 1, 0: -1})
+        assert restricted == Poly({(2, 1): 1, (0, 3): -1})
+        assert restricted.nvars == 2
+
+    def test_restrict_refuses_other_shapes(self):
+        with pytest.raises(ValueError, match="not homogeneous"):
+            Poly({(1, 0, 1): 1, (0, 3, 0): -1}, 3).restrict(0)
+        with pytest.raises(ValueError, match="ternary form"):
+            parse_local_poly("x*y").restrict(0)
 
     def test_localize_centers_point(self):
         form = parse_ternary_form("X0*X2 - X1^2")
@@ -128,20 +137,61 @@ class TestHomPoly:
 
 
 class TestBinaryForm:
+    """Binary forms in (u, v) are two-variable Polys; the exponent (i, j) is
+    u^i * v^j."""
+
     def test_multiplication(self):
-        u_minus_v = BinaryForm.from_dict(1, {1: 1, 0: -1})
+        u_minus_v = Poly({(1, 0): 1, (0, 1): -1})
         square = u_minus_v * u_minus_v
-        assert square == BinaryForm.from_dict(2, {2: 1, 1: -2, 0: 1})
+        assert square == Poly({(2, 0): 1, (1, 1): -2, (0, 2): 1})
 
     def test_distinct_projective_roots_squarefree_part(self):
         # (u^3 - v^3)^2 has exactly three distinct projective roots.
-        cube = BinaryForm.from_dict(3, {3: 1, 0: -1})
+        cube = Poly({(3, 0): 1, (0, 3): -1})
         assert (cube * cube).distinct_projective_roots() == 3
 
     def test_root_at_infinity_counted(self):
         # u * v^2: roots (0:1) and (1:0).
-        form = BinaryForm.from_dict(3, {1: 1})
+        form = Poly({(1, 2): 1})
         assert form.distinct_projective_roots() == 2
+
+    def test_other_shapes_refused(self):
+        with pytest.raises(ValueError, match="zero form"):
+            Poly().distinct_projective_roots()
+        with pytest.raises(ValueError, match="not homogeneous"):
+            parse_local_poly("x^2 - y").distinct_projective_roots()
+        with pytest.raises(ValueError, match="binary form"):
+            parse_ternary_form("X0^2 - X1*X2").distinct_projective_roots()
+
+    def test_sparse_at_huge_degree(self):
+        # (u^n - v^n)^2 at n = 10^12: a dense form would carry 2*10^12 + 1
+        # coefficients.
+        n = 10**12
+        root = Poly({(n, 0): 1, (0, n): -1})
+        start = time.perf_counter()
+        assert (root * root).distinct_projective_roots() == n
+        assert time.perf_counter() - start < 0.1
+
+    def test_agrees_with_sympy_squarefree_part(self):
+        # The square-free part of a binary form over Q has one linear factor
+        # over the algebraic closure per distinct projective root.  The
+        # factors are linear forms from a small pool, so roots repeat, and
+        # now and then a quadratic one, whose roots may be irrational.
+        sympy = pytest.importorskip("sympy")
+        u, v = sympy.symbols("u v")
+        rng = random.Random(2024)
+        pool = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+        for _ in range(200):
+            form, expr = Poly({(0, 0): 1}), sympy.Integer(1)
+            for a, b in rng.choices(pool, k=rng.randint(1, 7)):
+                form = form * Poly({(1, 0): a, (0, 1): b})
+                expr = expr * (a * u + b * v)
+            if rng.random() < 0.3:
+                a, b, c = rng.randint(1, 3), rng.randint(-3, 3), rng.randint(1, 3)
+                form = form * Poly({(2, 0): a, (1, 1): b, (0, 2): c})
+                expr = expr * (a * u**2 + b * u * v + c * v**2)
+            expected = sympy.Poly(sympy.sqf_part(sympy.expand(expr)), u, v).total_degree()
+            assert form.distinct_projective_roots() == expected, expr
 
 
 class TestParser:
