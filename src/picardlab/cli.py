@@ -41,6 +41,8 @@ from .singularities import resolution_curve_count
 USAGE_ERROR = 2
 FAILURE = 1
 DEFAULT_CHI_MAX = 10_000
+# The claims walk about sqrt(chi_max) lines: about 2 s and 45 MB at 10^10.
+MAX_CHI_MAX = 10**10
 
 
 class UsageError(ValueError):
@@ -188,6 +190,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     chi_max = args.chi_max if args.chi_max is not None else _default_chi_max()
     if chi_max < 3:
         raise UsageError(f"--chi-max must be at least 3, got {chi_max}")
+    if chi_max > MAX_CHI_MAX:
+        raise UsageError(f"--chi-max must be at most {MAX_CHI_MAX}, got {chi_max}")
     labels = [s.strip() for s in args.sets.split(",") if s.strip()]
     for label in labels:
         if label not in SET_LABELS:

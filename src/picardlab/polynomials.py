@@ -10,12 +10,15 @@ of variables:
          the coordinate lines,
   three  projective plane curves, which are homogeneous ternary forms.
 
+substitute, the composition f(gx, gy), is the one expansion routine:
+Poly.localize projects a form's exponents into a chart, which needs no
+arithmetic, and moves the point to the origin with substitute.
+
 All values are immutable by convention: no method mutates its receiver.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -63,10 +66,10 @@ def _mul(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
 # Sparse polynomials.
 
 
-# localize expands every term binomially, (e0 + 1)*(e1 + 1) products for a
-# term with exponents e0, e1 in the two local variables, so it refuses forms
-# above this degree and forms whose terms need more products in total.  A
-# dense form of degree 33 needs 66,045 products.
+# localize is a chart projection followed by substitute.  The degree cap
+# bounds substitute's power tables, O(d^2) products; the product cap bounds
+# the per-term products, (e0 + 1)*(e1 + 1) for a term with exponents e0, e1
+# in the two local variables.  A dense form of degree 33 needs 66,045.
 MAX_LOCALIZE_DEGREE = 128
 MAX_LOCALIZE_PRODUCTS = 100_000
 
@@ -292,8 +295,8 @@ class Poly:
             raise ValueError(
                 f"form degree {degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
             )
-        remaining = [i for i in range(3) if i != chart]
-        products = sum((e[remaining[0]] + 1) * (e[remaining[1]] + 1) for e in self.coeffs)
+        r0, r1 = (i for i in range(3) if i != chart)
+        products = sum((e[r0] + 1) * (e[r1] + 1) for e in self.coeffs)
         if products > MAX_LOCALIZE_PRODUCTS:
             raise ValueError(
                 f"localizing the form takes {products} binomial products, "
@@ -302,28 +305,13 @@ class Poly:
         pt = [Fraction(c) for c in point]
         if pt[chart] == 0:
             raise ValueError(f"chart coordinate {chart} vanishes at the point")
-        pt = [c / pt[chart] for c in pt]
-        if self(*pt) != 0:
-            raise PointOffCurveError(f"point {tuple(point)} is not on the zero locus")
-        p0, p1 = pt[remaining[0]], pt[remaining[1]]
-        acc: dict[tuple[int, int], Rat] = {}
-        for e, c in self.coeffs.items():
-            # (p + v)^e expanded binomially for each of the two local variables.
-            e0, e1 = e[remaining[0]], e[remaining[1]]
-            for s0 in range(e0 + 1):
-                c0 = math.comb(e0, s0) * p0 ** (e0 - s0)
-                if not c0:
-                    continue
-                for s1 in range(e1 + 1):
-                    c1 = math.comb(e1, s1) * p1 ** (e1 - s1)
-                    if not c1:
-                        continue
-                    key = (s0, s1)
-                    val = acc.get(key, Fraction(0)) + c * c0 * c1
-                    acc[key] = val
-        local = Poly(acc, 2)
-        assert local.constant_term == 0
-        return local
+        # Setting X_chart = 1 drops its exponent; a form has one term per
+        # remaining pair, so no two terms collide.
+        affine = Poly._wrap({(e[r0], e[r1]): c for e, c in self.coeffs.items()}, 2)
+        p0, p1 = pt[r0] / pt[chart], pt[r1] / pt[chart]
+        if affine(p0, p1) != 0:
+            raise PointOffCurveError(f"point ({', '.join(map(str, pt))}) is not on the zero locus")
+        return substitute(affine, Poly.variable(0) + p0, Poly.variable(1) + p1)
 
 
 # Old names of Poly, kept as plain aliases: perfbench/tracing.py patches
@@ -340,6 +328,8 @@ def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly
     >= 1, because then no product can drop below the degree of the source
     monomial.
     """
+    if not f.nvars == gx.nvars == gy.nvars == 2:
+        raise ValueError(f"substitute takes 2 variables, got {f.nvars}, {gx.nvars}, {gy.nvars}")
     max_i = max((e[0] for e in f.coeffs), default=0)
     max_j = max((e[1] for e in f.coeffs), default=0)
     xpow = [{(0, 0): Fraction(1)}]

@@ -109,6 +109,27 @@ class TestGeography:
         code, _, err = run(capsys, "geography", "--chi-max", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (("--chi-max", str(cli.MAX_CHI_MAX + 1)), {}),
+            (("--chi-max", str(10**14)), {}),
+            ((), {"PICARDLAB_CHI_MAX": str(10**14)}),
+        ],
+        ids=["cap-plus-one", "1e14", "env-1e14"],
+    )
+    def test_chi_max_above_cap_is_refused_quickly(self, argv, env):
+        # The claims walk about sqrt(chi_max) lines; 10^14 ran for minutes.
+        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]), **env)
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", "geography", "--claims", *argv],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert result.returncode == 2
+        assert f"at most {cli.MAX_CHI_MAX}" in result.stderr
+        assert time.perf_counter() - start < 1.0
+
     def test_unknown_set(self, capsys):
         code, _, err = run(capsys, "geography", "--chi-max", "50", "--sets", "A9")
         assert code == 2

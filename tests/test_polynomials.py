@@ -55,6 +55,13 @@ class TestLocalPoly:
         g = substitute(f, x, y + x ** 2, trunc=4)
         assert g == y * y + 2 * x ** 2 * y  # the x^4 term is cut
 
+    def test_substitution_refuses_other_variable_counts(self):
+        x, y = LocalPoly.variable(0), LocalPoly.variable(1)
+        with pytest.raises(ValueError, match="2 variables"):
+            substitute(x * y, Poly.variable(0, 3), Poly.variable(2, 3))
+        with pytest.raises(ValueError, match="2 variables"):
+            substitute(parse_ternary_form("X0*X1"), x, y)
+
 
 class TestHomPoly:
     def test_localize_refuses_other_shapes(self):
@@ -107,6 +114,53 @@ class TestHomPoly:
         form = parse_ternary_form("X0*X2 - X1^2")
         with pytest.raises(PointOffCurveError):
             form.localize((1, 2, 1), 2)
+
+    def test_off_curve_point_is_printed_exactly(self):
+        form = parse_ternary_form("X0*X2 - X1^2")
+        point = (Fraction(1, 2), Fraction(-3), Fraction(2))
+        with pytest.raises(PointOffCurveError) as info:
+            form.localize(point, 2)
+        assert str(info.value) == "point (1/2, -3, 2) is not on the zero locus"
+
+    def test_localize_agrees_with_sympy(self):
+        # Reference: sympy expands F with X_chart = 1 and the other two
+        # coordinates shifted by the point.  The point's chart coordinate is
+        # not 1, and the coefficient of X_chart^d puts the point on F.
+        sympy = pytest.importorskip("sympy")
+        X = sympy.symbols("X0:3")
+        x, y = sympy.symbols("x y")
+        rng = random.Random(808)
+
+        def q(c):
+            return sympy.Rational(c.numerator, c.denominator)
+
+        coords = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2, 3)]
+        for trial in range(60):
+            d, chart = 2 + trial % 7, trial % 3
+            r0, r1 = (i for i in range(3) if i != chart)
+            monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+            coeffs = {
+                e: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                for e in rng.sample(monomials, rng.randint(1, len(monomials)))
+            }
+            point = [rng.choice(coords) for _ in range(3)]
+            point[chart] = rng.choice([c for c in coords if c not in (0, 1)])
+            top = tuple(d if i == chart else 0 for i in range(3))
+            coeffs[top] = coeffs.get(top, 0) - Poly(coeffs, 3)(*point) / point[chart] ** d
+            form = Poly(coeffs, 3)
+            expr = sympy.Add(
+                *(q(c) * X[0] ** e[0] * X[1] ** e[1] * X[2] ** e[2] for e, c in form.coeffs.items())
+            )
+            shift = {
+                X[chart]: 1,
+                X[r0]: x + q(point[r0] / point[chart]),
+                X[r1]: y + q(point[r1] / point[chart]),
+            }
+            reference = sympy.Poly(sympy.expand(expr.subs(shift)), x, y)
+            expected = Poly({e: Fraction(int(c.p), int(c.q)) for e, c in reference.as_dict().items()})
+            local = form.localize(tuple(point), chart)
+            assert local == expected, (form, point, chart)
+            assert local.constant_term == 0
 
     def test_localize_rejects_zero_chart(self):
         form = parse_ternary_form("X0*X2 - X1^2")
