@@ -187,11 +187,14 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
 
 
 def _cmd_geography(args: argparse.Namespace) -> int:
-    chi_max = args.chi_max if args.chi_max is not None else _default_chi_max()
+    if args.chi_max is not None:
+        chi_max, source = args.chi_max, "--chi-max"
+    else:
+        chi_max, source = _default_chi_max(), "PICARDLAB_CHI_MAX"
     if chi_max < 3:
-        raise UsageError(f"--chi-max must be at least 3, got {chi_max}")
+        raise UsageError(f"{source} must be at least 3, got {chi_max}")
     if chi_max > MAX_CHI_MAX:
-        raise UsageError(f"--chi-max must be at most {MAX_CHI_MAX}, got {chi_max}")
+        raise UsageError(f"{source} must be at most {MAX_CHI_MAX}, got {chi_max}")
     labels = [s.strip() for s in args.sets.split(",") if s.strip()]
     for label in labels:
         if label not in SET_LABELS:

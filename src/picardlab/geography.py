@@ -12,10 +12,13 @@ module reads them from there and keeps no family constant of its own.
 The set relations are computed from the closed forms, without enumerating
 a pair.  A1, B and T have O(sqrt(chi_max)) members and are walked one by
 one.  A2 and A3 lie on lines, one per n, on which K2 and chi are affine in
-m: membership of a value is an integer quadratic in n, A2 meets A3 where a
-2x2 integer system per pair of lines has a solution, and counts, first
+m: membership of a value is an integer quadratic in n, and counts, first
 members, doubling windows, parities and the Noether slices are read off
-each line.  The cost grows with the number of lines, not of pairs.
+each line.  The cost grows with the number of lines, not of pairs.  A2 and
+A3 share no pair at any chi: solving the A2 line at n2 against the A3 line
+at n3 gives m2 = n3/n2 and m3 = 2*n2/n3, a polynomial identity in (n2, n3)
+checked once per process, and m2*m3 = 2 is below the product of the two
+m minima.
 enumerate_set walks the same members and lines to list every pair, for
 the figure and table emitters only.
 
@@ -338,50 +341,24 @@ def _lines(label: str, chi_max: int) -> list[_Line]:
     m_first, n = m_param.minimum, n_param.minimum
     lines = []
     while True:
-        k2_0, chi_0 = family.pair(0, n)
-        k2_1, chi_1 = family.pair(1, n)
-        m_last = (chi_max - chi_0) // (chi_1 - chi_0)
+        k2_step, k2_0, chi_step, chi_0 = _line_coefficients(family, n)
+        m_last = (chi_max - chi_0) // chi_step
         if m_last < m_first:
             return lines
-        lines.append(_Line(n, m_first, m_last, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0))
+        lines.append(_Line(n, m_first, m_last, k2_step, k2_0, chi_step, chi_0))
         n += n_param.step
+
+
+def _line_coefficients(family, n) -> tuple:
+    """(k2_step, k2_0, chi_step, chi_0) of the family's line at n, which may
+    be an integer or a Poly: K2 = k2_step*m + k2_0 and chi = chi_step*m + chi_0."""
+    (k2_0, chi_0), (k2_1, chi_1) = family.pair(0, n), family.pair(1, n)
+    return k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0
 
 
 def _all_of_parity(step: int, first: int, count: int, parity: int) -> bool:
     """Whether first + step*j has the given parity for j = 0 .. count-1."""
     return first % 2 == parity and (count == 1 or step % 2 == 0)
-
-
-def _meet(l2: _Line, l3: _Line) -> Optional[tuple[int, int]]:
-    """The (m2, m3) within both lines' ranges with l2.value(m2) ==
-    l3.value(m3), or None.  Equal chi and equal K2 are two linear equations
-    in (m2, m3), solved by Cramer's rule in integers."""
-    a, b, e = l2.chi_step, l3.chi_step, l3.chi_0 - l2.chi_0
-    c, d, f = l2.k2_step, l3.k2_step, l3.k2_0 - l2.k2_0
-    # a*m2 - b*m3 = e and c*m2 - d*m3 = f; for the A2 line n2 and the A3
-    # line n3 the determinant is 2*n2*n3*(n2 - n3 + 1), never 0 for even n.
-    det = b * c - a * d
-    m2, r2 = divmod(b * f - d * e, det)
-    m3, r3 = divmod(a * f - c * e, det)
-    if r2 or r3 or not (l2.m_first <= m2 <= l2.m_last and l3.m_first <= m3 <= l3.m_last):
-        return None
-    return m2, m3
-
-
-def _a2_a3_meets(a2_lines: list[_Line], a3_lines: list[_Line]) -> list[tuple[int, int, int, int]]:
-    """Every (m2, n2, m3, n3) with family2_pair(m2, n2) == family3_pair(m3, n3)
-    within the bound.  The solution of _meet is m2 = n3/n2, m3 = 2*n2/n3, so
-    only the line pairs with n3 a multiple of n2 are solved."""
-    a3_by_n = {l3.n: l3 for l3 in a3_lines}
-    n3_max = max(a3_by_n, default=0)
-    meets = []
-    for l2 in a2_lines:
-        for n3 in range(l2.n, n3_max + 1, l2.n):
-            l3 = a3_by_n.get(n3)
-            solution = _meet(l2, l3) if l3 is not None else None
-            if solution is not None:
-                meets.append((solution[0], l2.n, solution[1], n3))
-    return meets
 
 
 def _noether_zeros(lines: list[_Line]) -> tuple[list[_Line], list[tuple[int, int]]]:
@@ -400,44 +377,23 @@ def _noether_zeros(lines: list[_Line]) -> tuple[list[_Line], list[tuple[int, int
     return whole, points
 
 
-def _window_coverage(
-    count: int, first: Optional[int], inhabited, chi_max: int
-) -> tuple[bool, str]:
-    """Every doubling window [c, 2c] from the first member up to the bound
-    must contain a member; inhabited(lo, hi) says whether [lo, hi] does."""
+def _coverage(lines: list[_Line], chi_max: int) -> tuple[bool, str]:
+    """Every doubling window [c, 2c] from the lines' first member up to the
+    bound must contain a member; members are counted and located line by
+    line."""
+    count = sum(line.count for line in lines)
     if not count:
         return False, "no members within the bound"
+    first = min(line.value(line.m_first)[1] for line in lines)
     c = first
     gaps = []
     while 2 * c <= chi_max:
-        if not inhabited(c, 2 * c):
+        if not any(line.m_window(c, 2 * c) for line in lines):
             gaps.append(c)
         c *= 2
     if gaps:
         return False, f"empty chi-windows [c, 2c] at c in {gaps}"
     return True, f"{count} members, first at chi={first}, all doubling windows inhabited"
-
-
-def _difference_coverage(lines: list[_Line], excluded: set, chi_max: int) -> tuple[bool, str]:
-    """_window_coverage for the members of the lines whose (m, n) is not
-    excluded, counted and located line by line."""
-    count = sum(line.count for line in lines) - len(excluded)
-    firsts = []
-    for line in lines:
-        m = line.m_first
-        while (m, line.n) in excluded:
-            m += 1
-        if m <= line.m_last:
-            firsts.append(line.value(m)[1])
-
-    def inhabited(lo: int, hi: int) -> bool:
-        for line in lines:
-            window = line.m_window(lo, hi)
-            if len(window) > sum(1 for m, n in excluded if n == line.n and m in window):
-                return True
-        return False
-
-    return _window_coverage(count, min(firsts, default=None), inhabited, chi_max)
 
 
 @cache
@@ -448,6 +404,33 @@ def _t_identity(label: str) -> bool:
     t = Poly.variable(0)
     m, n = {"A3": (t - 3, t), "A2": (Fraction(1, 2) * t - 1, t - 1)}[label]
     return FAMILIES["T"].pair(t) == FAMILIES[label].pair(m, n)
+
+
+@cache
+def _a2_a3_identity() -> bool:
+    """A2 and A3 share no pair, for every chi.  The A2 line at n2 meets the
+    A3 line at n3 where chi_2*m2 - chi_3*m3 = e (equal chi) and
+    k2_2*m2 - k2_3*m3 = f (equal K2).  As polynomials in (n2, n3) the
+    determinant is 2*n2*n3*(n2 - n3 + 1), nonzero because both n are
+    positive and even (so n2 - n3 + 1 is odd), and Cramer's rule gives
+    m2 = n3/n2 and m3 = 2*n2/n3.  Then m2*m3 = 2, below the product of the
+    two positive m minima, so no line pair meets inside both families."""
+    n2, n3 = Poly.variable(0), Poly.variable(1)
+    (m2_param, n2_param), (m3_param, n3_param) = FAMILIES["A2"].params, FAMILIES["A3"].params
+    k2_2, k2_20, chi_2, chi_20 = _line_coefficients(FAMILIES["A2"], n2)
+    k2_3, k2_30, chi_3, chi_30 = _line_coefficients(FAMILIES["A3"], n3)
+    e, f = chi_30 - chi_20, k2_30 - k2_20
+    det = chi_3 * k2_2 - chi_2 * k2_3
+    num2, num3 = chi_3 * f - k2_3 * e, chi_2 * f - k2_2 * e
+    return (
+        det == 2 * n2 * n3 * (n2 - n3 + 1)
+        and num2 * n2 == n3 * det
+        and num3 * n3 == 2 * n2 * det
+        and all(p.minimum > 0 and p.minimum % 2 == p.step % 2 == 0 for p in (n2_param, n3_param))
+        and m2_param.minimum > 0
+        and m3_param.minimum > 0
+        and m2_param.minimum * m3_param.minimum > 2
+    )
 
 
 def set_relations_report(chi_max: int) -> SetRelationsReport:
@@ -518,15 +501,12 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         claims.append(Claim(claim_id, VERIFIED if ok else REFUTED, detail))
 
     # Claim ii): both differences are infinite; certified within the bound
-    # by doubling windows plus counts.  The members of one family that lie
-    # in the other are the line-against-line solutions.
-    meets = _a2_a3_meets(lines["A2"], lines["A3"])
-    shared_params = {
-        "A2": {(m2, n2) for m2, n2, _, _ in meets},
-        "A3": {(m3, n3) for _, _, m3, n3 in meets},
-    }
+    # by doubling windows plus counts.  By the identity A2 and A3 share no
+    # pair, so each difference is the whole family.
+    disjoint = _a2_a3_identity()
+    undecided = "A2-A3 line identity m2 = n3/n2, m3 = 2*n2/n3 fails, so A2 and A3 may share pairs"
     for left, right in (("A2", "A3"), ("A3", "A2")):
-        ok, detail = _difference_coverage(lines[left], shared_params[left], chi_max)
+        ok, detail = _coverage(lines[left], chi_max) if disjoint else (False, undecided)
         claims.append(Claim(f"{left}-minus-{right}-infinite", VERIFIED if ok else REFUTED, detail))
 
     # Noether-line slices.
@@ -615,28 +595,16 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         status, detail = REFUTED, "witness substitution does not reproduce the T pairs"
     claims.append(Claim("T-subset-A2", status, detail, tuple(audits)))
 
-    overlap = sorted({a2.pair(m2, n2) for m2, n2, _, _ in meets})
-    if overlap:
-        chis = [chi for _, chi in overlap]
-        ok, win_detail = _window_coverage(
-            len(chis), min(chis), lambda lo, hi: any(lo <= chi <= hi for chi in chis), chi_max
+    claims.append(
+        Claim(
+            "A2-intersect-A3-infinite",
+            RELAXED if disjoint else REFUTED,
+            "no shared pair under the printed constraints within the bound; "
+            "the overlap rests on the T family, see T-subset-A2"
+            if disjoint
+            else undecided,
         )
-        claims.append(
-            Claim(
-                "A2-intersect-A3-infinite",
-                VERIFIED if ok else RELAXED,
-                f"{len(overlap)} shared pairs within the bound; {win_detail}",
-            )
-        )
-    else:
-        claims.append(
-            Claim(
-                "A2-intersect-A3-infinite",
-                RELAXED,
-                "no shared pair under the printed constraints within the bound; "
-                "the overlap rests on the T family, see T-subset-A2",
-            )
-        )
+    )
 
     return SetRelationsReport(bound=chi_max, claims=tuple(claims))
 
@@ -652,9 +620,6 @@ def emit_figure(sets: list[str], chi_max: int, format: str) -> str:
     window, so that every enumerated pair is drawn exactly once; each panel
     also draws the Noether, Severi and BMY lines.
     """
-    for label in sets:
-        if label not in SET_LABELS:
-            raise ValueError(f"unknown set label {label!r}")
     pairs_by_set = {label: enumerate_set(label, chi_max) for label in sets}
     fmt = format.upper()
     if fmt == "SVG":

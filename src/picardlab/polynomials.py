@@ -387,9 +387,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("OP", ch, i + 1))
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: int() rejects some of what str.isdigit() accepts.
+        if "0" <= ch <= "9":
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("NUM", text[start:i], start + 1))
             continue

@@ -105,9 +105,14 @@ class TestGeography:
         assert code == 1
         assert "[refuted_within_bound] A3-disjoint-B" in out
 
-    def test_chi_max_too_small(self, capsys):
+    def test_chi_max_too_small(self, capsys, monkeypatch):
         code, _, err = run(capsys, "geography", "--chi-max", "2")
         assert code == 2
+        assert "--chi-max must be at least 3" in err
+        monkeypatch.setenv("PICARDLAB_CHI_MAX", "2")
+        code, _, err = run(capsys, "geography")
+        assert code == 2
+        assert "PICARDLAB_CHI_MAX must be at least 3" in err
 
     @pytest.mark.parametrize(
         "argv, env",
@@ -120,6 +125,8 @@ class TestGeography:
     )
     def test_chi_max_above_cap_is_refused_quickly(self, argv, env):
         # The claims walk about sqrt(chi_max) lines; 10^14 ran for minutes.
+        # The error names where the bound came from.
+        source = "PICARDLAB_CHI_MAX" if env else "--chi-max"
         env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]), **env)
         start = time.perf_counter()
         result = subprocess.run(
@@ -127,7 +134,7 @@ class TestGeography:
             capture_output=True, text=True, env=env, timeout=20,
         )
         assert result.returncode == 2
-        assert f"at most {cli.MAX_CHI_MAX}" in result.stderr
+        assert f"{source} must be at most {cli.MAX_CHI_MAX}" in result.stderr
         assert time.perf_counter() - start < 1.0
 
     def test_unknown_set(self, capsys):

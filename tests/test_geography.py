@@ -236,3 +236,5 @@ class TestEmit:
     def test_unknown_set(self):
         with pytest.raises(ValueError):
             emit_figure(["Z9"], 100, "SVG")
+        with pytest.raises(ValueError, match="'X'"):
+            emit_figure(["A1", "X"], 50, "SVG")

@@ -10,10 +10,10 @@ from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, r
 from picardlab import geography
 from picardlab.constructions import FAMILIES, family2_pair, family3_pair
 from picardlab.geography import (
+    REFUTED,
     SET_LABELS,
-    _a2_a3_meets,
+    _a2_a3_identity,
     _lines,
-    _meet,
     _noether_zeros,
     admissible,
     enumerate_set,
@@ -92,8 +92,11 @@ def test_line_windows_match_a_scan():
 
 
 def test_only_dividing_line_pairs_can_meet():
-    # _a2_a3_meets solves only the line pairs with n2 | n3, because the
-    # rational solution of every pair is m2 = n3/n2, m3 = 2*n2/n3.
+    # Every pair of lines up to chi 20,000, solved by elimination of its own,
+    # meets at the solution that _a2_a3_identity certifies for all (n2, n3):
+    # m2 = n3/n2 and m3 = 2*n2/n3.  m2 is an integer only where n2 divides
+    # n3, and m2, m3 are never both within the families.
+    assert _a2_a3_identity()
     a2, a3 = _lines("A2", 20_000), _lines("A3", 20_000)
     for l2 in a2:
         for l3 in a3:
@@ -103,20 +106,49 @@ def test_only_dividing_line_pairs_can_meet():
             m3 = (f - Fraction(c * e, a)) / (Fraction(c * b, a) - d)
             m2 = (e + b * m3) / a
             assert (m2, m3) == (Fraction(l3.n, l2.n), Fraction(2 * l2.n, l3.n))
-    every_pair = [
-        (s[0], l2.n, s[1], l3.n) for l2 in a2 for l3 in a3 if (s := _meet(l2, l3)) is not None
-    ]
-    assert every_pair == _a2_a3_meets(a2, a3) == []
+            assert not (m2 >= l2.m_first and m3 >= l3.m_first)
 
 
-def test_line_solver_finds_a_meeting_below_the_printed_bounds():
-    # family2_pair(2, 2) == family3_pair(1, 4) == (8, 7): the lines meet, but
-    # at m = 2 < 3 and m = 1 < 2, outside both families.
-    l2 = dataclasses.replace(_lines("A2", 100)[0], m_first=1)
-    l3 = dataclasses.replace(_lines("A3", 100)[0], m_first=1)
-    assert (l2.n, l3.n) == (2, 4)
-    assert _meet(l2, l3) == (2, 1)
+def test_certified_meeting_is_real_below_the_printed_bounds():
+    # At (n2, n3) = (2, 4) the certified solution is (m2, m3) = (4/2, 2*2/4)
+    # = (2, 1): the lines do meet, at m = 2 < 3 and m = 1 < 2, outside both
+    # families, so the identity is not vacuous.
+    n2, n3 = 2, 4
+    m2, m3 = Fraction(n3, n2), Fraction(2 * n2, n3)
+    assert (m2, m3) == (2, 1)
     assert family2_pair(2, 2) == family3_pair(1, 4) == (8, 7)
+    assert m2 < FAMILIES["A2"].params[0].minimum and m3 < FAMILIES["A3"].params[0].minimum
+
+
+@pytest.fixture
+def fresh_identity():
+    _a2_a3_identity.cache_clear()
+    yield
+    _a2_a3_identity.cache_clear()
+
+
+def test_identity_is_checked_once_per_process(fresh_identity):
+    set_relations_report(1000)
+    set_relations_report(10_000)
+    assert _a2_a3_identity.cache_info().misses == 1
+
+
+def test_a_wrong_family_breaks_the_identity(monkeypatch, fresh_identity):
+    # Adding 2n to A3's K2 moves its lines, so the certified solution fails
+    # and the three claims that rest on it are refuted, naming the identity.
+    a3 = FAMILIES["A3"]
+
+    def shifted(m, n):
+        k2, chi = a3.pair(m, n)
+        return k2 + 2 * n, chi
+
+    monkeypatch.setitem(FAMILIES, "A3", a3._replace(pair=shifted))
+    assert not _a2_a3_identity()
+    report = set_relations_report(1000)
+    for claim_id in ("A2-minus-A3-infinite", "A3-minus-A2-infinite", "A2-intersect-A3-infinite"):
+        claim = report.claim(claim_id)
+        assert claim.status == REFUTED, claim_id
+        assert "A2-A3 line identity" in claim.detail, claim_id
 
 
 def test_noether_zeros_find_whole_lines_and_single_members():

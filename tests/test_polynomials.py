@@ -268,6 +268,9 @@ class TestParser:
             parse_local_poly("z^2")
         with pytest.raises(PolyParseError):
             parse_local_poly("1/0")
+        # A Unicode digit is not a number: str.isdigit() says yes, int() no.
+        with pytest.raises(PolyParseError, match=r"unexpected character '²' \(column 3\)"):
+            parse_local_poly("x^²")
 
     def test_juxtaposition_not_allowed(self):
         with pytest.raises(PolyParseError):
