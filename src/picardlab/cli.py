@@ -21,13 +21,7 @@ from pathlib import Path
 from . import __version__
 from .constructions import MAX_SWEEP_BUILDS, THEOREMS, ConstructionReport, ParameterError, build
 from .covers import BidoubleCoverData
-from .curves import (
-    DegenerateGermError,
-    JetBoundError,
-    classify,
-    classify_ak,
-    seed_certificate,
-)
+from .curves import DegenerateGermError, classify, seed_certificate
 from .figures import figure_csv, figure_svg
 from .geography import (
     SET_LABELS,
@@ -287,14 +281,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    if germ_poly.constant_term != 0:
-        raise UsageError("the polynomial must vanish at the origin")
     try:
-        if args.jet_bound is not None:
-            germ = classify_ak(germ_poly, args.jet_bound)  # fixed bound, no retries
-        else:
-            germ = classify(germ_poly, expected_k=args.expected_k)
-    except (DegenerateGermError, JetBoundError) as exc:
+        germ = classify(germ_poly)
+    except DegenerateGermError as exc:
         print(str(exc), file=sys.stderr)
         return FAILURE
     except ValueError as exc:
@@ -387,11 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cl.add_argument("--point", type=str, default=None, help="p0,p1,p2")
     cl.add_argument("--chart", type=int, choices=(0, 1, 2), default=None)
-    cl.add_argument("--expected-k", type=int, default=None, dest="expected_k")
-    cl.add_argument(
-        "--jet-bound", type=int, default=None, dest="jet_bound",
-        help="fix the truncation degree instead of the doubling search",
-    )
     cl.set_defaults(func=_cmd_classify)
 
     sl = sub.add_parser("slopes", help="exact slope tables and Severi-line limits")

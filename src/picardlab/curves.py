@@ -129,26 +129,24 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
     raise JetBoundError(f"square completion failed to settle below degree {jet_bound}")
 
 
-def classify(
-    f: Poly, expected_k: Optional[int] = None, cap: int = JET_BOUND_CAP
-) -> GermType:
-    """classify_ak with automatic jet-bound doubling, capped.
+def classify(f: Poly, expected_k: Optional[int] = None) -> GermType:
+    """classify_ak with automatic jet-bound doubling, capped at JET_BOUND_CAP.
 
-    The starting bound is 2*expected_k + 4 when a type is anticipated,
-    otherwise 8.
+    The starting bound is expected_k + 2 when a type is anticipated, the
+    smallest jet that holds the pure term x^(k+1) of A_k, otherwise 8.
     """
-    bound = 8 if expected_k is None else max(8, 2 * expected_k + 4)
-    bound = min(bound, cap)
+    bound = 8 if expected_k is None else max(3, expected_k + 2)
+    bound = min(bound, JET_BOUND_CAP)
     while True:
         try:
             return classify_ak(f, bound)
         except JetBoundError:
-            if bound >= cap:
+            if bound >= JET_BOUND_CAP:
                 raise DegenerateGermError(
-                    f"the germ's type is undecided at jet cap {cap}: it may be "
-                    f"A_k with k >= {cap - 1}, or a non-reduced or non-isolated germ"
+                    f"the germ's type is undecided at jet cap {JET_BOUND_CAP}: it may be "
+                    f"A_k with k >= {JET_BOUND_CAP - 1}, or a non-reduced or non-isolated germ"
                 ) from None
-            bound = min(2 * bound, cap)
+            bound = min(2 * bound, JET_BOUND_CAP)
 
 
 def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:

@@ -620,10 +620,8 @@ def emit_figure(sets: list[str], chi_max: int, format: str) -> str:
     window, so that every enumerated pair is drawn exactly once; each panel
     also draws the Noether, Severi and BMY lines.
     """
-    pairs_by_set = {label: enumerate_set(label, chi_max) for label in sets}
     fmt = format.upper()
-    if fmt == "SVG":
-        return figure_svg(pairs_by_set, chi_max)
-    if fmt == "CSV":
-        return figure_csv(pairs_by_set)
-    raise ValueError(f"unknown format {format!r} (expected SVG or CSV)")
+    if fmt not in ("SVG", "CSV"):
+        raise ValueError(f"unknown format {format!r} (expected SVG or CSV)")
+    pairs_by_set = {label: enumerate_set(label, chi_max) for label in sets}
+    return figure_svg(pairs_by_set, chi_max) if fmt == "SVG" else figure_csv(pairs_by_set)

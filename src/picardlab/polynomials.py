@@ -19,6 +19,7 @@ All values are immutable by convention: no method mutates its receiver.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
@@ -392,6 +393,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             start = i
             while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
+            # int() refuses longer literals with a message of its own; Python
+            # before 3.10.7 has no limit (0 means none too).
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if limit and i - start > limit:
+                raise PolyParseError(
+                    f"number of {i - start} digits exceeds the limit of {limit}", start + 1
+                )
             tokens.append(("NUM", text[start:i], start + 1))
             continue
         if ch.isalpha():

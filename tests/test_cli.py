@@ -302,12 +302,22 @@ class TestClassify:
         assert f"more than the cap {MAX_LOCALIZE_PRODUCTS}" in err
         assert time.perf_counter() - start < 1.0
 
-    def test_fixed_jet_bound(self, capsys):
-        code, out, _ = run(capsys, "classify", "--local", "y^2 - x^5", "--jet-bound", "12")
-        assert code == 0 and out.strip() == "A4"
-        code, _, err = run(capsys, "classify", "--local", "y^2 - x^9", "--jet-bound", "8")
+    def test_search_flags_are_gone(self, capsys):
+        for flag in (("--jet-bound", "12"), ("--expected-k", "4")):
+            with pytest.raises(SystemExit) as exc:
+                main(["classify", "--local", "y^2 - x^5", *flag])
+            assert exc.value.code == 2
+
+    def test_search_stops_at_jet_cap(self, capsys, jet_bounds):
+        code, _, err = run(capsys, "classify", "--local", "y^2 - x^70")
         assert code == 1
-        assert "jet bound" in err or "degree 8" in err
+        assert f"undecided at jet cap {curves.JET_BOUND_CAP}" in err
+        assert jet_bounds == [8, 16, 32, 64] and curves.JET_BOUND_CAP == 64
+
+    def test_constant_term_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "classify", "--local", "1 + y^2 - x^3")
+        assert code == 2
+        assert "the germ must vanish at the origin" in err
 
 
 class TestSlopes:

@@ -113,6 +113,19 @@ class TestClassify:
             classify_ak(parse_local_poly("y^2 - x^9"), 8)
         assert classify(parse_local_poly("y^2 - x^9")) == A(8)
 
+    def test_correct_hint_decides_in_one_attempt(self, jet_bounds):
+        x, y = Poly.variable(0), Poly.variable(1)
+        for k in range(1, 30):
+            # Quadratic part (x + y)^2: rank one with b != 0, so the shear runs.
+            sheared = substitute(y * y - x ** (k + 1), x + 2 * y, x + y)
+            jet_bounds.clear()
+            assert classify(sheared, expected_k=k) == A(k)
+            assert jet_bounds == [k + 2]
+
+    def test_small_hint_still_doubles(self, jet_bounds):
+        assert classify(parse_local_poly("y^2 - x^10"), expected_k=1) == A(9)
+        assert jet_bounds == [3, 6, 12]
+
     def test_degenerate_germ(self):
         with pytest.raises(DegenerateGermError):
             classify(parse_local_poly("y^2"))

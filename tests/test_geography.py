@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from picardlab import geography
 from picardlab.geography import (
     GeoPair,
     RELAXED,
@@ -229,9 +230,16 @@ class TestEmit:
         assert a == b
         assert emit_figure(["A1"], 120, "CSV") == emit_figure(["A1"], 120, "CSV")
 
-    def test_unknown_format(self):
+    def test_unknown_format(self, monkeypatch):
         with pytest.raises(ValueError):
             emit_figure(["A1"], 100, "PDF")
+
+        def refuse(label, chi_max):
+            raise AssertionError("enumerated before the format was checked")
+
+        monkeypatch.setattr(geography, "enumerate_set", refuse)
+        with pytest.raises(ValueError, match=r"unknown format 'PDF' \(expected SVG or CSV\)"):
+            emit_figure(["A2"], 10**6, "PDF")
 
     def test_unknown_set(self):
         with pytest.raises(ValueError):

@@ -271,6 +271,12 @@ class TestParser:
         # A Unicode digit is not a number: str.isdigit() says yes, int() no.
         with pytest.raises(PolyParseError, match=r"unexpected character '²' \(column 3\)"):
             parse_local_poly("x^²")
+        # Literals longer than int()'s digit limit get a position too.
+        nines = "9" * 5000
+        with pytest.raises(PolyParseError, match=r"number of 5000 digits .* \(column 9\)"):
+            parse_local_poly(f"y^2 - x^{nines}")
+        with pytest.raises(PolyParseError, match=r"number of 5000 digits .* \(column 1\)"):
+            parse_local_poly(f"{nines}*x + y")
 
     def test_juxtaposition_not_allowed(self):
         with pytest.raises(PolyParseError):
