@@ -18,11 +18,11 @@ that representative via the curve's torus symmetry (every exponent is a
 multiple of n, so scaling two coordinates by n-th roots of unity permutes
 the singular points without changing the local type).
 
-A_k recognition works by iterated square completion on a truncated jet:
-after normalizing the rank-one quadratic part to r*y^2, substitutions
-y -> y - c1(x)/(2r) remove the terms linear in y; the order t of the
-surviving pure-x part then gives the type A_{t-1}.  Substitutions never
-decrease total degree, so truncation at the jet bound is sound.
+A_k recognition follows the polar curve of a truncated jet: with the rank-one
+quadratic part normalized to c*y^2, f_y = 0 is a branch y = phi(x), found by
+Newton iteration on power series, and f = u*(y - phi)^2 + f(x, phi) with
+u(0) = c, so f(x, phi) has order k + 1 at A_k (the splitting lemma; Greuel,
+Lossen and Shustin, I.2).  A jet of degree N decides that order below N.
 """
 
 from __future__ import annotations
@@ -81,12 +81,25 @@ _X = Poly.variable(0)
 _Y = Poly.variable(1)
 
 
+def _compose(columns: list, phi: list, m: int) -> list:
+    """sum_j columns[j](x) * phi(x)^j modulo x^m by Horner's rule; phi has
+    order >= 2, so column j, padded to x^m, counts modulo x^(m - 2j) only."""
+    acc: list = []
+    for j in reversed(range(min(len(columns), (m + 1) // 2))):
+        acc, prev = columns[j][: m - 2 * j], acc
+        for i, p in enumerate(phi[: len(acc)]):
+            if p:
+                for t, a in enumerate(prev[: len(acc) - i]):
+                    acc[i + t] += p * a
+    return acc
+
+
 def classify_ak(f: Poly, jet_bound: int) -> GermType:
     """Classify a plane-curve germ as Smooth, A_k or corank >= 2.
 
-    Works modulo total degree jet_bound.  Raises JetBoundError when the pure
-    part vanishes to the bound (either the bound is too small or the germ is
-    degenerate); the classify() wrapper retries with doubled bounds.
+    Works modulo total degree jet_bound N, which decides A_k when k + 2 <= N.
+    Raises JetBoundError when f(x, phi) vanishes modulo x^N (the bound is too
+    small or the germ is degenerate); classify() retries with doubled bounds.
     """
     if f.constant_term != 0:
         raise ValueError("the germ must vanish at the origin")
@@ -109,24 +122,25 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
         g = substitute(g, _Y, _X, trunc=jet_bound)
     elif b != 0:
         g = substitute(g, _X, _Y - (b / (2 * c)) * _X, trunc=jet_bound)
-    unit = g.coefficient((0, 2))
-    assert unit != 0 and not g.coefficient((2, 0)) and not g.coefficient((1, 1))
+    assert g.coefficient((0, 2)) and not g.coefficient((2, 0)) and not g.coefficient((1, 1))
 
-    for _ in range(jet_bound + 1):
-        linear_in_y = {e[0]: c for e, c in g.coeffs.items() if e[1] == 1}
-        if not linear_in_y:
-            pure = [e[0] for e in g.coeffs if e[1] == 0]
-            if not pure:
-                raise JetBoundError(
-                    f"pure part vanishes modulo degree {jet_bound}; "
-                    "enlarge the jet bound or the germ is degenerate"
-                )
-            return A(min(pure) - 1)
-        # One square-completion step; the order of the y-linear part rises
-        # strictly, so the loop terminates within jet_bound passes.
-        beta = Poly({(i, 0): coeff / (2 * unit) for i, coeff in linear_in_y.items()})
-        g = substitute(g, _X, _Y - beta, trunc=jet_bound)
-    raise JetBoundError(f"square completion failed to settle below degree {jet_bound}")
+    # g = sum_j columns[j](x) * y^j, each column padded to x^jet_bound.
+    columns = [[g.coeffs.get((i, j), 0) for i in range(jet_bound - j)] for j in range(jet_bound)]
+    fy = [[(j + 1) * v for v in column] for j, column in enumerate(columns[1:])]
+    fyy = [[(j + 1) * v for v in column] for j, column in enumerate(fy[1:])]
+    # Newton's step phi -= f_y(x, phi)/f_yy(x, phi) doubles phi's precision from
+    # phi = 0 mod x^2; f_y(x, phi) vanishes below x^known, so f_yy counts mod x^(m - known).
+    phi: list = [0, 0]
+    while (known := len(phi)) < jet_bound - 1:
+        m = min(2 * known, jet_bound - 1)
+        num, den = _compose(fy, phi, m), _compose(fyy, phi, m - known)
+        for t in range(known, m):
+            phi.append(-(num[t] + sum(phi[i] * den[t - i] for i in range(known, t))) / den[0])
+    on_polar = _compose(columns, phi, jet_bound)
+    if not any(on_polar):
+        raise JetBoundError(f"f(x, phi) on the polar curve vanishes modulo x^{jet_bound}; "
+                            "enlarge the jet bound or the germ is degenerate")
+    return A(next(t for t, v in enumerate(on_polar) if v) - 1)
 
 
 def classify(f: Poly, expected_k: Optional[int] = None) -> GermType:

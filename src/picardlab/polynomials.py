@@ -10,15 +10,16 @@ of variables:
          the coordinate lines,
   three  projective plane curves, which are homogeneous ternary forms.
 
-substitute, the composition f(gx, gy), is the one expansion routine:
-Poly.localize projects a form's exponents into a chart, which needs no
-arithmetic, and moves the point to the origin with substitute.
+Poly.localize projects a form's exponents into a chart, with no arithmetic,
+then moves the point to the origin by an integer Taylor shift.  substitute,
+f(gx, gy), changes germ coordinates and is the shift's test reference.
 
 All values are immutable by convention: no method mutates its receiver.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -67,10 +68,10 @@ def _mul(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
 # Sparse polynomials.
 
 
-# localize is a chart projection followed by substitute.  The degree cap
-# bounds substitute's power tables, O(d^2) products; the product cap bounds
-# the per-term products, (e0 + 1)*(e1 + 1) for a term with exponents e0, e1
-# in the two local variables.  A dense form of degree 33 needs 66,045.
+# The degree cap bounds localize's Taylor shift, O(d^3) integer additions at
+# degree d; the product cap, the sum of (e0 + 1)*(e1 + 1) over the terms with
+# exponents e0, e1 in the local variables, keeps the germ handed to the
+# classifier small.  A dense form of degree 33 counts 66,045.
 MAX_LOCALIZE_DEGREE = 128
 MAX_LOCALIZE_PRODUCTS = 100_000
 
@@ -293,9 +294,8 @@ class Poly:
         if chart not in (0, 1, 2):
             raise ValueError("chart must be 0, 1 or 2")
         if degree > MAX_LOCALIZE_DEGREE:
-            raise ValueError(
-                f"form degree {degree} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
-            )
+            shown = degree if degree.bit_length() <= 2048 else "above 2^2048"  # str() refuses long ints
+            raise ValueError(f"form degree {shown} exceeds the localization cap {MAX_LOCALIZE_DEGREE}")
         r0, r1 = (i for i in range(3) if i != chart)
         products = sum((e[r0] + 1) * (e[r1] + 1) for e in self.coeffs)
         if products > MAX_LOCALIZE_PRODUCTS:
@@ -312,7 +312,14 @@ class Poly:
         p0, p1 = pt[r0] / pt[chart], pt[r1] / pt[chart]
         if affine(p0, p1) != 0:
             raise PointOffCurveError(f"point ({', '.join(map(str, pt))}) is not on the zero locus")
-        return substitute(affine, Poly.variable(0) + p0, Poly.variable(1) + p1)
+        # Shift in integers: with s0, s1 the denominators of p0, p1 and D that of
+        # the coefficients, x^k*y^l gets B / (D * s0^(dx - k) * s1^(dy - l)).
+        den = math.lcm(*(c.denominator for c in affine.coeffs.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in affine.coeffs.items()}
+        dx, dy = (max((e[v] for e in ints), default=0) for v in (0, 1))
+        s0, s1 = p0.denominator, p1.denominator
+        return Poly._wrap({(k, l): Fraction(b, den * s0 ** (dx - k) * s1 ** (dy - l))
+                           for (k, l), b in _shift_rows(_shift_rows(ints, p0), p1).items()}, 2)
 
 
 # Old names of Poly, kept as plain aliases: perfbench/tracing.py patches
@@ -344,6 +351,27 @@ def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly
         term = _mul(xpow[i], ypow[j], trunc)
         acc = _add(acc, _scale(term, c))
     return Poly._wrap(acc, 2)
+
+
+def _shift_rows(coeffs: dict, p: Fraction) -> dict:
+    """Integers B, keyed (j, k) so that a second pass shifts y, with
+    f(x + p, y) = sum B*x^k*y^j / s^(d - k) for integer f = sum a*x^i*y^j of
+    top exponent i = d and p = r/s: each row s^d * sum a*(z/s)^i is shifted
+    by r by repeated synthetic division."""
+    r, s = p.as_integer_ratio()
+    d = max((i for i, _ in coeffs), default=0)
+    rows: dict[int, dict] = {}
+    for (i, j), a in coeffs.items():
+        rows.setdefault(j, {})[i] = a * s ** (d - i)
+    out = {}
+    for j, terms in rows.items():
+        row = [terms.get(i, 0) for i in range(max(terms) + 1)]
+        for i in range(len(row) - 1 if r else 0):
+            acc = row[-1]
+            for k in range(len(row) - 2, i - 1, -1):
+                acc = row[k] = row[k] + r * acc
+        out.update({(j, k): b for k, b in enumerate(row) if b})
+    return out
 
 
 # ---------------------------------------------------------------------------

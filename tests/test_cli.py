@@ -302,6 +302,24 @@ class TestClassify:
         assert f"more than the cap {MAX_LOCALIZE_PRODUCTS}" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_largest_form_under_the_product_cap_answers_quickly(self, capsys):
+        # sum over j < 44 of (129 - j)*(j + 1) is 99,330 products; a 45th
+        # term would pass the cap.
+        form = " + ".join(f"X0^{128 - j}*X1^{j}" for j in range(44)) + " - 44*X2^128"
+        start = time.perf_counter()
+        code, out, err = run(capsys, "classify", "--homogeneous", form, "--point", "1,1,1")
+        assert (code, out.strip(), err) == (0, "Smooth", "")
+        assert time.perf_counter() - start < 1.0
+
+    def test_degree_beyond_str_digit_limit_is_refused_by_the_cap(self, capsys):
+        # Each exponent fits the parser's literal limit of 4,300 digits, but
+        # the degree 10^4300 + 1 has more digits than str() converts.
+        nines = "9" * 4300
+        form = f"X1^2*X2^{nines} - X0^3*X2^{nines[:-1]}8"
+        code, out, err = run(capsys, "classify", "--homogeneous", form, "--point", "0,0,1")
+        assert code == 2 and not out
+        assert f"exceeds the localization cap {MAX_LOCALIZE_DEGREE}" in err
+
     def test_search_flags_are_gone(self, capsys):
         for flag in (("--jet-bound", "12"), ("--expected-k", "4")):
             with pytest.raises(SystemExit) as exc:

@@ -122,6 +122,20 @@ class TestClassify:
             assert classify(sheared, expected_k=k) == A(k)
             assert jet_bounds == [k + 2]
 
+    def test_planted_ak_is_decided_exactly_at_k_plus_2(self):
+        # y^2 - x^(k+1) after a coordinate change that bends the polar curve,
+        # so that every Newton step counts.  The quadratic part is y^2,
+        # (x + 2y)^2 (b != 0: the shear) or x^2 (c = 0: the swap), in turn.
+        x, y = Poly.variable(0), Poly.variable(1)
+        bend = x * x + x * y + y * y + x ** 3 - y ** 3
+        changes = [(x, y + bend), (x, x + 2 * y + bend), (y, x + bend)]
+        for k in range(2, 61):
+            gx, gy = changes[k % 3]
+            f = substitute(y * y - x ** (k + 1), gx, gy, trunc=k + 2)
+            with pytest.raises(JetBoundError):
+                classify_ak(f, k + 1)
+            assert classify_ak(f, k + 2) == A(k), k
+
     def test_small_hint_still_doubles(self, jet_bounds):
         assert classify(parse_local_poly("y^2 - x^10"), expected_k=1) == A(9)
         assert jet_bounds == [3, 6, 12]

@@ -162,6 +162,34 @@ class TestHomPoly:
             assert local == expected, (form, point, chart)
             assert local.constant_term == 0
 
+    def test_localize_agrees_with_substitute(self):
+        # Reference: substitute shifts the chart projection.  Forms up to
+        # degree 33 with rational coefficients, in every chart, at points
+        # whose chart coordinate is not 1 or whose local coordinates vanish;
+        # the coefficient of X_chart^d puts the point on the form, and at
+        # degree 0 that leaves the zero form.
+        rng = random.Random(1101)
+        x, y = Poly.variable(0), Poly.variable(1)
+        points = [(2, 3, 5), (0, 3, 5), (2, 0, 5), (0, 0, 7), (Fraction(-1, 2), Fraction(4, 3), -3)]
+        for trial in range(68):
+            d, chart = trial % 34, trial % 3
+            r0, r1 = (i for i in range(3) if i != chart)
+            u, v, w = (Fraction(c) for c in points[trial % len(points)])
+            point = [w] * 3
+            point[r0], point[r1] = u, v
+            monomials = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+            coeffs = {
+                e: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for e in rng.sample(monomials, min(len(monomials), rng.randint(1, 30)))
+            }
+            top = tuple(d if i == chart else 0 for i in range(3))
+            coeffs[top] = coeffs.get(top, 0) - Poly(coeffs, 3)(*point) / w ** d
+            form = Poly(coeffs, 3)
+            affine = Poly({(e[r0], e[r1]): c for e, c in form.coeffs.items()})
+            expected = substitute(affine, x + u / w, y + v / w)
+            assert form.localize(tuple(point), chart) == expected, (form, point, chart)
+        assert Poly({}, 3).localize((2, 3, 5), 2) == Poly({})
+
     def test_localize_rejects_zero_chart(self):
         form = parse_ternary_form("X0*X2 - X1^2")
         with pytest.raises(ValueError):
