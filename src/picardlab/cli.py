@@ -22,13 +22,8 @@ from . import __version__
 from .constructions import MAX_SWEEP_BUILDS, THEOREMS, ConstructionReport, ParameterError, build
 from .covers import BidoubleCoverData
 from .curves import DegenerateGermError, classify, seed_certificate
-from .figures import figure_csv, figure_svg
-from .geography import (
-    SET_LABELS,
-    enumerate_set,
-    set_relations_report,
-    slope_limit_report,
-)
+from .figures import csv_lines, svg_lines
+from .geography import SET_LABELS, pair_runs, set_relations_report, slope_limit_report
 from .polynomials import PointOffCurveError, PolyParseError, parse_local_poly, parse_ternary_form
 from .singularities import resolution_curve_count
 
@@ -205,23 +200,16 @@ def _cmd_geography(args: argparse.Namespace) -> int:
         if args.claims:
             print(f"      {claim.detail}")
 
-    # Both emitters draw on one enumeration of each selected set.
-    pairs_by_set = (
-        {label: enumerate_set(label, chi_max) for label in labels}
-        if "csv" in emits or "svg" in emits
-        else {}
-    )
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in emits:
-            (out_dir / "sets.csv").write_text(figure_csv(pairs_by_set), encoding="utf-8")
-            print(f"wrote {out_dir / 'sets.csv'}")
-        if "svg" in emits:
-            (out_dir / "figure.svg").write_text(
-                figure_svg(pairs_by_set, chi_max), encoding="utf-8"
-            )
-            print(f"wrote {out_dir / 'figure.svg'}")
+        # Each emitter merges the selected sets' sorted runs straight into
+        # its file, line by line.
+        for emit, name, lines in (("csv", "sets.csv", csv_lines), ("svg", "figure.svg", svg_lines)):
+            if emit in emits:
+                with open(out_dir / name, "w", encoding="utf-8") as fh:
+                    fh.writelines(lines(pair_runs(labels, chi_max), chi_max))
+                print(f"wrote {out_dir / name}")
         if "json" in emits:
             (out_dir / "claims.json").write_text(
                 json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",

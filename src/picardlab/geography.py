@@ -19,8 +19,13 @@ A3 share no pair at any chi: solving the A2 line at n2 against the A3 line
 at n3 gives m2 = n3/n2 and m3 = 2*n2/n3, a polynomial identity in (n2, n3)
 checked once per process, and m2*m3 = 2 is below the product of the two
 m minima.
-enumerate_set walks the same members and lines to list every pair, for
-the figure and table emitters only.
+
+The figure and table emitters read the same members and lines as sorted
+runs (pair_runs): one run per one-parameter family and one per A2/A3 line,
+each in strictly increasing chi, which figures merges lazily.  So the
+emitters' time grows with the number of pairs and their memory with the
+number of lines; enumerate_set merges the runs into a list of GeoPairs for
+library callers and tests.
 
 Unbounded ("infinitely many") claims are certified in two parts:
 nonemptiness of every doubling chi-window inside the bound, and, where a
@@ -33,10 +38,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, Optional
+from heapq import merge
+from typing import Iterable, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS, THEOREMS, _is_perfect_square
-from .figures import figure_csv, figure_svg
+from .figures import Run, figure_csv, figure_svg
 from .polynomials import Poly
 
 SET_LABELS = tuple(FAMILIES)
@@ -66,24 +72,9 @@ class GeoPair:
 def enumerate_set(which: str, chi_max: int) -> list[GeoPair]:
     """All pairs of the labeled family with chi <= chi_max, sorted by
     (chi, K2, parameters)."""
-    if which not in SET_LABELS:
-        raise ValueError(f"unknown set label {which!r} (expected one of {', '.join(SET_LABELS)})")
-    if chi_max < 3:
-        raise ValueError(f"chi_max must be at least 3, got {chi_max}")
-    family = FAMILIES[which]
-    if len(family.params) == 1:
-        name = family.params[0].name
-        pairs = [
-            GeoPair(chi, k2, which, ((name, p),)) for p, (k2, chi) in _sparse_members(which, chi_max)
-        ]
-    else:
-        m_name, n_name = (p.name for p in family.params)
-        pairs = []
-        for line in _lines(which, chi_max):
-            for m in range(line.m_first, line.m_last + 1):
-                k2, chi = line.value(m)
-                pairs.append(GeoPair(chi, k2, which, ((m_name, m), (n_name, line.n))))
-    return sorted(pairs)
+    runs = pair_runs([which], chi_max)[which]
+    pairs = merge(*(run(1, chi_max) for run in runs))
+    return [GeoPair(chi, k2, which, params) for chi, k2, params in pairs]
 
 
 def admissible(K2: int, chi: int) -> bool:
@@ -347,6 +338,46 @@ def _lines(label: str, chi_max: int) -> list[_Line]:
             return lines
         lines.append(_Line(n, m_first, m_last, k2_step, k2_0, chi_step, chi_0))
         n += n_param.step
+
+
+def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
+    """The selected families' pairs with chi <= chi_max as sorted runs, in
+    the form figures reads: one run for a one-parameter family, one per
+    line for A2 and A3.  Only the lines are listed; no pair is built until
+    a run is walked."""
+    for label in labels:
+        if label not in SET_LABELS:
+            raise ValueError(f"unknown set label {label!r} (expected one of {', '.join(SET_LABELS)})")
+    if chi_max < 3:
+        raise ValueError(f"chi_max must be at least 3, got {chi_max}")
+    runs = {}
+    for label in labels:
+        names = tuple(p.name for p in FAMILIES[label].params)
+        if len(names) == 1:
+            runs[label] = [_sparse_run(label, names[0], chi_max)]
+        else:
+            runs[label] = [_line_run(line, *names) for line in _lines(label, chi_max)]
+    return runs
+
+
+def _sparse_run(label: str, name: str, chi_max: int) -> Run:
+    def run(lo: int, hi: int):
+        for p, (k2, chi) in _sparse_members(label, min(hi, chi_max)):
+            if chi >= lo:
+                yield chi, k2, ((name, p),)
+
+    return run
+
+
+def _line_run(line: _Line, m_name: str, n_name: str) -> Run:
+    chi_step, chi_0, k2_step, k2_0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
+    n = (n_name, line.n)
+
+    def run(lo: int, hi: int):
+        for m in line.m_window(lo, hi):
+            yield chi_step * m + chi_0, k2_step * m + k2_0, ((m_name, m), n)
+
+    return run
 
 
 def _line_coefficients(family, n) -> tuple:
@@ -623,5 +654,5 @@ def emit_figure(sets: list[str], chi_max: int, format: str) -> str:
     fmt = format.upper()
     if fmt not in ("SVG", "CSV"):
         raise ValueError(f"unknown format {format!r} (expected SVG or CSV)")
-    pairs_by_set = {label: enumerate_set(label, chi_max) for label in sets}
-    return figure_svg(pairs_by_set, chi_max) if fmt == "SVG" else figure_csv(pairs_by_set)
+    runs = pair_runs(sets, chi_max)
+    return figure_svg(runs, chi_max) if fmt == "SVG" else figure_csv(runs, chi_max)

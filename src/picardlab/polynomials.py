@@ -27,6 +27,13 @@ from typing import Mapping, Optional, Union
 Rat = Fraction
 Scalar = Union[int, Fraction]
 
+
+def _int_text(value: int) -> str:
+    """An integer for an error message: str() refuses ints of more than
+    4,300 digits, so above 2^2048 only the bound is shown."""
+    return str(value) if value.bit_length() <= 2048 else "above 2^2048"
+
+
 # ---------------------------------------------------------------------------
 # Raw dict arithmetic.  Every result is clean: no zero coefficient is stored.
 
@@ -244,7 +251,8 @@ class Poly:
             raise ValueError(f"expected a {kind} form, got a polynomial in {self.nvars} variables")
         degrees = {sum(e) for e in self.coeffs}
         if len(degrees) > 1:
-            raise ValueError(f"polynomial is not homogeneous: term degrees {sorted(degrees)}")
+            shown = ", ".join(map(_int_text, sorted(degrees)))
+            raise ValueError(f"polynomial is not homogeneous: term degrees [{shown}]")
         return degrees.pop() if degrees else 0
 
     def partial(self, index: int) -> "Poly":
@@ -294,8 +302,9 @@ class Poly:
         if chart not in (0, 1, 2):
             raise ValueError("chart must be 0, 1 or 2")
         if degree > MAX_LOCALIZE_DEGREE:
-            shown = degree if degree.bit_length() <= 2048 else "above 2^2048"  # str() refuses long ints
-            raise ValueError(f"form degree {shown} exceeds the localization cap {MAX_LOCALIZE_DEGREE}")
+            raise ValueError(
+                f"form degree {_int_text(degree)} exceeds the localization cap {MAX_LOCALIZE_DEGREE}"
+            )
         r0, r1 = (i for i in range(3) if i != chart)
         products = sum((e[r0] + 1) * (e[r1] + 1) for e in self.coeffs)
         if products > MAX_LOCALIZE_PRODUCTS:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -150,6 +151,48 @@ class TestGeography:
         )
         assert code == 1
         assert "cannot write" in err
+
+    @pytest.mark.parametrize("chi_max", [3, 4, 5])
+    def test_small_bound_emits_a_one_panel_svg(self, capsys, tmp_path, chi_max):
+        # A lone panel cut used to leave a last window of one chi value, and
+        # scaling it divided by zero.  The run exits 1 because A2 and A3 have
+        # no member this low, which refutes the "infinite" claims.
+        code, _, err = run(
+            capsys, "geography", "--chi-max", str(chi_max), "--emit", "csv,svg",
+            "--out", str(tmp_path),
+        )
+        assert code == 1 and err == ""
+        svg = ElementTree.parse(tmp_path / "figure.svg").getroot()
+        panels = svg.findall("{http://www.w3.org/2000/svg}g")
+        assert [p.get("data-window") for p in panels] == [f"1..{chi_max}"]
+        rows = (tmp_path / "sets.csv").read_text(encoding="utf-8").splitlines()[1:]
+        markers = [m.get("data-set") for m in panels[0] if m.get("data-set")]
+        assert sorted(markers) == sorted(row.split(",")[0] for row in rows) != []
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS")
+    def test_emit_memory_grows_with_the_lines_not_the_pairs(self, tmp_path):
+        # About 80,000 pairs, which took about 80 MB when every pair was
+        # listed; streamed, the peak stays near the interpreter's own.  A
+        # child counts its parent's resident set until it execs, so a small
+        # interpreter spawns the command and reports its ru_maxrss.
+        probe = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(child.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, sys.executable, "-m", "picardlab.cli", "geography",
+             "--chi-max", "100000", "--emit", "csv,svg", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        code, maxrss = map(int, result.stdout.split())
+        assert code == 1, result.stderr  # the A3/B overlap at (128, 46)
+        # ru_maxrss is in KiB on Linux and in bytes on macOS.
+        peak_mb = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        assert peak_mb < 30, peak_mb
+        assert (tmp_path / "sets.csv").stat().st_size > 2_000_000
 
     def test_env_var_overrides_default_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("PICARDLAB_CHI_MAX", "40")
@@ -319,6 +362,17 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--homogeneous", form, "--point", "0,0,1")
         assert code == 2 and not out
         assert f"exceeds the localization cap {MAX_LOCALIZE_DEGREE}" in err
+
+    def test_inhomogeneous_degree_beyond_str_digit_limit_is_named(self, capsys):
+        # The degree check names each term degree; 10^4300 + 1 has more
+        # digits than str() converts.
+        form = f"X1^2*X2^{'9' * 4300} - X0^3"
+        code, out, err = run(capsys, "classify", "--homogeneous", form, "--point", "0,0,1")
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage error: cannot parse polynomial: polynomial is not homogeneous: "
+            "term degrees [3, above 2^2048] (column 1)\n"
+        )
 
     def test_search_flags_are_gone(self, capsys):
         for flag in (("--jet-bound", "12"), ("--expected-k", "4")):

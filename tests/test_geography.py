@@ -234,10 +234,10 @@ class TestEmit:
         with pytest.raises(ValueError):
             emit_figure(["A1"], 100, "PDF")
 
-        def refuse(label, chi_max):
+        def refuse(labels, chi_max):
             raise AssertionError("enumerated before the format was checked")
 
-        monkeypatch.setattr(geography, "enumerate_set", refuse)
+        monkeypatch.setattr(geography, "pair_runs", refuse)
         with pytest.raises(ValueError, match=r"unknown format 'PDF' \(expected SVG or CSV\)"):
             emit_figure(["A2"], 10**6, "PDF")
 

@@ -9,6 +9,7 @@ import pytest
 from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
 from picardlab.constructions import FAMILIES, family2_pair, family3_pair
+from picardlab.figures import figure_svg
 from picardlab.geography import (
     REFUTED,
     SET_LABELS,
@@ -16,6 +17,7 @@ from picardlab.geography import (
     _lines,
     _noether_zeros,
     admissible,
+    emit_figure,
     enumerate_set,
     set_relations_report,
 )
@@ -45,6 +47,40 @@ def test_enumerate_set_matches_brute_force():
     big = enumerated_sets(100_000)
     for label in SET_LABELS:
         assert enumerate_set(label, 100_000) == big[label], label
+
+
+def _listed_csv(sets):
+    """The table as it was built before the emitters streamed: every row
+    listed, then sorted on (chi, K2, label, params, slope)."""
+    rows = []
+    for pairs in sets.values():
+        for p in pairs:
+            mu = Fraction(p.K2, p.chi)
+            rows.append((p.chi, p.K2, p.set_label, p.params_str(), mu.numerator, mu.denominator))
+    rows.sort()
+    lines = ["set_label,params,K2,chi,slope_num,slope_den"]
+    lines += [f"{label},{params},{k2},{chi},{num},{den}" for chi, k2, label, params, num, den in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _listed_runs(sets):
+    """One run per set over its sorted list, scanned in full for every panel
+    window, as the panels did before the emitters merged per-line runs."""
+
+    def run_of(pairs):
+        return lambda lo, hi: ((p.chi, p.K2, p.params) for p in pairs if lo <= p.chi <= hi)
+
+    return {label: [run_of(pairs)] for label, pairs in sets.items()}
+
+
+@pytest.mark.parametrize("labels", [SET_LABELS, ("A3", "B", "T")])
+def test_streamed_emitters_match_a_list_and_sort_reference(labels):
+    # A3 and T share every T pair and A3 and B share (128, 46), so ties on
+    # (chi, K2) are broken by the label, well past the 1,000 golden files.
+    chi_max = 20_000
+    sets = {label: brute_force_set(label, chi_max) for label in labels}
+    assert emit_figure(list(labels), chi_max, "CSV") == _listed_csv(sets)
+    assert emit_figure(list(labels), chi_max, "SVG") == figure_svg(_listed_runs(sets), chi_max)
 
 
 def test_report_enumerates_nothing(monkeypatch):
