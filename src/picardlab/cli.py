@@ -126,7 +126,8 @@ def _print_report(report: ConstructionReport) -> None:
 
 def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     theorem = args.theorem
-    names = [p.name for p in THEOREMS[theorem].params]
+    family = THEOREMS[theorem]
+    names = [p.name for p in family.params]
     if args.sweep:
         if args.n is not None or args.m is not None:
             raise UsageError("give either --sweep or explicit parameters, not both")
@@ -135,10 +136,7 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"theorem {theorem} sweeps exactly the parameters {sorted(names)}"
             )
-        combos = [
-            dict(zip(names, values))
-            for values in sorted(product(*(sweep[name] for name in names)))
-        ]
+        combos = sorted(product(*(sweep[name] for name in names)))
     else:
         if args.n is None:
             raise UsageError("provide --n (and --m for theorems 2 and 3) or --sweep")
@@ -146,33 +144,74 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
             raise UsageError(f"theorem {theorem} needs --m")
         if "m" not in names and args.m is not None:
             raise UsageError(f"theorem {theorem} takes no --m")
-        combos = [{name: getattr(args, name) for name in names}]
-
+        combos = [tuple(getattr(args, name) for name in names)]
+    # The whole sweep is checked before anything is printed or written.
     try:
-        reports = [build(theorem, **combo) for combo in combos]
+        for values in combos:
+            family.check(*values)
     except ParameterError as exc:
         raise UsageError(str(exc)) from None
 
-    for report in reports:
-        _print_report(report)
-    if args.json:
-        payload = {"reports": [r.to_json() for r in reports]}
-        Path(args.json).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+    try:
+        out = open(args.json, "w", encoding="utf-8") if args.json else None
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return FAILURE
+    try:
+        failure = _stream_reports(theorem, names, combos, out)
+        if out is not None:
+            out.close()
+    except BaseException as exc:
+        # Leave no half-written JSON behind, but remove only a regular file:
+        # a device or a symlink given as the path stays.  A failed write is
+        # reported like a path that cannot be opened.
+        if out is not None:
+            out.close()
+            if os.path.isfile(args.json) and not os.path.islink(args.json):
+                os.remove(args.json)
+        if not isinstance(exc, OSError):
+            raise
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return FAILURE
+    if out is not None:
         print(f"wrote {args.json}")
-
-    for report in reports:
-        for name in ("match", "ample", "maximal"):
-            if not getattr(report, name):
-                print(
-                    f"FAIL: field {name} is false for theorem {report.theorem} "
-                    f"{report.params_str()}",
-                    file=sys.stderr,
-                )
-                return FAILURE
-    print(f"certified {len(reports)} construction(s)")
+    if failure:
+        print(failure, file=sys.stderr)
+        return FAILURE
+    print(f"certified {len(combos)} construction(s)")
     return 0
+
+
+def _stream_reports(
+    theorem: int, names: list[str], combos: list[tuple[int, ...]], out
+) -> str | None:
+    """Build, print and write one report at a time; return the FAIL line of
+    the first report with a false field, if any.  The JSON has the layout of
+    json.dumps({"reports": [...]}, indent=2, sort_keys=True): JSON escapes
+    every newline inside a string, so each raw newline of an encoded report
+    is structural and can take the list's extra indent."""
+    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    separator = '{\n  "reports": [\n    '
+    failure = None
+    for values in combos:
+        try:
+            report = build(theorem, **dict(zip(names, values)))
+        except ParameterError as exc:
+            raise UsageError(str(exc)) from None
+        _print_report(report)
+        if out is not None:
+            out.write(separator + encoder.encode(report.to_json()).replace("\n", "\n    "))
+            separator = ",\n    "
+        if failure is None:
+            false = [name for name in ("match", "ample", "maximal") if not getattr(report, name)]
+            if false:
+                failure = (
+                    f"FAIL: field {false[0]} is false for theorem {report.theorem} "
+                    f"{report.params_str()}"
+                )
+    if out is not None:
+        out.write("\n  ]\n}\n")
+    return failure
 
 
 def _cmd_geography(args: argparse.Namespace) -> int:

@@ -309,8 +309,8 @@ class Poly:
         products = sum((e[r0] + 1) * (e[r1] + 1) for e in self.coeffs)
         if products > MAX_LOCALIZE_PRODUCTS:
             raise ValueError(
-                f"localizing the form takes {products} binomial products, "
-                f"more than the cap {MAX_LOCALIZE_PRODUCTS}"
+                f"the form's localization size, the sum of (i + 1)*(j + 1) over its terms "
+                f"X{r0}^i*X{r1}^j, is {products}, more than the cap {MAX_LOCALIZE_PRODUCTS}"
             )
         pt = [Fraction(c) for c in point]
         if pt[chart] == 0:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -13,6 +14,7 @@ import pytest
 import picardlab
 from picardlab import cli, curves
 from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
+from picardlab.constructions import ParameterError
 from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -22,6 +24,33 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
+
+needs_wait4 = pytest.mark.skipif(
+    not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS"
+)
+
+
+def peak_rss_mb(*argv):
+    """Run the command line in a child and return its exit code, its peak
+    resident set in MB and its stderr.  A child counts its parent's resident
+    set until it execs, so a small interpreter spawns the command and reports
+    its ru_maxrss."""
+    probe = (
+        "import os, subprocess, sys\n"
+        "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe, sys.executable, "-m", "picardlab.cli", *argv],
+        capture_output=True, text=True, env=CLI_ENV, timeout=60,
+    )
+    code, maxrss = map(int, result.stdout.split())
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    return code, maxrss / (2**20 if sys.platform == "darwin" else 2**10), result.stderr
 
 
 class TestVerifyTheorem:
@@ -87,6 +116,106 @@ class TestVerifyTheorem:
         assert err.value.code == 2
         capsys.readouterr()
 
+    def test_bad_value_mid_sweep_is_refused_before_anything_runs(self, capsys, tmp_path):
+        # n = 3 is odd; the reports for n = 2 must not be built or printed.
+        path = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "verify-theorem", "2", "--sweep", "m=3,n=2..5", "--json", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert "needs n even and >= 2, got n=3" in err
+        assert not path.exists()
+
+    def test_unwritable_json_path_is_reported_without_traceback(self, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", "verify-theorem", "1", "--n", "3",
+             "--json", str(path)],
+            capture_output=True, text=True, env=CLI_ENV, timeout=20,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("cannot write outputs: ")
+        assert str(path) in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_error_mid_sweep_removes_the_partial_json(self, capsys, tmp_path, monkeypatch):
+        real_build = cli.build
+
+        def build(theorem, **params):
+            if params["n"] == 3:
+                raise ParameterError("assembled building data is invalid: planted")
+            return real_build(theorem, **params)
+
+        monkeypatch.setattr(cli, "build", build)
+        path = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "verify-theorem", "1", "--sweep", "n=2..4", "--json", str(path)
+        )
+        assert code == 2
+        assert err == "usage error: assembled building data is invalid: planted\n"
+        assert out.count("theorem 1") == 1 and "wrote" not in out
+        assert not path.exists()
+
+    def test_failed_write_mid_sweep_is_reported_and_spares_a_symlink(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real_build = cli.build
+
+        def build(theorem, **params):
+            if params["n"] == 3:
+                raise OSError(28, "No space left on device")
+            return real_build(theorem, **params)
+
+        monkeypatch.setattr(cli, "build", build)
+        target = tmp_path / "target.json"
+        for path in (tmp_path / "out.json", tmp_path / "link.json"):
+            if path.name == "link.json":
+                path.symlink_to(target)
+            code, out, err = run(
+                capsys, "verify-theorem", "1", "--sweep", "n=2..4", "--json", str(path)
+            )
+            assert code == 1
+            assert err == "cannot write outputs: [Errno 28] No space left on device\n"
+            assert "wrote" not in out
+        assert not (tmp_path / "out.json").exists()
+        assert (tmp_path / "link.json").is_symlink() and target.exists()
+
+    def test_first_false_field_fails_after_every_report_is_written(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        real_build = cli.build
+
+        def build(theorem, **params):
+            report = real_build(theorem, **params)
+            return replace(report, maximal=False) if params["n"] >= 3 else report
+
+        monkeypatch.setattr(cli, "build", build)
+        path = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "verify-theorem", "1", "--sweep", "n=2..4", "--json", str(path)
+        )
+        assert code == 1
+        assert err == "FAIL: field maximal is false for theorem 1 n=3\n"
+        assert out.count("maximal: NO") == 2
+        assert out.endswith(f"wrote {path}\n")
+        text = path.read_text(encoding="utf-8")
+        payload = json.loads(text)
+        assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+        assert [r["maximal"] for r in payload["reports"]] == [True, False, False]
+
+    @needs_wait4
+    def test_sweep_memory_does_not_grow_with_the_sweep(self, tmp_path):
+        # 2,000 reports took about 58 MB when the whole sweep was held
+        # before writing; streamed, each report is dropped once written.
+        one = peak_rss_mb("verify-theorem", "1", "--n", "2", "--json", str(tmp_path / "1.json"))
+        many = peak_rss_mb(
+            "verify-theorem", "1", "--sweep", "n=2..2001", "--json", str(tmp_path / "2000.json")
+        )
+        assert one[0] == many[0] == 0, (one[2], many[2])
+        assert many[1] - one[1] < 4, (one[1], many[1])
+        assert (tmp_path / "2000.json").stat().st_size > 3_000_000
+
 
 class TestGeography:
     def test_small_bound_all_good(self, capsys, tmp_path):
@@ -128,7 +257,7 @@ class TestGeography:
         # The claims walk about sqrt(chi_max) lines; 10^14 ran for minutes.
         # The error names where the bound came from.
         source = "PICARDLAB_CHI_MAX" if env else "--chi-max"
-        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]), **env)
+        env = dict(CLI_ENV, **env)
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "picardlab.cli", "geography", "--claims", *argv],
@@ -169,28 +298,14 @@ class TestGeography:
         markers = [m.get("data-set") for m in panels[0] if m.get("data-set")]
         assert sorted(markers) == sorted(row.split(",")[0] for row in rows) != []
 
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's peak RSS")
+    @needs_wait4
     def test_emit_memory_grows_with_the_lines_not_the_pairs(self, tmp_path):
         # About 80,000 pairs, which took about 80 MB when every pair was
-        # listed; streamed, the peak stays near the interpreter's own.  A
-        # child counts its parent's resident set until it execs, so a small
-        # interpreter spawns the command and reports its ru_maxrss.
-        probe = (
-            "import os, subprocess, sys\n"
-            "child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
-            "_, status, usage = os.wait4(child.pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        # listed; streamed, the peak stays near the interpreter's own.
+        code, peak_mb, stderr = peak_rss_mb(
+            "geography", "--chi-max", "100000", "--emit", "csv,svg", "--out", str(tmp_path)
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
-        result = subprocess.run(
-            [sys.executable, "-c", probe, sys.executable, "-m", "picardlab.cli", "geography",
-             "--chi-max", "100000", "--emit", "csv,svg", "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        code, maxrss = map(int, result.stdout.split())
-        assert code == 1, result.stderr  # the A3/B overlap at (128, 46)
-        # ru_maxrss is in KiB on Linux and in bytes on macOS.
-        peak_mb = maxrss / (2**20 if sys.platform == "darwin" else 2**10)
+        assert code == 1, stderr  # the A3/B overlap at (128, 46)
         assert peak_mb < 30, peak_mb
         assert (tmp_path / "sets.csv").stat().st_size > 2_000_000
 
@@ -267,11 +382,10 @@ class TestClassify:
         ],
     )
     def test_large_n_answers_at_once(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
         start = time.perf_counter()
         result = subprocess.run(
             [sys.executable, "-m", "picardlab.cli", *argv],
-            capture_output=True, text=True, env=env, timeout=20,
+            capture_output=True, text=True, env=CLI_ENV, timeout=20,
         )
         elapsed = time.perf_counter() - start
         assert result.returncode == 0, result.stderr
@@ -324,20 +438,20 @@ class TestClassify:
         assert code == 2
 
     def test_form_above_degree_cap_is_refused_quickly(self):
-        # The binomial expansion of this form never ends without the cap.
+        # Without the cap, localizing this form at (1:1:1) gives about 9
+        # million terms, 3001^2 from (x + 1)^3000*(y + 1)^3000.
         assert MAX_LOCALIZE_DEGREE < 6000
-        env = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
         result = subprocess.run(
             [sys.executable, "-m", "picardlab.cli", "classify",
              "--homogeneous", "X0^3000*X1^3000-X2^6000", "--point", "1,1,1"],
-            capture_output=True, text=True, env=env, timeout=20,
+            capture_output=True, text=True, env=CLI_ENV, timeout=20,
         )
         assert result.returncode == 2
         assert f"exceeds the localization cap {MAX_LOCALIZE_DEGREE}" in result.stderr
 
     def test_dense_form_above_product_cap_is_refused_quickly(self, capsys):
-        # Degree 128, under the degree cap and through (1:1:1), but 366,145
-        # binomial products: expanding them takes seconds.
+        # Degree 128, under the degree cap and through (1:1:1), but its size,
+        # the sum of (i + 1)*(j + 1) over its terms, is 366,145.
         form = " + ".join(f"X0^{a}*X1^{128 - a}" for a in range(128)) + " - 128*X0^128"
         start = time.perf_counter()
         code, _, err = run(capsys, "classify", "--homogeneous", form, "--point", "1,1,1")
@@ -346,8 +460,8 @@ class TestClassify:
         assert time.perf_counter() - start < 1.0
 
     def test_largest_form_under_the_product_cap_answers_quickly(self, capsys):
-        # sum over j < 44 of (129 - j)*(j + 1) is 99,330 products; a 45th
-        # term would pass the cap.
+        # Its size, the sum over j < 44 of (129 - j)*(j + 1), is 99,330; a
+        # 45th term would pass the cap.
         form = " + ".join(f"X0^{128 - j}*X1^{j}" for j in range(44)) + " - 44*X2^128"
         start = time.perf_counter()
         code, out, err = run(capsys, "classify", "--homogeneous", form, "--point", "1,1,1")
