@@ -12,28 +12,49 @@ is byte-identical across runs for fixed input.
 The CSV table lists one row per enumerated pair with its exact slope as a
 numerator/denominator column pair, sorted by (chi, K2, set label, params).
 
-The pairs come as sorted runs, a list of them per set label.  A run is a
-callable: run(lo, hi) yields (chi, K2, params) for its pairs with
-lo <= chi <= hi, in strictly increasing chi, with params as
-((name, value), ...).  csv_lines and svg_lines merge the runs lazily
-(heapq.merge; the SVG per panel and label, on runs clipped to the panel's
-window) and yield the output line by line for the caller to write, so time
-grows with the number of pairs and memory with the number of runs.  At
-chi <= 10^6 (796,696 pairs over 790 runs) the geography command writes the
-35 MB CSV and the 69 MB SVG in about 8 s at a peak RSS of 19 MB (Python
-3.11, 2-vCPU Xeon).  figure_csv and figure_svg join the same lines into a
-string.
+The pairs come as sorted runs, a list of them per set label.  A run (the
+Run protocol) holds one set's members in strictly increasing chi and
+answers window queries with lists: csv_rows(lo, hi) gives (chi, K2, set
+label, params text), the CSV sort key, and points(lo, hi) gives (chi, K2),
+all a marker depends on.  csv_lines and svg_lines (the SVG per panel and
+label) cut the chi range into windows of _WINDOW chi values, collect the
+rows of the runs with a member in each window, sort them with list.sort,
+whose Timsort merges the pre-sorted runs in C, and yield each window's
+output as one string for the caller to write.  A run waits under the
+window of its next member, so a window asks only the runs with rows in it.
+Time grows with the number of pairs and memory with the number of runs
+plus the rows of one window.  At chi <= 10^6 (796,696 pairs over 790 runs)
+the geography command writes the 35 MB CSV and the 69 MB SVG in about
+4.5 s at a peak RSS of 19 MB (Python 3.11, 2-vCPU Xeon).  figure_csv and
+figure_svg join the same output into a string.
 """
 
 from __future__ import annotations
 
-from heapq import merge
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
-Run = Callable[[int, int], Iterable[tuple[int, int, tuple[tuple[str, int], ...]]]]
+
+class Run(Protocol):
+    """One set's members, in strictly increasing chi."""
+
+    def first_chi(self, lo: int) -> Optional[int]:
+        """The smallest member chi >= lo, or None."""
+
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
+        """(chi, K2, set label, params text) of the members with lo <= chi <= hi,
+        the params text as "name=value ..."."""
+
+    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        """(chi, K2) of the members with lo <= chi <= hi."""
+
+
 Runs = Mapping[str, Sequence[Run]]
+
+# The width in chi of the windows whose rows the emitters sort and format as
+# one batch.  The families have about 0.8 pairs per chi value, so a batch
+# holds about 800 rows whatever the bound.
+_WINDOW = 1024
 
 MARKER_STYLES = {
     "A1": ("circle", "#1f77b4"),
@@ -106,6 +127,38 @@ def _marker(shape: str, color: str, cx: float, cy: float, tag: str) -> str:
         f'M {cx - 3:.2f} {cy + 3:.2f} L {cx + 3:.2f} {cy - 3:.2f}" '
         f'stroke="{color}" stroke-width="1.6" fill="none"/>'
     )
+
+
+def _batches(
+    runs: Sequence[Run], lo: int, hi: int, rows_of: Callable[[Run, int, int], list]
+) -> Iterator[list]:
+    """The runs' rows with lo <= chi <= hi, sorted, one list per window of
+    _WINDOW chi values that holds any; rows_of(run, lo, hi) queries a run.
+    Each run waits under the window of its next member, so a window asks
+    only the runs with rows in it.  The caller maps the lists to text, so
+    that only one window's rows are alive at a time."""
+    waiting: dict[int, list[Run]] = {}
+
+    def wait(run: Run, start: int) -> None:
+        chi = run.first_chi(start)
+        if chi is not None and chi <= hi:
+            waiting.setdefault((chi - lo) // _WINDOW, []).append(run)
+
+    for run in runs:
+        wait(run, lo)
+    index = 0
+    while waiting:
+        due = waiting.pop(index, ())
+        w_lo = lo + index * _WINDOW
+        w_hi = min(w_lo + _WINDOW - 1, hi)
+        batch: list = []
+        for run in due:
+            batch += rows_of(run, w_lo, w_hi)
+            wait(run, w_hi + 1)
+        if batch:
+            batch.sort()
+            yield batch
+        index += 1
 
 
 def _panel(
@@ -193,13 +246,16 @@ def _panel(
     yield "".join(line + "\n" for line in out)
 
     # Markers for every pair whose chi falls in this panel's window, per
-    # label in (chi, K2, params) order: the label's runs clipped to the
-    # window and merged.
+    # label in (chi, K2) order; pairs equal in both draw the same marker.
     for label in sorted(runs_by_set):
         shape, color = MARKER_STYLES[label]
         tag = f'data-set="{label}"'
-        for chi, k2, _params in merge(*(run(chi_lo, chi_hi) for run in runs_by_set[label])):
-            yield _marker(shape, color, sx(chi), sy(k2), tag) + "\n"
+
+        def markers(batch: list[tuple[int, int]]) -> str:
+            return "".join([_marker(shape, color, sx(c), sy(k2), tag) + "\n" for c, k2 in batch])
+
+        runs = runs_by_set[label]
+        yield from map(markers, _batches(runs, chi_lo, chi_hi, lambda run, lo, hi: run.points(lo, hi)))
     yield "</g>\n"
 
 
@@ -249,20 +305,21 @@ def figure_svg(runs_by_set: Runs, chi_max: int) -> str:
     return "".join(svg_lines(runs_by_set, chi_max))
 
 
-def _csv_rows(label: str, run: Run, chi_max: int) -> Iterator[tuple]:
-    """The run's CSV rows, each behind its sort key (chi, K2, label, params).
-    A helper, so that each generator binds its own label and run."""
-    for chi, k2, params in run(1, chi_max):
-        text = " ".join([f"{k}={v}" for k, v in params])
-        g = gcd(k2, chi)
-        yield chi, k2, label, text, f"{label},{text},{k2},{chi},{k2 // g},{chi // g}\n"
+def _csv_text(batch: list[tuple[int, int, str, str]]) -> str:
+    return "".join(
+        [
+            f"{label},{text},{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n"
+            for chi, k2, label, text in batch
+        ]
+    )
 
 
 def csv_lines(runs_by_set: Runs, chi_max: int) -> Iterator[str]:
-    """The CSV table of the runs' pairs with chi <= chi_max, line by line."""
+    """The CSV table of the runs' pairs with chi <= chi_max, one window's
+    rows per piece; every piece ends in a newline."""
     yield "set_label,params,K2,chi,slope_num,slope_den\n"
-    rows = [_csv_rows(label, run, chi_max) for label, runs in runs_by_set.items() for run in runs]
-    yield from map(itemgetter(4), merge(*rows))
+    runs = [run for runs in runs_by_set.values() for run in runs]
+    yield from map(_csv_text, _batches(runs, 1, chi_max, lambda run, lo, hi: run.csv_rows(lo, hi)))
 
 
 def figure_csv(runs_by_set: Runs, chi_max: int) -> str:

@@ -21,11 +21,12 @@ checked once per process, and m2*m3 = 2 is below the product of the two
 m minima.
 
 The figure and table emitters read the same members and lines as sorted
-runs (pair_runs): one run per one-parameter family and one per A2/A3 line,
-each in strictly increasing chi, which figures merges lazily.  So the
-emitters' time grows with the number of pairs and their memory with the
-number of lines; enumerate_set merges the runs into a list of GeoPairs for
-library callers and tests.
+runs (pair_runs): one run per one-parameter family, over its member list,
+and one per A2/A3 line, each in strictly increasing chi.  figures asks
+them for the rows of one chi window at a time and sorts each window's
+batch, so the emitters' time grows with the number of pairs and their
+memory with the number of lines.  enumerate_set sorts every member of one
+family into a list of GeoPairs for library callers and tests.
 
 Unbounded ("infinitely many") claims are certified in two parts:
 nonemptiness of every doubling chi-window inside the bound, and, where a
@@ -35,10 +36,10 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from heapq import merge
 from typing import Iterable, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS, THEOREMS, _is_perfect_square
@@ -72,8 +73,19 @@ class GeoPair:
 def enumerate_set(which: str, chi_max: int) -> list[GeoPair]:
     """All pairs of the labeled family with chi <= chi_max, sorted by
     (chi, K2, parameters)."""
-    runs = pair_runs([which], chi_max)[which]
-    pairs = merge(*(run(1, chi_max) for run in runs))
+    _check_sets([which], chi_max)
+    names = tuple(p.name for p in FAMILIES[which].params)
+    if len(names) == 1:
+        pairs = [(chi, k2, ((names[0], p),)) for p, (k2, chi) in _sparse_members(which, chi_max)]
+    else:
+        m_name, n_name = names
+        pairs = [
+            (chi, k2, ((m_name, m), (n_name, line.n)))
+            for line in _lines(which, chi_max)
+            for m in range(line.m_first, line.m_last + 1)
+            for k2, chi in (line.value(m),)
+        ]
+    pairs.sort()
     return [GeoPair(chi, k2, which, params) for chi, k2, params in pairs]
 
 
@@ -340,44 +352,81 @@ def _lines(label: str, chi_max: int) -> list[_Line]:
         n += n_param.step
 
 
-def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
-    """The selected families' pairs with chi <= chi_max as sorted runs, in
-    the form figures reads: one run for a one-parameter family, one per
-    line for A2 and A3.  Only the lines are listed; no pair is built until
-    a run is walked."""
+def _check_sets(labels: Iterable[str], chi_max: int) -> None:
     for label in labels:
         if label not in SET_LABELS:
             raise ValueError(f"unknown set label {label!r} (expected one of {', '.join(SET_LABELS)})")
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
+
+
+def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
+    """The selected families' pairs with chi <= chi_max as sorted runs, in
+    the form figures reads: one run for a one-parameter family, one per
+    line for A2 and A3.  Only the lines and the O(sqrt(chi_max)) members of
+    the one-parameter families are listed; no line pair is built until a
+    run is asked for it."""
+    _check_sets(labels, chi_max)
     runs = {}
     for label in labels:
         names = tuple(p.name for p in FAMILIES[label].params)
         if len(names) == 1:
-            runs[label] = [_sparse_run(label, names[0], chi_max)]
+            runs[label] = [_MemberRun(label, names[0], chi_max)]
         else:
-            runs[label] = [_line_run(line, *names) for line in _lines(label, chi_max)]
+            runs[label] = [_LineRun(label, line, *names) for line in _lines(label, chi_max)]
     return runs
 
 
-def _sparse_run(label: str, name: str, chi_max: int) -> Run:
-    def run(lo: int, hi: int):
-        for p, (k2, chi) in _sparse_members(label, min(hi, chi_max)):
-            if chi >= lo:
-                yield chi, k2, ((name, p),)
+class _MemberRun:
+    """A one-parameter family's members within the bound, listed once as
+    (chi, K2, parameter); a window is a bisect slice."""
 
-    return run
+    __slots__ = ("members", "label", "name")
+
+    def __init__(self, label: str, name: str, chi_max: int):
+        self.members = [(chi, k2, p) for p, (k2, chi) in _sparse_members(label, chi_max)]
+        self.label, self.name = label, name
+
+    def first_chi(self, lo: int) -> Optional[int]:
+        i = bisect_left(self.members, (lo,))
+        return self.members[i][0] if i < len(self.members) else None
+
+    def _slice(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
+        return self.members[bisect_left(self.members, (lo,)) : bisect_left(self.members, (hi + 1,))]
+
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
+        label, name = self.label, self.name
+        return [(chi, k2, label, f"{name}={p}") for chi, k2, p in self._slice(lo, hi)]
+
+    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        return [(chi, k2) for chi, k2, _ in self._slice(lo, hi)]
 
 
-def _line_run(line: _Line, m_name: str, n_name: str) -> Run:
-    chi_step, chi_0, k2_step, k2_0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
-    n = (n_name, line.n)
+class _LineRun:
+    """One A2/A3 line; a window is a range of m (_Line.m_window)."""
 
-    def run(lo: int, hi: int):
-        for m in line.m_window(lo, hi):
-            yield chi_step * m + chi_0, k2_step * m + k2_0, ((m_name, m), n)
+    __slots__ = ("line", "label", "m_text", "n_text", "chi_last")
 
-    return run
+    def __init__(self, label: str, line: _Line, m_name: str, n_name: str):
+        self.line, self.label = line, label
+        self.m_text, self.n_text = f"{m_name}=", f" {n_name}={line.n}"
+        self.chi_last = line.value(line.m_last)[1]
+
+    def first_chi(self, lo: int) -> Optional[int]:
+        ms = self.line.m_window(lo, self.chi_last)
+        return self.line.value(ms[0])[1] if ms else None
+
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
+        line, label, m_text, n_text = self.line, self.label, self.m_text, self.n_text
+        c, c0, k, k0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
+        return [
+            (c * m + c0, k * m + k0, label, f"{m_text}{m}{n_text}") for m in line.m_window(lo, hi)
+        ]
+
+    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        line = self.line
+        c, c0, k, k0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
+        return [(c * m + c0, k * m + k0) for m in line.m_window(lo, hi)]
 
 
 def _line_coefficients(family, n) -> tuple:

@@ -9,7 +9,7 @@ import pytest
 from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
 from picardlab.constructions import FAMILIES, family2_pair, family3_pair
-from picardlab.figures import figure_svg
+from picardlab.figures import _WINDOW, figure_svg
 from picardlab.geography import (
     REFUTED,
     SET_LABELS,
@@ -63,21 +63,31 @@ def _listed_csv(sets):
     return "\n".join(lines) + "\n"
 
 
+class _ListedRun:
+    """One run over a set's sorted list, scanned in full for every query,
+    as the panels did before the emitters read per-line runs."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def first_chi(self, lo):
+        return next((p.chi for p in self.pairs if p.chi >= lo), None)
+
+    def points(self, lo, hi):
+        return [(p.chi, p.K2) for p in self.pairs if lo <= p.chi <= hi]
+
+
 def _listed_runs(sets):
-    """One run per set over its sorted list, scanned in full for every panel
-    window, as the panels did before the emitters merged per-line runs."""
-
-    def run_of(pairs):
-        return lambda lo, hi: ((p.chi, p.K2, p.params) for p in pairs if lo <= p.chi <= hi)
-
-    return {label: [run_of(pairs)] for label, pairs in sets.items()}
+    return {label: [_ListedRun(pairs)] for label, pairs in sets.items()}
 
 
+@pytest.mark.parametrize("chi_max", [_WINDOW - 1, _WINDOW, _WINDOW + 1, 2 * _WINDOW + 1, 20_000])
 @pytest.mark.parametrize("labels", [SET_LABELS, ("A3", "B", "T")])
-def test_streamed_emitters_match_a_list_and_sort_reference(labels):
+def test_streamed_emitters_match_a_list_and_sort_reference(labels, chi_max):
     # A3 and T share every T pair and A3 and B share (128, 46), so ties on
     # (chi, K2) are broken by the label, well past the 1,000 golden files.
-    chi_max = 20_000
+    # The bounds around the emitters' window width put a window edge at and
+    # next to chi_max.
     sets = {label: brute_force_set(label, chi_max) for label in labels}
     assert emit_figure(list(labels), chi_max, "CSV") == _listed_csv(sets)
     assert emit_figure(list(labels), chi_max, "SVG") == figure_svg(_listed_runs(sets), chi_max)

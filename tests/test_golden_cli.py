@@ -4,9 +4,12 @@ errors.
 
 The golden files in data/golden/ hold, per case, `<case>.stdout`,
 `<case>.stderr` and one `<case>.<file>` for every file the run writes; the
-exit codes of all cases are in `exit_codes.json`.
+exit codes of all cases are in `exit_codes.json`.  Emits too large to keep
+are pinned by their sha256 digests, in `geography_emit_<chi_max>.sha256`
+(the format of `sha256sum`).
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -75,3 +78,15 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
     assert code == codes[name]
     for file, data in outputs.items():
         assert data == (GOLDEN / file).read_bytes(), file
+
+
+def test_emit_matches_pinned_digests(monkeypatch, tmp_path):
+    # The chi <= 1,000 case lies inside one emitter window; this bound spans
+    # about a hundred, so a row lost or misordered at a window edge shows.
+    # CI checks the digests pinned at chi <= 10^6 the same way.
+    monkeypatch.chdir(tmp_path)
+    assert main(["geography", "--chi-max", "100000", "--emit", "csv,svg"]) == 1
+    pinned = (GOLDEN / "geography_emit_100000.sha256").read_text(encoding="utf-8")
+    for line in pinned.splitlines():
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
