@@ -241,7 +241,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if emits:
+            out_dir.mkdir(parents=True, exist_ok=True)
         # Each emitter merges the selected sets' sorted runs straight into
         # its file, line by line.
         for emit, name, lines in (("csv", "sets.csv", csv_lines), ("svg", "figure.svg", svg_lines)):

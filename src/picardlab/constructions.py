@@ -32,7 +32,6 @@ misses the coordinate vertices from curves.seed_certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -210,8 +209,7 @@ class Family(NamedTuple):
         ]
 
 
-@dataclass(frozen=True)
-class DoubleBranchPoint:
+class DoubleBranchPoint(NamedTuple):
     """Report annotation for one batch of branch-locus points of a double
     cover: the type on the branch divisor plus a provenance note."""
 
@@ -227,8 +225,7 @@ class DoubleBranchPoint:
 BranchPoint = Union[BidoubleBranchPoint, DoubleBranchPoint]
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     """Full certificate for one member of one family."""
 
     theorem: int

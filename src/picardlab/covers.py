@@ -14,8 +14,7 @@ pipelines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .surfaces import (
     BaseSurface,
@@ -33,33 +32,29 @@ class CoverDataError(ValueError):
     """Building data fails its cover conditions or yields impossible invariants."""
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
+class SurfaceInvariants(
+    NamedTuple(
+        "SurfaceInvariants", [("K2", int), ("chi", int), ("p_g", int), ("q", int), ("h11", int)]
+    )
+):
     """The numerical invariants of a surface, tied together on construction.
 
     chi = 1 - q + p_g must hold, and h11 is pinned to 10*chi - K2 - 2*q,
     the Hodge-number identity for the surfaces produced here.
     """
 
-    K2: int
-    chi: int
-    p_g: int
-    q: int
-    h11: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.chi != 1 - self.q + self.p_g:
-            raise ValueError(
-                f"inconsistent invariants: chi={self.chi} != 1 - q + p_g = {1 - self.q + self.p_g}"
-            )
-        if self.h11 != 10 * self.chi - self.K2 - 2 * self.q:
-            raise ValueError(
-                f"inconsistent invariants: h11={self.h11} != 10*chi - K2 - 2q"
-            )
+    def __new__(cls, K2: int, chi: int, p_g: int, q: int, h11: int) -> "SurfaceInvariants":
+        if chi != 1 - q + p_g:
+            raise ValueError(f"inconsistent invariants: chi={chi} != 1 - q + p_g = {1 - q + p_g}")
+        if h11 != 10 * chi - K2 - 2 * q:
+            raise ValueError(f"inconsistent invariants: h11={h11} != 10*chi - K2 - 2q")
+        return super().__new__(cls, K2, chi, p_g, q, h11)
 
 
-@dataclass(frozen=True)
-class DoubleCoverData:
+class DoubleCoverData(NamedTuple):
     """Building data {L, B} of a double cover of a rational base surface."""
 
     base: BaseSurface
@@ -67,8 +62,7 @@ class DoubleCoverData:
     B: DivisorClass
 
 
-@dataclass(frozen=True)
-class BidoubleCoverData:
+class BidoubleCoverData(NamedTuple):
     """Building data {L1, L2, L3, B1, B2, B3} of a bidouble cover."""
 
     base: BaseSurface

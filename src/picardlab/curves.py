@@ -28,7 +28,6 @@ Lossen and Shustin, I.2).  A jet of degree N decides that order below N.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -48,17 +47,35 @@ class DegenerateGermError(ValueError):
     singular locus."""
 
 
-@dataclass(frozen=True)
-class Smooth:
+class _Verdict:
+    """A field-less germ verdict: every instance of one class is equal to
+    every other, unequal to anything else, and true."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self)
+
+    def __hash__(self) -> int:
+        return hash(type(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}()"
+
+
+class Smooth(_Verdict):
     """The germ is regular: its linear part does not vanish."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "Smooth"
 
 
-@dataclass(frozen=True)
-class CorankAtLeastTwo:
+class CorankAtLeastTwo(_Verdict):
     """The quadratic part vanishes identically; outside the A-type scope."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return "CorankAtLeast2"
@@ -196,7 +213,8 @@ def _show(value) -> str:
         return value.to_text()
     if isinstance(value, bool):
         return "yes" if value else "NO"
-    if isinstance(value, tuple):
+    # Records are tuples too; they print through their own __str__.
+    if type(value) is tuple:
         return ", ".join(map(_show, value))
     return str(value)
 
@@ -370,8 +388,7 @@ _REPRESENTATIVES = {1: (0, 1, 1), 2: (1, 0, 1), 3: (1, 1, 0)}
 _CHARTS = {1: 1, 2: 0, 3: 0}
 
 
-@dataclass(frozen=True)
-class LineCheck:
+class LineCheck(NamedTuple):
     """Verification outcome for one coordinate line."""
 
     line_index: int
@@ -383,8 +400,7 @@ class LineCheck:
     transversal: bool
 
 
-@dataclass(frozen=True)
-class CurveSingularityReport:
+class CurveSingularityReport(NamedTuple):
     """Singular-point structure of the seed curve, verified line by line."""
 
     n: int

@@ -37,10 +37,9 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS, THEOREMS, _is_perfect_square
 from .figures import Run, figure_csv, figure_svg
@@ -49,18 +48,24 @@ from .polynomials import Poly
 SET_LABELS = tuple(FAMILIES)
 
 
-@dataclass(frozen=True, order=True)
-class GeoPair:
-    """One invariant pair with its provenance parameters."""
+class GeoPair(
+    NamedTuple(
+        "GeoPair",
+        [("chi", int), ("K2", int), ("set_label", str), ("params", tuple[tuple[str, int], ...])],
+    )
+):
+    """One invariant pair with its provenance parameters; pairs order by
+    (chi, K2, set_label, params)."""
 
-    chi: int
-    K2: int
-    set_label: str
-    params: tuple[tuple[str, int], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.chi < 1 or self.K2 < 1:
-            raise ValueError(f"invariant pairs must be strictly positive, got ({self.K2}, {self.chi})")
+    def __new__(
+        cls, chi: int, K2: int, set_label: str, params: tuple[tuple[str, int], ...]
+    ) -> "GeoPair":
+        if chi < 1 or K2 < 1:
+            raise ValueError(f"invariant pairs must be strictly positive, got ({K2}, {chi})")
+        return super().__new__(cls, chi, K2, set_label, params)
 
     @property
     def value(self) -> tuple[int, int]:
@@ -104,8 +109,7 @@ def slope(pair: GeoPair) -> Fraction:
 # Severi-line convergence for family 2.
 
 
-@dataclass(frozen=True)
-class SlopeRow:
+class SlopeRow(NamedTuple):
     m: int
     n: int
     K2: int
@@ -114,8 +118,7 @@ class SlopeRow:
     identity_ok: bool
 
 
-@dataclass(frozen=True)
-class SlopeLimitReport:
+class SlopeLimitReport(NamedTuple):
     """Exact slope table for family 2 with one parameter fixed.
 
     Fixing n sweeps m with limit 4 - 4/n; fixing m sweeps even n with
@@ -202,8 +205,7 @@ def slope_limit_report(
 # The lines carrying families 2 and 3.
 
 
-@dataclass(frozen=True)
-class LineRow:
+class LineRow(NamedTuple):
     m: int
     K2: int
     chi: int
@@ -215,8 +217,7 @@ class LineRow:
         return self.lhs == self.rhs
 
 
-@dataclass(frozen=True)
-class LinesReport:
+class LinesReport(NamedTuple):
     """Denominator-cleared line membership for one family at fixed n.
 
     Family 2 members satisfy n*K2 = 4*(n-1)*chi - 4*(n+1)*(n-1); family 3
@@ -263,8 +264,7 @@ REFUTED = "refuted_within_bound"
 RELAXED = "verified_under_relaxed_assumption"
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     status: str
     detail: str
@@ -279,8 +279,7 @@ class Claim:
         }
 
 
-@dataclass(frozen=True)
-class SetRelationsReport:
+class SetRelationsReport(NamedTuple):
     bound: int
     claims: tuple[Claim, ...]
 
@@ -309,8 +308,7 @@ def _sparse_members(label: str, chi_max: int):
         p += step
 
 
-@dataclass(frozen=True)
-class _Line:
+class _Line(NamedTuple):
     """Family 2 or 3 at one n.  K2 and chi are affine in m; the members
     within the bound are m_first <= m <= m_last."""
 

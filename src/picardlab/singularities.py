@@ -32,33 +32,33 @@ unrepresentable in the first place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
 class TransportError(ValueError):
     """A branch-point configuration matches no implemented transport rule."""
 
 
-@dataclass(frozen=True, order=True)
-class SingType:
-    """An ADE singularity type; the index counts exceptional (-2)-curves."""
+class SingType(NamedTuple("SingType", [("family", str), ("index", int)])):
+    """An ADE singularity type; the index counts exceptional (-2)-curves.
+    Types order by (family, index)."""
 
-    family: str
-    index: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.family == "A":
-            if self.index < 1:
-                raise ValueError(f"A-type index must be >= 1, got {self.index}")
-        elif self.family == "D":
-            if self.index < 4:
-                raise ValueError(f"D-type index must be >= 4, got {self.index}")
-        elif self.family == "E":
-            if self.index not in (6, 7, 8):
-                raise ValueError(f"E-type index must be 6, 7 or 8, got {self.index}")
+    def __new__(cls, family: str, index: int) -> "SingType":
+        if family == "A":
+            if index < 1:
+                raise ValueError(f"A-type index must be >= 1, got {index}")
+        elif family == "D":
+            if index < 4:
+                raise ValueError(f"D-type index must be >= 4, got {index}")
+        elif family == "E":
+            if index not in (6, 7, 8):
+                raise ValueError(f"E-type index must be 6, 7 or 8, got {index}")
         else:
-            raise ValueError(f"unknown singularity family {self.family!r}")
+            raise ValueError(f"unknown singularity family {family!r}")
+        return super().__new__(cls, family, index)
 
     @property
     def resolution_curves(self) -> int:
@@ -80,22 +80,25 @@ def E(k: int) -> SingType:
     return SingType("E", k)
 
 
-@dataclass(frozen=True)
-class SingInventory:
-    """Immutable multiset of ADE singularity types."""
+class SingInventory(
+    NamedTuple("SingInventory", [("entries", tuple[tuple[SingType, int], ...])])
+):
+    """Immutable multiset of ADE singularity types: entries holds each
+    type once, with its positive count, in type order."""
 
-    entries: tuple[tuple[SingType, int], ...] = ()
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, entries: tuple[tuple[SingType, int], ...] = ()) -> "SingInventory":
         merged: dict[SingType, int] = {}
-        for sing, count in self.entries:
+        for sing, count in entries:
             if not isinstance(sing, SingType):
                 raise TypeError(f"inventory entries must pair a SingType with a count, got {sing!r}")
             if count < 0:
                 raise ValueError(f"multiplicity of {sing} is negative")
             if count:
                 merged[sing] = merged.get(sing, 0) + count
-        object.__setattr__(self, "entries", tuple(sorted(merged.items())))
+        return super().__new__(cls, tuple(sorted(merged.items())))
 
     @classmethod
     def from_counts(
@@ -187,8 +190,13 @@ def union_type(branch: Optional[SingType], contact: int) -> SingType:
     return D(branch.index + 3)
 
 
-@dataclass(frozen=True)
-class BidoubleBranchPoint:
+class BidoubleBranchPoint(
+    NamedTuple(
+        "BidoubleBranchPoint",
+        [("carrier", int), ("sing", Optional[SingType]), ("meets", Optional[int]),
+         ("contact", int), ("count", int)],
+    )
+):
     """One point (or a batch of identical points) of the bidouble branch locus.
 
     carrier is the index (1..3) of the divisor the point sits on, sing its
@@ -199,21 +207,26 @@ class BidoubleBranchPoint:
     no transport rule exists for it.
     """
 
-    carrier: int
-    sing: Optional[SingType] = None
-    meets: Optional[int] = None
-    contact: int = 1
-    count: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.carrier not in (1, 2, 3):
-            raise ValueError(f"carrier must be 1, 2 or 3, got {self.carrier}")
-        if self.meets is not None and (self.meets not in (1, 2, 3) or self.meets == self.carrier):
-            raise ValueError(f"meets must name a different divisor, got {self.meets}")
-        if self.contact < 1:
-            raise ValueError(f"contact order must be positive, got {self.contact}")
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count}")
+    def __new__(
+        cls,
+        carrier: int,
+        sing: Optional[SingType] = None,
+        meets: Optional[int] = None,
+        contact: int = 1,
+        count: int = 1,
+    ) -> "BidoubleBranchPoint":
+        if carrier not in (1, 2, 3):
+            raise ValueError(f"carrier must be 1, 2 or 3, got {carrier}")
+        if meets is not None and (meets not in (1, 2, 3) or meets == carrier):
+            raise ValueError(f"meets must name a different divisor, got {meets}")
+        if contact < 1:
+            raise ValueError(f"contact order must be positive, got {contact}")
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        return super().__new__(cls, carrier, sing, meets, contact, count)
 
     @property
     def branch_type(self) -> Optional[SingType]:
@@ -232,20 +245,21 @@ class BidoubleBranchPoint:
         return f"{head}, B{self.meets} through it with contact {self.contact}"
 
 
-@dataclass(frozen=True)
-class CyclicBranchPoint:
+class CyclicBranchPoint(
+    NamedTuple("CyclicBranchPoint", [("sing", SingType), ("on_fiber", bool), ("count", int)])
+):
     """One batch of identical branch-curve points fed to a cyclic cover.
 
     on_fiber marks points sitting on one of the two branch fibers
     (transversally to it, the only case with a transport rule)."""
 
-    sing: SingType
-    on_fiber: bool = False
-    count: int = 1
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"count must be positive, got {self.count}")
+    def __new__(cls, sing: SingType, on_fiber: bool = False, count: int = 1) -> "CyclicBranchPoint":
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        return super().__new__(cls, sing, on_fiber, count)
 
 
 def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:

@@ -13,7 +13,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PLANE = "P2"
 RULED = "F"
@@ -23,22 +23,22 @@ class SurfaceMismatchError(ValueError):
     """Combining divisor classes that live on different base surfaces."""
 
 
-@dataclass(frozen=True)
-class BaseSurface:
+class BaseSurface(NamedTuple("BaseSurface", [("kind", str), ("e", int)])):
     """The projective plane, or a ruled surface F_e with e >= 0."""
 
-    kind: str
-    e: int = 0
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.kind == PLANE:
-            if self.e:
+    def __new__(cls, kind: str, e: int = 0) -> "BaseSurface":
+        if kind == PLANE:
+            if e:
                 raise ValueError("the projective plane has no ruling parameter")
-        elif self.kind == RULED:
-            if self.e < 0:
-                raise ValueError(f"ruling parameter must be nonnegative, got e={self.e}")
+        elif kind == RULED:
+            if e < 0:
+                raise ValueError(f"ruling parameter must be nonnegative, got e={e}")
         else:
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+            raise ValueError(f"unknown surface kind {kind!r}")
+        return super().__new__(cls, kind, e)
 
     # Rational-surface constants consumed by the cover formulas.
     @property
@@ -76,25 +76,25 @@ def hirzebruch(e: int) -> BaseSurface:
     return BaseSurface(RULED, e)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(
+    NamedTuple("DivisorClass", [("surface", BaseSurface), ("coeffs", tuple[int, ...])])
+):
     """An element of the divisor class group of the base surface.
 
     On the plane the single coefficient is the multiple of the hyperplane
     class H; on F_e the coefficients (a, b) sit on the (D0, F) basis.
     """
 
-    surface: BaseSurface
-    coeffs: tuple[int, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(coeffs) != self.surface.rank:
+    def __new__(cls, surface: BaseSurface, coeffs: tuple[int, ...]) -> "DivisorClass":
+        coeffs = tuple(int(c) for c in coeffs)
+        if len(coeffs) != surface.rank:
             raise ValueError(
-                f"{self.surface} classes carry {self.surface.rank} coefficient(s), "
-                f"got {len(coeffs)}"
+                f"{surface} classes carry {surface.rank} coefficient(s), got {len(coeffs)}"
             )
+        return super().__new__(cls, surface, coeffs)
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:

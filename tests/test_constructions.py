@@ -189,6 +189,13 @@ def test_report_json_round_trip():
     assert payload["building_data"]["type"] == "bidouble"
 
 
+def test_reports_are_immutable():
+    report = build_theorem2(3, 2)
+    with pytest.raises(AttributeError):
+        report.maximal = False
+    assert report.maximal
+
+
 def test_finish_rejects_inconsistent_building_data():
     plane = projective_plane()
     data = DoubleCoverData(plane, L=plane.divisor(2), B=plane.divisor(3))

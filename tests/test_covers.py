@@ -21,9 +21,9 @@ P2 = projective_plane()
 
 def test_surface_invariants_consistency_enforced():
     SurfaceInvariants(K2=1, chi=3, p_g=2, q=0, h11=29)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inconsistent invariants: chi=3 != 1 - q \+ p_g = 2$"):
         SurfaceInvariants(K2=1, chi=3, p_g=1, q=0, h11=29)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^inconsistent invariants: h11=28 != 10\*chi - K2 - 2q$"):
         SurfaceInvariants(K2=1, chi=3, p_g=2, q=0, h11=28)
 
 

@@ -94,6 +94,14 @@ class TestClassify:
     def test_corank_two(self):
         assert classify(parse_local_poly("x^3 + y^3")) == CorankAtLeastTwo()
 
+    def test_field_less_verdicts_are_distinct_and_true(self):
+        smooth = classify(parse_local_poly("x + y^2"))
+        corank = classify(parse_local_poly("x^3 + y^3"))
+        assert smooth != corank and Smooth() != CorankAtLeastTwo()
+        assert smooth and corank
+        assert len({smooth, Smooth(), corank, CorankAtLeastTwo()}) == 2
+        assert (repr(smooth), repr(corank)) == ("Smooth()", "CorankAtLeastTwo()")
+
     def test_one_square_completion_step(self):
         assert classify(parse_local_poly("y^2 + 2*x^2*y + x^3")) == A(2)
 

@@ -1,6 +1,5 @@
 """The closed-form set-relations report against the enumeration oracle."""
 
-import dataclasses
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -203,6 +202,6 @@ def test_noether_zeros_find_whole_lines_and_single_members():
     k2_0, chi_0 = family3_pair(0, 3)
     k2_1, chi_1 = family3_pair(1, 3)
     n3 = geography._Line(3, 1, 5, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0)
-    n4 = dataclasses.replace(_lines("A3", 100)[0], m_first=1)
+    n4 = _lines("A3", 100)[0]._replace(m_first=1)
     assert _noether_zeros([n3, n4]) == ([n3], [(1, 4)])
     assert _noether_zeros(_lines("A3", 10**6)) == ([], [])

@@ -26,14 +26,22 @@ from picardlab.singularities import (
 class TestSingType:
     def test_index_bounds(self):
         A(1), D(4), E(6), E(7), E(8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^A-type index must be >= 1, got 0$"):
             A(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^D-type index must be >= 4, got 3$"):
             D(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^E-type index must be 6, 7 or 8, got 5$"):
             E(5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unknown singularity family 'F'$"):
             SingType("F", 4)
+
+    def test_fields_are_read_only_and_replace_checks(self):
+        sing = A(3)
+        with pytest.raises(AttributeError):
+            sing.index = 4
+        assert sing == A(3) and sing._replace(family="D", index=7) == D(7)
+        with pytest.raises(ValueError, match=r"^A-type index must be >= 1, got 0$"):
+            sing._replace(index=0)
 
     def test_resolution_curves_equal_index(self):
         assert A(3).resolution_curves == 3
@@ -46,6 +54,7 @@ class TestInventory:
         inv = SingInventory(((D(4), 2), (A(3), 1), (D(4), 2), (A(3), 3)))
         assert inv.items() == ((A(3), 4), (D(4), 4))
         assert inv == SingInventory.from_counts({A(3): 4, D(4): 4})
+        assert SingInventory()._replace(entries=inv.entries[::-1] + ((E(6), 0),)) == inv
 
     def test_zero_counts_drop(self):
         assert SingInventory.from_counts({A(1): 0}) == SingInventory()

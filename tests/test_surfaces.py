@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from picardlab.surfaces import (
+    BaseSurface,
     DivisorClass,
     SurfaceMismatchError,
     canonical_class,
@@ -40,6 +41,27 @@ def test_intersect_rejects_mismatched_surfaces():
         intersect(P2.divisor(1), hirzebruch(1).divisor(1, 0))
     with pytest.raises(SurfaceMismatchError):
         intersect(hirzebruch(1).divisor(1, 0), hirzebruch(2).divisor(1, 0))
+
+
+def test_bad_surfaces_and_classes_are_refused():
+    with pytest.raises(ValueError, match=r"^the projective plane has no ruling parameter$"):
+        BaseSurface("P2", 1)
+    with pytest.raises(ValueError, match=r"^ruling parameter must be nonnegative, got e=-1$"):
+        hirzebruch(-1)
+    with pytest.raises(ValueError, match=r"^unknown surface kind 'G'$"):
+        BaseSurface("G")
+    with pytest.raises(ValueError, match=r"^F_2 classes carry 2 coefficient\(s\), got 1$"):
+        hirzebruch(2).divisor(1)
+
+
+def test_divisor_classes_are_immutable_with_int_coefficients():
+    d = hirzebruch(2).divisor(True, 3.0)
+    assert d.coeffs == (1, 3) and all(type(c) is int for c in d.coeffs)
+    with pytest.raises(AttributeError):
+        d.coeffs = (0, 0)
+    assert d == hirzebruch(2).divisor(1, 3) == d._replace(coeffs=(1.0, 3))
+    with pytest.raises(ValueError, match=r"^F_2 classes carry 2 coefficient\(s\), got 3$"):
+        d._replace(coeffs=(1, 3, 0))
 
 
 def test_canonical_classes():
