@@ -16,6 +16,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -182,15 +183,46 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     return 0
 
 
+_LEAVES = {
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
+
+
+def _indented(obj, pad: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) with every line after the
+    first shifted right by pad, for dicts with str keys, lists, bools, ints,
+    strs and None; any other type raises TypeError.  json's own encoder
+    falls back to pure Python whenever it indents."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
+            [encode_basestring_ascii(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
+        ), pad)
+    if kind is list:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
+            [_indented(item, inner) for item in obj]
+        ), pad)
+    leaf = _LEAVES.get(kind)
+    if leaf is None:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    return leaf(obj)
+
+
 def _stream_reports(
     theorem: int, names: list[str], combos: list[tuple[int, ...]], out
 ) -> str | None:
     """Build, print and write one report at a time; return the FAIL line of
     the first report with a false field, if any.  The JSON has the layout of
-    json.dumps({"reports": [...]}, indent=2, sort_keys=True): JSON escapes
-    every newline inside a string, so each raw newline of an encoded report
-    is structural and can take the list's extra indent."""
-    encoder = json.JSONEncoder(indent=2, sort_keys=True)
+    json.dumps({"reports": [...]}, indent=2, sort_keys=True)."""
     separator = '{\n  "reports": [\n    '
     failure = None
     for values in combos:
@@ -200,7 +232,7 @@ def _stream_reports(
             raise UsageError(str(exc)) from None
         _print_report(report)
         if out is not None:
-            out.write(separator + encoder.encode(report.to_json()).replace("\n", "\n    "))
+            out.write(separator + _indented(report.to_json(), "    "))
             separator = ",\n    "
         if failure is None:
             false = [name for name in ("match", "ample", "maximal") if not getattr(report, name)]

@@ -31,6 +31,7 @@ misses the coordinate vertices from curves.seed_certificate.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence, Union
@@ -342,9 +343,13 @@ def _finish(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def _certified_seed(n: int) -> tuple[SingType, int]:
     """The seed curve's singular type and its number of points on each
-    coordinate line, as its certificate proves them."""
+    coordinate line, as its certificate proves them.  Every member of a
+    family with this n shares the seed, so it is certified once per n; a
+    failed certificate raises and is not kept.  An entry holds only the two
+    values, and a sweep has at most MAX_SWEEP_BUILDS distinct n."""
     certificate = seed_certificate(n)
     if not certificate.ok:
         raise ParameterError(

@@ -160,10 +160,12 @@ def slope_limit_report(
     threshold: Fraction = Fraction(1, 100),
 ) -> SlopeLimitReport:
     """Slope table and convergence evidence for family 2, one parameter fixed.
-    A table of more than MAX_SWEEP_BUILDS rows is refused before any row is
-    built."""
+    A table of more than MAX_SWEEP_BUILDS rows, or a threshold that is not
+    positive, is refused before any row is built."""
     if (fixed_n is None) == (fixed_m is None):
         raise ValueError("fix exactly one of n or m")
+    if threshold <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
     a2 = FAMILIES["A2"]
     m_param, n_param = a2.params
     if fixed_n is not None:

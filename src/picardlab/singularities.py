@@ -123,11 +123,6 @@ class SingInventory(
     def __add__(self, other: "SingInventory") -> "SingInventory":
         return SingInventory(self.entries + other.entries)
 
-    def scaled(self, k: int) -> "SingInventory":
-        if k < 0:
-            raise ValueError("scaling factor must be nonnegative")
-        return SingInventory(tuple((t, k * c) for t, c in self.entries))
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 

@@ -89,7 +89,7 @@ class DivisorClass(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, surface: BaseSurface, coeffs: tuple[int, ...]) -> "DivisorClass":
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != surface.rank:
             raise ValueError(
                 f"{surface} classes carry {surface.rank} coefficient(s), got {len(coeffs)}"
@@ -122,10 +122,6 @@ class DivisorClass(
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def is_effective(self) -> bool:
-        """Coefficient-wise nonnegativity, the effectivity test used here."""
-        return all(c >= 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero():

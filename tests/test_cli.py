@@ -5,15 +5,17 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import picardlab
-from picardlab import cli, curves
+from picardlab import cli, constructions, curves
 from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
-from picardlab.constructions import ParameterError
+from picardlab.constructions import ParameterError, build
 from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -203,6 +205,35 @@ class TestVerifyTheorem:
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
         assert [r["maximal"] for r in payload["reports"]] == [True, False, False]
 
+    def test_a_sweep_certifies_the_seed_once_per_n(self, capsys, monkeypatch):
+        calls = []
+        original = constructions.seed_certificate
+        monkeypatch.setattr(
+            constructions, "seed_certificate", lambda n: calls.append(n) or original(n)
+        )
+        constructions._certified_seed.cache_clear()
+        code, out, _ = run(capsys, "verify-theorem", "2", "--sweep", "m=3..6,n=2,4,6")
+        assert code == 0 and "certified 12 construction(s)" in out
+        assert calls == [2, 4, 6]
+        assert constructions._certified_seed.cache_info().currsize == 3
+
+    def test_sweep_json_is_json_dumps_of_the_reports(self, capsys, tmp_path):
+        # The sweep sizes of CERTIFY_SWEEPS in perfbench/workloads.py.
+        sweeps = (
+            (1, "n=2..300", [{"n": n} for n in range(2, 301)]),
+            (2, "m=3..8,n=" + ",".join(map(str, range(2, 129, 2))),
+             [{"m": m, "n": n} for m in range(3, 9) for n in range(2, 129, 2)]),
+            (3, "m=2..7,n=" + ",".join(map(str, range(4, 129, 2))),
+             [{"m": m, "n": n} for m in range(2, 8) for n in range(4, 129, 2)]),
+        )
+        for theorem, sweep, params in sweeps:
+            path = tmp_path / f"theorem{theorem}.json"
+            code, _, _ = run(capsys, "verify-theorem", str(theorem), "--sweep", sweep, "--json", str(path))
+            assert code == 0
+            reports = [build(theorem, **p).to_json() for p in params]
+            expected = json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
+            assert path.read_text(encoding="utf-8") == expected, theorem
+
     @needs_wait4
     def test_sweep_memory_does_not_grow_with_the_sweep(self, tmp_path):
         # 2,000 reports took about 58 MB when the whole sweep was held
@@ -214,6 +245,30 @@ class TestVerifyTheorem:
         assert one[0] == many[0] == 0, (one[2], many[2])
         assert many[1] - one[1] < 4, (one[1], many[1])
         assert (tmp_path / "2000.json").stat().st_size > 3_000_000
+
+
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aZé€\u2028\U0001d11e') | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _TEXT,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestIndentedWriter:
+    @given(_JSON_VALUES)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [[{}]]})
+    def test_matches_json_dumps(self, value):
+        expected = json.dumps(value, indent=2, sort_keys=True)
+        assert cli._indented(value, "") == expected
+        assert cli._indented(value, "    ") == expected.replace("\n", "\n    ")
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), {"mu": Fraction(4)}, [1.5], (1, 2)])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli._indented(value, "")
 
 
 class TestGeography:
@@ -541,6 +596,12 @@ class TestSlopes:
         )
         assert code == 0
         assert "below threshold 1/100" in out
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "-1/100"])
+    def test_threshold_must_be_positive(self, capsys, threshold):
+        code, out, err = run(capsys, "slopes", "--fix", "n=2", "--m-max", "20", f"--threshold={threshold}")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: threshold must be positive, got {threshold}\n"
 
     @pytest.mark.parametrize(
         "fix, bound, value",

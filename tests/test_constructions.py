@@ -218,6 +218,7 @@ def test_families_build_without_expanding_the_seed_curve(monkeypatch):
         raise AssertionError(f"seed_curve({n}) was expanded")
 
     monkeypatch.setattr(curves, "seed_curve", expand)
+    constructions._certified_seed.cache_clear()
     reports = (build_theorem1(5), build_theorem2(3, 4), build_theorem2(4, 6), build_theorem3(2, 8))
     assert all(report.certified() for report in reports)
 
@@ -232,6 +233,21 @@ def test_a_failing_certificate_stage_stops_the_build(monkeypatch):
         return certificate._replace(stages=stages)
 
     monkeypatch.setattr(constructions, "seed_certificate", broken)
+    constructions._certified_seed.cache_clear()
     for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 4}), (3, {"m": 2, "n": 4})):
         with pytest.raises(ParameterError, match="certificate fails at n=4: vertices"):
             build(theorem, **params)
+
+
+def test_failed_seed_certificate_is_not_memoised(monkeypatch):
+    def broken(n):
+        certificate = curves.seed_certificate(n)
+        return certificate._replace(stages=tuple(s._replace(ok=False) for s in certificate.stages))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(constructions, "seed_certificate", broken)
+        constructions._certified_seed.cache_clear()
+        with pytest.raises(ParameterError, match="certificate fails at n=4"):
+            build(1, n=4)
+    assert build(1, n=4).certified()
+

@@ -118,13 +118,6 @@ def test_plane_h0_matches_monomial_count():
         assert h0(P2.divisor(d)) == monomials
 
 
-def test_is_effective():
-    assert P2.divisor(0).is_effective()
-    assert not P2.divisor(-1).is_effective()
-    assert hirzebruch(2).divisor(3, 0).is_effective()
-    assert not hirzebruch(2).divisor(3, -1).is_effective()
-
-
 def test_is_ample():
     assert is_ample(P2.divisor(1))  # theorem 1's 2n-3 at n=2
     assert is_ample(hirzebruch(3).divisor(2, 7))  # theorem 2's class at m=3, n=2
