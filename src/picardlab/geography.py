@@ -405,16 +405,17 @@ class _MemberRun:
 class _LineRun:
     """One A2/A3 line; a window is a range of m (_Line.m_window)."""
 
-    __slots__ = ("line", "label", "m_text", "n_text", "chi_last")
+    __slots__ = ("line", "label", "m_text", "n_text")
 
     def __init__(self, label: str, line: _Line, m_name: str, n_name: str):
         self.line, self.label = line, label
         self.m_text, self.n_text = f"{m_name}=", f" {n_name}={line.n}"
-        self.chi_last = line.value(line.m_last)[1]
 
     def first_chi(self, lo: int) -> Optional[int]:
-        ms = self.line.m_window(lo, self.chi_last)
-        return self.line.value(ms[0])[1] if ms else None
+        # The smallest member m with chi >= lo, as in _Line.m_window.
+        line = self.line
+        m = max(line.m_first, -((line.chi_0 - lo) // line.chi_step))
+        return line.chi_step * m + line.chi_0 if m <= line.m_last else None
 
     def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
         line, label, m_text, n_text = self.line, self.label, self.m_text, self.n_text

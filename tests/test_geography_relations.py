@@ -18,6 +18,7 @@ from picardlab.geography import (
     admissible,
     emit_figure,
     enumerate_set,
+    pair_runs,
     set_relations_report,
 )
 
@@ -134,6 +135,18 @@ def test_line_windows_match_a_scan():
                 for hi in (lo, 2 * lo, lo + 100):
                     expected = [m for m in members if lo <= line.value(m)[1] <= hi]
                     assert list(line.m_window(lo, hi)) == expected, (label, line.n, lo, hi)
+    # Each run's cursor, a line's or a one-parameter family's, against a scan
+    # of its members: lo below the first member, on and between members, and
+    # past the last.
+    runs = [run for runs in pair_runs(SET_LABELS, 3000).values() for run in runs]
+    assert {type(run).__name__ for run in runs} == {"_LineRun", "_MemberRun"}
+    for run in runs:
+        chis = [chi for chi, _ in run.points(1, 3000)]
+        los = {1, chis[0] - 1, chis[-1] + 1, chis[-1] + 1000}
+        los.update(lo for chi in chis for lo in (chi, chi + 1))
+        for lo in los:
+            expected = next((chi for chi in chis if chi >= lo), None)
+            assert run.first_chi(lo) == expected, (type(run).__name__, chis[0], lo)
 
 
 def test_only_dividing_line_pairs_can_meet():
