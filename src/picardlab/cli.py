@@ -299,6 +299,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     chosen = [x for x in (args.curve_n, args.local, args.homogeneous) if x is not None]
     if len(chosen) != 1:
         raise UsageError("choose exactly one of --curve-C, --local, --homogeneous")
+    if args.homogeneous is None and (args.point is not None or args.chart is not None):
+        raise UsageError("--point and --chart apply only to --homogeneous")
     if args.curve_n is not None:
         try:
             certificate = seed_certificate(args.curve_n)

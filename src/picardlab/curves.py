@@ -23,11 +23,17 @@ quadratic part normalized to c*y^2, f_y = 0 is a branch y = phi(x), found by
 Newton iteration on power series, and f = u*(y - phi)^2 + f(x, phi) with
 u(0) = c, so f(x, phi) has order k + 1 at A_k (the splitting lemma; Greuel,
 Lossen and Shustin, I.2).  A jet of degree N decides that order below N.
+The iteration runs on integers: with the jet's denominators cleared (times
+D, their lcm), f_y = l*y + h with l = D*f_yy(0, 0) and ord h >= 2, so phi's
+x^t coefficient lies in l^-(t-1)*Z, and scaling x by l, which leaves the
+order of f(x, phi) unchanged, makes every coefficient an integer; each
+Newton step divides by l and checks that the remainder is zero.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -141,8 +147,13 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
         g = substitute(g, _X, _Y - (b / (2 * c)) * _X, trunc=jet_bound)
     assert g.coefficient((0, 2)) and not g.coefficient((2, 0)) and not g.coefficient((1, 1))
 
-    # g = sum_j columns[j](x) * y^j, each column padded to x^jet_bound.
-    columns = [[g.coeffs.get((i, j), 0) for i in range(jet_bound - j)] for j in range(jet_bound)]
+    # On integers: D*g(l*x, y), with D the lcm of g's denominators and
+    # l = D*g_yy(0, 0), as sum_j columns[j](x) * y^j, each column padded to x^jet_bound.
+    lcm = math.lcm(*(v.denominator for v in g.coeffs.values()))
+    ints = {e: v.numerator * (lcm // v.denominator) for e, v in g.coeffs.items()}
+    scale = [(2 * ints[0, 2]) ** i for i in range(jet_bound)]
+    columns = [[ints.get((i, j), 0) * scale[i] for i in range(jet_bound - j)]
+               for j in range(jet_bound)]
     fy = [[(j + 1) * v for v in column] for j, column in enumerate(columns[1:])]
     fyy = [[(j + 1) * v for v in column] for j, column in enumerate(fy[1:])]
     # Newton's step phi -= f_y(x, phi)/f_yy(x, phi) doubles phi's precision from
@@ -152,7 +163,10 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
         m = min(2 * known, jet_bound - 1)
         num, den = _compose(fy, phi, m), _compose(fyy, phi, m - known)
         for t in range(known, m):
-            phi.append(-(num[t] + sum(phi[i] * den[t - i] for i in range(known, t))) / den[0])
+            q, r = divmod(-(num[t] + sum(phi[i] * den[t - i] for i in range(known, t))), den[0])
+            if r:
+                raise ArithmeticError(f"the polar branch's x^{t} coefficient is not an integer")
+            phi.append(q)
     on_polar = _compose(columns, phi, jet_bound)
     if not any(on_polar):
         raise JetBoundError(f"f(x, phi) on the polar curve vanishes modulo x^{jet_bound}; "

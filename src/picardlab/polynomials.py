@@ -20,6 +20,7 @@ All values are immutable by convention: no method mutates its receiver.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import Mapping, Optional, Union
@@ -413,118 +414,93 @@ class PolyParseError(ValueError):
         self.position = position
 
 
+# One token per match: an ASCII number, since int() rejects some of what
+# str.isdigit() accepts; a name, alphanumeric as str.isalnum() is; an
+# operator; or any other character.  Whitespace, exactly str.isspace() and so
+# the complement of \S, matches no alternative, and finditer skips it.  The
+# name class admits a start such as '²' that is not str.isalpha(), so
+# _tokenize checks the start.  re compiles it on first use, so only a command
+# that parses pays for it.
+_TOKEN = r"([0-9]+)|([^\W\d_][^\W_]*)|([-+*/^])|(\S)"
+_KINDS = (None, "NUM", "NAME", "OP", None)
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    # int() refuses longer literals with a message of its own; Python before
+    # 3.10.7 has no limit (0 means none too).
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     tokens: list[tuple[str, str, int]] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(("OP", ch, i + 1))
-            i += 1
-            continue
-        # ASCII digits only: int() rejects some of what str.isdigit() accepts.
-        if "0" <= ch <= "9":
-            start = i
-            while i < len(text) and "0" <= text[i] <= "9":
-                i += 1
-            # int() refuses longer literals with a message of its own; Python
-            # before 3.10.7 has no limit (0 means none too).
-            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-            if limit and i - start > limit:
-                raise PolyParseError(
-                    f"number of {i - start} digits exceeds the limit of {limit}", start + 1
-                )
-            tokens.append(("NUM", text[start:i], start + 1))
-            continue
-        if ch.isalpha():
-            start = i
-            i += 1
-            while i < len(text) and text[i].isalnum():
-                i += 1
-            tokens.append(("NAME", text[start:i], start + 1))
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i + 1)
+    for match in re.finditer(_TOKEN, text):
+        kind, value, col = _KINDS[match.lastindex], match.group(), match.start() + 1
+        if kind == "NUM" and limit and len(value) > limit:
+            raise PolyParseError(f"number of {len(value)} digits exceeds the limit of {limit}", col)
+        if kind is None or kind == "NAME" and not value[0].isalpha():
+            raise PolyParseError(f"unexpected character {value[0]!r}", col)
+        tokens.append((kind, value, col))
     tokens.append(("END", "", len(text) + 1))
     return tokens
 
 
-def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Rat]:
+def _operand(token: tuple[str, str, int]) -> int:
+    """The number that must follow a '/' or a '^'."""
+    if token[0] != "NUM":
+        raise PolyParseError(f"expected NUM, found {token[1] or 'end of input'!r}", token[2])
+    return int(token[1])
+
+
+def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Scalar]:
+    """The text's terms as exponents to int coefficients, Fraction only where
+    a p/q made one; the whole text is tokenised before any term is read."""
     tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> tuple[str, str, int]:
-        return tokens[pos]
-
-    def take(kind: str) -> tuple[str, str, int]:
-        nonlocal pos
-        tok = tokens[pos]
-        if tok[0] != kind:
-            raise PolyParseError(f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2])
-        pos += 1
-        return tok
-
-    def parse_factor() -> tuple[Rat, tuple[int, ...]]:
-        kind, value, col = peek()
-        if kind == "NUM":
-            take("NUM")
-            num = int(value)
-            if peek()[:2] == ("OP", "/"):
-                take("OP")
-                den_tok = take("NUM")
-                den = int(den_tok[1])
-                if den == 0:
-                    raise PolyParseError("zero denominator", den_tok[2])
-                return Fraction(num, den), (0,) * nvars
-            return Fraction(num), (0,) * nvars
-        if kind == "NAME":
-            take("NAME")
-            if value not in variables:
-                allowed = ", ".join(sorted(variables))
-                raise PolyParseError(f"unknown variable {value!r} (allowed: {allowed})", col)
-            exp = 1
-            if peek()[:2] == ("OP", "^"):
-                take("OP")
-                exp = int(take("NUM")[1])
-            e = [0] * nvars
-            e[variables[value]] = exp
-            return Fraction(1), tuple(e)
-        raise PolyParseError(f"expected a coefficient or a variable, found {value or 'end of input'!r}", col)
-
-    def parse_term() -> tuple[Rat, tuple[int, ...]]:
-        coeff, expo = parse_factor()
-        while peek()[:2] == ("OP", "*"):
-            take("OP")
-            c2, e2 = parse_factor()
-            coeff *= c2
-            expo = tuple(a + b for a, b in zip(expo, e2))
-        return coeff, expo
-
-    result: dict[tuple[int, ...], Rat] = {}
-    sign = Fraction(1)
-    if peek()[:2] == ("OP", "+"):
-        take("OP")
-    elif peek()[:2] == ("OP", "-"):
-        take("OP")
-        sign = Fraction(-1)
+    result: dict[tuple[int, ...], Scalar] = {}
+    pos = 1 if tokens[0][1] in ("+", "-") else 0
+    sign = -1 if tokens[0][1] == "-" else 1
     while True:
-        coeff, expo = parse_term()
-        value = result.get(expo, Fraction(0)) + sign * coeff
-        if value:
-            result[expo] = value
+        # A term: factors joined by '*'.
+        coeff: Scalar = sign
+        expo = [0] * nvars
+        while True:
+            kind, value, col = tokens[pos]
+            if kind == "NUM":
+                if tokens[pos + 1][1] == "/":
+                    den = _operand(tokens[pos + 2])
+                    if not den:
+                        raise PolyParseError("zero denominator", tokens[pos + 2][2])
+                    coeff *= Fraction(int(value), den)
+                    pos += 3
+                else:
+                    coeff *= int(value)
+                    pos += 1
+            elif kind == "NAME":
+                if value not in variables:
+                    allowed = ", ".join(sorted(variables))
+                    raise PolyParseError(f"unknown variable {value!r} (allowed: {allowed})", col)
+                if tokens[pos + 1][1] == "^":
+                    expo[variables[value]] += _operand(tokens[pos + 2])
+                    pos += 3
+                else:
+                    expo[variables[value]] += 1
+                    pos += 1
+            else:
+                raise PolyParseError(
+                    f"expected a coefficient or a variable, found {value or 'end of input'!r}", col
+                )
+            if tokens[pos][1] != "*":
+                break
+            pos += 1
+        key = tuple(expo)
+        total = result.get(key, 0) + coeff
+        if total:
+            result[key] = total
         else:
-            result.pop(expo, None)
-        kind, value_txt, col = peek()
+            result.pop(key, None)
+        kind, value, col = tokens[pos]
         if kind == "END":
-            break
-        if kind == "OP" and value_txt in "+-":
-            take("OP")
-            sign = Fraction(1) if value_txt == "+" else Fraction(-1)
-            continue
-        raise PolyParseError(f"expected '+' or '-', found {value_txt!r}", col)
-    return result
+            return result
+        if value not in ("+", "-"):
+            raise PolyParseError(f"expected '+' or '-', found {value!r}", col)
+        sign = -1 if value == "-" else 1
+        pos += 1
 
 
 def parse_local_poly(text: str) -> Poly:

@@ -504,6 +504,15 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--local", "x*y", "--curve-C", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("mode", [("--local", "y^2 - x^3"), ("--curve-C", "3")])
+    @pytest.mark.parametrize(
+        "flags", [("--point", "1,2,3"), ("--chart", "1"), ("--point", "0,0,1", "--chart", "2")]
+    )
+    def test_point_and_chart_only_with_homogeneous(self, capsys, mode, flags):
+        code, out, err = run(capsys, "classify", *mode, *flags)
+        assert (code, out) == (2, "")
+        assert err == "usage error: --point and --chart apply only to --homogeneous\n"
+
     def test_form_above_degree_cap_is_refused_quickly(self):
         # Without the cap, localizing this form at (1:1:1) gives about 9
         # million terms, 3001^2 from (x + 1)^3000*(y + 1)^3000.

@@ -2,10 +2,15 @@
 
 import random
 import time
+from fractions import Fraction
 
+import _classify_oracle
 import pytest
+from _classify_oracle import classify_ak as oracle_classify_ak
 
+from picardlab import curves
 from picardlab.curves import (
+    JET_BOUND_CAP,
     CorankAtLeastTwo,
     DegenerateGermError,
     JetBoundError,
@@ -137,7 +142,7 @@ class TestClassify:
         x, y = Poly.variable(0), Poly.variable(1)
         bend = x * x + x * y + y * y + x ** 3 - y ** 3
         changes = [(x, y + bend), (x, x + 2 * y + bend), (y, x + bend)]
-        for k in range(2, 61):
+        for k in range(2, JET_BOUND_CAP - 1):
             gx, gy = changes[k % 3]
             f = substitute(y * y - x ** (k + 1), gx, gy, trunc=k + 2)
             with pytest.raises(JetBoundError):
@@ -177,6 +182,75 @@ class TestClassify:
                 gx = a * x + b * y + tails[0]
                 gy = c * x + d * y + tails[1]
                 assert classify(substitute(base, gx, gy), expected_k=k) == A(k)
+
+
+class TestIntegerNewton:
+    """classify_ak runs the polar Newton on integer series; the oracle runs
+    it on Fraction series.  Both must agree on every jet bound."""
+
+    @staticmethod
+    def verdict(classifier, f, bound):
+        try:
+            return classifier(f, bound)
+        except JetBoundError:
+            return JetBoundError
+
+    @staticmethod
+    def planted(k, branch, sign, rng):
+        """A rational multiple of y^2 - u*x^(k+1) with quadratic part c*y^2
+        (branch 0), a square with a mixed term (1: the shear) or a multiple
+        of x^2 (2: the swap), after a rational bend of degrees 2 and 3; the
+        leading coefficient of y^2 after the normalisation has the given sign."""
+        x, y = Poly.variable(0), Poly.variable(1)
+
+        def rational():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 7))
+
+        bend = sum((rational() * x**i * y ** (d - i) for d in (2, 3) for i in range(d + 1)), Poly())
+        alpha, beta = abs(rational()), abs(rational())
+        gx, gy = [(x, beta * y), (x, alpha * x + beta * y), (y, alpha * x)][branch]
+        scale = sign * abs(rational())
+        base = scale * (y * y - rational() * x ** (k + 1))
+        f = substitute(base, gx, gy + bend, trunc=k + 4)
+        return f + Poly({(i, k + 3 - i): rational() for i in range(0, k + 4, 3)})
+
+    def test_agrees_with_the_fraction_oracle(self):
+        rng = random.Random(18)
+        for k in range(2, 23):
+            for branch in range(3):
+                sign = -1 if (k + branch) % 2 else 1
+                f = self.planted(k, branch, sign, rng)
+                assert (f.coefficient((0, 2)) or f.coefficient((2, 0))) * sign > 0
+                for bound in (k + 1, k + 2, k + 4):
+                    ours = self.verdict(classify_ak, f, bound)
+                    assert ours == self.verdict(oracle_classify_ak, f, bound), (k, branch, bound)
+                    assert ours == (JetBoundError if bound == k + 1 else A(k)), (k, branch, bound)
+
+    def test_integer_branch_is_the_rational_branch_at_l_x(self, monkeypatch):
+        # Each Newton's last composition is with its final branch phi.
+        branches = {}
+        for module in (curves, _classify_oracle):
+            def recording(columns, phi, m, module=module, original=module._compose):
+                branches[module] = list(phi)
+                return original(columns, phi, m)
+
+            monkeypatch.setattr(module, "_compose", recording)
+        f = parse_local_poly("-3/2*y^2 + 5/3*x^2*y + 1/4*x*y^2 - 7/5*y^3 + 2/7*x^13")
+        assert classify_ak(f, 14) == oracle_classify_ak(f, 14) == A(3)
+        # D = lcm(2, 3, 4, 5, 7) = 420 and l = D*f_yy(0, 0) = 420*(-3) = -1260.
+        ours, rational = branches[curves], branches[_classify_oracle]
+        assert all(type(v) is int for v in ours) and any(ours)
+        assert ours == [(-1260) ** t * v for t, v in enumerate(rational)]
+
+    def test_huge_coefficients(self):
+        # A 300-digit bend keeps every step an exact integer division.
+        x, y = Poly.variable(0), Poly.variable(1)
+        big = Fraction(10**300 + 7, 3**40)
+        f = substitute(y * y - x**41, x, -y + big * x * x, trunc=42)
+        for bound in (41, 42):
+            ours = self.verdict(classify_ak, f, bound)
+            assert ours == self.verdict(oracle_classify_ak, f, bound)
+        assert ours == A(40)
 
 
 class TestTangentCone:

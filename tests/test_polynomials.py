@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from _parser_oracle import parse_terms as oracle_parse_terms
+from hypothesis import example, given, settings, strategies as st
 
 from picardlab.polynomials import (
     MAX_LOCALIZE_DEGREE,
@@ -14,6 +16,7 @@ from picardlab.polynomials import (
     PointOffCurveError,
     Poly,
     PolyParseError,
+    _parse_terms,
     parse_local_poly,
     parse_ternary_form,
     substitute,
@@ -319,3 +322,62 @@ class TestParser:
         text = "x^4 - 2*x^2*y^2 + 3/7*y"
         f = parse_local_poly(text)
         assert parse_local_poly(f.to_text()) == f
+
+
+# The grammar's own pieces, names that are not variables, and characters the
+# str predicates and int() treat differently: '²' is a digit but not decimal,
+# '٣' is decimal but not ASCII, NBSP and the file separator are whitespace.
+_PIECES = ["x", "y", "X0", "X1", "X2", "z", "xy", "x2", "0", "1", "7", "10", "007",
+           "+", "-", "*", "/", "^", " ", "\t", "\xa0", "\x1c", "²", "٣", "$", "_", "é", "Ⅻ"]
+_VARIABLES = ({"x": 0, "y": 1}, 2), ({"X0": 0, "X1": 1, "X2": 2}, 3)
+# Mostly well-formed sums of terms in either variable set.
+_FACTORS = st.one_of(
+    st.builds("{}{}".format, st.sampled_from(["x", "y", "X0", "X1", "X2"]),
+              st.sampled_from(["", "^0", "^1", "^2", "^13"])),
+    st.integers(0, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 99)),
+)
+_SUMS = st.lists(
+    st.tuples(st.sampled_from(["+", "-", " + ", " - "]), st.lists(_FACTORS, min_size=1, max_size=4)),
+    min_size=1, max_size=6,
+).map(lambda terms: "".join(sign + "*".join(factors) for sign, factors in terms)[1:])
+
+
+def _outcome(parse, text, variables, nvars):
+    """The parsed dict, or the error's text and column, and the time taken."""
+    start = time.perf_counter()
+    try:
+        result = parse(text, variables, nvars)
+    except PolyParseError as exc:
+        result = (str(exc), exc.position)
+    return result, time.perf_counter() - start
+
+
+class TestParserAgainstTheCharacterLoop:
+    """The regex tokenizer and integer accumulation against the
+    character-by-character parser of tests/_parser_oracle.py."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.one_of(
+        _SUMS,
+        st.lists(st.sampled_from(_PIECES), max_size=24).map("".join),
+        st.text(alphabet="".join(_PIECES), max_size=24),
+    ))
+    @example("x^²")
+    @example("٣")
+    @example("\tX0^2\xa0-\x1cX1 * X2 ")
+    @example("1/0")
+    @example("x^y - 3/")
+    @example("3/x")
+    @example("2/4*x - 1/2*x")
+    @example("x^ + $")
+    @example("X0^2 X1 $")
+    @example("9" * 5000)
+    @example("X0^" + "9" * 4300 + " - X1^" + "9" * 4300)
+    @example("X0^" + "9" * 4301 + " $")
+    def test_same_dict_or_same_error(self, text):
+        for variables, nvars in _VARIABLES:
+            ours, seconds = _outcome(_parse_terms, text, variables, nvars)
+            expected, _ = _outcome(oracle_parse_terms, text, variables, nvars)
+            assert ours == expected, text
+            assert seconds < 0.5, text
