@@ -43,7 +43,6 @@ from .geography import (
     admissible,
     emit_figure,
     enumerate_set,
-    lines_report,
     set_relations_report,
     slope,
     slope_limit_report,

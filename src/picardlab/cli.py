@@ -275,12 +275,13 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     try:
         if emits:
             out_dir.mkdir(parents=True, exist_ok=True)
+            runs = pair_runs(labels, chi_max)
         # Each emitter merges the selected sets' sorted runs straight into
-        # its file, line by line.
+        # its file, line by line; the runs are pure, so both read the same.
         for emit, name, lines in (("csv", "sets.csv", csv_lines), ("svg", "figure.svg", svg_lines)):
             if emit in emits:
                 with open(out_dir / name, "w", encoding="utf-8") as fh:
-                    fh.writelines(lines(pair_runs(labels, chi_max), chi_max))
+                    fh.writelines(lines(runs, chi_max))
                 print(f"wrote {out_dir / name}")
         if "json" in emits:
             (out_dir / "claims.json").write_text(

@@ -4,9 +4,9 @@ certification reports.
 FAMILIES holds one record per family of invariant pairs: families 1-3
 (set labels A1, A2, A3), the classical double planes B and the overlap
 family T.  Each record defines the family's parameter domain, its
-closed-form (K2, chi), its membership solver, for A2 and A3 the line of
-each n-slice, and for families 1-3 the pipeline; validation, building,
-enumeration, membership and the line reports all read it.
+closed-form (K2, chi), its membership solver and, for families 1-3, the
+pipeline; validation, building, enumeration and membership all read it,
+and geography derives the A2 and A3 line of each n from the pair.
 
 Each pipeline assembles exact branch data for one family of canonical
 models, computes the cover invariants and the transported singular set,
@@ -100,18 +100,6 @@ def set_t_pair(t):
     return (2 * t * (t - 1) * (t - 4) + 8, _half(t * (t - 1) * (t - 3)) + 1)
 
 
-# The line through the members of families 2 and 3 at fixed n, as (a, b, c)
-# with a*K2 = b*chi - c.
-
-
-def family2_line(n):
-    return (n, 4 * (n - 1), 4 * (n + 1) * (n - 1))
-
-
-def family3_line(n):
-    return (n - 1, 4 * (n - 2), 4 * n * (n - 2))
-
-
 # Closed-form membership.  Each solver returns the candidate parameters of
 # the members with the value (K2, chi); Family.members keeps the candidates
 # inside the domain whose pair is that value.
@@ -176,8 +164,7 @@ class Param(NamedTuple):
 class Family(NamedTuple):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
-    and closed-form pair, the membership solver, the line of each n-slice
-    for the families on lines (parameters m and n), and the construction
+    and closed-form pair, the membership solver, and the construction
     pipeline of families 1-3."""
 
     label: str
@@ -185,7 +172,6 @@ class Family(NamedTuple):
     params: tuple[Param, ...]
     pair: Callable
     solve: Optional[Callable] = None
-    line: Optional[Callable] = None
     build: Optional[Callable] = None
 
     def admits(self, *values: int) -> bool:
@@ -527,11 +513,11 @@ FAMILIES = {
         Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, build=build_theorem1),
         Family(
             "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
-            family2_line, build_theorem2,
+            build=build_theorem2,
         ),
         Family(
             "A3", 3, (Param("m", 2, 1), Param("n", 4, 2)), family3_pair, _solve_a3,
-            family3_line, build_theorem3,
+            build=build_theorem3,
         ),
         Family("B", None, (Param("n", 4, 1),), set_b_pair, _solve_b),
         Family("T", None, (Param("t", 6, 2),), set_t_pair),

@@ -70,10 +70,11 @@ MARKER_STYLES = {
     "T": ("cross", "#e58b00"),
 }
 
+# Boundary lines K2 = slope*chi + offset: key, name, colour, dash, slope, offset.
 LINE_STYLES = (
-    ("noether", "Noether", "#777777", "6 3"),
-    ("severi", "Severi", "#cc2222", ""),
-    ("bmy", "BMY", "#2a4fc9", "2 3"),
+    ("noether", "Noether", "#777777", "6 3", 2.0, -6.0),
+    ("severi", "Severi", "#cc2222", "", 4.0, 0.0),
+    ("bmy", "BMY", "#2a4fc9", "2 3", 9.0, 0.0),
 )
 
 _PANEL_W = 320
@@ -109,10 +110,10 @@ def _nice_step(span: float) -> int:
     base = 1
     while base * 10 <= raw:
         base *= 10
+    # The loop leaves base * 10 > raw, so mult = 10 at the latest returns.
     for mult in (1, 2, 5, 10):
         if base * mult >= raw:
             return base * mult
-    return base * 10
 
 
 # Each shape's marker element as a "%"-template: the tag and the colour are
@@ -242,13 +243,7 @@ def _panel(
         )
 
     # Boundary lines, clipped to the panel.
-    for key, _name, color, dash in LINE_STYLES:
-        if key == "noether":
-            slope_k, offset = 2.0, -6.0
-        elif key == "severi":
-            slope_k, offset = 4.0, 0.0
-        else:
-            slope_k, offset = 9.0, 0.0
+    for key, _name, color, dash, slope_k, offset in LINE_STYLES:
         x0 = max(xlo, -offset / slope_k if offset < 0 else xlo)
         x1 = min(xhi, (ymax - offset) / slope_k)
         if x0 >= x1:
@@ -294,7 +289,7 @@ def svg_lines(runs_by_set: Runs, chi_max: int) -> Iterator[str]:
         out.append(_marker_writer(label, 'class="legend-sample"')([(lx, ly - 4)])[:-1])
         out.append(f'<text x="{_fmt(lx + 8)}" y="{_fmt(ly)}" font-size="11">{label}</text>')
         lx += 52
-    for key, name, color, dash in LINE_STYLES:
+    for _key, name, color, dash, _slope, _offset in LINE_STYLES:
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         out.append(
             f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 18)}" '

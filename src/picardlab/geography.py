@@ -12,21 +12,22 @@ module reads them from there and keeps no family constant of its own.
 The set relations are computed from the closed forms, without enumerating
 a pair.  A1, B and T have O(sqrt(chi_max)) members and are walked one by
 one.  A2 and A3 lie on lines, one per n, on which K2 and chi are affine in
-m: membership of a value is an integer quadratic in n, and counts, first
-members, doubling windows, parities and the Noether slices are read off
-each line.  The cost grows with the number of lines, not of pairs.  A2 and
-A3 share no pair at any chi: solving the A2 line at n2 against the A3 line
-at n3 gives m2 = n3/n2 and m3 = 2*n2/n3, a polynomial identity in (n2, n3)
-checked once per process, and m2*m3 = 2 is below the product of the two
-m minima.
+m; each line is read off the family's pair at m = 0 and m = 1, the only
+source of its equation.  Membership of a value is an integer quadratic in
+n, and counts, first members, doubling windows, parities and the Noether
+slices are read off each line.  The cost grows with the number of lines,
+not of pairs.  A2 and A3 share no pair at any chi: solving the A2 line at
+n2 against the A3 line at n3 gives m2 = n3/n2 and m3 = 2*n2/n3, a
+polynomial identity in (n2, n3) checked once per process, and m2*m3 = 2
+is below the product of the two m minima.
 
 The figure and table emitters read the same members and lines as sorted
 runs (pair_runs): one run per one-parameter family, over its member list,
-and one per A2/A3 line, each in strictly increasing chi.  figures asks
-them for the rows of one chi window at a time and sorts each window's
-batch, so the emitters' time grows with the number of pairs and their
-memory with the number of lines.  enumerate_set sorts every member of one
-family into a list of GeoPairs for library callers and tests.
+and each A2/A3 line as a run of its own, all in strictly increasing chi.
+figures asks them for the rows of one chi window at a time and sorts each
+window's batch, so the emitters' time grows with the number of pairs and
+their memory with the number of lines.  enumerate_set sorts every member
+of one family into a list of GeoPairs for library callers and tests.
 
 Unbounded ("infinitely many") claims are certified in two parts:
 nonemptiness of every doubling chi-window inside the bound, and, where a
@@ -41,7 +42,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .constructions import FAMILIES, MAX_SWEEP_BUILDS, THEOREMS, _is_perfect_square
+from .constructions import FAMILIES, MAX_SWEEP_BUILDS, _is_perfect_square
 from .figures import Run, figure_csv, figure_svg
 from .polynomials import Poly
 
@@ -204,61 +205,6 @@ def slope_limit_report(
 
 
 # ---------------------------------------------------------------------------
-# The lines carrying families 2 and 3.
-
-
-class LineRow(NamedTuple):
-    m: int
-    K2: int
-    chi: int
-    lhs: int
-    rhs: int
-
-    @property
-    def on_line(self) -> bool:
-        return self.lhs == self.rhs
-
-
-class LinesReport(NamedTuple):
-    """Denominator-cleared line membership for one family at fixed n.
-
-    Family 2 members satisfy n*K2 = 4*(n-1)*chi - 4*(n+1)*(n-1); family 3
-    members satisfy (n-1)*K2 = 4*(n-2)*chi - 4*n*(n-2).  Both lines have
-    slope below the Severi slope 4.
-    """
-
-    family: int
-    n: int
-    rows: tuple[LineRow, ...]
-    line_slope: Fraction
-
-    @property
-    def all_on_line(self) -> bool:
-        return all(r.on_line for r in self.rows)
-
-    @property
-    def below_severi(self) -> bool:
-        return self.line_slope < 4
-
-
-def lines_report(family: int, n: int, m_values: Iterable[int]) -> LinesReport:
-    fam = THEOREMS.get(family)
-    if fam is None or fam.line is None:
-        raise ValueError("lines are defined for families 2 and 3")
-    m_param, n_param = fam.params
-    if not n_param.admits(n):
-        raise ValueError(f"family {family} line needs even n >= {n_param.minimum}, got {n}")
-    a, b, c = fam.line(n)
-    rows = []
-    for m in m_values:
-        if not m_param.admits(m):
-            raise ValueError(f"family {family} needs m >= {m_param.minimum}, got {m}")
-        k2, chi = fam.pair(m, n)
-        rows.append(LineRow(m, k2, chi, a * k2, b * chi - c))
-    return LinesReport(family=family, n=n, rows=tuple(rows), line_slope=Fraction(b, a))
-
-
-# ---------------------------------------------------------------------------
 # Set-relation certificates.
 
 VERIFIED = "verified"
@@ -312,8 +258,10 @@ def _sparse_members(label: str, chi_max: int):
 
 class _Line(NamedTuple):
     """Family 2 or 3 at one n.  K2 and chi are affine in m; the members
-    within the bound are m_first <= m <= m_last."""
+    within the bound are m_first <= m <= m_last.  A line is also the
+    emitters' run (figures.Run) of its members: a window is a range of m."""
 
+    label: str
     n: int
     m_first: int
     m_last: int
@@ -335,6 +283,21 @@ class _Line(NamedTuple):
         last = min(self.m_last, (hi - self.chi_0) // self.chi_step)
         return range(first, last + 1)
 
+    def first_chi(self, lo: int) -> Optional[int]:
+        # The smallest member m with chi >= lo, as in m_window.
+        m = max(self.m_first, -((self.chi_0 - lo) // self.chi_step))
+        return self.chi_step * m + self.chi_0 if m <= self.m_last else None
+
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
+        m_name, n_name = (p.name for p in FAMILIES[self.label].params)
+        label, n_text = self.label, f" {n_name}={self.n}"
+        c, c0, k, k0 = self.chi_step, self.chi_0, self.k2_step, self.k2_0
+        return [(c * m + c0, k * m + k0, label, f"{m_name}={m}{n_text}") for m in self.m_window(lo, hi)]
+
+    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
+        c, c0, k, k0 = self.chi_step, self.chi_0, self.k2_step, self.k2_0
+        return [(c * m + c0, k * m + k0) for m in self.m_window(lo, hi)]
+
 
 def _lines(label: str, chi_max: int) -> list[_Line]:
     """Every line of the family with a member within the bound.  chi at the
@@ -348,7 +311,7 @@ def _lines(label: str, chi_max: int) -> list[_Line]:
         m_last = (chi_max - chi_0) // chi_step
         if m_last < m_first:
             return lines
-        lines.append(_Line(n, m_first, m_last, k2_step, k2_0, chi_step, chi_0))
+        lines.append(_Line(label, n, m_first, m_last, k2_step, k2_0, chi_step, chi_0))
         n += n_param.step
 
 
@@ -369,11 +332,10 @@ def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
     _check_sets(labels, chi_max)
     runs = {}
     for label in labels:
-        names = tuple(p.name for p in FAMILIES[label].params)
-        if len(names) == 1:
-            runs[label] = [_MemberRun(label, names[0], chi_max)]
+        if len(FAMILIES[label].params) == 1:
+            runs[label] = [_MemberRun(label, chi_max)]
         else:
-            runs[label] = [_LineRun(label, line, *names) for line in _lines(label, chi_max)]
+            runs[label] = _lines(label, chi_max)
     return runs
 
 
@@ -383,9 +345,9 @@ class _MemberRun:
 
     __slots__ = ("members", "label", "name")
 
-    def __init__(self, label: str, name: str, chi_max: int):
+    def __init__(self, label: str, chi_max: int):
         self.members = [(chi, k2, p) for p, (k2, chi) in _sparse_members(label, chi_max)]
-        self.label, self.name = label, name
+        self.label, self.name = label, FAMILIES[label].params[0].name
 
     def first_chi(self, lo: int) -> Optional[int]:
         i = bisect_left(self.members, (lo,))
@@ -400,34 +362,6 @@ class _MemberRun:
 
     def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
         return [(chi, k2) for chi, k2, _ in self._slice(lo, hi)]
-
-
-class _LineRun:
-    """One A2/A3 line; a window is a range of m (_Line.m_window)."""
-
-    __slots__ = ("line", "label", "m_text", "n_text")
-
-    def __init__(self, label: str, line: _Line, m_name: str, n_name: str):
-        self.line, self.label = line, label
-        self.m_text, self.n_text = f"{m_name}=", f" {n_name}={line.n}"
-
-    def first_chi(self, lo: int) -> Optional[int]:
-        # The smallest member m with chi >= lo, as in _Line.m_window.
-        line = self.line
-        m = max(line.m_first, -((line.chi_0 - lo) // line.chi_step))
-        return line.chi_step * m + line.chi_0 if m <= line.m_last else None
-
-    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
-        line, label, m_text, n_text = self.line, self.label, self.m_text, self.n_text
-        c, c0, k, k0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
-        return [
-            (c * m + c0, k * m + k0, label, f"{m_text}{m}{n_text}") for m in line.m_window(lo, hi)
-        ]
-
-    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        line = self.line
-        c, c0, k, k0 = line.chi_step, line.chi_0, line.k2_step, line.k2_0
-        return [(c * m + c0, k * m + k0) for m in line.m_window(lo, hi)]
 
 
 def _line_coefficients(family, n) -> tuple:
@@ -596,7 +530,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     # Expected: all of the n=2 line, (8m-8, 4m-1) for m from its minimum up to
     # (chi_max+1)/4.
     expected = (
-        [_Line(n_param.minimum, m_param.minimum, (chi_max + 1) // 4, 8, -8, 4, -1)]
+        [_Line("A2", n_param.minimum, m_param.minimum, (chi_max + 1) // 4, 8, -8, 4, -1)]
         if 4 * m_param.minimum - 1 <= chi_max
         else []
     )

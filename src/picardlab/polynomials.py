@@ -448,9 +448,10 @@ def _operand(token: tuple[str, str, int]) -> int:
     return int(token[1])
 
 
-def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Scalar]:
-    """The text's terms as exponents to int coefficients, Fraction only where
-    a p/q made one; the whole text is tokenised before any term is read."""
+def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Rat]:
+    """The text's terms as exponents to nonzero Fraction coefficients, summed
+    as ints where no p/q made a Fraction and converted once at the end; the
+    whole text is tokenised before any term is read."""
     tokens = _tokenize(text)
     result: dict[tuple[int, ...], Scalar] = {}
     pos = 1 if tokens[0][1] in ("+", "-") else 0
@@ -496,7 +497,7 @@ def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple
             result.pop(key, None)
         kind, value, col = tokens[pos]
         if kind == "END":
-            return result
+            return {key: Fraction(c) for key, c in result.items()}
         if value not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', found {value!r}", col)
         sign = -1 if value == "-" else 1
@@ -505,12 +506,12 @@ def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple
 
 def parse_local_poly(text: str) -> Poly:
     """Parse a bivariate polynomial in the variables x and y."""
-    return Poly(_parse_terms(text, {"x": 0, "y": 1}, 2), 2)
+    return Poly._wrap(_parse_terms(text, {"x": 0, "y": 1}, 2), 2)
 
 
 def parse_ternary_form(text: str) -> Poly:
     """Parse a homogeneous polynomial in the variables X0, X1, X2."""
-    form = Poly(_parse_terms(text, {"X0": 0, "X1": 1, "X2": 2}, 3), 3)
+    form = Poly._wrap(_parse_terms(text, {"X0": 0, "X1": 1, "X2": 2}, 3), 3)
     try:
         form.form_degree()
     except ValueError as exc:

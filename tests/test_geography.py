@@ -6,19 +6,21 @@ from fractions import Fraction
 import pytest
 
 from picardlab import geography
+from picardlab.constructions import FAMILIES
 from picardlab.geography import (
     GeoPair,
     RELAXED,
     REFUTED,
     VERIFIED,
+    _lines,
     admissible,
     emit_figure,
     enumerate_set,
-    lines_report,
     set_relations_report,
     slope,
     slope_limit_report,
 )
+from picardlab.polynomials import Poly
 
 
 class TestEnumerate:
@@ -110,33 +112,48 @@ class TestSlopeLimits:
 
 
 class TestLines:
+    """The paper's line equations are the reference here: geography derives
+    every line from the family table's pair and holds no equation of its own."""
+
     def test_family2_line(self):
-        report = lines_report(2, 2, range(3, 9))
-        assert report.all_on_line
-        assert report.line_slope == 2
-        assert report.below_severi
-        row = report.rows[0]
-        assert (row.K2, row.chi, row.lhs, row.rhs) == (16, 11, 32, 32)
+        # n*K2 = 4*(n-1)*chi - 4*(n+1)*(n-1), an identity in (m, n).
+        m, n = Poly.variable(0), Poly.variable(1)
+        k2, chi = FAMILIES["A2"].pair(m, n)
+        assert n * k2 == 4 * (n - 1) * chi - 4 * (n + 1) * (n - 1)
 
     def test_family3_line(self):
-        report = lines_report(3, 4, [2])
-        assert report.all_on_line
-        row = report.rows[0]
-        assert 3 * row.K2 == 8 * row.chi - 32 == 72
+        # (n-1)*K2 = 4*(n-2)*chi - 4*n*(n-2), an identity in (m, n).
+        m, n = Poly.variable(0), Poly.variable(1)
+        k2, chi = FAMILIES["A3"].pair(m, n)
+        assert (n - 1) * k2 == 4 * (n - 2) * chi - 4 * n * (n - 2)
 
     def test_sweeps(self):
-        for n in (2, 4, 6):
-            assert lines_report(2, n, range(3, 9)).all_on_line
-        for n in (4, 6, 8):
-            assert lines_report(3, n, range(2, 9)).all_on_line
+        # Every line up to chi 10^6 has slope k2_step/chi_step below the
+        # Severi slope 4, and its coefficients solve the paper's equation.
+        # The paper's line at n as (a, b, c) with a*K2 = b*chi - c.
+        for label, paper_line in (
+            ("A2", lambda n: (n, 4 * (n - 1), 4 * (n + 1) * (n - 1))),
+            ("A3", lambda n: (n - 1, 4 * (n - 2), 4 * n * (n - 2))),
+        ):
+            lines = _lines(label, 10**6)
+            assert len(lines) > 100
+            for line in lines:
+                a, b, c = paper_line(line.n)
+                assert line.k2_step < 4 * line.chi_step, (label, line.n)
+                assert a * line.k2_step == b * line.chi_step, (label, line.n)
+                assert a * line.k2_0 == b * line.chi_0 - c, (label, line.n)
 
     def test_parameter_checks(self):
-        with pytest.raises(ValueError):
-            lines_report(2, 3, [3])
-        with pytest.raises(ValueError):
-            lines_report(3, 2, [2])
-        with pytest.raises(ValueError):
-            lines_report(1, 2, [3])
+        # The lines are those of the admissible n, in order, each with its
+        # m from the family's minimum.
+        for label in ("A2", "A3"):
+            m_param, n_param = FAMILIES[label].params
+            lines = _lines(label, 10**4)
+            assert [line.n for line in lines] == list(
+                range(n_param.minimum, n_param.minimum + n_param.step * len(lines), n_param.step)
+            )
+            assert {line.m_first for line in lines} == {m_param.minimum}
+            assert {line.label for line in lines} == {label}
 
 
 @pytest.fixture(scope="module")

@@ -139,7 +139,7 @@ def test_line_windows_match_a_scan():
     # of its members: lo below the first member, on and between members, and
     # past the last.
     runs = [run for runs in pair_runs(SET_LABELS, 3000).values() for run in runs]
-    assert {type(run).__name__ for run in runs} == {"_LineRun", "_MemberRun"}
+    assert {type(run).__name__ for run in runs} == {"_Line", "_MemberRun"}
     for run in runs:
         chis = [chi for chi, _ in run.points(1, 3000)]
         los = {1, chis[0] - 1, chis[-1] + 1, chis[-1] + 1000}
@@ -214,7 +214,7 @@ def test_noether_zeros_find_whole_lines_and_single_members():
     # lies on the Noether line, and n = 4 meets it at m = 1.
     k2_0, chi_0 = family3_pair(0, 3)
     k2_1, chi_1 = family3_pair(1, 3)
-    n3 = geography._Line(3, 1, 5, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0)
+    n3 = geography._Line("A3", 3, 1, 5, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0)
     n4 = _lines("A3", 100)[0]._replace(m_first=1)
     assert _noether_zeros([n3, n4]) == ([n3], [(1, 4)])
     assert _noether_zeros(_lines("A3", 10**6)) == ([], [])

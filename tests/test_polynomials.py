@@ -376,8 +376,24 @@ class TestParserAgainstTheCharacterLoop:
     @example("X0^" + "9" * 4300 + " - X1^" + "9" * 4300)
     @example("X0^" + "9" * 4301 + " $")
     def test_same_dict_or_same_error(self, text):
-        for variables, nvars in _VARIABLES:
+        for (variables, nvars), parse in zip(_VARIABLES, (parse_local_poly, parse_ternary_form)):
             ours, seconds = _outcome(_parse_terms, text, variables, nvars)
             expected, _ = _outcome(oracle_parse_terms, text, variables, nvars)
             assert ours == expected, text
             assert seconds < 0.5, text
+            if not isinstance(ours, dict):
+                continue
+            # The parsers wrap the dict unchecked: its coefficients must
+            # already be Fractions, and the result what Poly's checks make.
+            assert all(type(c) is Fraction for c in ours.values()), text
+            reference = Poly(ours, nvars)
+            try:
+                parsed = parse(text)
+            except PolyParseError:
+                # Only a ternary text that is not a form is refused.
+                assert nvars == 3, text
+                with pytest.raises(ValueError):
+                    reference.form_degree()
+                continue
+            assert all(type(c) is Fraction for c in parsed.coeffs.values()), text
+            assert parsed == reference and parsed.nvars == nvars, text
