@@ -16,7 +16,6 @@ import os
 import sys
 from fractions import Fraction
 from itertools import product
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +25,6 @@ from .curves import DegenerateGermError, classify, seed_certificate
 from .figures import csv_lines, svg_lines
 from .geography import SET_LABELS, pair_runs, set_relations_report, slope_limit_report
 from .polynomials import PointOffCurveError, PolyParseError, parse_local_poly, parse_ternary_form
-from .singularities import resolution_curve_count
 
 USAGE_ERROR = 2
 FAILURE = 1
@@ -116,11 +114,11 @@ def _print_report(report: ConstructionReport) -> None:
     )
     print(f"  branch singularities: {report.branch_inventory}")
     print(f"  cover singularities:  {report.cover_inventory}")
-    curves = resolution_curve_count(report.cover_inventory)
     print(
         f"  canonical class ample: {yn[report.ample]}"
         f"   picard lower bound = {report.picard_lower}"
-        f" ({curves} exceptional curves + {report.n_indep} base classes)"
+        f" ({report.picard_lower - report.n_indep} exceptional curves"
+        f" + {report.n_indep} base classes)"
         f"   maximal: {yn[report.maximal]}"
     )
 
@@ -183,40 +181,6 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     return 0
 
 
-_LEAVES = {
-    bool: lambda b: "true" if b else "false",
-    int: int.__repr__,
-    str: encode_basestring_ascii,
-    type(None): lambda _: "null",
-}
-
-
-def _indented(obj, pad: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) with every line after the
-    first shifted right by pad, for dicts with str keys, lists, bools, ints,
-    strs and None; any other type raises TypeError.  json's own encoder
-    falls back to pure Python whenever it indents."""
-    kind = type(obj)
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(
-            [encode_basestring_ascii(key) + ": " + _indented(obj[key], inner) for key in sorted(obj)]
-        ), pad)
-    if kind is list:
-        if not obj:
-            return "[]"
-        inner = pad + "  "
-        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(
-            [_indented(item, inner) for item in obj]
-        ), pad)
-    leaf = _LEAVES.get(kind)
-    if leaf is None:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-    return leaf(obj)
-
-
 def _stream_reports(
     theorem: int, names: list[str], combos: list[tuple[int, ...]], out
 ) -> str | None:
@@ -232,7 +196,7 @@ def _stream_reports(
             raise UsageError(str(exc)) from None
         _print_report(report)
         if out is not None:
-            out.write(separator + _indented(report.to_json(), "    "))
+            out.write(separator + report.to_json_text("    "))
             separator = ",\n    "
         if failure is None:
             false = [name for name in ("match", "ample", "maximal") if not getattr(report, name)]

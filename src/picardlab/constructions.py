@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .covers import (
@@ -289,6 +290,79 @@ class ConstructionReport(NamedTuple):
             "maximal": self.maximal,
         }
 
+    def to_json_text(self, pad: str = "") -> str:
+        """The text of json.dumps(self.to_json(), indent=2, sort_keys=True)
+        with every line after the first shifted right by pad, written from
+        the fields: one f-string per record kind, keys in sorted order.
+        Integer fields must hold ints and the three verdicts bools, as the
+        pipelines make them."""
+        a, b, c = pad + "  ", pad + "    ", pad + "      "
+        data = self.building_data
+        kind = "bidouble" if isinstance(data, BidoubleCoverData) else "double"
+        classes = "".join([
+            f'{b}"{name}": {_json_block(list(map(str, getattr(data, name).coeffs)), b)},\n'
+            for name in sorted(data._fields[1:])
+        ])
+        points = []
+        for p in self.branch_points:
+            if isinstance(p, BidoubleBranchPoint):
+                meets = "null" if p.meets is None else p.meets
+                sing = f'"{p.sing}"' if p.sing else "null"
+                points.append(
+                    f'{{\n{c}"carrier": {p.carrier},\n{c}"contact": {p.contact},\n'
+                    f'{c}"count": {p.count},\n{c}"kind": "bidouble",\n'
+                    f'{c}"meets": {meets},\n{c}"sing": {sing}\n{b}}}'
+                )
+            else:
+                points.append(
+                    f'{{\n{c}"count": {p.count},\n{c}"kind": "double",\n'
+                    f'{c}"origin": {encode_basestring_ascii(p.origin)},\n'
+                    f'{c}"sing": "{p.sing}"\n{b}}}'
+                )
+        params = [
+            f"{encode_basestring_ascii(name)}: {value}"
+            for name, value in sorted(dict(self.params).items())
+        ]
+        inv, (K2, chi) = self.computed, self.closed_form
+        return (
+            f'{{\n{a}"ample": {_JSON_BOOL[self.ample]},\n'
+            f'{a}"base": {{\n{b}"e": {self.base.e},\n{b}"kind": "{self.base.kind}"\n{a}}},\n'
+            f'{a}"branch_inventory": {_inventory_text(self.branch_inventory, a)},\n'
+            f'{a}"branch_points": {_json_block(points, a)},\n'
+            f'{a}"building_data": {{\n{classes}{b}"type": "{kind}"\n{a}}},\n'
+            f'{a}"closed_form": {{\n{b}"K2": {K2},\n{b}"chi": {chi}\n{a}}},\n'
+            f'{a}"computed": {{\n{b}"K2": {inv.K2},\n{b}"chi": {inv.chi},\n'
+            f'{b}"h11": {inv.h11},\n{b}"p_g": {inv.p_g},\n{b}"q": {inv.q}\n{a}}},\n'
+            f'{a}"cover_inventory": {_inventory_text(self.cover_inventory, a)},\n'
+            f'{a}"h11": {self.h11},\n{a}"match": {_JSON_BOOL[self.match]},\n'
+            f'{a}"maximal": {_JSON_BOOL[self.maximal]},\n{a}"n_indep": {self.n_indep},\n'
+            f'{a}"params": {_json_block(params, a, "{}")},\n'
+            f'{a}"picard_lower_bound": {self.picard_lower},\n'
+            f'{a}"theorem": {self.theorem}\n{pad}}}'
+        )
+
+
+_JSON_BOOL = {False: "false", True: "true"}
+
+
+def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of written items in json.dumps's indent=2
+    layout, opened on a line indented by pad."""
+    if not items:
+        return brackets
+    joint = ",\n  " + pad
+    return f"{brackets[0]}\n  {pad}{joint.join(items)}\n{pad}{brackets[1]}"
+
+
+def _inventory_text(inventory: SingInventory, pad: str) -> str:
+    """The inventory as the array of to_json, opened on a line indented by pad."""
+    b, c = pad + "  ", pad + "    "
+    return _json_block([
+        f'{{\n{c}"count": {count},\n{c}"family": "{sing.family}",\n'
+        f'{c}"index": {sing.index}\n{b}}}'
+        for sing, count in inventory.entries
+    ], pad)
+
 
 def _branch_inventory(points: Sequence[BranchPoint]) -> SingInventory:
     """Singularity types of the total branch divisor at the annotated points."""
@@ -300,6 +374,7 @@ def _finish(
     params: tuple[tuple[str, int], ...],
     data: Union[DoubleCoverData, BidoubleCoverData],
     branch_points: tuple[BranchPoint, ...],
+    branch_inventory: SingInventory,
     cover_inventory: SingInventory,
     n_indep: int,
     closed_form: tuple[int, int],
@@ -316,7 +391,7 @@ def _finish(
         base=data.base,
         building_data=data,
         branch_points=branch_points,
-        branch_inventory=_branch_inventory(branch_points),
+        branch_inventory=branch_inventory,
         cover_inventory=cover_inventory,
         computed=invariants,
         closed_form=closed_form,
@@ -369,18 +444,19 @@ def build_theorem1(n: int) -> ConstructionReport:
         BidoubleBranchPoint(carrier=3, sing=sing, meets=1, contact=1, count=per_line),
         BidoubleBranchPoint(carrier=3, sing=sing, meets=2, contact=1, count=per_line),
     )
-    cover_inventory = transport_bidouble(points)
     return _finish(
-        1, (("n", n),), data, points, cover_inventory, 1, family1_pair(n)
+        1, (("n", n),), data, points, _branch_inventory(points), transport_bidouble(points), 1,
+        family1_pair(n),
     )
 
 
 def _pullback_setup(m: int, n: int):
     """Common ruled-surface setup for families 2 and 3.
 
-    Returns the target surface F_m with the pulled-back curve and line
-    classes, plus the transported singular sets of the curve, split by
-    whether the points sit on the branch fibers.
+    Returns the target surface F_m with its fiber and negative section
+    classes and the pulled-back curve and line classes, plus the transported
+    singular sets of the curve, split by whether the points sit on the
+    branch fibers.
     """
     # The certificate's vertex stage keeps the triangle vertices off the
     # curve: the blow-up center is the intersection of the first two
@@ -412,7 +488,7 @@ def _pullback_setup(m: int, n: int):
     assert intersect(section, curve_up) == 0
     assert intersect(section, third_line_up) == 0
 
-    return fm, curve_up, third_line_up, on_fibers, interior
+    return fm, fiber, section, curve_up, third_line_up, on_fibers, interior
 
 
 def build_theorem2(m: int, n: int) -> ConstructionReport:
@@ -420,9 +496,7 @@ def build_theorem2(m: int, n: int) -> ConstructionReport:
     (split by the parity of m), the negative section, the transformed third
     line and the pulled-back curve."""
     FAMILIES["A2"].check(m, n)
-    fm, curve_up, third_line_up, on_fibers, interior = _pullback_setup(m, n)
-    fiber = fm.divisor(0, 1)
-    section = fm.divisor(1, 0)
+    fm, fiber, section, curve_up, third_line_up, on_fibers, interior = _pullback_setup(m, n)
     b3 = section + third_line_up + curve_up
     assert b3 == fm.divisor(2 * n + 2, (2 * n + 1) * m)
     if m % 2 == 0:
@@ -460,13 +534,13 @@ def build_theorem2(m: int, n: int) -> ConstructionReport:
         points.append(
             BidoubleBranchPoint(carrier=3, sing=sing, meets=fiber_carriers[1], count=rest)
         )
-    cover_inventory = transport_bidouble(points)
     return _finish(
         2,
         (("m", m), ("n", n)),
         data,
         tuple(points),
-        cover_inventory,
+        _branch_inventory(points),
+        transport_bidouble(points),
         2,
         family2_pair(m, n),
     )
@@ -476,8 +550,7 @@ def build_theorem3(m: int, n: int) -> ConstructionReport:
     """Family 3: double cover of F_m branched over the pulled-back curve plus
     the two branch fibers."""
     FAMILIES["A3"].check(m, n)
-    fm, curve_up, _third_line_up, on_fibers, interior = _pullback_setup(m, n)
-    fiber = fm.divisor(0, 1)
+    fm, fiber, _section, curve_up, _third_line_up, on_fibers, interior = _pullback_setup(m, n)
     branch = curve_up + 2 * fiber
     assert branch == fm.divisor(2 * n, 2 * m * n + 2)
     data = DoubleCoverData(fm, L=fm.divisor(n, m * n + 1), B=branch)
@@ -495,13 +568,14 @@ def build_theorem3(m: int, n: int) -> ConstructionReport:
         points.append(
             DoubleBranchPoint(sing, count, "curve point away from the branch fibers")
         )
-    cover_inventory = transport_double(_branch_inventory(points))
+    branch_inventory = _branch_inventory(points)
     return _finish(
         3,
         (("m", m), ("n", n)),
         data,
         tuple(points),
-        cover_inventory,
+        branch_inventory,
+        transport_double(branch_inventory),
         2,
         family3_pair(m, n),
     )

@@ -32,6 +32,7 @@ unrepresentable in the first place.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 
@@ -47,6 +48,7 @@ class SingType(NamedTuple("SingType", [("family", str), ("index", int)])):
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, family: str, index: int) -> "SingType":
+        index = operator.index(index)
         if family == "A":
             if index < 1:
                 raise ValueError(f"A-type index must be >= 1, got {index}")
@@ -94,6 +96,7 @@ class SingInventory(
         for sing, count in entries:
             if not isinstance(sing, SingType):
                 raise TypeError(f"inventory entries must pair a SingType with a count, got {sing!r}")
+            count = operator.index(count)
             if count < 0:
                 raise ValueError(f"multiplicity of {sing} is negative")
             if count:

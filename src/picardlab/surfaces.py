@@ -8,11 +8,16 @@ section and a general fiber simply mean the two rulings, so the pairing
 matrix is [[0, 1], [1, 0]].
 
 Everything in this module is arbitrary-precision integer arithmetic; no
-floating point is used anywhere.
+floating point is used anywhere.  A divisor class checks its coefficients
+once, in its constructor: each must be an integer (operator.index, so a
+bool counts as its int and a float, Fraction or str is refused), and there
+must be one per basis class.  Sums, differences and integer multiples of
+checked classes on one surface are trusted and built without the check.
 """
 
 from __future__ import annotations
 
+from operator import add, index, neg, sub
 from typing import NamedTuple
 
 PLANE = "P2"
@@ -76,6 +81,10 @@ def hirzebruch(e: int) -> BaseSurface:
     return BaseSurface(RULED, e)
 
 
+# Builds a record from already checked fields, without calling its __new__.
+_trusted = tuple.__new__
+
+
 class DivisorClass(
     NamedTuple("DivisorClass", [("surface", BaseSurface), ("coeffs", tuple[int, ...])])
 ):
@@ -89,7 +98,7 @@ class DivisorClass(
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, surface: BaseSurface, coeffs: tuple[int, ...]) -> "DivisorClass":
-        coeffs = tuple(map(int, coeffs))
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != surface.rank:
             raise ValueError(
                 f"{surface} classes carry {surface.rank} coefficient(s), got {len(coeffs)}"
@@ -102,21 +111,24 @@ class DivisorClass(
                 f"divisor classes on {self.surface} and {other.surface} are incompatible"
             )
 
+    # Arithmetic combines checked classes on one surface: its results are
+    # trusted.
+
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return DivisorClass(self.surface, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
+        return _trusted(DivisorClass, (self.surface, tuple(map(add, self.coeffs, other.coeffs))))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return DivisorClass(self.surface, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
+        return _trusted(DivisorClass, (self.surface, tuple(map(sub, self.coeffs, other.coeffs))))
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.surface, tuple(-x for x in self.coeffs))
+        return _trusted(DivisorClass, (self.surface, tuple(map(neg, self.coeffs))))
 
     def __mul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return DivisorClass(self.surface, tuple(k * x for x in self.coeffs))
+        return _trusted(DivisorClass, (self.surface, tuple([k * x for x in self.coeffs])))
 
     __rmul__ = __mul__
 

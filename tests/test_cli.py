@@ -1,20 +1,20 @@
 """Exit-code contract and output determinism of the command line."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import picardlab
 from picardlab import cli, constructions, curves
-from picardlab.cli import MAX_SWEEP_BUILDS, _parse_sweep, main
+from picardlab.cli import MAX_SWEEP_BUILDS, UsageError, _parse_sweep, main
 from picardlab.constructions import ParameterError, build
 from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
 
@@ -247,28 +247,66 @@ class TestVerifyTheorem:
         assert (tmp_path / "2000.json").stat().st_size > 3_000_000
 
 
-_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f aZé€\u2028\U0001d11e') | st.characters())
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _TEXT,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
-    max_leaves=30,
+_SWEEP_PIECES = st.one_of(
+    st.sampled_from(["m=", "n=", "..", ",", " ", "-", "+", "=", "0", "2", "7", "٣", "_", "\xa0"]),
+    st.integers(-10**30, 10**30).map(str),
+    st.characters(),
 )
+# Edge cases and hostile specs; each must be answered at once.
+_SWEEP_SEEDS = [
+    "n=2..1234567890123456789012345",
+    "n=" + "9" * 5000,
+    "n=٣",
+    "n=1_0",
+    "m=3,,n=4",
+    "n=2..3..4",
+    "n=",
+    "m=3,n=4,",
+    "n=2,n=4",
+    "m=1..10000,n=2..3",
+]
 
 
-class TestIndentedWriter:
-    @given(_JSON_VALUES)
-    @example({})
-    @example([])
-    @example({"a": [], "b": {}, "c": [[{}]]})
-    def test_matches_json_dumps(self, value):
-        expected = json.dumps(value, indent=2, sort_keys=True)
-        assert cli._indented(value, "") == expected
-        assert cli._indented(value, "    ") == expected.replace("\n", "\n    ")
+def _check_sweep(spec):
+    """A sweep spec parses to a dict within the cap, or is a UsageError,
+    in under half a second."""
+    start = time.perf_counter()
+    try:
+        sweep = _parse_sweep(spec)
+    except UsageError:
+        sweep = None
+    assert time.perf_counter() - start < 0.5, spec
+    if sweep is None:
+        return
+    assert sweep and set(sweep) <= {"m", "n"}, spec
+    for values in sweep.values():
+        assert 0 < len(values) <= MAX_SWEEP_BUILDS, spec
+        assert all(type(v) is int for v in values), spec
+    assert math.prod(map(len, sweep.values())) <= MAX_SWEEP_BUILDS, spec
 
-    @pytest.mark.parametrize("value", [Fraction(1, 2), {"mu": Fraction(4)}, [1.5], (1, 2)])
-    def test_other_types_are_refused(self, value):
-        with pytest.raises(TypeError):
-            cli._indented(value, "")
+
+class TestParseSweep:
+    @settings(max_examples=800, deadline=None, database=None)
+    @given(st.one_of(
+        st.lists(_SWEEP_PIECES, max_size=16).map("".join),
+        st.text(max_size=24),
+    ))
+    def test_a_dict_within_the_cap_or_a_usage_error(self, spec):
+        _check_sweep(spec)
+
+    @pytest.mark.parametrize("spec", _SWEEP_SEEDS)
+    def test_seeds(self, spec):
+        _check_sweep(spec)
+
+    @pytest.mark.parametrize("spec", ["n=٣", "n=1_0"])
+    def test_what_int_reads_is_accepted(self, spec):
+        assert _parse_sweep(spec) == {"n": [int(spec[2:])]}
+
+    @pytest.mark.parametrize("spec", [s for s in _SWEEP_SEEDS if s not in ("n=٣", "n=1_0")])
+    def test_a_refused_sweep_exits_2_with_empty_stdout(self, capsys, spec):
+        code, out, err = run(capsys, "verify-theorem", "2", "--sweep", spec)
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("usage error: ") and err.count("\n") == 1, spec
 
 
 class TestGeography:

@@ -6,6 +6,8 @@ import pytest
 
 from picardlab import constructions, covers, curves
 from picardlab.constructions import (
+    ConstructionReport,
+    DoubleBranchPoint,
     ParameterError,
     _finish,
     build,
@@ -14,9 +16,15 @@ from picardlab.constructions import (
     build_theorem3,
     closed_form_invariants,
 )
-from picardlab.covers import validate_bidouble, validate_double, BidoubleCoverData, DoubleCoverData
+from picardlab.covers import (
+    BidoubleCoverData,
+    DoubleCoverData,
+    SurfaceInvariants,
+    validate_bidouble,
+    validate_double,
+)
 from picardlab.curves import singular_points_report
-from picardlab.singularities import A, D, SingInventory
+from picardlab.singularities import A, D, E, BidoubleBranchPoint, SingInventory
 from picardlab.surfaces import hirzebruch, projective_plane
 
 
@@ -189,6 +197,54 @@ def test_report_json_round_trip():
     assert payload["building_data"]["type"] == "bidouble"
 
 
+def _hand_made_reports():
+    """Reports built field by field, with the shapes no pipeline makes."""
+    f3, plane = hirzebruch(3), projective_plane()
+    bidouble = BidoubleCoverData(
+        f3,
+        L1=f3.divisor(3, 8), L2=f3.divisor(-3, 8), L3=f3.divisor(0, 1),
+        B1=f3.zero(), B2=f3.divisor(0, 2), B3=f3.divisor(6, 15),
+    )
+    bidouble_points = (
+        BidoubleBranchPoint(carrier=1, sing=None, meets=2, contact=3, count=4),
+        BidoubleBranchPoint(carrier=3, sing=D(5), meets=None, count=1),
+        BidoubleBranchPoint(carrier=2, sing=A(2), meets=3, count=12345678901234567890),
+    )
+    double = DoubleCoverData(plane, L=plane.divisor(-2), B=plane.divisor(-4))
+    double_points = (
+        DoubleBranchPoint(A(1), 2, 'a "quoted" origin\\ with é, \u2028 and \U0001d11e\n'),
+        DoubleBranchPoint(D(4), 1, ""),
+    )
+    invariants = SurfaceInvariants(K2=-7, chi=3, p_g=2, q=0, h11=37)
+    common = dict(
+        computed=invariants, closed_form=(-7, 3), n_indep=2, picard_lower=0, h11=37
+    )
+    return [
+        ConstructionReport(
+            2, (("n", 4), ("m", -3)), f3, bidouble, bidouble_points,
+            SingInventory(), SingInventory.from_counts({A(11): 4, D(4): 12}),
+            ample=True, maximal=False, match=True, **common,
+        ),
+        ConstructionReport(
+            3, (), plane, double, double_points,
+            SingInventory.of(E(8)), SingInventory(),
+            ample=False, maximal=True, match=False, **common,
+        ),
+        ConstructionReport(
+            1, (("n\u00e9\"", 2),), plane, double, (), SingInventory(), SingInventory(),
+            ample=False, maximal=False, match=False, **common,
+        ),
+    ]
+
+
+@pytest.mark.parametrize("pad", ["", "    "])
+def test_report_json_text_is_json_dumps_of_to_json(pad):
+    reports = _hand_made_reports() + [build_theorem1(3), build_theorem2(4, 2), build_theorem3(3, 6)]
+    for report in reports:
+        expected = json.dumps(report.to_json(), indent=2, sort_keys=True)
+        assert report.to_json_text(pad) == expected.replace("\n", "\n" + pad)
+
+
 def test_reports_are_immutable():
     report = build_theorem2(3, 2)
     with pytest.raises(AttributeError):
@@ -200,7 +256,7 @@ def test_finish_rejects_inconsistent_building_data():
     plane = projective_plane()
     data = DoubleCoverData(plane, L=plane.divisor(2), B=plane.divisor(3))
     with pytest.raises(ParameterError, match=r"^assembled building data is invalid: B = .* is not twice L"):
-        _finish(3, (("m", 2), ("n", 4)), data, (), SingInventory.from_counts({}), 2, (24, 13))
+        _finish(3, (("m", 2), ("n", 4)), data, (), SingInventory(), SingInventory(), 2, (24, 13))
 
 
 def test_building_data_is_validated_once(monkeypatch):

@@ -1,10 +1,12 @@
 """The SVG markers against a reference copy of the per-marker formatter that
-the template writers replaced, byte for byte."""
+the template writers replaced, byte for byte, and the unrounded marker
+centres against the screen formulas they were first computed with."""
 
 import random
 
 import pytest
 
+from picardlab import figures
 from picardlab.figures import (
     _GAP,
     _MARGIN_L,
@@ -36,9 +38,9 @@ def reference_marker(shape: str, color: str, cx: float, cy: float, tag: str) -> 
     )
 
 
-def reference_panel_markers(label, x_screen, chi_lo, chi_hi, first, points):
-    """The marker lines of points in the panel, with the screen arithmetic
-    written out in full as the emitter's panels compute it."""
+def reference_centres(x_screen, chi_lo, chi_hi, first, points):
+    """The screen centres of points in the panel, by the emitter's first
+    sx and sy, in (chi, K2) order."""
     xlo = 0.0 if first else float(chi_lo)
     xhi = float(chi_hi)
     ymax = 9.0 * chi_hi
@@ -50,9 +52,18 @@ def reference_panel_markers(label, x_screen, chi_lo, chi_hi, first, points):
     def sy(y: float) -> float:
         return py + _PANEL_H - y / ymax * _PANEL_H
 
+    return [(sx(c), sy(k2)) for c, k2 in sorted(points)]
+
+
+def reference_panel_markers(label, x_screen, chi_lo, chi_hi, first, points):
+    """The marker lines of points in the panel, with the screen arithmetic
+    written out in full as the emitter's panels compute it."""
     shape, color = MARKER_STYLES[label]
     tag = f'data-set="{label}"'
-    return [reference_marker(shape, color, sx(c), sy(k2), tag) for c, k2 in sorted(points)]
+    return [
+        reference_marker(shape, color, cx, cy, tag)
+        for cx, cy in reference_centres(x_screen, chi_lo, chi_hi, first, points)
+    ]
 
 
 class ListRun:
@@ -100,6 +111,26 @@ def test_panel_markers_match_the_reference(chi_max, label):
         text = "".join(_panel(index, x_screen, chi_lo, chi_hi, first, {label: runs}))
         drawn = [line for line in text.split("\n") if "data-set=" in line]
         assert drawn == reference_panel_markers(label, x_screen, chi_lo, chi_hi, first, points)
+
+
+@pytest.mark.parametrize("chi_max", [10, 1_000, 100_000])
+@pytest.mark.parametrize("label", sorted(MARKER_STYLES))
+def test_panel_centres_are_the_first_screen_formulas(chi_max, label, monkeypatch):
+    # The markers round to two decimals, so a reordered float expression
+    # can print the same bytes; the centres before rounding cannot hide it.
+    handed = []
+
+    def recording_writer(label, tag):
+        return lambda centres: handed.extend(centres) or ""
+
+    monkeypatch.setattr(figures, "_marker_writer", recording_writer)
+    rng = random.Random(f"centres {chi_max}/{label}")
+    for index, x_screen, chi_lo, chi_hi, first in panels(chi_max):
+        points = sample_points(rng, chi_lo, chi_hi)
+        handed.clear()
+        for _ in _panel(index, x_screen, chi_lo, chi_hi, first, {label: [ListRun([p]) for p in points]}):
+            pass
+        assert handed == reference_centres(x_screen, chi_lo, chi_hi, first, points)
 
 
 def test_legend_samples_match_the_reference():

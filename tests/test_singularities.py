@@ -1,6 +1,7 @@
 """Inventories, union rules, transport rules and the Picard lower bound."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +44,15 @@ class TestSingType:
         with pytest.raises(ValueError, match=r"^A-type index must be >= 1, got 0$"):
             sing._replace(index=0)
 
+    @pytest.mark.parametrize("index", [2.5, 2.0, Fraction(3), "2"])
+    def test_non_integer_index_is_refused(self, index):
+        with pytest.raises(TypeError):
+            SingType("A", index)
+
+    def test_bool_index_is_its_int(self):
+        assert SingType("A", True) == A(1) and str(SingType("A", True)) == "A1"
+        assert type(SingType("A", True).index) is int
+
     def test_resolution_curves_equal_index(self):
         assert A(3).resolution_curves == 3
         assert D(10).resolution_curves == 10
@@ -63,6 +73,16 @@ class TestInventory:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             SingInventory.from_counts({A(1): -1})
+
+    @pytest.mark.parametrize("count", [1.5, 1.0, Fraction(2), "1"])
+    def test_non_integer_count_is_refused(self, count):
+        with pytest.raises(TypeError):
+            SingInventory(((A(1), count),))
+
+    def test_bool_count_is_its_int(self):
+        inv = SingInventory(((A(1), True), (A(2), False)))
+        assert inv == SingInventory.of(A(1)) and str(inv) == "1 x A1"
+        assert type(inv.entries[0][1]) is int
 
     def test_add_and_scale(self):
         inv = SingInventory.of(A(1)) + SingInventory.from_counts({A(1): 2, D(5): 1})

@@ -1,5 +1,7 @@
 """Divisor-class arithmetic on the plane and the ruled surfaces."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,13 +57,42 @@ def test_bad_surfaces_and_classes_are_refused():
 
 
 def test_divisor_classes_are_immutable_with_int_coefficients():
-    d = hirzebruch(2).divisor(True, 3.0)
+    d = hirzebruch(2).divisor(True, 3)
     assert d.coeffs == (1, 3) and all(type(c) is int for c in d.coeffs)
     with pytest.raises(AttributeError):
         d.coeffs = (0, 0)
-    assert d == hirzebruch(2).divisor(1, 3) == d._replace(coeffs=(1.0, 3))
+    assert d == hirzebruch(2).divisor(1, 3) == d._replace(coeffs=(True, 3))
     with pytest.raises(ValueError, match=r"^F_2 classes carry 2 coefficient\(s\), got 3$"):
         d._replace(coeffs=(1, 3, 0))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: P2.divisor(2.7),
+        lambda: P2.divisor(2.0),
+        lambda: hirzebruch(2).divisor(Fraction(5, 2), "3"),
+        lambda: hirzebruch(2).divisor(Fraction(4, 2), 3),
+        lambda: hirzebruch(2).divisor(1, "3"),
+        lambda: hirzebruch(1).divisor(1, 1)._replace(coeffs=(1, 1.0)),
+    ],
+)
+def test_non_integer_coefficients_are_refused(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_arithmetic_results_are_int_classes_on_the_same_surface():
+    f2 = hirzebruch(2)
+    d, e = f2.divisor(True, 3), f2.divisor(-2, 5)
+    for result in (d + e, d - e, -d, 3 * d, d * True, e * 0):
+        assert type(result) is DivisorClass and result.surface == f2
+        assert len(result.coeffs) == 2 and all(type(c) is int for c in result.coeffs)
+    assert (d + e, d - e, -d, 3 * d) == (f2.divisor(-1, 8), f2.divisor(3, -2), f2.divisor(-1, -3), f2.divisor(3, 9))
+    with pytest.raises(SurfaceMismatchError):
+        d + hirzebruch(3).divisor(1, 3)
+    with pytest.raises(TypeError):
+        d * 1.5
 
 
 def test_canonical_classes():
