@@ -14,8 +14,9 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
-from itertools import product
+from itertools import product, starmap
 from pathlib import Path
 
 from . import __version__
@@ -92,6 +93,14 @@ def _parse_sweep(spec: str) -> dict[str, list[int]]:
     return out
 
 
+def _refuse_unprintable(numbers: Iterable[int], what: str) -> None:
+    """Refuse numbers with more digits than str() converts (a limit of 0,
+    or a Python before 3.10.7, converts any)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and max(map(abs, numbers)) >= 10**limit:
+        raise UsageError(f"{what} would print a number of more than {limit} digits")
+
+
 def _print_report(report: ConstructionReport) -> None:
     yn = {True: "yes", False: "NO"}
     print(f"theorem {report.theorem}  {report.params_str()}  (base {report.base})")
@@ -150,6 +159,11 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
             family.check(*values)
     except ParameterError as exc:
         raise UsageError(str(exc)) from None
+    # A report's largest numbers are K2 and h11 = 10*chi - K2 (q = 0).
+    _refuse_unprintable(
+        (x for K2, chi in starmap(family.pair, combos) for x in (K2, 10 * chi - K2)),
+        f"theorem {theorem}",
+    )
 
     try:
         out = open(args.json, "w", encoding="utf-8") if args.json else None
@@ -267,6 +281,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.homogeneous is None and (args.point is not None or args.chart is not None):
         raise UsageError("--point and --chart apply only to --homogeneous")
     if args.curve_n is not None:
+        # The certificate's largest number is the Jacobian coefficient n^3.
+        _refuse_unprintable([args.curve_n**3], "the seed curve certificate")
         try:
             certificate = seed_certificate(args.curve_n)
         except ValueError as exc:

@@ -1,16 +1,24 @@
-"""The family table, the three construction pipelines and their
+"""The family table, the builder that reads its pipeline rows, and the
 certification reports.
 
 FAMILIES holds one record per family of invariant pairs: families 1-3
 (set labels A1, A2, A3), the classical double planes B and the overlap
 family T.  Each record defines the family's parameter domain, its
-closed-form (K2, chi), its membership solver and, for families 1-3, the
-pipeline; validation, building, enumeration and membership all read it,
+closed-form (K2, chi), its membership solver and, for families 1-3, its
+pipeline row; validation, building, enumeration and membership all read it,
 and geography derives the A2 and A3 line of each n from the pair.
 
-Each pipeline assembles exact branch data for one family of canonical
-models, computes the cover invariants and the transported singular set,
-and certifies three things by integer arithmetic:
+One builder, _build, makes every member from the seed curve C_n and the
+three coordinate lines as the family's row says.  Families 2 and 3 blow up
+the vertex where the first two lines cross (it is off the curve), which
+makes those lines fibers of F_1, and pull back along the degree-m cyclic
+cover F_m -> F_1 branched over them.  Family 1 is family 2's row at m = 1
+on the plane, where the negative section is zero.  The row composes each
+branch divisor from (line, negative section, third line, curve); each L is
+half a sum of them, and an odd half is refused.  Each batch of seed points
+joins a branch component, meets the divisors holding the two lines, or
+keeps away from them.  The builder checks the intersection numbers that the
+transport rules rest on and certifies three things by integer arithmetic:
 
   match    the computed (K2, chi) equal the family's closed forms,
   ample    the class pulling back to (a multiple of) the canonical class
@@ -18,15 +26,10 @@ and certifies three things by integer arithmetic:
   maximal  the Picard lower bound (exceptional curves plus base classes)
            equals h^{1,1} exactly.
 
-Family 1 is a bidouble cover of the plane branched over the three
-coordinate lines and the seed curve.  Families 2 and 3 first move the seed
-curve to the ruled surface F_1 (blow-up of the plane at the intersection
-point of two of the lines, which never lies on the curve), pull it back
-along the degree-m cyclic cover F_m -> F_1 branched over the two line
-transforms, and then take a bidouble (family 2) or double (family 3)
-cover of F_m.  Every pipeline takes the seed curve's singular points (3n
-points of type A_{n-1}, n on each coordinate line) and the fact that it
-misses the coordinate vertices from curves.seed_certificate.
+A failed check raises ParameterError naming its stage and numbers, so none
+is lost under python -O.  The seed curve's singular points (3n points of
+type A_{n-1}, n on each coordinate line) and the fact that it misses the
+coordinate vertices come from curves.seed_certificate.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from .singularities import (
     union_type,
     CyclicBranchPoint,
 )
-from .surfaces import BaseSurface, hirzebruch, intersect, projective_plane
+from .surfaces import BaseSurface, DivisorClass, hirzebruch, intersect, projective_plane
 
 
 class ParameterError(ValueError):
@@ -162,18 +165,36 @@ class Param(NamedTuple):
         return value >= self.minimum and (value - self.minimum) % self.step == 0
 
 
+class Pipeline(NamedTuple):
+    """How a theorem family builds a member from the seed curve and its
+    three coordinate lines.
+
+    cyclic says whether the member lives on F_m, after the degree-m cyclic
+    pullback, or on the plane.  branch(m) gives each branch divisor (B1, B2,
+    B3, or the one B of a double cover) as multiplicities of (line, negative
+    section, third line, curve), where line is the class of either of the
+    first two lines.  points places each batch of seed points, "lines" (on
+    the first two lines) or "third": "join" a branch component of the
+    curve's divisor (a D point), "meet" the divisors holding the two lines,
+    or "keep" away from them."""
+
+    cyclic: bool
+    branch: Callable[[int], tuple[tuple[int, int, int, int], ...]]
+    points: tuple[tuple[str, str], ...]
+
+
 class Family(NamedTuple):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
-    and closed-form pair, the membership solver, and the construction
-    pipeline of families 1-3."""
+    and closed-form pair, the membership solver, and the pipeline row of
+    families 1-3."""
 
     label: str
     theorem: Optional[int]
     params: tuple[Param, ...]
     pair: Callable
     solve: Optional[Callable] = None
-    build: Optional[Callable] = None
+    pipeline: Optional[Pipeline] = None
 
     def admits(self, *values: int) -> bool:
         return all(map(Param.admits, self.params, values))
@@ -364,46 +385,6 @@ def _inventory_text(inventory: SingInventory, pad: str) -> str:
     ], pad)
 
 
-def _branch_inventory(points: Sequence[BranchPoint]) -> SingInventory:
-    """Singularity types of the total branch divisor at the annotated points."""
-    return SingInventory.from_counts((p.branch_type, p.count) for p in points)
-
-
-def _finish(
-    theorem: int,
-    params: tuple[tuple[str, int], ...],
-    data: Union[DoubleCoverData, BidoubleCoverData],
-    branch_points: tuple[BranchPoint, ...],
-    branch_inventory: SingInventory,
-    cover_inventory: SingInventory,
-    n_indep: int,
-    closed_form: tuple[int, int],
-) -> ConstructionReport:
-    invariants_of = bidouble_invariants if isinstance(data, BidoubleCoverData) else double_invariants
-    try:
-        invariants = invariants_of(data)
-    except CoverDataError as exc:
-        raise ParameterError(f"assembled building data is invalid: {exc}") from None
-    lower = picard_lower_bound(cover_inventory, n_indep)
-    return ConstructionReport(
-        theorem=theorem,
-        params=params,
-        base=data.base,
-        building_data=data,
-        branch_points=branch_points,
-        branch_inventory=branch_inventory,
-        cover_inventory=cover_inventory,
-        computed=invariants,
-        closed_form=closed_form,
-        ample=canonical_ample_check(data),
-        n_indep=n_indep,
-        picard_lower=lower,
-        h11=invariants.h11,
-        maximal=lower == invariants.h11,
-        match=(invariants.K2, invariants.chi) == closed_form,
-    )
-
-
 @functools.lru_cache(maxsize=None)
 def _certified_seed(n: int) -> tuple[SingType, int]:
     """The seed curve's singular type and its number of points on each
@@ -419,179 +400,156 @@ def _certified_seed(n: int) -> tuple[SingType, int]:
     return certificate.singularity, certificate.points_per_line
 
 
-def build_theorem1(n: int) -> ConstructionReport:
-    """Family 1: bidouble cover of the plane, branch divisors the coordinate
-    lines l1, l2 and l3 + (seed curve)."""
-    FAMILIES["A1"].check(n)
+def _compose(multiplicities: Sequence[int], components: Sequence[DivisorClass]) -> DivisorClass:
+    """The sum of k * component over the row's multiplicities k."""
+    terms = [c if k == 1 else k * c for k, c in zip(multiplicities, components) if k]
+    return sum(terms[1:], terms[0]) if terms else 0 * components[0]
+
+
+def _halve(name: str, d: DivisorClass) -> DivisorClass:
+    try:
+        return d.half()
+    except ValueError:
+        raise ParameterError(f"validate: {name} = {d} is not twice a class") from None
+
+
+# The provenance note of a double-cover branch point, by placement.
+_ORIGINS = {
+    "join": "curve point joined by a branch fiber component",
+    "keep": "curve point away from the branch fibers",
+}
+
+
+def _build(family: Family, *values: int) -> ConstructionReport:
+    """Build and certify the family member with these parameter values from
+    the family's pipeline row."""
+    family.check(*values)
+    row = family.pipeline
+    params = tuple((p.name, v) for p, v in zip(family.params, values))
+    named = dict(params)
+    m, n = named.get("m", 1), named["n"]
     sing, per_line = _certified_seed(n)
-    plane = projective_plane()
-    line = plane.divisor(1)
-    data = BidoubleCoverData(
-        plane,
-        L1=plane.divisor(n + 1),
-        L2=plane.divisor(n + 1),
-        L3=line,
-        B1=line,
-        B2=line,
-        B3=plane.divisor(2 * n + 1),
-    )
-    # The curve has n A_{n-1} points on each coordinate line, transversal to
-    # it.  On l3 (part of B3) they merge with the line into D_{n+2} points of
-    # B3 itself, away from B1 and B2; on l1 and l2 the second branch divisor
-    # passes through the A_{n-1} point of B3 transversally.
-    points = (
-        BidoubleBranchPoint(carrier=3, sing=union_type(sing, 1), count=per_line),
-        BidoubleBranchPoint(carrier=3, sing=sing, meets=1, contact=1, count=per_line),
-        BidoubleBranchPoint(carrier=3, sing=sing, meets=2, contact=1, count=per_line),
-    )
-    return _finish(
-        1, (("n", n),), data, points, _branch_inventory(points), transport_bidouble(points), 1,
-        family1_pair(n),
-    )
-
-
-def _pullback_setup(m: int, n: int):
-    """Common ruled-surface setup for families 2 and 3.
-
-    Returns the target surface F_m with its fiber and negative section
-    classes and the pulled-back curve and line classes, plus the transported
-    singular sets of the curve, split by whether the points sit on the
-    branch fibers.
-    """
-    # The certificate's vertex stage keeps the triangle vertices off the
-    # curve: the blow-up center is the intersection of the first two
-    # coordinate lines, and the other two vertices are where the third-line
-    # transform crosses the branch fibers.
-    sing, per_line = _certified_seed(n)
-    f1 = hirzebruch(1)
-    curve_class = f1.divisor(2 * n, 2 * n)
-    third_line_class = f1.divisor(1, 1)
-    fm = hirzebruch(m)
-    curve_up = cyclic_pullback_class(curve_class, m)
-    third_line_up = cyclic_pullback_class(third_line_class, m)
-
-    # The curve meets each blown-up line in n transversal A_{n-1} points and
-    # carries n more on the transform of the third line.
-    on_fibers = transport_cyclic(
-        (CyclicBranchPoint(sing, on_fiber=True, count=2 * per_line),), m
-    )
-    interior = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m)
-
-    # Intersection bookkeeping: the pulled-back curve meets each branch fiber
-    # in its n on-fiber double points and the third-line transform in its
-    # m*n interior double points.
-    fiber = fm.divisor(0, 1)
-    assert intersect(fiber, curve_up) == 2 * n
-    assert intersect(third_line_up, curve_up) == 2 * m * n
-    # The negative section stays disjoint from both.
-    section = fm.divisor(1, 0)
-    assert intersect(section, curve_up) == 0
-    assert intersect(section, third_line_up) == 0
-
-    return fm, fiber, section, curve_up, third_line_up, on_fibers, interior
-
-
-def build_theorem2(m: int, n: int) -> ConstructionReport:
-    """Family 2: bidouble cover of F_m branched over the two branch fibers
-    (split by the parity of m), the negative section, the transformed third
-    line and the pulled-back curve."""
-    FAMILIES["A2"].check(m, n)
-    fm, fiber, section, curve_up, third_line_up, on_fibers, interior = _pullback_setup(m, n)
-    b3 = section + third_line_up + curve_up
-    assert b3 == fm.divisor(2 * n + 2, (2 * n + 1) * m)
-    if m % 2 == 0:
-        data = BidoubleCoverData(
-            fm,
-            L1=fm.divisor(n + 1, m * n + m // 2 + 1),
-            L2=fm.divisor(n + 1, m * n + m // 2),
-            L3=fiber,
-            B1=fm.zero(),
-            B2=2 * fiber,
-            B3=b3,
-        )
-        fiber_carriers = (2, 2)
+    if row.cyclic:
+        # On F_1 the first two lines are fibers, the third line is D0 + F
+        # and the curve 2n(D0 + F).  The seed certificate keeps every vertex
+        # off the curve: one is blown up, and the other two are where the
+        # third line crosses the line fibers.  The cover F_m -> F_1 branches
+        # over the line fibers, so a curve point on one becomes one A_{mn-1}
+        # and a point on the third line m points: on_line and on_third are
+        # the (type, count) of the points on one line and on the third.
+        base, f1 = hirzebruch(m), hirzebruch(1)
+        line, section = base.divisor(0, 1), base.divisor(1, 0)
+        third = cyclic_pullback_class(f1.divisor(1, 1), m)
+        curve = cyclic_pullback_class(f1.divisor(2 * n, 2 * n), m)
+        (on_line,) = transport_cyclic((CyclicBranchPoint(sing, True, count=per_line),), m).entries
+        (on_third,) = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m).entries
     else:
-        half_l = fm.divisor(n + 1, m * n + (m - 1) // 2 + 1)
-        data = BidoubleCoverData(
-            fm, L1=half_l, L2=half_l, L3=fiber, B1=fiber, B2=fiber, B3=b3
-        )
-        fiber_carriers = (1, 2)
+        base = projective_plane()
+        line = third = base.divisor(1)
+        section, curve = 0 * line, 2 * n * line
+        on_line = on_third = (sing, per_line)
+    # The curve is transversal to each line at its A points and meets it
+    # twice at each; the negative section misses the curve and the third
+    # line.
+    for name, d1, d2, expected in (
+        ("line.curve", line, curve, 2 * on_line[1]),
+        ("third.curve", third, curve, 2 * on_third[1]),
+        ("section.curve", section, curve, 0),
+        ("section.third", section, third, 0),
+    ):
+        value = intersect(d1, d2)
+        if value != expected:
+            raise ParameterError(f"transport: {name} = {value}, expected {expected}")
 
-    points: list[BidoubleBranchPoint] = []
-    # Interior curve points sit on the third-line component of B3 and merge
-    # with it into D points of B3, away from B1 and B2.
-    for sing, count in interior.items():
-        points.append(
-            BidoubleBranchPoint(carrier=3, sing=union_type(sing, 1), count=count)
-        )
-    # On-fiber curve points: the branch fiber (a component of B1 or B2)
-    # passes transversally through the pulled-back A point of B3.
-    for sing, count in on_fibers.items():
-        half, rest = count // 2, count - count // 2
-        points.append(
-            BidoubleBranchPoint(carrier=3, sing=sing, meets=fiber_carriers[0], count=half)
-        )
-        points.append(
-            BidoubleBranchPoint(carrier=3, sing=sing, meets=fiber_carriers[1], count=rest)
-        )
-    return _finish(
-        2,
-        (("m", m), ("n", n)),
-        data,
-        tuple(points),
-        _branch_inventory(points),
-        transport_bidouble(points),
-        2,
-        family2_pair(m, n),
+    rows = row.branch(m)
+    branch = [_compose(mults, (line, section, third, curve)) for mults in rows]
+    bidouble = len(branch) == 3
+    if bidouble:
+        B1, B2, B3 = branch
+        L1, L2 = _halve("B2 + B3", B2 + B3), _halve("B1 + B3", B1 + B3)
+        data = BidoubleCoverData(base, L1, L2, L1 + L2 - B3, B1, B2, B3)
+    else:
+        data = DoubleCoverData(base, L=_halve("B", branch[0]), B=branch[0])
+
+    # The curve lies on one branch divisor, and each line on a divisor whose
+    # row counts it.
+    holders: list[int] = []
+    for i, (line_mult, _section, _third, curve_mult) in enumerate(rows, 1):
+        holders += [i] * line_mult
+        if curve_mult:
+            carrier = i
+    batches = {"lines": (on_line, 2), "third": (on_third, 1)}
+    points: list[BranchPoint] = []
+    for batch, placement in row.points:
+        (point_type, count), lines = batches[batch]
+        if placement == "meet":
+            points += [
+                BidoubleBranchPoint(carrier, point_type, meets=i, count=count) for i in holders
+            ]
+            continue
+        if placement == "join":
+            point_type = union_type(point_type, 1)
+        if bidouble:
+            points.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
+        else:
+            points.append(DoubleBranchPoint(point_type, lines * count, _ORIGINS[placement]))
+    branch_inventory = SingInventory(tuple([(p.branch_type, p.count) for p in points]))
+    if bidouble:
+        cover_inventory, invariants_of = transport_bidouble(points), bidouble_invariants
+    else:
+        cover_inventory, invariants_of = transport_double(branch_inventory), double_invariants
+    try:
+        invariants = invariants_of(data)
+    except CoverDataError as exc:
+        raise ParameterError(f"assembled building data is invalid: {exc}") from None
+    lower = picard_lower_bound(cover_inventory, base.rank)
+    closed_form = family.pair(*values)
+    return ConstructionReport(
+        theorem=family.theorem,
+        params=params,
+        base=base,
+        building_data=data,
+        branch_points=tuple(points),
+        branch_inventory=branch_inventory,
+        cover_inventory=cover_inventory,
+        computed=invariants,
+        closed_form=closed_form,
+        ample=canonical_ample_check(data),
+        n_indep=base.rank,
+        picard_lower=lower,
+        h11=invariants.h11,
+        maximal=lower == invariants.h11,
+        match=(invariants.K2, invariants.chi) == closed_form,
     )
 
 
-def build_theorem3(m: int, n: int) -> ConstructionReport:
-    """Family 3: double cover of F_m branched over the pulled-back curve plus
-    the two branch fibers."""
-    FAMILIES["A3"].check(m, n)
-    fm, fiber, _section, curve_up, _third_line_up, on_fibers, interior = _pullback_setup(m, n)
-    branch = curve_up + 2 * fiber
-    assert branch == fm.divisor(2 * n, 2 * m * n + 2)
-    data = DoubleCoverData(fm, L=fm.divisor(n, m * n + 1), B=branch)
+def _bidouble_branch(m: int) -> tuple[tuple[int, int, int, int], ...]:
+    # B3 is section + third line + curve, whose F coefficient (2n + 1)m has
+    # the parity of m.  For odd m, B1 and B2 hold one line each; for even m,
+    # B2 holds both and B1 is empty.
+    odd = m % 2
+    return ((odd, 0, 0, 0), (2 - odd, 0, 0, 0), (0, 1, 1, 1))
 
-    points: list[DoubleBranchPoint] = []
-    # On-fiber curve points merge with the fiber components of the branch
-    # divisor into D points; interior points keep their type.
-    for sing, count in on_fibers.items():
-        points.append(
-            DoubleBranchPoint(
-                union_type(sing, 1), count, "curve point joined by a branch fiber component"
-            )
-        )
-    for sing, count in interior.items():
-        points.append(
-            DoubleBranchPoint(sing, count, "curve point away from the branch fibers")
-        )
-    branch_inventory = _branch_inventory(points)
-    return _finish(
-        3,
-        (("m", m), ("n", n)),
-        data,
-        tuple(points),
-        branch_inventory,
-        transport_double(branch_inventory),
-        2,
-        family3_pair(m, n),
-    )
 
+# Family 2: a bidouble cover of F_m.  Its curve points on the third line
+# join B3 as D points, and those on the two lines meet B1 and B2.
+_BIDOUBLE_ROW = Pipeline(True, _bidouble_branch, (("third", "join"), ("lines", "meet")))
 
 FAMILIES = {
     family.label: family
     for family in (
-        Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, build=build_theorem1),
+        Family(
+            "A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1,
+            _BIDOUBLE_ROW._replace(cyclic=False),
+        ),
         Family(
             "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
-            build=build_theorem2,
+            _BIDOUBLE_ROW,
         ),
         Family(
             "A3", 3, (Param("m", 2, 1), Param("n", 4, 2)), family3_pair, _solve_a3,
-            build=build_theorem3,
+            # A double cover of F_m branched over the curve and both lines.
+            Pipeline(True, lambda m: ((2, 0, 0, 1),), (("lines", "join"), ("third", "keep"))),
         ),
         Family("B", None, (Param("n", 4, 1),), set_b_pair, _solve_b),
         Family("T", None, (Param("t", 6, 2),), set_t_pair),
@@ -621,6 +579,18 @@ def closed_form_invariants(theorem: int, *, n: int, m: int | None = None) -> tup
 
 
 def build(theorem: int, *, n: int, m: int | None = None) -> ConstructionReport:
-    """Run the family's pipeline by theorem id."""
+    """Build and certify one member by theorem id."""
     family, values = _theorem_family(theorem, n, m)
-    return family.build(*values)
+    return _build(family, *values)
+
+
+def build_theorem1(n: int) -> ConstructionReport:
+    return build(1, n=n)
+
+
+def build_theorem2(m: int, n: int) -> ConstructionReport:
+    return build(2, m=m, n=n)
+
+
+def build_theorem3(m: int, n: int) -> ConstructionReport:
+    return build(3, m=m, n=n)

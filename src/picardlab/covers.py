@@ -51,7 +51,7 @@ class SurfaceInvariants(
             raise ValueError(f"inconsistent invariants: chi={chi} != 1 - q + p_g = {1 - q + p_g}")
         if h11 != 10 * chi - K2 - 2 * q:
             raise ValueError(f"inconsistent invariants: h11={h11} != 10*chi - K2 - 2q")
-        return super().__new__(cls, K2, chi, p_g, q, h11)
+        return tuple.__new__(cls, (K2, chi, p_g, q, h11))
 
 
 class DoubleCoverData(NamedTuple):

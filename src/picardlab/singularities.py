@@ -33,7 +33,8 @@ unrepresentable in the first place.
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple, Optional
 
 
 class TransportError(ValueError):
@@ -60,7 +61,7 @@ class SingType(NamedTuple("SingType", [("family", str), ("index", int)])):
                 raise ValueError(f"E-type index must be 6, 7 or 8, got {index}")
         else:
             raise ValueError(f"unknown singularity family {family!r}")
-        return super().__new__(cls, family, index)
+        return tuple.__new__(cls, (family, index))
 
     @property
     def resolution_curves(self) -> int:
@@ -101,7 +102,7 @@ class SingInventory(
                 raise ValueError(f"multiplicity of {sing} is negative")
             if count:
                 merged[sing] = merged.get(sing, 0) + count
-        return super().__new__(cls, tuple(sorted(merged.items())))
+        return tuple.__new__(cls, (tuple(sorted(merged.items())),))
 
     @classmethod
     def from_counts(
@@ -224,7 +225,7 @@ class BidoubleBranchPoint(
             raise ValueError(f"contact order must be positive, got {contact}")
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
-        return super().__new__(cls, carrier, sing, meets, contact, count)
+        return tuple.__new__(cls, (carrier, sing, meets, contact, count))
 
     @property
     def branch_type(self) -> Optional[SingType]:
@@ -257,7 +258,7 @@ class CyclicBranchPoint(
     def __new__(cls, sing: SingType, on_fiber: bool = False, count: int = 1) -> "CyclicBranchPoint":
         if count < 1:
             raise ValueError(f"count must be positive, got {count}")
-        return super().__new__(cls, sing, on_fiber, count)
+        return tuple.__new__(cls, (sing, on_fiber, count))
 
 
 def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:

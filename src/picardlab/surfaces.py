@@ -11,8 +11,8 @@ Everything in this module is arbitrary-precision integer arithmetic; no
 floating point is used anywhere.  A divisor class checks its coefficients
 once, in its constructor: each must be an integer (operator.index, so a
 bool counts as its int and a float, Fraction or str is refused), and there
-must be one per basis class.  Sums, differences and integer multiples of
-checked classes on one surface are trusted and built without the check.
+must be one per basis class.  Sums, differences, integer multiples and halves
+of checked classes on one surface are trusted and built without the check.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class BaseSurface(NamedTuple("BaseSurface", [("kind", str), ("e", int)])):
                 raise ValueError(f"ruling parameter must be nonnegative, got e={e}")
         else:
             raise ValueError(f"unknown surface kind {kind!r}")
-        return super().__new__(cls, kind, e)
+        return tuple.__new__(cls, (kind, e))
 
     # Rational-surface constants consumed by the cover formulas.
     @property
@@ -103,7 +103,7 @@ class DivisorClass(
             raise ValueError(
                 f"{surface} classes carry {surface.rank} coefficient(s), got {len(coeffs)}"
             )
-        return super().__new__(cls, surface, coeffs)
+        return _trusted(cls, (surface, coeffs))
 
     def _require_same_surface(self, other: "DivisorClass") -> None:
         if self.surface != other.surface:
@@ -131,6 +131,13 @@ class DivisorClass(
         return _trusted(DivisorClass, (self.surface, tuple([k * x for x in self.coeffs])))
 
     __rmul__ = __mul__
+
+    def half(self) -> "DivisorClass":
+        """The class whose double is this one; ValueError if a coefficient
+        is odd."""
+        if [c for c in self.coeffs if c % 2]:
+            raise ValueError(f"{self} is not twice a class")
+        return _trusted(DivisorClass, (self.surface, tuple([c // 2 for c in self.coeffs])))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -620,6 +620,40 @@ class TestClassify:
         assert "the germ must vanish at the origin" in err
 
 
+# 10^2200 parses (int() reads up to 4,300 digits), but the numbers it makes
+# printed have more digits than str() converts.
+HUGE = "1" + "0" * 2200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-theorem", "1", "--n", HUGE, "--json", "reports.json"),
+        ("verify-theorem", "3", "--m", "2", "--n", HUGE, "--json", "reports.json"),
+        ("verify-theorem", "1", "--sweep", f"n=2..4,{HUGE}", "--json", "reports.json"),
+        ("classify", "--curve-C", HUGE),
+    ],
+)
+def test_numbers_beyond_the_str_digit_limit_are_refused_first(
+    capsys, monkeypatch, tmp_path, argv
+):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_numbers_under_the_str_digit_limit_are_printed(capsys):
+    # K2 = 8m - 8 and h11 = 32m - 2 at n = 2 stay under 4,300 digits.
+    code, out, _ = run(capsys, "verify-theorem", "2", "--m", HUGE, "--n", "2")
+    assert code == 0
+    assert out.endswith("certified 1 construction(s)\n")
+
+
 class TestSlopes:
     def test_fixed_n(self, capsys):
         code, out, _ = run(capsys, "slopes", "--fix", "n=2", "--m-max", "20")

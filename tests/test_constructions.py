@@ -1,6 +1,11 @@
-"""The three family pipelines and their certificates."""
+"""The family pipeline rows, the builder that reads them and their
+certificates."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +14,6 @@ from picardlab.constructions import (
     ConstructionReport,
     DoubleBranchPoint,
     ParameterError,
-    _finish,
     build,
     build_theorem1,
     build_theorem2,
@@ -252,11 +256,76 @@ def test_reports_are_immutable():
     assert report.maximal
 
 
-def test_finish_rejects_inconsistent_building_data():
-    plane = projective_plane()
-    data = DoubleCoverData(plane, L=plane.divisor(2), B=plane.divisor(3))
-    with pytest.raises(ParameterError, match=r"^assembled building data is invalid: B = .* is not twice L"):
-        _finish(3, (("m", 2), ("n", 4)), data, (), SingInventory(), SingInventory(), 2, (24, 13))
+def _patch_pipeline(monkeypatch, theorem, **changes):
+    """Replace a theorem family's pipeline row where build looks it up."""
+    family = constructions.THEOREMS[theorem]
+    patched = family._replace(pipeline=family.pipeline._replace(**changes))
+    monkeypatch.setitem(constructions.THEOREMS, theorem, patched)
+    monkeypatch.setitem(constructions.FAMILIES, family.label, patched)
+
+
+def test_build_rejects_inconsistent_building_data(monkeypatch):
+    # With B1 = B2 = 0 the derived L3 = (B1 + B2)/2 is the trivial class.
+    _patch_pipeline(monkeypatch, 2, branch=lambda m: ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 1, 1)))
+    with pytest.raises(ParameterError, match=r"^assembled building data is invalid: L3 is the trivial class"):
+        build(2, m=4, n=2)
+
+
+def test_a_seed_with_too_few_points_per_line_fails_the_transport_check(monkeypatch):
+    seed = constructions._certified_seed
+
+    def short(n):
+        sing, per_line = seed(n)
+        return sing, per_line - 1
+
+    monkeypatch.setattr(constructions, "_certified_seed", short)
+    with pytest.raises(ParameterError, match=r"^transport: line\.curve = 8, expected 6$"):
+        build(1, n=4)
+
+
+def test_family2_without_the_section_in_b3_is_refused(monkeypatch):
+    rows = constructions.THEOREMS[2].pipeline.branch
+    _patch_pipeline(monkeypatch, 2, branch=lambda m: rows(m)[:2] + ((0, 0, 1, 1),))
+    for m in (3, 4):
+        with pytest.raises(ParameterError, match=r"^validate: B2 \+ B3 = .* is not twice a class"):
+            build(2, m=m, n=2)
+
+
+def test_family2_even_row_at_odd_m_is_refused(monkeypatch):
+    _patch_pipeline(monkeypatch, 2, branch=lambda m: ((0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 1)))
+    assert build(2, m=4, n=2).certified()
+    with pytest.raises(ParameterError, match=r"^validate: B2 \+ B3 = .* is not twice a class"):
+        build(2, m=3, n=2)
+
+
+def test_family1_is_the_family2_row_on_the_plane():
+    one, two = constructions.THEOREMS[1].pipeline, constructions.THEOREMS[2].pipeline
+    assert one == two._replace(cyclic=False)
+    assert not one.cyclic and two.cyclic
+
+
+def test_transport_checks_survive_python_O():
+    # The mutated pullback keeps the F coefficient of the pulled-back class,
+    # so the third line no longer meets the curve in 2mn points.  Under -O
+    # an assert would be gone; the check must still raise.
+    script = (
+        "from picardlab import constructions\n"
+        "from picardlab.constructions import ParameterError, build\n"
+        "from picardlab.surfaces import hirzebruch\n"
+        "print('debug', __debug__)\n"
+        "constructions.cyclic_pullback_class = (\n"
+        "    lambda d, degree: hirzebruch(degree * d.surface.e).divisor(*d.coeffs))\n"
+        "try:\n"
+        "    build(2, m=3, n=2)\n"
+        "except ParameterError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(constructions.__file__).parents[1])),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "debug False\ntransport: third.curve = -4, expected 12\n"
 
 
 def test_building_data_is_validated_once(monkeypatch):

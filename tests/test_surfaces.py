@@ -95,6 +95,17 @@ def test_arithmetic_results_are_int_classes_on_the_same_surface():
         d * 1.5
 
 
+def test_half_is_the_class_whose_double_it_is():
+    f3 = hirzebruch(3)
+    for d in (f3.divisor(4, -6), f3.divisor(0, 0), P2.divisor(-8), f3.divisor(2, 2)):
+        half = d.half()
+        assert 2 * half == d and half.surface == d.surface
+        assert type(half) is DivisorClass and all(type(c) is int for c in half.coeffs)
+    for d in (f3.divisor(3, 8), f3.divisor(2, -7), P2.divisor(1)):
+        with pytest.raises(ValueError, match="is not twice a class"):
+            d.half()
+
+
 def test_canonical_classes():
     assert canonical_class(P2) == P2.divisor(-3)
     assert canonical_class(hirzebruch(1)) == hirzebruch(1).divisor(-2, -3)
