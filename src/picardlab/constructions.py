@@ -137,20 +137,26 @@ def _solve_b(K2: int, chi: int) -> list:
     return [(3 + math.isqrt(K2 // 2),)]
 
 
-def _solve_a2(K2: int, chi: int) -> list:
-    # K2 - 4*chi = 4 - 4*N with N = n*(m + 1), and chi - 1 = n*(N - n - 1).
-    N, r = divmod(4 * chi - K2 + 4, 4)
-    if r:
-        return []
-    return [(N // n - 1, n) for n in _integer_roots(1, 1 - N, chi - 1) if n]
+class _LineSolver(NamedTuple):
+    """Membership in family 2 or 3, a quadratic in n: with N = n*(m + offset),
+    K2 - 4*chi = 4 - divisor*N, and n solves the quadratic whose
+    coefficients quadratic(chi, N) gives.  geography reads the same
+    quadratic on B's pair."""
+
+    divisor: int
+    offset: int
+    quadratic: Callable
+
+    def __call__(self, K2: int, chi: int) -> list:
+        N, r = divmod(4 * chi - K2 + 4, self.divisor)
+        if r:
+            return []
+        return [(N // n - self.offset, n) for n in _integer_roots(*self.quadratic(chi, N)) if n]
 
 
-def _solve_a3(K2: int, chi: int) -> list:
-    # K2 - 4*chi = 4 - 2*N with N = n*(m + 2), and 2*(chi - 1) = (N - 2n)*(n - 1).
-    N, r = divmod(4 * chi - K2 + 4, 2)
-    if r:
-        return []
-    return [(N // n - 2, n) for n in _integer_roots(2, -(N + 2), N + 2 * chi - 2) if n]
+# Family 2: chi - 1 = n*(N - n - 1).  Family 3: 2*(chi - 1) = (N - 2n)*(n - 1).
+_solve_a2 = _LineSolver(4, 1, lambda chi, N: (1, 1 - N, chi - 1))
+_solve_a3 = _LineSolver(2, 2, lambda chi, N: (2, -(N + 2), N + 2 * chi - 2))
 
 
 class Param(NamedTuple):
@@ -493,9 +499,12 @@ def _build(family: Family, *values: int) -> ConstructionReport:
             points.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
         else:
             points.append(DoubleBranchPoint(point_type, lines * count, _ORIGINS[placement]))
-    branch_inventory = SingInventory(tuple([(p.branch_type, p.count) for p in points]))
+    # Each meeting point's union type is built once, for both inventories.
+    branch_types = [p.branch_type for p in points]
+    branch_inventory = SingInventory(tuple(zip(branch_types, [p.count for p in points])))
     if bidouble:
-        cover_inventory, invariants_of = transport_bidouble(points), bidouble_invariants
+        cover_inventory = transport_bidouble(points, branch_types)
+        invariants_of = bidouble_invariants
     else:
         cover_inventory, invariants_of = transport_double(branch_inventory), double_invariants
     try:

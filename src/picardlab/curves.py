@@ -145,7 +145,11 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
         g = substitute(g, _Y, _X, trunc=jet_bound)
     elif b != 0:
         g = substitute(g, _X, _Y - (b / (2 * c)) * _X, trunc=jet_bound)
-    assert g.coefficient((0, 2)) and not g.coefficient((2, 0)) and not g.coefficient((1, 1))
+    a, b, c = g.coefficient((2, 0)), g.coefficient((1, 1)), g.coefficient((0, 2))
+    if a or b or not c:
+        raise ArithmeticError(
+            f"normalize: the quadratic part is {a}*x^2 + {b}*x*y + {c}*y^2, expected c*y^2"
+        )
 
     # On integers: D*g(l*x, y), with D the lcm of g's denominators and
     # l = D*g_yy(0, 0), as sum_j columns[j](x) * y^j, each column padded to x^jet_bound.

@@ -10,16 +10,21 @@ the parameter domain, the closed-form pair and the membership solver; this
 module reads them from there and keeps no family constant of its own.
 
 The set relations are computed from the closed forms, without enumerating
-a pair.  A1, B and T have O(sqrt(chi_max)) members and are walked one by
-one.  A2 and A3 lie on lines, one per n, on which K2 and chi are affine in
-m; each line is read off the family's pair at m = 0 and m = 1, the only
-source of its equation.  Membership of a value is an integer quadratic in
-n, and counts, first members, doubling windows, parities and the Noether
-slices are read off each line.  The cost grows with the number of lines,
-not of pairs.  A2 and A3 share no pair at any chi: solving the A2 line at
-n2 against the A3 line at n3 gives m2 = n3/n2 and m3 = 2*n2/n3, a
-polynomial identity in (n2, n3) checked once per process, and m2*m3 = 2
-is below the product of the two m minima.
+a pair.  Claim i), its four parity ingredients and T inside A3 are
+identities in the family parameters, checked once per process: each
+parameter is shifted onto its domain (polynomials.domain_variables), and
+parities and signs are read off the coefficients.  B's pair, put into the
+membership quadratics of A2 and A3, gives roots (_B_ROOTS, the one table
+here, checked by a factorisation) that leave exactly one shared pair,
+(128, 46), in A3.  Only T, with O(sqrt(chi_max)) members, is walked one by
+one, for the T-in-A2 audit.  A2 and A3 lie on lines, one per n, on which
+K2 and chi are affine in m; each line is read off the family's pair at
+m = 0 and m = 1, the only source of its equation.  Counts, first members,
+doubling windows and the Noether slices are read off each line, so their
+cost grows with the number of lines, not of pairs.  A2 and A3 share no
+pair at any chi: solving the A2 line at n2 against the A3 line at n3 gives
+m2 = n3/n2 and m3 = 2*n2/n3, a polynomial identity in (n2, n3) checked
+once per process, and m2*m3 = 2 is below the product of the two m minima.
 
 The figure and table emitters read the same members and lines as sorted
 runs (pair_runs): one run per one-parameter family, over its member list,
@@ -42,9 +47,9 @@ from functools import cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .constructions import FAMILIES, MAX_SWEEP_BUILDS, _is_perfect_square
+from .constructions import FAMILIES, MAX_SWEEP_BUILDS
 from .figures import Run, figure_csv, figure_svg
-from .polynomials import Poly
+from .polynomials import Poly, domain_variables
 
 SET_LABELS = tuple(FAMILIES)
 
@@ -371,11 +376,6 @@ def _line_coefficients(family, n) -> tuple:
     return k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0
 
 
-def _all_of_parity(step: int, first: int, count: int, parity: int) -> bool:
-    """Whether first + step*j has the given parity for j = 0 .. count-1."""
-    return first % 2 == parity and (count == 1 or step % 2 == 0)
-
-
 def _noether_zeros(lines: list[_Line]) -> tuple[list[_Line], list[tuple[int, int]]]:
     """The lines lying on the Noether line K2 = 2*chi - 6, and the (m, n) of
     the other lines' members on it.  K2 - 2*chi + 6 is affine in m on a line:
@@ -448,72 +448,142 @@ def _a2_a3_identity() -> bool:
     )
 
 
+# The roots n(k) of A2's and A3's membership quadratics at B's pair at n = k.
+_B_ROOTS = {
+    "A2": lambda k: (k - 2, Fraction(1, 2) * (k - 1)),
+    "A3": lambda k: (k - 1, Fraction(1, 2) * (k + 1)),
+}
+
+
+def _b_shared(label: str, k: Poly, b_pair: tuple) -> Optional[tuple[tuple[int, int], ...]]:
+    """The (K2, chi) that B shares with A2 or A3, for every chi, or None when
+    an identity behind them fails; b_pair is B's pair at k = minimum + K.
+
+    The family's membership solver writes N = n*(m + offset) and a quadratic
+    in n; both must hold at the family's pair, as polynomials in (m, n).  At
+    B's pair the quadratic factors over the roots n(k) of _B_ROOTS, as
+    polynomials in (K, n), so every shared pair has n = n(k) and
+    m + offset = N/n.  A root keeps m below its minimum when
+    (minimum + offset)*n - N is positive for every K.  Otherwise N = q*n + d
+    with an integer q and a constant d != 0, so n divides d, and the B pairs
+    with n <= |d| are solved one by one."""
+    family, set_b = FAMILIES[label], FAMILIES["B"]
+    solver, (m_param, _), (k_param,) = family.solve, family.params, set_b.params
+    m, n = Poly.variable(0), Poly.variable(1)
+    k2, chi = family.pair(m, n)
+    N = n * (m + solver.offset)
+    a, b, c = solver.quadratic(chi, N)
+    if 4 * chi - k2 + 4 != solver.divisor * N or (a * n + b) * n + c != 0:
+        return None
+    k2, chi = b_pair
+    N = Fraction(1, solver.divisor) * (4 * chi - k2 + 4)
+    a, b, c = solver.quadratic(chi, N)
+    roots = _B_ROOTS[label](k)
+    if (a * n + b) * n + c != a * (n - roots[0]) * (n - roots[1]):
+        return None
+    shared = set()
+    for r in roots:
+        if not r.nonnegative(strict=True):
+            return None
+        if ((m_param.minimum + solver.offset) * r - N).nonnegative(strict=True):
+            continue
+        slope = r.coefficient((1, 0))
+        if not slope:
+            return None
+        q = N.coefficient((1, 0)) / slope
+        d = N - q * r
+        if q.denominator != 1 or d.degree() != 0:
+            return None
+        # m + offset = q + d/n: n = r(K) divides d, so r(K) <= |d|.
+        for K in range((abs(d.constant_term) - r.constant_term) // slope + 1):
+            value = set_b.pair(k_param.minimum + k_param.step * K)
+            if family.members(*value):
+                shared.add(value)
+    return tuple(sorted(shared))
+
+
+@cache
+def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...]]]:
+    """Every identity behind claim i), its four ingredients and T inside A3,
+    for every chi, by name; and the pairs that B shares with A2 and A3
+    (_b_shared), where their identities hold.
+
+    The ingredients are read off the coefficients of the pairs in shifted
+    parameters, where a polynomial with even integer coefficients is even
+    at every integer point; B's is a polynomial identity.  K2 is odd on A1
+    and even on B, A2 and A3, so A1 shares no pair with any of them.  T
+    inside A3 is _t_identity("A3") plus the domain map: for every t = 6 + 2P
+    of T, (m, n) = (t-3, t) lies in A3's domain."""
+    (k,), (t,) = domain_variables(FAMILIES["B"].params), domain_variables(FAMILIES["T"].params)
+    pairs = {
+        label: FAMILIES[label].pair(*domain_variables(FAMILIES[label].params))
+        for label in ("A1", "A2", "A3")
+    }
+    b_pair = FAMILIES["B"].pair(k)
+    shared = {label: _b_shared(label, k, b_pair) for label in _B_ROOTS}
+    holds = {
+        "B-half-K2-square": b_pair[0] == 2 * (k - 3) * (k - 3),
+        "A1-K2-odd": (pairs["A1"][0] - 1).multiple_of(2),
+        "A2-A3-K2-even": pairs["A2"][0].multiple_of(2) and pairs["A3"][0].multiple_of(2),
+        "A2-chi-odd": (pairs["A2"][1] - 1).multiple_of(2),
+        "A2-B-roots": shared["A2"] is not None,
+        "A3-B-roots": shared["A3"] is not None,
+        "T-in-A3": _t_identity("A3") and all(
+            (value - p.minimum).nonnegative() and (value - p.minimum).multiple_of(p.step)
+            for value, p in zip((t - 3, t), FAMILIES["A3"].params)
+        ),
+    }
+    return holds, {label: value or () for label, value in shared.items()}
+
+
 def set_relations_report(chi_max: int) -> SetRelationsReport:
     """Certify the pairwise-disjointness and overlap claims for the five
-    families within the chi bound, from the closed forms: A1, B and T are
-    walked member by member, A2 and A3 line by line, and no pair set is
-    built."""
+    families within the chi bound, from the closed forms.  Claim i), its
+    four ingredients and T inside A3 rest on identities in the family
+    parameters, checked once per process (_identities); a claim whose
+    identity fails is refuted and names it.  A2 and A3 are read line by
+    line, T is walked member by member for the T-in-A2 audit, and no pair
+    set is built."""
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
     a2, a3 = FAMILIES["A2"], FAMILIES["A3"]
     m_param, n_param = a2.params
     lines = {label: _lines(label, chi_max) for label in ("A2", "A3")}
+    holds, b_shared = _identities()
     claims: list[Claim] = []
 
-    # Claim i): five empty intersections.  Walk the side with O(sqrt(chi))
-    # members and solve for the other side.
-    for left, right in (("A1", "B"), ("A2", "B"), ("A3", "B"), ("A1", "A2"), ("A1", "A3")):
-        walk, other = (left, right) if len(FAMILIES[left].params) == 1 else (right, left)
-        overlap = sorted(
-            {value for _, value in _sparse_members(walk, chi_max) if FAMILIES[other].members(*value)}
-        )
-        claims.append(
-            Claim(
-                claim_id=f"{left}-disjoint-{right}",
-                status=VERIFIED if not overlap else REFUTED,
-                detail=(
-                    f"{left} and {right} share no pair with chi <= {chi_max}"
-                    if not overlap
-                    else f"shared pairs: {overlap[:5]}"
-                ),
-                witnesses=tuple(overlap[:5]),
+    # Claim i): five intersections, each the exact one cut at the bound.  A1
+    # is kept apart by parity, A2 and A3 from B by their quadratics.
+    for left, right, identities in (
+        ("A1", "B", ("A1-K2-odd", "B-half-K2-square")),
+        ("A2", "B", ("A2-B-roots",)),
+        ("A3", "B", ("A3-B-roots",)),
+        ("A1", "A2", ("A1-K2-odd", "A2-A3-K2-even")),
+        ("A1", "A3", ("A1-K2-odd", "A2-A3-K2-even")),
+    ):
+        failed = [name for name in identities if not holds[name]]
+        if failed:
+            status, witnesses = REFUTED, ()
+            detail = f"identity {failed[0]} fails, so {left} and {right} may share pairs"
+        else:
+            shared = b_shared.get(left, ())
+            witnesses = tuple(value for value in shared if value[1] <= chi_max)[:5]
+            status = REFUTED if witnesses else VERIFIED
+            detail = (
+                f"shared pairs: {list(witnesses)}"
+                if witnesses
+                else f"{left} and {right} share no pair with chi <= {chi_max}"
             )
-        )
+        claims.append(Claim(f"{left}-disjoint-{right}", status, detail, witnesses))
 
     # The four structural ingredients behind claim i).
-    ingredients = (
-        (
-            "B-half-K2-square",
-            all(
-                k2 % 2 == 0 and _is_perfect_square(k2 // 2)
-                for _, (k2, _) in _sparse_members("B", chi_max)
-            ),
-            "K2/2 is a perfect square for every B pair",
-        ),
-        (
-            "A1-K2-odd",
-            all(k2 % 2 == 1 for _, (k2, _) in _sparse_members("A1", chi_max)),
-            "K2 is odd for every A1 pair",
-        ),
-        (
-            "A2-A3-K2-even",
-            all(
-                _all_of_parity(line.k2_step, line.value(line.m_first)[0], line.count, 0)
-                for line in lines["A2"] + lines["A3"]
-            ),
-            "K2 is even for every A2 and A3 pair",
-        ),
-        (
-            "A2-chi-odd",
-            all(
-                _all_of_parity(line.chi_step, line.value(line.m_first)[1], line.count, 1)
-                for line in lines["A2"]
-            ),
-            "chi is odd for every A2 pair",
-        ),
-    )
-    for claim_id, ok, detail in ingredients:
-        claims.append(Claim(claim_id, VERIFIED if ok else REFUTED, detail))
+    for claim_id, detail in (
+        ("B-half-K2-square", "K2/2 is a perfect square for every B pair"),
+        ("A1-K2-odd", "K2 is odd for every A1 pair"),
+        ("A2-A3-K2-even", "K2 is even for every A2 and A3 pair"),
+        ("A2-chi-odd", "chi is odd for every A2 pair"),
+    ):
+        claims.append(Claim(claim_id, VERIFIED if holds[claim_id] else REFUTED, detail))
 
     # Claim ii): both differences are infinite; certified within the bound
     # by doubling windows plus counts.  By the identity A2 and A3 share no
@@ -560,17 +630,17 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         )
     )
 
-    # Claim iii) machinery: T inside A3 (symbolic plus membership), and the
+    # Claim iii) machinery: T inside A3 (identity plus domain map), and the
     # T-in-A2 audit under printed and relaxed parity.
     t_members = list(_sparse_members("T", chi_max))
-    t_in_a3_symbolic = _t_identity("A3")
-    t_members_in_a3 = all(a3.members(*value) for _, value in t_members)
     claims.append(
         Claim(
             "T-subset-A3",
-            VERIFIED if (t_in_a3_symbolic and t_members_in_a3) else REFUTED,
+            VERIFIED if holds["T-in-A3"] else REFUTED,
             "substitution (m, n) = (t-3, t): polynomial identity holds and every "
-            f"T pair within the bound is an enumerated A3 pair ({len(t_members)} checked)",
+            f"T pair within the bound is an enumerated A3 pair ({len(t_members)} checked)"
+            if holds["T-in-A3"]
+            else "identity T-in-A3 fails: (m, n) = (t-3, t) does not map T into A3",
         )
     )
 

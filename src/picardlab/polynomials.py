@@ -13,6 +13,9 @@ of variables:
 Poly.localize projects a form's exponents into a chart, with no arithmetic,
 then moves the point to the origin by an integer Taylor shift.  substitute,
 f(gx, gy), changes germ coordinates and is the shift's test reference.
+domain_variables shifts parameters onto their domains, where
+Poly.multiple_of and Poly.nonnegative read parity and sign off the
+coefficients.
 
 All values are immutable by convention: no method mutates its receiver.
 """
@@ -23,6 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Optional, Union
 
 Rat = Fraction
@@ -42,11 +46,12 @@ def _int_text(value: int) -> str:
 def _add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
+        if e not in out:
+            out[e] = c
+        elif s := out[e] + c:
             out[e] = s
         else:
-            out.pop(e, None)
+            del out[e]
     return out
 
 
@@ -61,14 +66,15 @@ def _mul(a: dict, b: dict, trunc: Optional[int] = None) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             if trunc is not None and sum(e) >= trunc:
                 continue
-            s = out.get(e, 0) + ca * cb
-            if s:
+            if e not in out:
+                out[e] = ca * cb
+            elif s := out[e] + ca * cb:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
     return out
 
 
@@ -149,7 +155,7 @@ class Poly:
 
     def _coerce(self, other: object) -> Optional["Poly"]:
         if isinstance(other, (int, Fraction)):
-            return Poly({(0,) * self.nvars: other}, self.nvars)
+            return Poly._wrap({(0,) * self.nvars: Fraction(other)} if other else {}, self.nvars)
         if not isinstance(other, Poly):
             return None
         if other.nvars != self.nvars:
@@ -165,7 +171,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly._wrap(_scale(self.coeffs, -1), self.nvars)
+        return Poly._wrap({e: -c for e, c in self.coeffs.items()}, self.nvars)
 
     def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
         return self + -other
@@ -224,6 +230,20 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
+
+    # Facts read off the coefficients, for a polynomial in the shifted
+    # parameters of domain_variables.
+
+    def multiple_of(self, d: int) -> bool:
+        """Whether every coefficient is an integer multiple of d, so that the
+        value at every integer point is one."""
+        return all(c.denominator == 1 and c.numerator % d == 0 for c in self.coeffs.values())
+
+    def nonnegative(self, strict: bool = False) -> bool:
+        """Whether no coefficient is negative (and, if strict, the constant
+        term is positive), so that the value at every point with nonnegative
+        coordinates is >= 0 (> 0).  False leaves the sign undecided."""
+        return all(c >= 0 for c in self.coeffs.values()) and not (strict and self.constant_term <= 0)
 
     def power_pullback(self, powers: tuple[int, ...]) -> "Poly":
         """The polynomial at (x0^p0, x1^p1, ...) for positive powers
@@ -336,6 +356,15 @@ class Poly:
 # HomPoly.localize, HomPoly.__mul__ and HomPoly.__rmul__ by name, and the
 # acceptance tests import LocalPoly.
 LocalPoly = HomPoly = Poly
+
+
+def domain_variables(params) -> tuple[Poly, ...]:
+    """minimum + step*P_i for the i-th parameter of params (anything with a
+    minimum and a step, such as constructions.Param), P_i the i-th variable:
+    a parameter ranging over minimum, minimum + step, ... is P_i >= 0, so a
+    fact of Poly.multiple_of or Poly.nonnegative about a family's
+    expressions in these holds on the whole domain."""
+    return tuple(p.minimum + p.step * Poly.variable(i) for i, p in enumerate(params))
 
 
 def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly:

@@ -261,10 +261,16 @@ class CyclicBranchPoint(
         return tuple.__new__(cls, (sing, on_fiber, count))
 
 
-def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:
-    """Singularities of the bidouble cover induced by the branch points."""
+def transport_bidouble(
+    points: Sequence[BidoubleBranchPoint], branch_types: Optional[Sequence[SingType]] = None
+) -> SingInventory:
+    """Singularities of the bidouble cover induced by the branch points.
+    branch_types, when the caller has read them already, are the points'
+    branch_type in order, so no union type is built twice."""
+    if branch_types is None:
+        branch_types = [p.branch_type for p in points]  # TransportError outside the rules
     out: list[tuple[SingType, int]] = []
-    for p in points:
+    for p, union in zip(points, branch_types):
         if p.meets is None:
             if p.sing is None:
                 raise TransportError(
@@ -273,7 +279,6 @@ def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:
             # R3: an isolated ADE point of the branch locus doubles upstairs.
             out.append((p.sing, 2 * p.count))
             continue
-        union = p.branch_type  # TransportError outside the union rules
         if union.family == "D":
             # R2: A_k met transversally (union D_{k+3}) gives A_{2k+1}.
             out.append((A(2 * union.index - 5), p.count))

@@ -1,5 +1,7 @@
 """Exit-code contract and output determinism of the command line."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,10 +9,11 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import picardlab
 from picardlab import cli, constructions, curves
@@ -309,6 +312,15 @@ class TestParseSweep:
         assert err.startswith("usage error: ") and err.count("\n") == 1, spec
 
 
+def _valid_bound(text):
+    """The chi bound that geography reads from text, or None for a refusal."""
+    try:
+        value = int(text)
+    except ValueError:
+        return None
+    return value if 3 <= value <= cli.MAX_CHI_MAX else None
+
+
 class TestGeography:
     def test_small_bound_all_good(self, capsys, tmp_path):
         code, out, _ = run(
@@ -358,6 +370,42 @@ class TestGeography:
         assert result.returncode == 2
         assert f"{source} must be at most {cli.MAX_CHI_MAX}" in result.stderr
         assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.one_of(
+            st.integers(-5, 12).map(str),
+            st.integers(cli.MAX_CHI_MAX + 1, cli.MAX_CHI_MAX + 10**6).map(str),
+            st.sampled_from(["٣", "1_0", " 7 ", "4e3", "1" * 4301, "ten", "", "0x10", "+46"]),
+            st.text(
+                st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+                max_size=12,
+            ).filter(lambda text: (_valid_bound(text) or 0) <= 10**6),
+        ),
+        st.booleans(),
+    )
+    @example(str(cli.MAX_CHI_MAX), False)
+    def test_numeric_input_exits_by_contract(self, text, from_env):
+        # A bound that int() reads and that lies in [3, MAX_CHI_MAX] runs the
+        # report (exit 0, or 1 from the (128, 46) refutation); anything else
+        # exits 2 before printing a line.
+        if from_env:
+            argv, env = ["geography"], {"PICARDLAB_CHI_MAX": text}
+        else:
+            argv, env = ["geography", f"--chi-max={text}"], {}
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses what int() cannot read
+                code = exc.code
+        if _valid_bound(text) is None:
+            assert (code, out.getvalue()) == (2, ""), text
+            assert err.getvalue(), text
+        else:
+            assert code in (0, 1), (text, err.getvalue())
+            assert out.getvalue().startswith(f"set relations within chi <= {int(text)}:\n")
 
     def test_unknown_set(self, capsys):
         code, _, err = run(capsys, "geography", "--chi-max", "50", "--sets", "A9")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from picardlab import constructions, covers, curves
+from picardlab import constructions, covers, curves, singularities
 from picardlab.constructions import (
     ConstructionReport,
     DoubleBranchPoint,
@@ -326,6 +326,26 @@ def test_transport_checks_survive_python_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "debug False\ntransport: third.curve = -4, expected 12\n"
+
+
+def test_each_union_type_is_built_once(monkeypatch):
+    # One union type per joined batch and per meeting point: the D points on
+    # the third line and the two line points, which meet B1 and B2 for odd m
+    # (family 1 is m = 1) and B2 twice for even m.  The branch and cover
+    # inventories share them.
+    calls = []
+    original = singularities.union_type
+
+    def counting(branch, contact):
+        calls.append((branch, contact))
+        return original(branch, contact)
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "union_type", counting)
+    for theorem, params in ((1, {"n": 5}), (2, {"m": 3, "n": 4}), (2, {"m": 4, "n": 4})):
+        calls.clear()
+        assert build(theorem, **params).certified()
+        assert len(calls) == 3, (theorem, params, calls)
 
 
 def test_building_data_is_validated_once(monkeypatch):

@@ -1,8 +1,12 @@
 """The seed curve, its singular-point report and A_k recognition."""
 
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import _classify_oracle
 import pytest
@@ -373,3 +377,29 @@ def test_singular_scheme_is_supported_on_the_3n_points(n):
             # Rabinowitsch: g is in the radical iff 1 is in (ideal, 1 - t*g).
             basis = sympy.groebner([*ideal, 1 - t * g], t, x, y, order="grevlex")
             assert list(basis.exprs) == [1], (chart, g)
+
+
+def test_normalization_check_survives_python_O():
+    # (x + y)^2 + x^3 has a rank-one quadratic part with an x*y term.  With
+    # substitute patched to change nothing, the normalization to c*y^2 leaves
+    # that term; under -O an assert would be gone, and the check must still
+    # raise.
+    script = (
+        "from picardlab import curves\n"
+        "from picardlab.polynomials import parse_local_poly\n"
+        "print('debug', __debug__)\n"
+        "curves.substitute = lambda g, gx, gy, trunc=None: g\n"
+        "try:\n"
+        "    curves.classify_ak(parse_local_poly('x^2 + 2*x*y + y^2 + x^3'), 8)\n"
+        "except ArithmeticError as exc:\n"
+        "    print(exc)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(curves.__file__).parents[1])),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "debug False\n"
+        "normalize: the quadratic part is 1*x^2 + 2*x*y + 1*y^2, expected c*y^2\n"
+    )

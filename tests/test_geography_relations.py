@@ -7,14 +7,16 @@ import pytest
 
 from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
-from picardlab.constructions import FAMILIES, family2_pair, family3_pair
+from picardlab.constructions import FAMILIES, Param, family2_pair, family3_pair
 from picardlab.figures import _WINDOW, figure_svg
 from picardlab.geography import (
     REFUTED,
     SET_LABELS,
     _a2_a3_identity,
+    _identities,
     _lines,
     _noether_zeros,
+    _t_identity,
     admissible,
     emit_figure,
     enumerate_set,
@@ -178,17 +180,24 @@ def test_certified_meeting_is_real_below_the_printed_bounds():
     assert m2 < FAMILIES["A2"].params[0].minimum and m3 < FAMILIES["A3"].params[0].minimum
 
 
+_IDENTITY_CACHES = (_a2_a3_identity, _identities, _t_identity)
+
+
 @pytest.fixture
 def fresh_identity():
-    _a2_a3_identity.cache_clear()
+    # A mutated family must not leave its verdicts cached for later tests.
+    for cached in _IDENTITY_CACHES:
+        cached.cache_clear()
     yield
-    _a2_a3_identity.cache_clear()
+    for cached in _IDENTITY_CACHES:
+        cached.cache_clear()
 
 
 def test_identity_is_checked_once_per_process(fresh_identity):
     set_relations_report(1000)
     set_relations_report(10_000)
     assert _a2_a3_identity.cache_info().misses == 1
+    assert _identities.cache_info().misses == 1
 
 
 def test_a_wrong_family_breaks_the_identity(monkeypatch, fresh_identity):
@@ -218,3 +227,79 @@ def test_noether_zeros_find_whole_lines_and_single_members():
     n4 = _lines("A3", 100)[0]._replace(m_first=1)
     assert _noether_zeros([n3, n4]) == ([n3], [(1, 4)])
     assert _noether_zeros(_lines("A3", 10**6)) == ([], [])
+
+
+def test_claim_i_walks_no_a1_or_b_member(monkeypatch):
+    # Claim i) and its ingredients rest on identities; only T is walked.
+    original = geography._sparse_members
+
+    def refuse(label, chi_max):
+        if label in ("A1", "B"):
+            raise AssertionError(f"set_relations_report walked {label}")
+        return original(label, chi_max)
+
+    monkeypatch.setattr(geography, "_sparse_members", refuse)
+    report = set_relations_report(10**7)
+    assert report.claim("A3-disjoint-B").witnesses == ((128, 46),)
+    assert report.claim("A2-disjoint-B").status == geography.VERIFIED
+
+
+def test_b_shares_exactly_one_pair_with_a3():
+    holds, shared = _identities()
+    assert all(holds.values())
+    assert shared == {"A2": (), "A3": ((128, 46),)}
+    assert FAMILIES["A3"].pair(3, 6) == FAMILIES["B"].pair(11) == (128, 46)
+    # A2's root n = (k-1)/2 has m = 2, one below A2's minimum: the pair is
+    # real, so lowering the minimum to 2 must refute A2-disjoint-B.
+    assert family2_pair(2, 2) == FAMILIES["B"].pair(5) == (8, 7)
+    for chi_max in (45, 46):
+        witnesses = set_relations_report(chi_max).claim("A3-disjoint-B").witnesses
+        assert witnesses == (((128, 46),) if chi_max >= 46 else ())
+
+
+def _shifted_pair(label, shift):
+    family = FAMILIES[label]
+    return family._replace(pair=lambda *v: tuple(map(sum, zip(family.pair(*v), shift(*v)))))
+
+
+# Each mutation, the claims it must refute and the identity they must name.
+_MUTATIONS = {
+    "A1 K2 + 1": (
+        "A1", lambda: _shifted_pair("A1", lambda n: (1, 0)),
+        {"A1-disjoint-B": "A1-K2-odd", "A1-disjoint-A2": "A1-K2-odd",
+         "A1-disjoint-A3": "A1-K2-odd", "A1-K2-odd": None},
+    ),
+    "B K2 + 2": (
+        "B", lambda: _shifted_pair("B", lambda n: (2, 0)),
+        {"A1-disjoint-B": "B-half-K2-square", "A2-disjoint-B": "A2-B-roots",
+         "A3-disjoint-B": "A3-B-roots", "B-half-K2-square": None},
+    ),
+    "A3 K2 + 2n": (
+        "A3", lambda: _shifted_pair("A3", lambda m, n: (2 * n, 0)),
+        {"A3-disjoint-B": "A3-B-roots", "T-subset-A3": "T-in-A3"},
+    ),
+    "A2 m >= 2": (
+        "A2", lambda: FAMILIES["A2"]._replace(params=(Param("m", 2, 1), Param("n", 2, 2))),
+        {"A2-disjoint-B": "A2-B-roots"},
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MUTATIONS))
+def test_a_wrong_family_refutes_the_claims_on_its_identities(monkeypatch, fresh_identity, mutation):
+    label, mutated, refuted = _MUTATIONS[mutation]
+    before = set_relations_report(1000)
+    for cached in _IDENTITY_CACHES:
+        cached.cache_clear()
+    monkeypatch.setitem(FAMILIES, label, mutated())
+    report = set_relations_report(1000)
+    for claim_id, identity in refuted.items():
+        claim = report.claim(claim_id)
+        assert claim.status == REFUTED, (mutation, claim_id)
+        if identity is not None:
+            assert f"identity {identity} fails" in claim.detail, (mutation, claim_id)
+            assert claim.witnesses == ()
+    # Claim i) and the identities' other claims keep their verdicts.
+    for claim in before.claims[:9]:
+        if claim.claim_id not in refuted:
+            assert report.claim(claim.claim_id).status == claim.status, (mutation, claim.claim_id)

@@ -9,6 +9,7 @@ import pytest
 from _parser_oracle import parse_terms as oracle_parse_terms
 from hypothesis import example, given, settings, strategies as st
 
+from picardlab.constructions import Param
 from picardlab.polynomials import (
     MAX_LOCALIZE_DEGREE,
     MAX_LOCALIZE_PRODUCTS,
@@ -17,6 +18,7 @@ from picardlab.polynomials import (
     Poly,
     PolyParseError,
     _parse_terms,
+    domain_variables,
     parse_local_poly,
     parse_ternary_form,
     substitute,
@@ -57,6 +59,40 @@ class TestLocalPoly:
         f = y * y
         g = substitute(f, x, y + x ** 2, trunc=4)
         assert g == y * y + 2 * x ** 2 * y  # the x^4 term is cut
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6,
+        ),
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.fractions(min_value=-3, max_value=3, max_denominator=4), max_size=6,
+        ),
+        st.tuples(st.fractions(max_denominator=5), st.fractions(max_denominator=5)),
+    )
+    def test_arithmetic_agrees_with_evaluation(self, a, b, point):
+        f, g = Poly(a), Poly(b)
+        for result, value in ((f + g, f(*point) + g(*point)), (f - g, f(*point) - g(*point)),
+                              (f * g, f(*point) * g(*point)), (-f, -f(*point))):
+            assert result(*point) == value
+            assert all(result.coeffs.values())
+        assert (f + g) - g == f and f * g == g * f
+
+    def test_domain_variables_and_coefficient_facts(self):
+        m, n = domain_variables([Param("m", 3, 1), Param("n", 2, 2)])
+        x, y = LocalPoly.variable(0), LocalPoly.variable(1)
+        assert (m, n) == (3 + x, 2 + 2 * y)
+        assert (n * n - 4).multiple_of(4) and not (n * n - 2).multiple_of(4)
+        assert (Fraction(1, 2) * n).multiple_of(1) and not (Fraction(1, 2) * m).multiple_of(1)
+        assert (m - 3).nonnegative() and not (m - 3).nonnegative(strict=True)
+        assert (m * n).nonnegative(strict=True) and not (m - 4).nonnegative()
+        # A fact read off the coefficients holds at every point of the domain.
+        for p in range(6):
+            for q in range(6):
+                value = (n * n - 4)(p, q)
+                assert value % 4 == 0 and (m * n)(p, q) > 0
 
     def test_substitution_refuses_other_variable_counts(self):
         x, y = LocalPoly.variable(0), LocalPoly.variable(1)
