@@ -10,7 +10,6 @@ output is deterministic for fixed flags.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -33,6 +32,9 @@ DEFAULT_CHI_MAX = 10_000
 # The claims walk about sqrt(chi_max) lines and T members: about 0.3 s and
 # 38 MB at 10^10.
 MAX_CHI_MAX = 10**10
+# Fraction computes 10**exponent for a threshold like 1e-k, 9 s at k = 10^7.
+# Past twice the 4,300 digits str() converts, no k gives a printable one.
+MAX_THRESHOLD_EXPONENT = 10_000
 
 
 class UsageError(ValueError):
@@ -263,6 +265,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
                     fh.writelines(lines(runs, chi_max))
                 print(f"wrote {out_dir / name}")
         if "json" in emits:
+            import json
+
             (out_dir / "claims.json").write_text(
                 json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n",
                 encoding="utf-8",
@@ -343,8 +347,15 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
         fixed_value = int(value)
     except ValueError:
         raise UsageError(f"bad --fix value {args.fix!r}") from None
+    text = args.threshold or "1/100"
     try:
-        threshold = Fraction(args.threshold) if args.threshold else Fraction(1, 100)
+        exponent = int(text.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # Fraction refuses the text
+    if abs(exponent) > MAX_THRESHOLD_EXPONENT:
+        raise UsageError(f"--threshold exponent must be at most {MAX_THRESHOLD_EXPONENT} in size")
+    try:
+        threshold = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad --threshold value {args.threshold!r}") from None
     try:
@@ -366,6 +377,14 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
             raise UsageError("--fix expects n=<even> or m=<int>")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    # The parameters print as int() read them; the table's own numbers may
+    # be longer.
+    ratios = [report.limit, report.final_gap, report.threshold, *(row.mu for row in report.rows)]
+    _refuse_unprintable(
+        [x for row in report.rows for x in (row.K2, row.chi)]
+        + [x for q in ratios for x in (q.numerator, q.denominator)],
+        "the slope table",
+    )
 
     print(f"slopes of family 2 with {report.fixed[0]} = {report.fixed[1]}:")
     print(f"  {moving:>4}  {'K2':>8}  {'chi':>8}  slope (exact)        identity")

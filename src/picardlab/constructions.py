@@ -36,9 +36,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .covers import (
     BidoubleCoverData,
@@ -62,7 +62,7 @@ from .singularities import (
     union_type,
     CyclicBranchPoint,
 )
-from .surfaces import BaseSurface, DivisorClass, hirzebruch, intersect, projective_plane
+from .surfaces import DivisorClass, hirzebruch, intersect, projective_plane
 
 
 class ParameterError(ValueError):
@@ -137,15 +137,13 @@ def _solve_b(K2: int, chi: int) -> list:
     return [(3 + math.isqrt(K2 // 2),)]
 
 
-class _LineSolver(NamedTuple):
+class _LineSolver(namedtuple("_LineSolver", "divisor offset quadratic")):
     """Membership in family 2 or 3, a quadratic in n: with N = n*(m + offset),
     K2 - 4*chi = 4 - divisor*N, and n solves the quadratic whose
     coefficients quadratic(chi, N) gives.  geography reads the same
     quadratic on B's pair."""
 
-    divisor: int
-    offset: int
-    quadratic: Callable
+    __slots__ = ()
 
     def __call__(self, K2: int, chi: int) -> list:
         N, r = divmod(4 * chi - K2 + 4, self.divisor)
@@ -159,19 +157,17 @@ _solve_a2 = _LineSolver(4, 1, lambda chi, N: (1, 1 - N, chi - 1))
 _solve_a3 = _LineSolver(2, 2, lambda chi, N: (2, -(N + 2), N + 2 * chi - 2))
 
 
-class Param(NamedTuple):
+class Param(namedtuple("Param", "name minimum step")):
     """A family parameter ranging over minimum, minimum + step, ...; a step
     of 2 with an even minimum makes the parameter even."""
 
-    name: str
-    minimum: int
-    step: int
+    __slots__ = ()
 
     def admits(self, value: int) -> bool:
         return value >= self.minimum and (value - self.minimum) % self.step == 0
 
 
-class Pipeline(NamedTuple):
+class Pipeline(namedtuple("Pipeline", "cyclic branch points")):
     """How a theorem family builds a member from the seed curve and its
     three coordinate lines.
 
@@ -184,23 +180,18 @@ class Pipeline(NamedTuple):
     curve's divisor (a D point), "meet" the divisors holding the two lines,
     or "keep" away from them."""
 
-    cyclic: bool
-    branch: Callable[[int], tuple[tuple[int, int, int, int], ...]]
-    points: tuple[tuple[str, str], ...]
+    __slots__ = ()
 
 
-class Family(NamedTuple):
+class Family(
+    namedtuple("Family", "label theorem params pair solve pipeline", defaults=(None, None))
+):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
     and closed-form pair, the membership solver, and the pipeline row of
     families 1-3."""
 
-    label: str
-    theorem: Optional[int]
-    params: tuple[Param, ...]
-    pair: Callable
-    solve: Optional[Callable] = None
-    pipeline: Optional[Pipeline] = None
+    __slots__ = ()
 
     def admits(self, *values: int) -> bool:
         return all(map(Param.admits, self.params, values))
@@ -224,13 +215,11 @@ class Family(NamedTuple):
         ]
 
 
-class DoubleBranchPoint(NamedTuple):
+class DoubleBranchPoint(namedtuple("DoubleBranchPoint", "sing count origin")):
     """Report annotation for one batch of branch-locus points of a double
     cover: the type on the branch divisor plus a provenance note."""
 
-    sing: SingType
-    count: int
-    origin: str
+    __slots__ = ()
 
     @property
     def branch_type(self) -> SingType:
@@ -240,24 +229,19 @@ class DoubleBranchPoint(NamedTuple):
 BranchPoint = Union[BidoubleBranchPoint, DoubleBranchPoint]
 
 
-class ConstructionReport(NamedTuple):
-    """Full certificate for one member of one family."""
+class ConstructionReport(
+    namedtuple(
+        "ConstructionReport",
+        "theorem params base building_data branch_points branch_inventory cover_inventory"
+        " computed closed_form ample n_indep picard_lower h11 maximal match",
+    )
+):
+    """Full certificate for one member of one family: params holds (name,
+    value) pairs, computed the SurfaceInvariants of the cover, closed_form
+    the family's (K2, chi), n_indep the independent base classes counted in
+    picard_lower, and ample, maximal and match the three verdicts."""
 
-    theorem: int
-    params: tuple[tuple[str, int], ...]
-    base: BaseSurface
-    building_data: Union[DoubleCoverData, BidoubleCoverData]
-    branch_points: tuple[BranchPoint, ...]
-    branch_inventory: SingInventory
-    cover_inventory: SingInventory
-    computed: SurfaceInvariants
-    closed_form: tuple[int, int]
-    ample: bool
-    n_indep: int
-    picard_lower: int
-    h11: int
-    maximal: bool
-    match: bool
+    __slots__ = ()
 
     def params_str(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.params)
@@ -323,6 +307,8 @@ class ConstructionReport(NamedTuple):
         the fields: one f-string per record kind, keys in sorted order.
         Integer fields must hold ints and the three verdicts bools, as the
         pipelines make them."""
+        from json.encoder import encode_basestring_ascii
+
         a, b, c = pad + "  ", pad + "    ", pad + "      "
         data = self.building_data
         kind = "bidouble" if isinstance(data, BidoubleCoverData) else "double"

@@ -14,29 +14,17 @@ pipelines.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from collections import namedtuple
+from typing import Union
 
-from .surfaces import (
-    BaseSurface,
-    DivisorClass,
-    RULED,
-    canonical_class,
-    h0,
-    hirzebruch,
-    intersect,
-    is_ample,
-)
+from .surfaces import DivisorClass, RULED, canonical_class, h0, hirzebruch, intersect, is_ample
 
 
 class CoverDataError(ValueError):
     """Building data fails its cover conditions or yields impossible invariants."""
 
 
-class SurfaceInvariants(
-    NamedTuple(
-        "SurfaceInvariants", [("K2", int), ("chi", int), ("p_g", int), ("q", int), ("h11", int)]
-    )
-):
+class SurfaceInvariants(namedtuple("SurfaceInvariants", "K2 chi p_g q h11")):
     """The numerical invariants of a surface, tied together on construction.
 
     chi = 1 - q + p_g must hold, and h11 is pinned to 10*chi - K2 - 2*q,
@@ -54,24 +42,16 @@ class SurfaceInvariants(
         return tuple.__new__(cls, (K2, chi, p_g, q, h11))
 
 
-class DoubleCoverData(NamedTuple):
+class DoubleCoverData(namedtuple("DoubleCoverData", "base L B")):
     """Building data {L, B} of a double cover of a rational base surface."""
 
-    base: BaseSurface
-    L: DivisorClass
-    B: DivisorClass
+    __slots__ = ()
 
 
-class BidoubleCoverData(NamedTuple):
+class BidoubleCoverData(namedtuple("BidoubleCoverData", "base L1 L2 L3 B1 B2 B3")):
     """Building data {L1, L2, L3, B1, B2, B3} of a bidouble cover."""
 
-    base: BaseSurface
-    L1: DivisorClass
-    L2: DivisorClass
-    L3: DivisorClass
-    B1: DivisorClass
-    B2: DivisorClass
-    B3: DivisorClass
+    __slots__ = ()
 
 
 CoverData = Union[DoubleCoverData, BidoubleCoverData]

@@ -34,8 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 from .polynomials import Poly, substitute
 from .singularities import A, SingType
@@ -237,15 +238,12 @@ def _show(value) -> str:
     return str(value)
 
 
-class Stage(NamedTuple):
+class Stage(namedtuple("Stage", "name values ok statement")):
     """One stage of a certificate: its name, the exact values it computed
-    (by key), whether they are the values the argument needs, and the
-    sentence that states them."""
+    as (key, value) pairs, whether they are the values the argument needs,
+    and the sentence that states them."""
 
-    name: str
-    values: tuple[tuple[str, object], ...]
-    ok: bool
-    statement: str
+    __slots__ = ()
 
     def value(self, key: str):
         return dict(self.values)[key]
@@ -255,15 +253,12 @@ class Stage(NamedTuple):
         return f"{self.name}: {stated}" + ("" if self.ok else "  FAILED")
 
 
-class SeedCertificate(NamedTuple):
+class SeedCertificate(namedtuple("SeedCertificate", "n stages singularity points_per_line")):
     """The singular points of the seed curve C_n, proved stage by stage:
     points_per_line points on each coordinate line, all of the type read
     off the local normal form (None if it could not be read)."""
 
-    n: int
-    stages: tuple[Stage, ...]
-    singularity: Optional[SingType]
-    points_per_line: int
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -406,27 +401,26 @@ _REPRESENTATIVES = {1: (0, 1, 1), 2: (1, 0, 1), 3: (1, 1, 0)}
 _CHARTS = {1: 1, 2: 0, 3: 0}
 
 
-class LineCheck(NamedTuple):
-    """Verification outcome for one coordinate line."""
+class LineCheck(
+    namedtuple(
+        "LineCheck",
+        "line_index representative restriction_is_square distinct_points partials_vanish"
+        " germ transversal",
+    )
+):
+    """Verification outcome for one coordinate line: the germ at the
+    representative point, one of the GermType verdicts."""
 
-    line_index: int
-    representative: tuple[int, int, int]
-    restriction_is_square: bool
-    distinct_points: int
-    partials_vanish: bool
-    germ: GermType
-    transversal: bool
+    __slots__ = ()
 
 
-class CurveSingularityReport(NamedTuple):
-    """Singular-point structure of the seed curve, verified line by line."""
+class CurveSingularityReport(
+    namedtuple("CurveSingularityReport", "n expected_type lines torus_invariant failures note")
+):
+    """Singular-point structure of the seed curve, verified line by line:
+    one LineCheck per line, and the names of the failed stages."""
 
-    n: int
-    expected_type: SingType
-    lines: tuple[LineCheck, ...]
-    torus_invariant: bool
-    failures: tuple[str, ...]
-    note: str
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -43,9 +43,10 @@ coefficient by coefficient.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS
 from .figures import Run, figure_csv, figure_svg
@@ -54,14 +55,9 @@ from .polynomials import Poly, domain_variables
 SET_LABELS = tuple(FAMILIES)
 
 
-class GeoPair(
-    NamedTuple(
-        "GeoPair",
-        [("chi", int), ("K2", int), ("set_label", str), ("params", tuple[tuple[str, int], ...])],
-    )
-):
-    """One invariant pair with its provenance parameters; pairs order by
-    (chi, K2, set_label, params)."""
+class GeoPair(namedtuple("GeoPair", "chi K2 set_label params")):
+    """One invariant pair with its provenance parameters, params holding
+    (name, value) pairs; pairs order by (chi, K2, set_label, params)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -115,31 +111,29 @@ def slope(pair: GeoPair) -> Fraction:
 # Severi-line convergence for family 2.
 
 
-class SlopeRow(NamedTuple):
-    m: int
-    n: int
-    K2: int
-    chi: int
-    mu: Fraction
-    identity_ok: bool
+class SlopeRow(namedtuple("SlopeRow", "m n K2 chi mu identity_ok")):
+    """One member of family 2 with its exact slope mu = K2/chi."""
+
+    __slots__ = ()
 
 
-class SlopeLimitReport(NamedTuple):
-    """Exact slope table for family 2 with one parameter fixed.
+class SlopeLimitReport(
+    namedtuple(
+        "SlopeLimitReport",
+        "fixed rows limit symbolic_identity final_gap threshold within_threshold",
+    )
+):
+    """Exact slope table for family 2 with one parameter fixed, as the
+    pair fixed = (name, value).
 
     Fixing n sweeps m with limit 4 - 4/n; fixing m sweeps even n with
     limit 4.  identity_ok certifies, row by row, the exact closed form
     mu = 4 + 4*(1 - n - m*n) / (1 - n + m*n^2); symbolic_identity is the
     same identity checked once as a polynomial identity in (m, n).
+    final_gap is |mu - limit| in the last row.
     """
 
-    fixed: tuple[str, int]
-    rows: tuple[SlopeRow, ...]
-    limit: Fraction
-    symbolic_identity: bool
-    final_gap: Fraction
-    threshold: Fraction
-    within_threshold: bool
+    __slots__ = ()
 
     @property
     def all_identities_hold(self) -> bool:
@@ -217,11 +211,11 @@ REFUTED = "refuted_within_bound"
 RELAXED = "verified_under_relaxed_assumption"
 
 
-class Claim(NamedTuple):
-    claim_id: str
-    status: str
-    detail: str
-    witnesses: tuple = ()
+class Claim(namedtuple("Claim", "claim_id status detail witnesses", defaults=((),))):
+    """One set-relation claim: its status (VERIFIED, REFUTED or RELAXED), a
+    sentence of detail, and the (K2, chi) pairs that witness it."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -232,9 +226,10 @@ class Claim(NamedTuple):
         }
 
 
-class SetRelationsReport(NamedTuple):
-    bound: int
-    claims: tuple[Claim, ...]
+class SetRelationsReport(namedtuple("SetRelationsReport", "bound claims")):
+    """The claims, certified for chi <= bound."""
+
+    __slots__ = ()
 
     def claim(self, claim_id: str) -> Claim:
         for c in self.claims:
@@ -261,19 +256,13 @@ def _sparse_members(label: str, chi_max: int):
         p += step
 
 
-class _Line(NamedTuple):
-    """Family 2 or 3 at one n.  K2 and chi are affine in m; the members
-    within the bound are m_first <= m <= m_last.  A line is also the
-    emitters' run (figures.Run) of its members: a window is a range of m."""
+class _Line(namedtuple("_Line", "label n m_first m_last k2_step k2_0 chi_step chi_0")):
+    """Family 2 or 3 at one n.  K2 and chi are affine in m, with K2 =
+    k2_step*m + k2_0 and chi = chi_step*m + chi_0; the members within the
+    bound are m_first <= m <= m_last.  A line is also the emitters' run
+    (figures.Run) of its members: a window is a range of m."""
 
-    label: str
-    n: int
-    m_first: int
-    m_last: int
-    k2_step: int
-    k2_0: int
-    chi_step: int
-    chi_0: int
+    __slots__ = ()
 
     def value(self, m: int) -> tuple[int, int]:
         return (self.k2_step * m + self.k2_0, self.chi_step * m + self.chi_0)

@@ -33,15 +33,16 @@ unrepresentable in the first place.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
-from typing import NamedTuple, Optional
+from typing import Optional
 
 
 class TransportError(ValueError):
     """A branch-point configuration matches no implemented transport rule."""
 
 
-class SingType(NamedTuple("SingType", [("family", str), ("index", int)])):
+class SingType(namedtuple("SingType", "family index")):
     """An ADE singularity type; the index counts exceptional (-2)-curves.
     Types order by (family, index)."""
 
@@ -83,9 +84,7 @@ def E(k: int) -> SingType:
     return SingType("E", k)
 
 
-class SingInventory(
-    NamedTuple("SingInventory", [("entries", tuple[tuple[SingType, int], ...])])
-):
+class SingInventory(namedtuple("SingInventory", "entries")):
     """Immutable multiset of ADE singularity types: entries holds each
     type once, with its positive count, in type order."""
 
@@ -189,13 +188,7 @@ def union_type(branch: Optional[SingType], contact: int) -> SingType:
     return D(branch.index + 3)
 
 
-class BidoubleBranchPoint(
-    NamedTuple(
-        "BidoubleBranchPoint",
-        [("carrier", int), ("sing", Optional[SingType]), ("meets", Optional[int]),
-         ("contact", int), ("count", int)],
-    )
-):
+class BidoubleBranchPoint(namedtuple("BidoubleBranchPoint", "carrier sing meets contact count")):
     """One point (or a batch of identical points) of the bidouble branch locus.
 
     carrier is the index (1..3) of the divisor the point sits on, sing its
@@ -244,9 +237,7 @@ class BidoubleBranchPoint(
         return f"{head}, B{self.meets} through it with contact {self.contact}"
 
 
-class CyclicBranchPoint(
-    NamedTuple("CyclicBranchPoint", [("sing", SingType), ("on_fiber", bool), ("count", int)])
-):
+class CyclicBranchPoint(namedtuple("CyclicBranchPoint", "sing on_fiber count")):
     """One batch of identical branch-curve points fed to a cyclic cover.
 
     on_fiber marks points sitting on one of the two branch fibers

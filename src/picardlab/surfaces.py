@@ -17,8 +17,9 @@ of checked classes on one surface are trusted and built without the check.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from functools import cache
 from operator import add, index, neg, sub
-from typing import NamedTuple
 
 PLANE = "P2"
 RULED = "F"
@@ -28,7 +29,7 @@ class SurfaceMismatchError(ValueError):
     """Combining divisor classes that live on different base surfaces."""
 
 
-class BaseSurface(NamedTuple("BaseSurface", [("kind", str), ("e", int)])):
+class BaseSurface(namedtuple("BaseSurface", "kind e")):
     """The projective plane, or a ruled surface F_e with e >= 0."""
 
     __slots__ = ()
@@ -85,9 +86,7 @@ def hirzebruch(e: int) -> BaseSurface:
 _trusted = tuple.__new__
 
 
-class DivisorClass(
-    NamedTuple("DivisorClass", [("surface", BaseSurface), ("coeffs", tuple[int, ...])])
-):
+class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
     """An element of the divisor class group of the base surface.
 
     On the plane the single coefficient is the multiple of the hyperplane
@@ -179,8 +178,10 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return -s.e * a1 * a2 + a1 * b2 + a2 * b1
 
 
+@cache
 def canonical_class(s: BaseSurface) -> DivisorClass:
-    """Canonical divisor class: -3H on the plane, -2*D0 - (e+2)*F on F_e."""
+    """Canonical divisor class: -3H on the plane, -2*D0 - (e+2)*F on F_e.
+    Computed once per surface."""
     if s.kind == PLANE:
         return s.divisor(-3)
     return s.divisor(-2, -(s.e + 2))

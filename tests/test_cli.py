@@ -30,6 +30,57 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_in_process(argv, env=None):
+    """(exit code, stdout, stderr) of main(argv) with env set; argparse
+    refuses what its int() cannot read through SystemExit.  For Hypothesis
+    tests, which cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, env or {}), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv, code, out, err, first_line):
+    """A numeric flag either runs the command (exit 0 or 1, output starting
+    with first_line) or is refused with exit 2 before a line is printed."""
+    if code == 2:
+        assert out == "" and err.startswith(("usage error: ", "usage: picardlab")), argv
+    else:
+        assert code in (0, 1) and out.startswith(first_line), (argv, err)
+
+
+# Numeric flag values: small integers, what int() reads beyond ASCII digits,
+# what it refuses, 10^2200 (int() reads it, but the numbers made from it
+# print longer than str() converts), and text.
+_FLAG_TEXTS = st.one_of(
+    st.integers(-3, 40).map(str),
+    st.sampled_from(["٣", "1_0", " 7 ", "4e3", "1" * 4301, "1" + "0" * 2200, "ten", "", "0x10",
+                     "+6", "100000000", str(10**30)]),
+    st.text(
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8
+    ),
+)
+
+
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
+# Table bounds: a table of thousands of rows of numbers near the str() digit
+# limit takes seconds to build before it is refused, so bounds stay at most
+# 60 or above the row cap.
+_BOUND_TEXTS = _FLAG_TEXTS.filter(
+    lambda text: not 60 < (_int_or_none(text) or 0) <= 2 * MAX_SWEEP_BUILDS + 2
+)
+
+
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
 
 needs_wait4 = pytest.mark.skipif(
@@ -249,6 +300,15 @@ class TestVerifyTheorem:
         assert many[1] - one[1] < 4, (one[1], many[1])
         assert (tmp_path / "2000.json").stat().st_size > 3_000_000
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.sampled_from("123"), _FLAG_TEXTS, st.one_of(st.none(), _FLAG_TEXTS))
+    def test_numeric_flags_exit_by_contract(self, theorem, n, m):
+        argv = ["verify-theorem", theorem, f"--n={n}"] + ([] if m is None else [f"--m={m}"])
+        start = time.perf_counter()
+        code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert_exit_contract(argv, code, out, err, f"theorem {theorem}  ")
+
 
 _SWEEP_PIECES = st.one_of(
     st.sampled_from(["m=", "n=", "..", ",", " ", "-", "+", "=", "0", "2", "7", "٣", "_", "\xa0"]),
@@ -314,11 +374,8 @@ class TestParseSweep:
 
 def _valid_bound(text):
     """The chi bound that geography reads from text, or None for a refusal."""
-    try:
-        value = int(text)
-    except ValueError:
-        return None
-    return value if 3 <= value <= cli.MAX_CHI_MAX else None
+    value = _int_or_none(text)
+    return value if value is not None and 3 <= value <= cli.MAX_CHI_MAX else None
 
 
 class TestGeography:
@@ -393,19 +450,13 @@ class TestGeography:
             argv, env = ["geography"], {"PICARDLAB_CHI_MAX": text}
         else:
             argv, env = ["geography", f"--chi-max={text}"], {}
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses what int() cannot read
-                code = exc.code
+        code, out, err = run_in_process(argv, env)
         if _valid_bound(text) is None:
-            assert (code, out.getvalue()) == (2, ""), text
-            assert err.getvalue(), text
+            assert (code, out) == (2, ""), text
+            assert err, text
         else:
-            assert code in (0, 1), (text, err.getvalue())
-            assert out.getvalue().startswith(f"set relations within chi <= {int(text)}:\n")
+            assert code in (0, 1), (text, err)
+            assert out.startswith(f"set relations within chi <= {int(text)}:\n")
 
     def test_unknown_set(self, capsys):
         code, _, err = run(capsys, "geography", "--chi-max", "50", "--sets", "A9")
@@ -680,6 +731,8 @@ HUGE = "1" + "0" * 2200
         ("verify-theorem", "3", "--m", "2", "--n", HUGE, "--json", "reports.json"),
         ("verify-theorem", "1", "--sweep", f"n=2..4,{HUGE}", "--json", "reports.json"),
         ("classify", "--curve-C", HUGE),
+        ("slopes", "--fix", f"n={HUGE}", "--m-max", "4"),
+        ("slopes", "--fix", "m=3", "--n-max", "4", "--threshold", "1e-5000"),
     ],
 )
 def test_numbers_beyond_the_str_digit_limit_are_refused_first(
@@ -745,6 +798,38 @@ class TestSlopes:
         assert f"more than {MAX_SWEEP_BUILDS} rows" in err
         assert time.perf_counter() - start < 1.0
 
+    def test_threshold_exponent_is_capped_before_fraction_reads_it(self, capsys):
+        # Fraction("1e-10000000") alone takes about 9 s.
+        start = time.perf_counter()
+        for threshold in ("1e-10000000", "1E1_000_000_000"):
+            code, out, err = run(
+                capsys, "slopes", "--fix", "m=3", "--n-max", "4", "--threshold", threshold
+            )
+            assert (code, out) == (2, "")
+            assert f"exponent must be at most {cli.MAX_THRESHOLD_EXPONENT}" in err
+        assert time.perf_counter() - start < 1.0
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.sampled_from(["n", "m", " n", "x"]),
+        st.one_of(_FLAG_TEXTS, st.integers(1, 30).map(str)),
+        st.one_of(st.none(), _BOUND_TEXTS, st.integers(2, 60).map(str)),
+        st.one_of(st.none(), _BOUND_TEXTS, st.integers(2, 60).map(str)),
+        st.one_of(st.none(), _FLAG_TEXTS, st.sampled_from(
+            ["1/100", "0", "-1", "1e-5000", "1e-4000", "1e-10000000", "1/0", "nan", "inf",
+             "2E-3", "0.5", "1e1_0"]
+        )),
+    )
+    def test_numeric_flags_exit_by_contract(self, key, value, m_max, n_max, threshold):
+        argv = ["slopes", f"--fix={key}={value}"]
+        for flag, text in (("--m-max", m_max), ("--n-max", n_max), ("--threshold", threshold)):
+            if text is not None:
+                argv.append(f"{flag}={text}")
+        start = time.perf_counter()
+        code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert_exit_contract(argv, code, out, err, "slopes of family 2 with ")
+
     def test_table_at_the_row_cap_is_built(self, capsys):
         # m runs from 3, so m <= MAX_SWEEP_BUILDS + 2 gives exactly the cap.
         last = MAX_SWEEP_BUILDS + 2
@@ -761,13 +846,26 @@ def test_version(capsys):
     assert "picardlab" in capsys.readouterr().out
 
 
-def test_cli_import_does_not_load_dataclasses():
-    # The records are NamedTuples.  dataclasses, with the inspect, ast and
-    # dis modules it loads, and the class processing of frozen dataclasses
-    # cost about 30 ms of every command's start-up.
+def modules_loaded_by_cli_import(*names):
+    """Which of the named modules a fresh interpreter holds after importing
+    picardlab.cli."""
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, picardlab.cli; print(sorted(m for m in "
-         "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))"],
+        [sys.executable, "-c", "import sys, picardlab.cli; print(' '.join(m for m in "
+         f"{names!r} if m in sys.modules))"],
         capture_output=True, text=True, env=CLI_ENV, timeout=60,
     )
-    assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # The records are collections.namedtuple classes.  dataclasses, with the
+    # inspect, ast and dis modules it loads, and the class processing of
+    # frozen dataclasses cost about 30 ms of every command's start-up.
+    assert modules_loaded_by_cli_import("dataclasses", "inspect", "ast", "dis") == []
+
+
+def test_cli_import_does_not_load_json():
+    # Only geography --emit json and verify-theorem --json write JSON; the
+    # json package costs about 2 ms of every other command's start-up.
+    assert modules_loaded_by_cli_import("json", "json.encoder") == []
