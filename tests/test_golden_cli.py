@@ -5,8 +5,9 @@ errors.
 The golden files in data/golden/ hold, per case, `<case>.stdout`,
 `<case>.stderr` and one `<case>.<file>` for every file the run writes; the
 exit codes of all cases are in `exit_codes.json`.  Emits too large to keep
-are pinned by their sha256 digests, in `geography_emit_<chi_max>.sha256`
-(the format of `sha256sum`).
+and the claims at large bounds are pinned by their sha256 digests, in
+`geography_emit_<chi_max>.sha256` and `geography_claims_<chi_max>.sha256`
+(the format of `sha256sum`, the stdout as `stdout.txt`).
 """
 
 import hashlib
@@ -80,13 +81,28 @@ def test_cli_output_matches_golden(name, capsys, monkeypatch, tmp_path):
         assert data == (GOLDEN / file).read_bytes(), file
 
 
-def test_emit_matches_pinned_digests(monkeypatch, tmp_path):
+def assert_pinned(pinned_name, workdir, stdout):
+    """Every file named in a sha256sum listing, stdout.txt being the run's
+    stdout, has its pinned digest."""
+    pinned = (GOLDEN / pinned_name).read_text(encoding="utf-8")
+    for line in pinned.splitlines():
+        digest, name = line.split()
+        data = stdout.encode() if name == "stdout.txt" else (workdir / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+def test_emit_matches_pinned_digests(capsys, monkeypatch, tmp_path):
     # The chi <= 1,000 case lies inside one emitter window; this bound spans
     # about a hundred, so a row lost or misordered at a window edge shows.
     # CI checks the digests pinned at chi <= 10^6 the same way.
     monkeypatch.chdir(tmp_path)
     assert main(["geography", "--chi-max", "100000", "--emit", "csv,svg"]) == 1
-    pinned = (GOLDEN / "geography_emit_100000.sha256").read_text(encoding="utf-8")
-    for line in pinned.splitlines():
-        digest, name = line.split()
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    assert_pinned("geography_emit_100000.sha256", tmp_path, capsys.readouterr().out)
+
+
+def test_claims_match_pinned_digests(capsys, monkeypatch, tmp_path):
+    # The claims' counts and details at chi <= 10^8, far past the golden
+    # bounds; CI checks the stdout pinned at chi <= 10^10 the same way.
+    monkeypatch.chdir(tmp_path)
+    assert main(["geography", "--chi-max", "100000000", "--claims", "--emit", "json"]) == 1
+    assert_pinned("geography_claims_100000000.sha256", tmp_path, capsys.readouterr().out)
