@@ -13,7 +13,6 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable
 from fractions import Fraction
 from itertools import product, starmap
 from pathlib import Path
@@ -23,16 +22,22 @@ from .constructions import MAX_SWEEP_BUILDS, THEOREMS, ConstructionReport, Param
 from .covers import BidoubleCoverData
 from .curves import DegenerateGermError, classify, seed_certificate
 from .figures import csv_lines, svg_lines
-from .geography import SET_LABELS, pair_runs, set_relations_report, slope_limit_report
+from .geography import (
+    SET_LABELS,
+    pair_runs,
+    refuse_unprintable,
+    set_relations_report,
+    slope_limit_report,
+)
 from .polynomials import PointOffCurveError, PolyParseError, parse_local_poly, parse_ternary_form
 
 USAGE_ERROR = 2
 FAILURE = 1
 DEFAULT_CHI_MAX = 10_000
-# The claims walk about sqrt(chi_max) lines and T members: about 0.3 s and
-# 38 MB at 10^10.
+# The claims sum counts over about sqrt(chi_max) lines and walk T's members:
+# about 0.34 s and 28 MB at 10^10 (Python 3.11, 2 vCPUs).
 MAX_CHI_MAX = 10**10
-# Fraction computes 10**exponent for a threshold like 1e-k, 9 s at k = 10^7.
+# Fraction computes 10**exponent for a number like 1e-k, 9 s at k = 10^7.
 # Past twice the 4,300 digits str() converts, no k gives a printable one.
 MAX_THRESHOLD_EXPONENT = 10_000
 
@@ -96,12 +101,19 @@ def _parse_sweep(spec: str) -> dict[str, list[int]]:
     return out
 
 
-def _refuse_unprintable(numbers: Iterable[int], what: str) -> None:
-    """Refuse numbers with more digits than str() converts (a limit of 0,
-    or a Python before 3.10.7, converts any)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit and max(map(abs, numbers)) >= 10**limit:
-        raise UsageError(f"{what} would print a number of more than {limit} digits")
+def _read_fraction(text: str, flag: str) -> Fraction:
+    """text read by Fraction, after refusing an exponent of more than
+    MAX_THRESHOLD_EXPONENT in size, whose power of 10 Fraction would expand."""
+    try:
+        exponent = int(text.lower().partition("e")[2] or 0)
+    except ValueError:
+        exponent = 0  # Fraction refuses the text
+    if abs(exponent) > MAX_THRESHOLD_EXPONENT:
+        raise UsageError(f"{flag} exponent must be at most {MAX_THRESHOLD_EXPONENT} in size")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"bad {flag} value {text!r}") from None
 
 
 def _print_report(report: ConstructionReport) -> None:
@@ -160,13 +172,13 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     try:
         for values in combos:
             family.check(*values)
-    except ParameterError as exc:
+        # A report's largest numbers are K2 and h11 = 10*chi - K2 (q = 0).
+        refuse_unprintable(
+            (x for K2, chi in starmap(family.pair, combos) for x in (K2, 10 * chi - K2)),
+            f"theorem {theorem}",
+        )
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # A report's largest numbers are K2 and h11 = 10*chi - K2 (q = 0).
-    _refuse_unprintable(
-        (x for K2, chi in starmap(family.pair, combos) for x in (K2, 10 * chi - K2)),
-        f"theorem {theorem}",
-    )
 
     try:
         out = open(args.json, "w", encoding="utf-8") if args.json else None
@@ -286,9 +298,9 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.homogeneous is None and (args.point is not None or args.chart is not None):
         raise UsageError("--point and --chart apply only to --homogeneous")
     if args.curve_n is not None:
-        # The certificate's largest number is the Jacobian coefficient n^3.
-        _refuse_unprintable([args.curve_n**3], "the seed curve certificate")
         try:
+            # The certificate's largest number is the Jacobian coefficient n^3.
+            refuse_unprintable([args.curve_n**3], "the seed curve certificate")
             certificate = seed_certificate(args.curve_n)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
@@ -309,10 +321,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             form = parse_ternary_form(args.homogeneous)
             if args.point is None:
                 raise UsageError("--homogeneous needs --point p0,p1,p2")
-            try:
-                point = tuple(Fraction(c.strip()) for c in args.point.split(","))
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"bad point {args.point!r}") from None
+            point = tuple(_read_fraction(c.strip(), "--point") for c in args.point.split(","))
             if len(point) != 3:
                 raise UsageError("the point needs three coordinates")
             if not any(point):
@@ -347,17 +356,7 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
         fixed_value = int(value)
     except ValueError:
         raise UsageError(f"bad --fix value {args.fix!r}") from None
-    text = args.threshold or "1/100"
-    try:
-        exponent = int(text.lower().partition("e")[2] or 0)
-    except ValueError:
-        exponent = 0  # Fraction refuses the text
-    if abs(exponent) > MAX_THRESHOLD_EXPONENT:
-        raise UsageError(f"--threshold exponent must be at most {MAX_THRESHOLD_EXPONENT} in size")
-    try:
-        threshold = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad --threshold value {args.threshold!r}") from None
+    threshold = _read_fraction(args.threshold or "1/100", "--threshold")
     try:
         if key == "n":
             if args.m_max is None:
@@ -377,14 +376,6 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
             raise UsageError("--fix expects n=<even> or m=<int>")
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # The parameters print as int() read them; the table's own numbers may
-    # be longer.
-    ratios = [report.limit, report.final_gap, report.threshold, *(row.mu for row in report.rows)]
-    _refuse_unprintable(
-        [x for row in report.rows for x in (row.K2, row.chi)]
-        + [x for q in ratios for x in (q.numerator, q.denominator)],
-        "the slope table",
-    )
 
     print(f"slopes of family 2 with {report.fixed[0]} = {report.fixed[1]}:")
     print(f"  {moving:>4}  {'K2':>8}  {'chi':>8}  slope (exact)        identity")

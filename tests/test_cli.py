@@ -66,19 +66,21 @@ _FLAG_TEXTS = st.one_of(
 )
 
 
+# Point coordinates: what Fraction reads, exponents at and past the cap of
+# 10,000 in size, and what it refuses.
+_COORDINATE_TEXTS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["1/2", "-1/3", "0.5", "1e-5", "1e-10000", "1E10000", "1e-10001",
+                     "1e-10000000", "1e1_000_000_000", "1/0", "nan", "inf", "x", "", " 1 "]),
+    _FLAG_TEXTS,
+)
+
+
 def _int_or_none(text):
     try:
         return int(text)
     except ValueError:
         return None
-
-
-# Table bounds: a table of thousands of rows of numbers near the str() digit
-# limit takes seconds to build before it is refused, so bounds stay at most
-# 60 or above the row cap.
-_BOUND_TEXTS = _FLAG_TEXTS.filter(
-    lambda text: not 60 < (_int_or_none(text) or 0) <= 2 * MAX_SWEEP_BUILDS + 2
-)
 
 
 CLI_ENV = dict(os.environ, PYTHONPATH=str(Path(picardlab.__file__).parents[1]))
@@ -650,6 +652,27 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == "usage error: --point and --chart apply only to --homogeneous\n"
 
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(
+        st.one_of(st.none(), _FLAG_TEXTS),
+        st.sampled_from([None, "X1^2*X2 - X0^3", "X0^2 + X1^2 - X2^2"]),
+        st.one_of(st.none(), st.lists(_COORDINATE_TEXTS, min_size=1, max_size=4).map(",".join)),
+        st.one_of(st.none(), st.sampled_from(["0", "1", "2", "3", "-1", "x", ""])),
+    )
+    # Fraction would take minutes to expand 10^(10^7).
+    @example(None, "X1^2*X2 - X0^3", "1e-10000000,0,1", "2")
+    def test_flags_exit_by_contract(self, curve_n, form, point, chart):
+        argv = ["classify"]
+        for flag, text in (
+            ("--curve-C", curve_n), ("--homogeneous", form), ("--point", point), ("--chart", chart)
+        ):
+            if text is not None:
+                argv.append(f"{flag}={text}")
+        start = time.perf_counter()
+        code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert_exit_contract(argv, code, out, err, "")
+
     def test_form_above_degree_cap_is_refused_quickly(self):
         # Without the cap, localizing this form at (1:1:1) gives about 9
         # million terms, 3001^2 from (x + 1)^3000*(y + 1)^3000.
@@ -732,6 +755,8 @@ HUGE = "1" + "0" * 2200
         ("verify-theorem", "1", "--sweep", f"n=2..4,{HUGE}", "--json", "reports.json"),
         ("classify", "--curve-C", HUGE),
         ("slopes", "--fix", f"n={HUGE}", "--m-max", "4"),
+        # 10,000 rows, each refused; the last row is checked before the rest.
+        ("slopes", "--fix", f"n=2{'0' * 4298}", "--m-max", "10002"),
         ("slopes", "--fix", "m=3", "--n-max", "4", "--threshold", "1e-5000"),
     ],
 )
@@ -813,8 +838,8 @@ class TestSlopes:
     @given(
         st.sampled_from(["n", "m", " n", "x"]),
         st.one_of(_FLAG_TEXTS, st.integers(1, 30).map(str)),
-        st.one_of(st.none(), _BOUND_TEXTS, st.integers(2, 60).map(str)),
-        st.one_of(st.none(), _BOUND_TEXTS, st.integers(2, 60).map(str)),
+        st.one_of(st.none(), _FLAG_TEXTS, st.integers(2, 60).map(str)),
+        st.one_of(st.none(), _FLAG_TEXTS, st.integers(2, 60).map(str)),
         st.one_of(st.none(), _FLAG_TEXTS, st.sampled_from(
             ["1/100", "0", "-1", "1e-5000", "1e-4000", "1e-10000000", "1/0", "nan", "inf",
              "2E-3", "0.5", "1e1_0"]

@@ -12,10 +12,8 @@ from picardlab.figures import _WINDOW, figure_svg
 from picardlab.geography import (
     REFUTED,
     SET_LABELS,
-    _a2_a3_identity,
     _identities,
     _lines,
-    _noether_zeros,
     _t_identity,
     admissible,
     emit_figure,
@@ -153,10 +151,10 @@ def test_line_windows_match_a_scan():
 
 def test_only_dividing_line_pairs_can_meet():
     # Every pair of lines up to chi 20,000, solved by elimination of its own,
-    # meets at the solution that _a2_a3_identity certifies for all (n2, n3):
-    # m2 = n3/n2 and m3 = 2*n2/n3.  m2 is an integer only where n2 divides
-    # n3, and m2, m3 are never both within the families.
-    assert _a2_a3_identity()
+    # meets at the solution that the identity A2-A3-lines certifies for all
+    # (n2, n3): m2 = n3/n2 and m3 = 2*n2/n3.  m2 is an integer only where n2
+    # divides n3, and m2, m3 are never both within the families.
+    assert _identities()[0]["A2-A3-lines"]
     a2, a3 = _lines("A2", 20_000), _lines("A3", 20_000)
     for l2 in a2:
         for l3 in a3:
@@ -180,7 +178,7 @@ def test_certified_meeting_is_real_below_the_printed_bounds():
     assert m2 < FAMILIES["A2"].params[0].minimum and m3 < FAMILIES["A3"].params[0].minimum
 
 
-_IDENTITY_CACHES = (_a2_a3_identity, _identities, _t_identity)
+_IDENTITY_CACHES = (_identities, _t_identity)
 
 
 @pytest.fixture
@@ -196,13 +194,13 @@ def fresh_identity():
 def test_identity_is_checked_once_per_process(fresh_identity):
     set_relations_report(1000)
     set_relations_report(10_000)
-    assert _a2_a3_identity.cache_info().misses == 1
     assert _identities.cache_info().misses == 1
 
 
 def test_a_wrong_family_breaks_the_identity(monkeypatch, fresh_identity):
     # Adding 2n to A3's K2 moves its lines, so the certified solution fails
     # and the three claims that rest on it are refuted, naming the identity.
+    # A2-windows holds, so A2-minus-A3 names A2-A3-lines too.
     a3 = FAMILIES["A3"]
 
     def shifted(m, n):
@@ -210,23 +208,12 @@ def test_a_wrong_family_breaks_the_identity(monkeypatch, fresh_identity):
         return k2 + 2 * n, chi
 
     monkeypatch.setitem(FAMILIES, "A3", a3._replace(pair=shifted))
-    assert not _a2_a3_identity()
+    assert not _identities()[0]["A2-A3-lines"]
     report = set_relations_report(1000)
     for claim_id in ("A2-minus-A3-infinite", "A3-minus-A2-infinite", "A2-intersect-A3-infinite"):
         claim = report.claim(claim_id)
         assert claim.status == REFUTED, claim_id
-        assert "A2-A3 line identity" in claim.detail, claim_id
-
-
-def test_noether_zeros_find_whole_lines_and_single_members():
-    # Family 3 gives K2 - (2*chi - 6) = (n-3)*(m*n-4): the odd line n = 3
-    # lies on the Noether line, and n = 4 meets it at m = 1.
-    k2_0, chi_0 = family3_pair(0, 3)
-    k2_1, chi_1 = family3_pair(1, 3)
-    n3 = geography._Line("A3", 3, 1, 5, k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0)
-    n4 = _lines("A3", 100)[0]._replace(m_first=1)
-    assert _noether_zeros([n3, n4]) == ([n3], [(1, 4)])
-    assert _noether_zeros(_lines("A3", 10**6)) == ([], [])
+        assert "identity A2-A3-lines fails" in claim.detail, claim_id
 
 
 def test_claim_i_walks_no_a1_or_b_member(monkeypatch):
@@ -276,11 +263,39 @@ _MUTATIONS = {
     ),
     "A3 K2 + 2n": (
         "A3", lambda: _shifted_pair("A3", lambda m, n: (2 * n, 0)),
-        {"A3-disjoint-B": "A3-B-roots", "T-subset-A3": "T-in-A3"},
+        {"A3-disjoint-B": "A3-B-roots", "T-subset-A3": "T-in-A3",
+         "A2-minus-A3-infinite": "A2-A3-lines", "A3-minus-A2-infinite": "A2-A3-lines",
+         "A2-intersect-A3-infinite": "A2-A3-lines"},
     ),
     "A2 m >= 2": (
         "A2", lambda: FAMILIES["A2"]._replace(params=(Param("m", 2, 1), Param("n", 2, 2))),
         {"A2-disjoint-B": "A2-B-roots"},
+    ),
+    # A2 then has no member on the Noether line, so its slice is not n = 2.
+    "A2 n >= 4": (
+        "A2", lambda: FAMILIES["A2"]._replace(params=(Param("m", 3, 1), Param("n", 4, 2))),
+        {"A2-noether-slice": "A2-noether-n2"},
+    ),
+    # (m, n) = (1, 4) gives (8, 7), on the Noether line and a B pair.
+    "A3 m >= 1": (
+        "A3", lambda: FAMILIES["A3"]._replace(params=(Param("m", 1, 1), Param("n", 4, 2))),
+        {"A3-disjoint-B": "A3-B-roots", "A3-noether-empty": "A3-noether-positive"},
+    ),
+    # The line n = 3 is (6m - 4, 3m + 1), all on the Noether line; it meets B
+    # at (8, 7) and A2's line n = 2 at (32, 19), where (m, n) = (5, 2).
+    "A3 n >= 3, step 1": (
+        "A3", lambda: FAMILIES["A3"]._replace(params=(Param("m", 2, 1), Param("n", 3, 1))),
+        {"A3-disjoint-B": None, "A3-noether-empty": "A3-noether-positive",
+         "A2-minus-A3-infinite": "A2-A3-lines", "A3-minus-A2-infinite": "A2-A3-lines",
+         "A2-intersect-A3-infinite": "A2-A3-lines"},
+    ),
+    # The first line (n = 4) starts at chi = 1 and steps by 6: the window
+    # [2, 4] holds no A3 pair.
+    "A3 m >= 0": (
+        "A3", lambda: FAMILIES["A3"]._replace(params=(Param("m", 0, 1), Param("n", 4, 2))),
+        {"A3-disjoint-B": "A3-B-roots", "A3-minus-A2-infinite": "A3-windows",
+         "A2-minus-A3-infinite": "A2-A3-lines", "A3-noether-empty": "A3-noether-positive",
+         "A2-intersect-A3-infinite": "A2-A3-lines"},
     ),
 }
 
@@ -299,7 +314,7 @@ def test_a_wrong_family_refutes_the_claims_on_its_identities(monkeypatch, fresh_
         if identity is not None:
             assert f"identity {identity} fails" in claim.detail, (mutation, claim_id)
             assert claim.witnesses == ()
-    # Claim i) and the identities' other claims keep their verdicts.
-    for claim in before.claims[:9]:
+    # Every other claim keeps its verdict.
+    for claim in before.claims:
         if claim.claim_id not in refuted:
             assert report.claim(claim.claim_id).status == claim.status, (mutation, claim.claim_id)
