@@ -14,30 +14,34 @@ numerator/denominator column pair, sorted by (chi, K2, set label, params).
 
 The pairs come as sorted runs, a list of them per set label.  A run (the
 Run protocol) holds one set's members in strictly increasing chi and
-answers window queries with lists: csv_rows(lo, hi) gives (chi, K2, set
-label, params text), the CSV sort key, and points(lo, hi) gives (chi, K2),
-all a marker depends on.  csv_lines and svg_lines (the SVG per panel and
-label) cut the chi range into windows of _WINDOW chi values, collect the
-rows of the runs with a member in each window, sort them with list.sort,
-whose Timsort merges the pre-sorted runs in C, and yield each window's
-output as one string for the caller to write.  A run waits under the
-window of its next member, so a window asks only the runs with rows in it.
-A panel picks one marker writer per set label: the shape's "%"-template,
-filled with the label's tag and colour, applied in one list comprehension
-to the screen centres of a window's pairs.  Time grows with the number of
-pairs and memory with the number of runs plus the rows of one window.  At
-chi <= 10^6 (796,696 pairs over 790 runs) the geography command writes the
-35 MB CSV and the 69 MB SVG in about 4.3 s at a peak RSS of 16 MB, the SVG
-alone in about 2.6 s and the CSV alone in about 2.0 s (Python 3.11, 2-vCPU
-Xeon, on which the perfbench calibration kernel took 0.31-0.35 s against
-its 0.32 s reference).  figure_csv and figure_svg join the same output into
-a string.
+answers window queries with lists: csv_rows(lo, hi) gives (chi, K2, CSV
+line), each row formatted once, and points(lo, hi) gives (chi, K2), all a
+marker depends on.  Sorting (chi, K2, line) gives the order of (chi, K2,
+set label, params): no label is a prefix of another, and where one params
+text of a label is a prefix of another, the longer goes on with a digit of
+the last value, while the shorter is followed by ",", which sorts below
+every digit.  csv_lines and svg_lines (the SVG per panel and label) cut the
+chi range into windows of _WINDOW chi values, collect the rows of the runs
+with a member in each window, sort them with list.sort, whose Timsort
+merges the pre-sorted runs in C, and yield each window's output as one
+string for the caller to write.  A run waits under the window of its next
+member, so a window asks only the runs with rows in it.  A panel writes a
+label's markers of one window in one "%" step: the shape's template,
+filled with the label's tag and colour and repeated once per pair, takes
+the vertices of every marker, computed a column at a time from the panel
+transform.  Time grows with the number of pairs and memory with the number
+of runs plus the rows of one window.  At chi <= 10^6 (796,696 pairs over
+790 runs) the geography command writes the 35 MB CSV and the 69 MB SVG in
+about 3.7 s at a peak RSS of 16 MB, the SVG alone in about 2.1 s and the
+CSV alone in about 1.7 s (Python 3.11, 2-vCPU Xeon: medians of 13 runs,
+each scaled to the 0.32 s reference of the perfbench calibration kernel,
+which took 0.19-0.32 s around them).  figure_csv and figure_svg join the
+same output into a string.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from math import gcd
 from typing import Callable, Iterator, Mapping, Optional, Protocol, Sequence
 
 
@@ -47,9 +51,11 @@ class Run(Protocol):
     def first_chi(self, lo: int) -> Optional[int]:
         """The smallest member chi >= lo, or None."""
 
-    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
-        """(chi, K2, set label, params text) of the members with lo <= chi <= hi,
-        the params text as "name=value ..."."""
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str]]:
+        """(chi, K2, CSV line) of the members with lo <= chi <= hi.  The line
+        is the member's finished row, "set label,params,K2,chi,slope
+        numerator,slope denominator" and a newline, the params as
+        "name=value ..." and the slope K2/chi in lowest terms."""
 
     def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """(chi, K2) of the members with lo <= chi <= hi."""
@@ -117,7 +123,7 @@ def _nice_step(span: float) -> int:
 
 
 # Each shape's marker element as a "%"-template: the tag and the colour are
-# filled in once per label, the centre's floats once per marker.
+# filled in once per label, the vertices' floats once per marker.
 _TEMPLATES = {
     "circle": '<circle {tag} cx="%.2f" cy="%.2f" r="3" fill="{color}"/>\n',
     "square": '<rect {tag} x="%.2f" y="%.2f" width="6" height="6" fill="{color}"/>\n',
@@ -127,23 +133,44 @@ _TEMPLATES = {
     'stroke="{color}" stroke-width="1.6" fill="none"/>\n',
 }
 
-# Each shape's markers, in one string, from its filled template and a list of
-# centres (x, y).
-_WRITERS: dict[str, Callable[[str, list[tuple[float, float]]], str]] = {
-    "circle": lambda t, xy: "".join([t % p for p in xy]),
-    "square": lambda t, xy: "".join([t % (x - 3, y - 3) for x, y in xy]),
-    "triangle": lambda t, xy: "".join([t % (x, y - 4, x + 3.5, y + 3, x - 3.5, y + 3) for x, y in xy]),
-    "diamond": lambda t, xy: "".join([t % (x, y - 4, x + 4, y, x, y + 4, x - 4, y) for x, y in xy]),
-    "cross": lambda t, xy: "".join(
-        [t % (x - 3, y - 3, x + 3, y + 3, x - 3, y + 3, x + 3, y - 3) for x, y in xy]
-    ),
+# Each shape's vertices as (dx, dy) offsets from the marker's centre, in the
+# order its template prints them.
+_VERTICES = {
+    "circle": ((0, 0),),
+    "square": ((-3, -3),),
+    "triangle": ((0, -4), (3.5, 3), (-3.5, 3)),
+    "diamond": ((0, -4), (4, 0), (0, 4), (-4, 0)),
+    "cross": ((-3, -3), (3, 3), (-3, 3), (3, -3)),
 }
 
 
-def _marker_writer(label: str, tag: str) -> Callable[[list[tuple[float, float]]], str]:
-    """The writer of label's markers, tagged with tag, for a list of centres."""
+def _markers(
+    template: str, vertices: tuple[tuple[float, float], ...],
+    px: float, xlo: float, xspan: float, py0: float, ymax: float, pairs: list[tuple[int, int]],
+) -> str:
+    """The markers of pairs, a window's sorted (chi, K2), in one string: the
+    template once per pair, filled by one "%" step.  A pair's centre is x =
+    px + (chi - xlo) / xspan * _PANEL_W and y = py0 - K2 / ymax * _PANEL_H;
+    a vertex adds its nonzero offsets to it (x + -3 is x - 3 exactly).  The
+    values are computed a column at a time, as a call per marker costs more
+    than its format."""
+    xs = [px + (c - xlo) / xspan * _PANEL_W for c, _ in pairs]
+    ys = [py0 - k2 / ymax * _PANEL_H for _, k2 in pairs]
+    step = 2 * len(vertices)
+    values = [0.0] * (step * len(pairs))
+    for i, (dx, dy) in enumerate(vertices):
+        values[2 * i :: step] = [x + dx for x in xs] if dx else xs
+        values[2 * i + 1 :: step] = [y + dy for y in ys] if dy else ys
+    values = tuple(values)  # the list goes before the text is built
+    return (template * len(pairs)) % values
+
+
+def _marker_writer(label: str, tag: str) -> Callable[..., str]:
+    """The writer of label's markers, tagged with tag: _markers with the
+    label's filled template and its shape's vertices, taking the panel
+    transform and then the pairs."""
     shape, color = MARKER_STYLES[label]
-    return partial(_WRITERS[shape], _TEMPLATES[shape].format(tag=tag, color=color))
+    return partial(_markers, _TEMPLATES[shape].format(tag=tag, color=color), _VERTICES[shape])
 
 
 def _batches(
@@ -261,9 +288,9 @@ def _panel(
     # label in (chi, K2) order; pairs equal in both draw the same marker.
     for label in sorted(runs_by_set):
         write = _marker_writer(label, f'data-set="{label}"')
-        for batch in _batches(runs_by_set[label], chi_lo, chi_hi, lambda run, lo, hi: run.points(lo, hi)):
-            # sx and sy inline, as a call per pair costs more than its format.
-            yield write([(px + (c - xlo) / xspan * _PANEL_W, py0 - k2 / ymax * _PANEL_H) for c, k2 in batch])
+        # map holds no batch while _batches collects the next one.
+        batches = _batches(runs_by_set[label], chi_lo, chi_hi, lambda run, lo, hi: run.points(lo, hi))
+        yield from map(partial(write, px, xlo, xspan, py0, ymax), batches)
     yield "</g>\n"
 
 
@@ -286,7 +313,10 @@ def svg_lines(runs_by_set: Runs, chi_max: int) -> Iterator[str]:
     ly = 16.0
     for label in sorted(runs_by_set):
         # The sample without its newline: out's lines get one when joined.
-        out.append(_marker_writer(label, 'class="legend-sample"')([(lx, ly - 4)])[:-1])
+        # The transform with px = lx, py0 = ly - 4 and unit spans puts the
+        # pair (0, 0) at the centre (lx, ly - 4) exactly.
+        sample = _marker_writer(label, 'class="legend-sample"')(lx, 0.0, 1.0, ly - 4, 1.0, [(0, 0)])
+        out.append(sample[:-1])
         out.append(f'<text x="{_fmt(lx + 8)}" y="{_fmt(ly)}" font-size="11">{label}</text>')
         lx += 52
     for _key, name, color, dash, _slope, _offset in LINE_STYLES:
@@ -313,13 +343,8 @@ def figure_svg(runs_by_set: Runs, chi_max: int) -> str:
     return "".join(svg_lines(runs_by_set, chi_max))
 
 
-def _csv_text(batch: list[tuple[int, int, str, str]]) -> str:
-    return "".join(
-        [
-            f"{label},{text},{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n"
-            for chi, k2, label, text in batch
-        ]
-    )
+def _csv_text(batch: list[tuple[int, int, str]]) -> str:
+    return "".join([line for _, _, line in batch])
 
 
 def csv_lines(runs_by_set: Runs, chi_max: int) -> Iterator[str]:
@@ -327,6 +352,7 @@ def csv_lines(runs_by_set: Runs, chi_max: int) -> Iterator[str]:
     rows per piece; every piece ends in a newline."""
     yield "set_label,params,K2,chi,slope_num,slope_den\n"
     runs = [run for runs in runs_by_set.values() for run in runs]
+    # map holds no batch while _batches collects the next one.
     yield from map(_csv_text, _batches(runs, 1, chi_max, lambda run, lo, hi: run.csv_rows(lo, hi)))
 
 

@@ -32,12 +32,14 @@ of one family into a list of GeoPairs for library callers and tests.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from math import gcd
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS
 from .figures import Run, figure_csv, figure_svg
@@ -287,15 +289,24 @@ class _Line(namedtuple("_Line", "label n m_first m_last k2_step k2_0 chi_step ch
         m = max(self.m_first, -((self.chi_0 - lo) // self.chi_step))
         return self.chi_step * m + self.chi_0 if m <= self.m_last else None
 
-    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
-        m_name, n_name = (p.name for p in FAMILIES[self.label].params)
-        label, n_text = self.label, f" {n_name}={self.n}"
-        c, c0, k, k0 = self.chi_step, self.chi_0, self.k2_step, self.k2_0
-        return [(c * m + c0, k * m + k0, label, f"{m_name}={m}{n_text}") for m in self.m_window(lo, hi)]
+    def _columns(self, lo: int, hi: int) -> tuple[range, range, Iterator[int]]:
+        """The m, chi and K2 of the members with lo <= chi <= hi, as
+        iterators of equal length, K2's open-ended."""
+        ms, c, k = self.m_window(lo, hi), self.chi_step, self.k2_step
+        chis = range(c * ms.start + self.chi_0, c * ms.stop + self.chi_0, c)
+        return ms, chis, itertools.count(k * ms.start + self.k2_0, k)
+
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str]]:
+        m_param, n_param = FAMILIES[self.label].params
+        head, n_text = f"{self.label},{m_param.name}=", f" {n_param.name}={self.n},"
+        return [
+            (chi, k2, f"{head}{m}{n_text}{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n")
+            for m, chi, k2 in zip(*self._columns(lo, hi))
+        ]
 
     def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        c, c0, k, k0 = self.chi_step, self.chi_0, self.k2_step, self.k2_0
-        return [(c * m + c0, k * m + k0) for m in self.m_window(lo, hi)]
+        _, chis, k2s = self._columns(lo, hi)
+        return list(zip(chis, k2s))
 
 
 def _lines(label: str, chi_max: int) -> list[_Line]:
@@ -355,9 +366,12 @@ class _MemberRun:
     def _slice(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
         return self.members[bisect_left(self.members, (lo,)) : bisect_left(self.members, (hi + 1,))]
 
-    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str, str]]:
-        label, name = self.label, self.name
-        return [(chi, k2, label, f"{name}={p}") for chi, k2, p in self._slice(lo, hi)]
+    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str]]:
+        head = f"{self.label},{self.name}="
+        return [
+            (chi, k2, f"{head}{p},{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n")
+            for chi, k2, p in self._slice(lo, hi)
+        ]
 
     def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
         return [(chi, k2) for chi, k2, _ in self._slice(lo, hi)]

@@ -39,6 +39,23 @@ def _int_text(value: int) -> str:
     return str(value) if value.bit_length() <= 2048 else "above 2^2048"
 
 
+def _fraction_text(value: Fraction) -> str:
+    """A rational for an error message, exact where str() can print it; a
+    numerator or denominator past str()'s digit limit is named by its
+    number of digits."""
+    parts = (value.numerator,) if value.denominator == 1 else (value.numerator, value.denominator)
+    return "/".join(map(_digits_text, parts))
+
+
+def _digits_text(value: int) -> str:
+    try:
+        return str(value)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        digits = int(math.log10(abs(value))) + 1
+        digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))
+        return f"{'-' * (value < 0)}<{digits} digits>"
+
+
 # ---------------------------------------------------------------------------
 # Raw dict arithmetic.  Every result is clean: no zero coefficient is stored.
 
@@ -341,7 +358,7 @@ class Poly:
         affine = Poly._wrap({(e[r0], e[r1]): c for e, c in self.coeffs.items()}, 2)
         p0, p1 = pt[r0] / pt[chart], pt[r1] / pt[chart]
         if affine(p0, p1) != 0:
-            raise PointOffCurveError(f"point ({', '.join(map(str, pt))}) is not on the zero locus")
+            raise PointOffCurveError(f"point ({', '.join(map(_fraction_text, pt))}) is not on the zero locus")
         # Shift in integers: with s0, s1 the denominators of p0, p1 and D that of
         # the coefficients, x^k*y^l gets B / (D * s0^(dx - k) * s1^(dy - l)).
         den = math.lcm(*(c.denominator for c in affine.coeffs.values()))

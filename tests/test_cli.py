@@ -639,6 +639,21 @@ class TestClassify:
         assert code == 1
         assert "not on the zero locus" in err
 
+    def test_point_off_curve_past_the_str_digit_limit_fails(self):
+        # The coordinate 1e-10000, at the exponent cap, has a denominator of
+        # 10,001 digits, more than str() prints under the default limit.
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", "classify",
+             "--homogeneous", "X1^2*X2 - X0^3", "--point", "1e-10000,0,1", "--chart", "2"],
+            capture_output=True, text=True, env=CLI_ENV, timeout=20,
+        )
+        try:
+            denominator = str(10**10000)
+        except ValueError:
+            denominator = "<10001 digits>"
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == f"point (1/{denominator}, 0, 1) is not on the zero locus\n"
+
     def test_exactly_one_mode(self, capsys):
         code, _, err = run(capsys, "classify", "--local", "x*y", "--curve-C", "2")
         assert code == 2

@@ -1,8 +1,10 @@
 """The SVG markers against a reference copy of the per-marker formatter that
-the template writers replaced, byte for byte, and the unrounded marker
-centres against the screen formulas they were first computed with."""
+the template writers replaced, byte for byte, the unrounded marker values
+against the screen formulas they were first computed with, and the CSV
+row order on ties against a sort on the row's fields."""
 
 import random
+from math import gcd
 
 import pytest
 
@@ -16,6 +18,7 @@ from picardlab.figures import (
     MARKER_STYLES,
     _panel,
     _panel_cuts,
+    csv_lines,
     svg_lines,
 )
 
@@ -36,6 +39,18 @@ def reference_marker(shape: str, color: str, cx: float, cy: float, tag: str) -> 
         f'M {cx - 3:.2f} {cy + 3:.2f} L {cx + 3:.2f} {cy - 3:.2f}" '
         f'stroke="{color}" stroke-width="1.6" fill="none"/>'
     )
+
+
+def reference_vertices(shape: str, cx: float, cy: float) -> tuple[float, ...]:
+    """The values a marker of shape centred at (cx, cy) prints, before
+    rounding, as the per-marker formatter computed them."""
+    return {
+        "circle": (cx, cy),
+        "square": (cx - 3, cy - 3),
+        "triangle": (cx, cy - 4, cx + 3.5, cy + 3, cx - 3.5, cy + 3),
+        "diamond": (cx, cy - 4, cx + 4, cy, cx, cy + 4, cx - 4, cy),
+        "cross": (cx - 3, cy - 3, cx + 3, cy + 3, cx - 3, cy + 3, cx + 3, cy - 3),
+    }[shape]
 
 
 def reference_centres(x_screen, chi_lo, chi_hi, first, points):
@@ -117,20 +132,22 @@ def test_panel_markers_match_the_reference(chi_max, label):
 @pytest.mark.parametrize("label", sorted(MARKER_STYLES))
 def test_panel_centres_are_the_first_screen_formulas(chi_max, label, monkeypatch):
     # The markers round to two decimals, so a reordered float expression
-    # can print the same bytes; the centres before rounding cannot hide it.
-    handed = []
-
-    def recording_writer(label, tag):
-        return lambda centres: handed.extend(centres) or ""
-
-    monkeypatch.setattr(figures, "_marker_writer", recording_writer)
+    # can print the same bytes; the values before rounding cannot hide it.
+    # Templates that print every value by repr, which reads back as the same
+    # float, show them unrounded.
+    unrounded = {shape: "%r " * t.count("%.2f") + "\n" for shape, t in figures._TEMPLATES.items()}
+    monkeypatch.setattr(figures, "_TEMPLATES", unrounded)
+    shape = MARKER_STYLES[label][0]
     rng = random.Random(f"centres {chi_max}/{label}")
     for index, x_screen, chi_lo, chi_hi, first in panels(chi_max):
         points = sample_points(rng, chi_lo, chi_hi)
-        handed.clear()
-        for _ in _panel(index, x_screen, chi_lo, chi_hi, first, {label: [ListRun([p]) for p in points]}):
-            pass
-        assert handed == reference_centres(x_screen, chi_lo, chi_hi, first, points)
+        text = "".join(_panel(index, x_screen, chi_lo, chi_hi, first, {label: [ListRun([p]) for p in points]}))
+        printed = [tuple(map(float, line.split())) for line in text.split("\n") if line and line[0] != "<"]
+        expected = [
+            reference_vertices(shape, cx, cy)
+            for cx, cy in reference_centres(x_screen, chi_lo, chi_hi, first, points)
+        ]
+        assert printed == expected
 
 
 def test_legend_samples_match_the_reference():
@@ -144,3 +161,43 @@ def test_legend_samples_match_the_reference():
         expected.append(reference_marker(shape, color, lx, ly - 4, 'class="legend-sample"'))
         lx += 52
     assert drawn == expected
+
+
+class RowRun:
+    """A run of one member, given by its fields, whose CSV row is laid out
+    as the family runs lay theirs out."""
+
+    def __init__(self, chi, k2, label, params):
+        g = gcd(k2, chi)
+        self.chi, self.row = chi, (chi, k2, f"{label},{params},{k2},{chi},{k2 // g},{chi // g}\n")
+
+    def first_chi(self, lo):
+        return self.chi if self.chi >= lo else None
+
+    def csv_rows(self, lo, hi):
+        return [self.row] if lo <= self.chi <= hi else []
+
+
+def test_csv_ties_sort_as_their_fields():
+    # Rows of one label at one (chi, K2) that differ only in params, where
+    # one params text is a prefix of another (n=4 and n=40, n=1 and n=10):
+    # the sorted rows must keep the order of (chi, K2, label, params).  The
+    # families may never produce such a tie, so the runs are made by hand.
+    ties = {
+        "A1": ["n=10", "n=9", "n=100", "n=1"],
+        "A2": ["m=3 n=40", "m=3 n=4", "m=30 n=4", "m=4 n=3", "m=3 n=5"],
+        "B": ["n=7"],
+    }
+    fields = [
+        (chi, k2, label, params)
+        for chi, k2 in ((50, 120), (2000, 7000))
+        for label, texts in ties.items()
+        for params in texts
+    ]
+    runs = {}
+    for chi, k2, label, params in reversed(fields):
+        runs.setdefault(label, []).append(RowRun(chi, k2, label, params))
+    lines = "".join(csv_lines(runs, 3000)).splitlines()
+    expected = [f"{label},{params}" for _, _, label, params in sorted(fields)]
+    assert lines[0] == "set_label,params,K2,chi,slope_num,slope_den"
+    assert [line.rsplit(",", 4)[0] for line in lines[1:]] == expected
