@@ -9,16 +9,20 @@ pipeline row; validation, building, enumeration and membership all read it,
 and geography derives the A2 and A3 line of each n from the pair.
 
 One builder, _build, makes every member from the seed curve C_n and the
-three coordinate lines as the family's row says.  Families 2 and 3 blow up
-the vertex where the first two lines cross (it is off the curve), which
-makes those lines fibers of F_1, and pull back along the degree-m cyclic
-cover F_m -> F_1 branched over them.  Family 1 is family 2's row at m = 1
-on the plane, where the negative section is zero.  The row composes each
-branch divisor from (line, negative section, third line, curve); each L is
-half a sum of them, and an odd half is refused.  Each batch of seed points
-joins a branch component, meets the divisors holding the two lines, or
-keeps away from them.  The builder checks the intersection numbers that the
-transport rules rest on and certifies three things by integer arithmetic:
+three coordinate lines as the family's row says.  The row is a function of
+m giving each branch divisor as multiplicities of (line, negative section,
+third line, curve); each L is half a sum of them, and an odd half is
+refused.  Everything else is derived.  A family with an m parameter
+(families 2 and 3) lives on F_m: the builder blows up the vertex where the
+first two lines cross (it is off the curve), which makes those lines fibers
+of F_1, and pulls back along the degree-m cyclic cover F_m -> F_1 branched
+over them.  A family without one lives on the plane, where the negative
+section is zero; family 1 is family 2's row at m = 1.  Each batch of seed
+points, on the first two lines or on the third, is placed by the row: it
+joins the curve's divisor if that divisor holds its line, meets each
+divisor holding its line if others do, and keeps away from them otherwise.
+The builder checks the intersection numbers that the transport rules rest
+on and certifies three things by integer arithmetic:
 
   match    the computed (K2, chi) equal the family's closed forms,
   ample    the class pulling back to (a multiple of) the canonical class
@@ -167,29 +171,15 @@ class Param(namedtuple("Param", "name minimum step")):
         return value >= self.minimum and (value - self.minimum) % self.step == 0
 
 
-class Pipeline(namedtuple("Pipeline", "cyclic branch points")):
-    """How a theorem family builds a member from the seed curve and its
-    three coordinate lines.
-
-    cyclic says whether the member lives on F_m, after the degree-m cyclic
-    pullback, or on the plane.  branch(m) gives each branch divisor (B1, B2,
-    B3, or the one B of a double cover) as multiplicities of (line, negative
-    section, third line, curve), where line is the class of either of the
-    first two lines.  points places each batch of seed points, "lines" (on
-    the first two lines) or "third": "join" a branch component of the
-    curve's divisor (a D point), "meet" the divisors holding the two lines,
-    or "keep" away from them."""
-
-    __slots__ = ()
-
-
 class Family(
     namedtuple("Family", "label theorem params pair solve pipeline", defaults=(None, None))
 ):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
     and closed-form pair, the membership solver, and the pipeline row of
-    families 1-3."""
+    families 1-3: the function m -> branch multiplicities.  _build derives
+    the base and the placement of the seed points from the row and the
+    parameters."""
 
     __slots__ = ()
 
@@ -416,12 +406,11 @@ def _build(family: Family, *values: int) -> ConstructionReport:
     """Build and certify the family member with these parameter values from
     the family's pipeline row."""
     family.check(*values)
-    row = family.pipeline
     params = tuple((p.name, v) for p, v in zip(family.params, values))
     named = dict(params)
     m, n = named.get("m", 1), named["n"]
     sing, per_line = _certified_seed(n)
-    if row.cyclic:
+    if "m" in named:
         # On F_1 the first two lines are fibers, the third line is D0 + F
         # and the curve 2n(D0 + F).  The seed certificate keeps every vertex
         # off the curve: one is blown up, and the other two are where the
@@ -453,7 +442,7 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         if value != expected:
             raise ParameterError(f"transport: {name} = {value}, expected {expected}")
 
-    rows = row.branch(m)
+    rows = family.pipeline(m)
     branch = [_compose(mults, (line, section, third, curve)) for mults in rows]
     bidouble = len(branch) == 3
     if bidouble:
@@ -463,28 +452,28 @@ def _build(family: Family, *values: int) -> ConstructionReport:
     else:
         data = DoubleCoverData(base, L=_halve("B", branch[0]), B=branch[0])
 
-    # The curve lies on one branch divisor, and each line on a divisor whose
-    # row counts it.
-    holders: list[int] = []
-    for i, (line_mult, _section, _third, curve_mult) in enumerate(rows, 1):
-        holders += [i] * line_mult
-        if curve_mult:
+    # The curve lies on one branch divisor, the carrier.  A batch of seed
+    # points on a line the carrier holds joins it as D points; one on a line
+    # that only other divisors hold meets each of them, once per
+    # multiplicity; any other batch keeps away from the branch divisors.
+    for i, mults in enumerate(rows, 1):
+        if mults[3]:
             carrier = i
-    batches = {"lines": (on_line, 2), "third": (on_third, 1)}
-    points: list[BranchPoint] = []
-    for batch, placement in row.points:
-        (point_type, count), lines = batches[batch]
-        if placement == "meet":
-            points += [
-                BidoubleBranchPoint(carrier, point_type, meets=i, count=count) for i in holders
-            ]
+    joined, met, kept = [], [], []
+    for (point_type, count), column, lines in ((on_line, 0, 2), (on_third, 2, 1)):
+        holders = [i for i, mults in enumerate(rows, 1) for _ in range(mults[column])]
+        if carrier in holders:
+            point_type, origin, batch = union_type(point_type, 1), _ORIGINS["join"], joined
+        elif holders:
+            met += [BidoubleBranchPoint(carrier, point_type, meets=i, count=count) for i in holders]
             continue
-        if placement == "join":
-            point_type = union_type(point_type, 1)
-        if bidouble:
-            points.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
         else:
-            points.append(DoubleBranchPoint(point_type, lines * count, _ORIGINS[placement]))
+            origin, batch = _ORIGINS["keep"], kept
+        if bidouble:
+            batch.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
+        else:
+            batch.append(DoubleBranchPoint(point_type, lines * count, origin))
+    points = joined + met + kept
     # Each meeting point's union type is built once, for both inventories.
     branch_types = [p.branch_type for p in points]
     branch_inventory = SingInventory(tuple(zip(branch_types, [p.count for p in points])))
@@ -519,32 +508,26 @@ def _build(family: Family, *values: int) -> ConstructionReport:
 
 
 def _bidouble_branch(m: int) -> tuple[tuple[int, int, int, int], ...]:
-    # B3 is section + third line + curve, whose F coefficient (2n + 1)m has
-    # the parity of m.  For odd m, B1 and B2 hold one line each; for even m,
-    # B2 holds both and B1 is empty.
+    # Families 1 and 2: a bidouble cover of the plane (m = 1) or of F_m.  B3
+    # is section + third line + curve, whose F coefficient (2n + 1)m has the
+    # parity of m.  For odd m, B1 and B2 hold one line each; for even m, B2
+    # holds both and B1 is empty.
     odd = m % 2
     return ((odd, 0, 0, 0), (2 - odd, 0, 0, 0), (0, 1, 1, 1))
 
 
-# Family 2: a bidouble cover of F_m.  Its curve points on the third line
-# join B3 as D points, and those on the two lines meet B1 and B2.
-_BIDOUBLE_ROW = Pipeline(True, _bidouble_branch, (("third", "join"), ("lines", "meet")))
-
 FAMILIES = {
     family.label: family
     for family in (
-        Family(
-            "A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1,
-            _BIDOUBLE_ROW._replace(cyclic=False),
-        ),
+        Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, _bidouble_branch),
         Family(
             "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
-            _BIDOUBLE_ROW,
+            _bidouble_branch,
         ),
         Family(
             "A3", 3, (Param("m", 2, 1), Param("n", 4, 2)), family3_pair, _solve_a3,
             # A double cover of F_m branched over the curve and both lines.
-            Pipeline(True, lambda m: ((2, 0, 0, 1),), (("lines", "join"), ("third", "keep"))),
+            lambda m: ((2, 0, 0, 1),),
         ),
         Family("B", None, (Param("n", 4, 1),), set_b_pair, _solve_b),
         Family("T", None, (Param("t", 6, 2),), set_t_pair),

@@ -17,9 +17,9 @@ share no pair, that each meets every doubling chi-window, and where each
 meets the Noether line.  B shares exactly one pair, (128, 46), with A3.
 A2 and A3 lie on lines, one per n, on which K2 and chi are affine in m;
 each line is read off the family's pair at m = 0 and m = 1.  The member
-counts are summed over the lines, so their cost grows with the number of
-lines, not of pairs, and only T, with O(sqrt(chi_max)) members, is walked
-one by one, for the T-in-A2 audit.
+counts are summed over the lines as they are made, so their time grows
+with the number of lines, not of pairs, and only T, with O(sqrt(chi_max))
+members, is walked one by one, for the T-in-A2 audit.
 
 The figure and table emitters read the same members and lines as sorted
 runs (pair_runs): one run per one-parameter family, over its member list,
@@ -309,19 +309,19 @@ class _Line(namedtuple("_Line", "label n m_first m_last k2_step k2_0 chi_step ch
         return list(zip(chis, k2s))
 
 
-def _lines(label: str, chi_max: int) -> list[_Line]:
-    """Every line of the family with a member within the bound.  chi at the
-    smallest m grows with n, so the first empty line ends the list."""
+def _lines(label: str, chi_max: int) -> Iterator[_Line]:
+    """Every line of the family with a member within the bound, made one at
+    a time.  chi at the smallest m grows with n, so the first empty line
+    ends them."""
     family = FAMILIES[label]
     m_param, n_param = family.params
     m_first, n = m_param.minimum, n_param.minimum
-    lines = []
     while True:
         k2_step, k2_0, chi_step, chi_0 = _line_coefficients(family, n)
         m_last = (chi_max - chi_0) // chi_step
         if m_last < m_first:
-            return lines
-        lines.append(_Line(label, n, m_first, m_last, k2_step, k2_0, chi_step, chi_0))
+            return
+        yield _Line(label, n, m_first, m_last, k2_step, k2_0, chi_step, chi_0)
         n += n_param.step
 
 
@@ -345,7 +345,7 @@ def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
         if len(FAMILIES[label].params) == 1:
             runs[label] = [_MemberRun(label, chi_max)]
         else:
-            runs[label] = _lines(label, chi_max)
+            runs[label] = list(_lines(label, chi_max))
     return runs
 
 
@@ -583,7 +583,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
 
     # Claim ii): both differences are infinite.  A2 and A3 share no pair, so
     # each difference is the whole family, whose first line meets every
-    # doubling window from the family's first chi on.  The lines are listed
+    # doubling window from the family's first chi on.  The lines are made
     # only under the identities: a wrong family's lines may never end.
     for left, right in (("A2", "A3"), ("A3", "A2")):
         names = (f"{left}-windows", "A2-A3-lines")

@@ -256,17 +256,17 @@ def test_reports_are_immutable():
     assert report.maximal
 
 
-def _patch_pipeline(monkeypatch, theorem, **changes):
-    """Replace a theorem family's pipeline row where build looks it up."""
+def _patch_pipeline(monkeypatch, theorem, row):
+    """Replace a theorem family's row function where build looks it up."""
     family = constructions.THEOREMS[theorem]
-    patched = family._replace(pipeline=family.pipeline._replace(**changes))
+    patched = family._replace(pipeline=row)
     monkeypatch.setitem(constructions.THEOREMS, theorem, patched)
     monkeypatch.setitem(constructions.FAMILIES, family.label, patched)
 
 
 def test_build_rejects_inconsistent_building_data(monkeypatch):
     # With B1 = B2 = 0 the derived L3 = (B1 + B2)/2 is the trivial class.
-    _patch_pipeline(monkeypatch, 2, branch=lambda m: ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 1, 1)))
+    _patch_pipeline(monkeypatch, 2, lambda m: ((0, 0, 0, 0), (0, 0, 0, 0), (0, 1, 1, 1)))
     with pytest.raises(ParameterError, match=r"^assembled building data is invalid: L3 is the trivial class"):
         build(2, m=4, n=2)
 
@@ -284,24 +284,42 @@ def test_a_seed_with_too_few_points_per_line_fails_the_transport_check(monkeypat
 
 
 def test_family2_without_the_section_in_b3_is_refused(monkeypatch):
-    rows = constructions.THEOREMS[2].pipeline.branch
-    _patch_pipeline(monkeypatch, 2, branch=lambda m: rows(m)[:2] + ((0, 0, 1, 1),))
+    rows = constructions.THEOREMS[2].pipeline
+    _patch_pipeline(monkeypatch, 2, lambda m: rows(m)[:2] + ((0, 0, 1, 1),))
     for m in (3, 4):
         with pytest.raises(ParameterError, match=r"^validate: B2 \+ B3 = .* is not twice a class"):
             build(2, m=m, n=2)
 
 
 def test_family2_even_row_at_odd_m_is_refused(monkeypatch):
-    _patch_pipeline(monkeypatch, 2, branch=lambda m: ((0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 1)))
+    _patch_pipeline(monkeypatch, 2, lambda m: ((0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 1)))
     assert build(2, m=4, n=2).certified()
     with pytest.raises(ParameterError, match=r"^validate: B2 \+ B3 = .* is not twice a class"):
         build(2, m=3, n=2)
 
 
 def test_family1_is_the_family2_row_on_the_plane():
-    one, two = constructions.THEOREMS[1].pipeline, constructions.THEOREMS[2].pipeline
-    assert one == two._replace(cyclic=False)
-    assert not one.cyclic and two.cyclic
+    # One row function; the base follows from the parameters alone.
+    assert constructions.THEOREMS[1].pipeline is constructions.THEOREMS[2].pipeline
+    assert build(1, n=3).base.kind == "P2"
+    assert build(2, m=3, n=2).base.kind == "F"
+
+
+def _placements(report):
+    return [(str(p.sing), p.count, p.origin) for p in report.branch_points]
+
+
+def test_placements_follow_the_row(monkeypatch):
+    # Family 3's lines carry 8 points of type A15 at (m, n) = (4, 4) and its
+    # third line 16 of type A3.  A row that puts the third line in the
+    # curve's divisor joins its points as D points; one that holds neither
+    # line keeps the lines' points away from the branch divisor.
+    joined, kept = constructions._ORIGINS["join"], constructions._ORIGINS["keep"]
+    assert _placements(build(3, m=4, n=4)) == [("D18", 8, joined), ("A3", 16, kept)]
+    _patch_pipeline(monkeypatch, 3, lambda m: ((2, 1, 1, 1),))
+    assert _placements(build(3, m=4, n=4)) == [("D18", 8, joined), ("D6", 16, joined)]
+    _patch_pipeline(monkeypatch, 3, lambda m: ((0, 1, 1, 1),))
+    assert _placements(build(3, m=4, n=4)) == [("D6", 16, joined), ("A15", 8, kept)]
 
 
 def test_transport_checks_survive_python_O():

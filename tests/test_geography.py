@@ -135,7 +135,7 @@ class TestLines:
             ("A2", lambda n: (n, 4 * (n - 1), 4 * (n + 1) * (n - 1))),
             ("A3", lambda n: (n - 1, 4 * (n - 2), 4 * n * (n - 2))),
         ):
-            lines = _lines(label, 10**6)
+            lines = list(_lines(label, 10**6))
             assert len(lines) > 100
             for line in lines:
                 a, b, c = paper_line(line.n)
@@ -148,7 +148,7 @@ class TestLines:
         # m from the family's minimum.
         for label in ("A2", "A3"):
             m_param, n_param = FAMILIES[label].params
-            lines = _lines(label, 10**4)
+            lines = list(_lines(label, 10**4))
             assert [line.n for line in lines] == list(
                 range(n_param.minimum, n_param.minimum + n_param.step * len(lines), n_param.step)
             )

@@ -155,7 +155,7 @@ def test_only_dividing_line_pairs_can_meet():
     # (n2, n3): m2 = n3/n2 and m3 = 2*n2/n3.  m2 is an integer only where n2
     # divides n3, and m2, m3 are never both within the families.
     assert _identities()[0]["A2-A3-lines"]
-    a2, a3 = _lines("A2", 20_000), _lines("A3", 20_000)
+    a2, a3 = list(_lines("A2", 20_000)), list(_lines("A3", 20_000))
     for l2 in a2:
         for l3 in a3:
             # chi: a*m2 - b*m3 = e and K2: c*m2 - d*m3 = f, by elimination.

@@ -49,7 +49,6 @@ RECORDS = {
     ),
     ("constructions", "_LineSolver"): (("divisor", "offset", "quadratic"), {}),
     ("constructions", "Param"): (("name", "minimum", "step"), {}),
-    ("constructions", "Pipeline"): (("cyclic", "branch", "points"), {}),
     ("constructions", "Family"): (
         ("label", "theorem", "params", "pair", "solve", "pipeline"),
         {"solve": None, "pipeline": None},
