@@ -5,8 +5,9 @@ errors.
 The golden files in data/golden/ hold, per case, `<case>.stdout`,
 `<case>.stderr` and one `<case>.<file>` for every file the run writes; the
 exit codes of all cases are in `exit_codes.json`.  Emits too large to keep
-and the claims at large bounds are pinned by their sha256 digests, in
-`geography_emit_<chi_max>.sha256` and `geography_claims_<chi_max>.sha256`
+the claims at large bounds and the certify benchmark's sweeps are pinned by
+their sha256 digests, in `geography_emit_<chi_max>.sha256`,
+`geography_claims_<chi_max>.sha256` and `verify_<theorem>_sweep_<builds>.sha256`
 (the format of `sha256sum`, the stdout as `stdout.txt`).
 """
 
@@ -98,6 +99,29 @@ def test_emit_matches_pinned_digests(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     assert main(["geography", "--chi-max", "100000", "--emit", "csv,svg"]) == 1
     assert_pinned("geography_emit_100000.sha256", tmp_path, capsys.readouterr().out)
+
+
+def _values(values):
+    return ",".join(map(str, values))
+
+
+# The certify benchmark's sweeps: 299, 6 x 64 and 6 x 63 builds.
+CERTIFY_SWEEPS = {
+    "verify_1_sweep_299.sha256": ("1", "n=2..300"),
+    "verify_2_sweep_384.sha256": ("2", f"m=3..8,n={_values(range(2, 129, 2))}"),
+    "verify_3_sweep_378.sha256": ("3", f"m=2..7,n={_values(range(4, 129, 2))}"),
+}
+
+
+@pytest.mark.parametrize("pinned", sorted(CERTIFY_SWEEPS))
+def test_certify_sweeps_match_pinned_digests(pinned, capsys, monkeypatch, tmp_path):
+    # Every report line and JSON record of the benchmark's sweeps, pinned
+    # before the builder and the printer moved onto plain integers; CI checks
+    # the 10,000-build sweeps' stdout and JSON the same way.
+    theorem, spec = CERTIFY_SWEEPS[pinned]
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify-theorem", theorem, "--sweep", spec, "--json", "reports.json"]) == 0
+    assert_pinned(pinned, tmp_path, capsys.readouterr().out)
 
 
 def test_claims_match_pinned_digests(capsys, monkeypatch, tmp_path):
