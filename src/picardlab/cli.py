@@ -57,11 +57,12 @@ def _default_chi_max() -> int:
 
 
 def _parse_sweep(spec: str) -> dict[str, list[int]]:
-    """Parse a sweep like 'm=2..8,n=4,6,8' into {'m': [...], 'n': [...]}.
-    Ranges must be nonempty.  Neither a parameter's list nor the number of
+    """Parse a sweep like 'm=2..8,n=4,6,8' into {'m': [...], 'n': [...]},
+    each the parameter's distinct values in increasing order.  Ranges must be
+    nonempty.  Neither a parameter's distinct values nor the number of
     (m, n) combinations may exceed MAX_SWEEP_BUILDS; a range is checked
-    before it is added to the list."""
-    out: dict[str, list[int]] = {}
+    before it is added to the values."""
+    out: dict[str, set[int]] = {}
     current: str | None = None
     for token in spec.split(","):
         token = token.strip()
@@ -72,7 +73,7 @@ def _parse_sweep(spec: str) -> dict[str, list[int]]:
                 raise UsageError(f"unknown sweep parameter {key!r}")
             if key in out:
                 raise UsageError(f"sweep parameter {key!r} given twice")
-            out[key] = []
+            out[key] = set()
             current = key
         if current is None:
             raise UsageError("sweep must start with m=... or n=...")
@@ -87,18 +88,19 @@ def _parse_sweep(spec: str) -> dict[str, list[int]]:
             raise UsageError(f"bad sweep value {token!r}") from None
         if hi < lo:
             raise UsageError(f"empty sweep range {token!r}")
-        if len(out[current]) + hi - lo + 1 > MAX_SWEEP_BUILDS:
+        if hi - lo < MAX_SWEEP_BUILDS:
+            out[current].update(range(lo, hi + 1))
+        if hi - lo >= MAX_SWEEP_BUILDS or len(out[current]) > MAX_SWEEP_BUILDS:
             raise UsageError(
                 f"sweep parameter {current!r} takes more than {MAX_SWEEP_BUILDS} values"
             )
-        out[current].extend(range(lo, hi + 1))
     combinations = math.prod(len(values) for values in out.values())
     if combinations > MAX_SWEEP_BUILDS:
         raise UsageError(
             f"the sweep has {combinations} parameter combinations, "
             f"more than {MAX_SWEEP_BUILDS}"
         )
-    return out
+    return {key: sorted(values) for key, values in out.items()}
 
 
 def _read_fraction(text: str, flag: str) -> Fraction:
@@ -116,34 +118,31 @@ def _read_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"bad {flag} value {text!r}") from None
 
 
+_YN = {True: "yes", False: "NO"}
+
+
 def _print_report(report: ConstructionReport) -> None:
-    yn = {True: "yes", False: "NO"}
-    print(f"theorem {report.theorem}  {report.params_str()}  (base {report.base})")
-    data = report.building_data
+    """Write the report's seven lines to stdout in one piece."""
+    data, inv, (K2, chi) = report.building_data, report.computed, report.closed_form
     if isinstance(data, BidoubleCoverData):
-        print(
-            f"  building data: B1 = {data.B1}, B2 = {data.B2}, B3 = {data.B3};"
+        classes = (
+            f"B1 = {data.B1}, B2 = {data.B2}, B3 = {data.B3};"
             f" L1 = {data.L1}, L2 = {data.L2}, L3 = {data.L3}"
         )
     else:
-        print(f"  building data: B = {data.B}; L = {data.L}")
-    print(
-        f"  K2 = {report.computed.K2} (closed form {report.closed_form[0]})"
-        f"   chi = {report.computed.chi} (closed form {report.closed_form[1]})"
-        f"   match: {yn[report.match]}"
-    )
-    print(
-        f"  p_g = {report.computed.p_g}   q = {report.computed.q}"
-        f"   h11 = {report.computed.h11}"
-    )
-    print(f"  branch singularities: {report.branch_inventory}")
-    print(f"  cover singularities:  {report.cover_inventory}")
-    print(
-        f"  canonical class ample: {yn[report.ample]}"
+        classes = f"B = {data.B}; L = {data.L}"
+    sys.stdout.write(
+        f"theorem {report.theorem}  {report.params_str()}  (base {report.base})\n"
+        f"  building data: {classes}\n"
+        f"  K2 = {inv.K2} (closed form {K2})   chi = {inv.chi} (closed form {chi})"
+        f"   match: {_YN[report.match]}\n"
+        f"  p_g = {inv.p_g}   q = {inv.q}   h11 = {inv.h11}\n"
+        f"  branch singularities: {report.branch_inventory}\n"
+        f"  cover singularities:  {report.cover_inventory}\n"
+        f"  canonical class ample: {_YN[report.ample]}"
         f"   picard lower bound = {report.picard_lower}"
         f" ({report.picard_lower - report.n_indep} exceptional curves"
-        f" + {report.n_indep} base classes)"
-        f"   maximal: {yn[report.maximal]}"
+        f" + {report.n_indep} base classes)   maximal: {_YN[report.maximal]}\n"
     )
 
 
@@ -159,7 +158,8 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
             raise UsageError(
                 f"theorem {theorem} sweeps exactly the parameters {sorted(names)}"
             )
-        combos = sorted(product(*(sweep[name] for name in names)))
+        # Each distinct (m, n) once, in increasing order.
+        combos = list(product(*(sweep[name] for name in names)))
     else:
         if args.n is None:
             raise UsageError("provide --n (and --m for theorems 2 and 3) or --sweep")

@@ -12,7 +12,10 @@ One builder, _build, makes every member from the seed curve C_n and the
 three coordinate lines as the family's row says.  The row is a function of
 m giving each branch divisor as multiplicities of (line, negative section,
 third line, curve); each L is half a sum of them, and an odd half is
-refused.  Everything else is derived.  A family with an m parameter
+refused.  Everything else is derived.  The builder composes, halves and
+checks the classes as coefficient tuples, with the ring layer of surfaces
+and covers, and makes the report's records at the end; what depends only
+on the row and m is made once per m.  A family with an m parameter
 (families 2 and 3) lives on F_m: the builder blows up the vertex where the
 first two lines cross (it is off the curve), which makes those lines fibers
 of F_1, and pulls back along the degree-m cyclic cover F_m -> F_1 branched
@@ -41,8 +44,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .covers import (
     BidoubleCoverData,
@@ -66,7 +68,16 @@ from .singularities import (
     union_type,
     CyclicBranchPoint,
 )
-from .surfaces import DivisorClass, hirzebruch, intersect, projective_plane
+from .surfaces import (
+    DivisorClass,
+    compose,
+    half,
+    hirzebruch,
+    intersect,
+    minus,
+    plus,
+    projective_plane,
+)
 
 
 class ParameterError(ValueError):
@@ -80,12 +91,7 @@ MAX_SWEEP_BUILDS = 10_000
 
 # Closed-form invariants of the five families.  These are plain ring
 # expressions so the geography module can also evaluate them on symbolic
-# polynomial arguments.
-
-
-def _half(x):
-    # Every halved integer below is even, so integer arguments stay integers.
-    return x // 2 if isinstance(x, int) else Fraction(1, 2) * x
+# polynomial arguments; every halved integer is even.
 
 
 def family1_pair(n):
@@ -97,15 +103,15 @@ def family2_pair(m, n):
 
 
 def family3_pair(m, n):
-    return (2 * m * n * n - 4 * (m + 1) * n + 8, _half(m * n * (n - 1)) + 1)
+    return (2 * m * n * n - 4 * (m + 1) * n + 8, half(m * n * (n - 1)) + 1)
 
 
 def set_b_pair(n):
-    return (2 * (n - 3) * (n - 3), _half((n - 1) * (n - 2)) + 1)
+    return (2 * (n - 3) * (n - 3), half((n - 1) * (n - 2)) + 1)
 
 
 def set_t_pair(t):
-    return (2 * t * (t - 1) * (t - 4) + 8, _half(t * (t - 1) * (t - 3)) + 1)
+    return (2 * t * (t - 1) * (t - 4) + 8, half(t * (t - 1) * (t - 3)) + 1)
 
 
 # Closed-form membership.  Each solver returns the candidate parameters of
@@ -297,14 +303,11 @@ class ConstructionReport(
         the fields: one f-string per record kind, keys in sorted order.
         Integer fields must hold ints and the three verdicts bools, as the
         pipelines make them."""
-        from json.encoder import encode_basestring_ascii
-
         a, b, c = pad + "  ", pad + "    ", pad + "      "
         data = self.building_data
-        kind = "bidouble" if isinstance(data, BidoubleCoverData) else "double"
+        kind, names = _CLASS_NAMES[type(data)]
         classes = "".join([
-            f'{b}"{name}": {_json_block(list(map(str, getattr(data, name).coeffs)), b)},\n'
-            for name in sorted(data._fields[1:])
+            f'{b}"{name}": {_coeffs_text(getattr(data, name).coeffs, b)},\n' for name in names
         ])
         points = []
         for p in self.branch_points:
@@ -319,13 +322,10 @@ class ConstructionReport(
             else:
                 points.append(
                     f'{{\n{c}"count": {p.count},\n{c}"kind": "double",\n'
-                    f'{c}"origin": {encode_basestring_ascii(p.origin)},\n'
+                    f'{c}"origin": {_json_string(p.origin)},\n'
                     f'{c}"sing": "{p.sing}"\n{b}}}'
                 )
-        params = [
-            f"{encode_basestring_ascii(name)}: {value}"
-            for name, value in sorted(dict(self.params).items())
-        ]
+        params = [f"{_json_string(name)}: {value}" for name, value in sorted(self.params)]
         inv, (K2, chi) = self.computed, self.closed_form
         return (
             f'{{\n{a}"ample": {_JSON_BOOL[self.ample]},\n'
@@ -346,6 +346,28 @@ class ConstructionReport(
 
 
 _JSON_BOOL = {False: "false", True: "true"}
+# Each building-data record's kind and class names in sorted order.
+_CLASS_NAMES = {
+    BidoubleCoverData: ("bidouble", ("B1", "B2", "B3", "L1", "L2", "L3")),
+    DoubleCoverData: ("double", ("B", "L")),
+}
+
+
+@functools.cache
+def _json_string(text: str) -> str:
+    """text as a JSON string, escaped once per distinct text: the parameter
+    names and point origins come from the family table and the builder."""
+    from json.encoder import encode_basestring_ascii
+
+    return encode_basestring_ascii(text)
+
+
+def _coeffs_text(coeffs: tuple, pad: str) -> str:
+    """A class's one or two coefficients as a JSON array opened on a line
+    indented by pad."""
+    if len(coeffs) == 1:
+        return f"[\n  {pad}{coeffs[0]}\n{pad}]"
+    return f"[\n  {pad}{coeffs[0]},\n  {pad}{coeffs[1]}\n{pad}]"
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -382,17 +404,11 @@ def _certified_seed(n: int) -> tuple[SingType, int]:
     return certificate.singularity, certificate.points_per_line
 
 
-def _compose(multiplicities: Sequence[int], components: Sequence[DivisorClass]) -> DivisorClass:
-    """The sum of k * component over the row's multiplicities k."""
-    terms = [c if k == 1 else k * c for k, c in zip(multiplicities, components) if k]
-    return sum(terms[1:], terms[0]) if terms else 0 * components[0]
-
-
-def _halve(name: str, d: DivisorClass) -> DivisorClass:
-    try:
-        return d.half()
-    except ValueError:
-        raise ParameterError(f"validate: {name} = {d} is not twice a class") from None
+def _halve(base, name: str, u: tuple) -> tuple:
+    """The coefficients whose double is u; ParameterError if one is odd."""
+    if [c for c in u if c % 2]:
+        raise ParameterError(f"validate: {name} = {DivisorClass(base, u)} is not twice a class")
+    return tuple(map(half, u))
 
 
 # The provenance note of a double-cover branch point, by placement.
@@ -402,33 +418,62 @@ _ORIGINS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _frame(row, m: int, on_cover: bool) -> tuple:
+    """What a build reads off its row at this m, made once per m: the base;
+    the line, negative section and third line; the row's branch
+    multiplicities; the carrier, the branch divisor that holds the curve;
+    and the placement of the seed points on the first two lines and on the
+    third, each (placement, the divisors holding the line once per
+    multiplicity, the number of lines).
+
+    On F_1 the first two lines are fibers, the third line is D0 + F and the
+    curve 2n(D0 + F), so on F_m, after the cyclic cover, the curve is 2n
+    times the third line, as it is on the plane.  The carrier joins a batch
+    of seed points on a line it holds, as D points; a batch on a line that
+    only other divisors hold meets each of them; any other keeps away."""
+    if on_cover:
+        base = hirzebruch(m)
+        line, section = base.divisor(0, 1), base.divisor(1, 0)
+        third = cyclic_pullback_class(hirzebruch(1).divisor(1, 1), m)
+    else:
+        base = projective_plane()
+        line = third = base.divisor(1)
+        section = base.zero()
+    rows = row(m)
+    carrier = max(i for i, mults in enumerate(rows, 1) if mults[3])
+    placements = []
+    for column, lines in ((0, 2), (2, 1)):
+        holders = tuple(i for i, mults in enumerate(rows, 1) for _ in range(mults[column]))
+        placement = "join" if carrier in holders else "meet" if holders else "keep"
+        placements.append((placement, holders, lines))
+    return base, line, section, third, rows, carrier, placements
+
+
 def _build(family: Family, *values: int) -> ConstructionReport:
     """Build and certify the family member with these parameter values from
-    the family's pipeline row."""
+    the family's pipeline row: the branch divisors are composed, halved and
+    checked on coefficient tuples, and the records made once, at the end."""
     family.check(*values)
     params = tuple((p.name, v) for p, v in zip(family.params, values))
     named = dict(params)
     m, n = named.get("m", 1), named["n"]
     sing, per_line = _certified_seed(n)
+    base, line, section, third, rows, carrier, placements = _frame(
+        family.pipeline, m, "m" in named
+    )
     if "m" in named:
-        # On F_1 the first two lines are fibers, the third line is D0 + F
-        # and the curve 2n(D0 + F).  The seed certificate keeps every vertex
-        # off the curve: one is blown up, and the other two are where the
-        # third line crosses the line fibers.  The cover F_m -> F_1 branches
-        # over the line fibers, so a curve point on one becomes one A_{mn-1}
-        # and a point on the third line m points: on_line and on_third are
-        # the (type, count) of the points on one line and on the third.
-        base, f1 = hirzebruch(m), hirzebruch(1)
-        line, section = base.divisor(0, 1), base.divisor(1, 0)
-        third = cyclic_pullback_class(f1.divisor(1, 1), m)
-        curve = cyclic_pullback_class(f1.divisor(2 * n, 2 * n), m)
+        # The seed certificate keeps every vertex off the curve: one is
+        # blown up, and the other two are where the third line crosses the
+        # line fibers.  The cover F_m -> F_1 branches over the line fibers,
+        # so a curve point on one becomes one A_{mn-1} and a point on the
+        # third line m points: on_line and on_third are the (type, count) of
+        # the points on one line and on the third.
         (on_line,) = transport_cyclic((CyclicBranchPoint(sing, True, count=per_line),), m).entries
         (on_third,) = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m).entries
     else:
-        base = projective_plane()
-        line = third = base.divisor(1)
-        section, curve = 0 * line, 2 * n * line
         on_line = on_third = (sing, per_line)
+    curve = 2 * n * third
     # The curve is transversal to each line at its A points and meets it
     # twice at each; the negative section misses the curve and the third
     # line.
@@ -442,37 +487,31 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         if value != expected:
             raise ParameterError(f"transport: {name} = {value}, expected {expected}")
 
-    rows = family.pipeline(m)
-    branch = [_compose(mults, (line, section, third, curve)) for mults in rows]
+    components = (line.coeffs, section.coeffs, third.coeffs, curve.coeffs)
+    branch = [compose(mults, components) for mults in rows]
     bidouble = len(branch) == 3
     if bidouble:
         B1, B2, B3 = branch
-        L1, L2 = _halve("B2 + B3", B2 + B3), _halve("B1 + B3", B1 + B3)
-        data = BidoubleCoverData(base, L1, L2, L1 + L2 - B3, B1, B2, B3)
+        L1, L2 = _halve(base, "B2 + B3", plus(B2, B3)), _halve(base, "B1 + B3", plus(B1, B3))
+        classes = (L1, L2, minus(plus(L1, L2), B3), B1, B2, B3)
+        data = BidoubleCoverData(base, *[DivisorClass(base, c) for c in classes])
     else:
-        data = DoubleCoverData(base, L=_halve("B", branch[0]), B=branch[0])
+        (B,) = branch
+        data = DoubleCoverData(base, DivisorClass(base, _halve(base, "B", B)), DivisorClass(base, B))
 
-    # The curve lies on one branch divisor, the carrier.  A batch of seed
-    # points on a line the carrier holds joins it as D points; one on a line
-    # that only other divisors hold meets each of them, once per
-    # multiplicity; any other batch keeps away from the branch divisors.
-    for i, mults in enumerate(rows, 1):
-        if mults[3]:
-            carrier = i
     joined, met, kept = [], [], []
-    for (point_type, count), column, lines in ((on_line, 0, 2), (on_third, 2, 1)):
-        holders = [i for i, mults in enumerate(rows, 1) for _ in range(mults[column])]
-        if carrier in holders:
-            point_type, origin, batch = union_type(point_type, 1), _ORIGINS["join"], joined
-        elif holders:
+    for (point_type, count), (placement, holders, lines) in zip((on_line, on_third), placements):
+        if placement == "meet":
             met += [BidoubleBranchPoint(carrier, point_type, meets=i, count=count) for i in holders]
             continue
+        if placement == "join":
+            point_type, batch = union_type(point_type, 1), joined
         else:
-            origin, batch = _ORIGINS["keep"], kept
+            batch = kept
         if bidouble:
             batch.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
         else:
-            batch.append(DoubleBranchPoint(point_type, lines * count, origin))
+            batch.append(DoubleBranchPoint(point_type, lines * count, _ORIGINS[placement]))
     points = joined + met + kept
     # Each meeting point's union type is built once, for both inventories.
     branch_types = [p.branch_type for p in points]

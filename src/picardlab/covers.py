@@ -7,6 +7,13 @@ data; the invariant formulas refuse inconsistent input.  The module also
 transports divisor classes along the degree-d cyclic cover F_{de} -> F_e
 branched over two fibers.
 
+The formulas are ring functions on coefficient tuples and e, the layer of
+surfaces: pullback, double_formulas and bidouble_formulas evaluate on ints
+and on Poly parameters alike, and canonical_sections counts p_g.  The base
+is rational, so chi(O) = 1 and p_g = q = 0 there.  validate_*,
+*_invariants, canonical_ample_check and cyclic_pullback_class take the
+records and call them.
+
 The invariant formulas stay valid when the cover acquires ADE
 singularities, which is exactly how they are used by the construction
 pipelines.
@@ -17,7 +24,19 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Union
 
-from .surfaces import DivisorClass, RULED, canonical_class, h0, hirzebruch, intersect, is_ample
+from .surfaces import (
+    RULED,
+    DivisorClass,
+    ample,
+    canonical,
+    compose,
+    half,
+    hirzebruch,
+    pairing,
+    plus,
+    sections,
+    times,
+)
 
 
 class CoverDataError(ValueError):
@@ -57,17 +76,52 @@ class BidoubleCoverData(namedtuple("BidoubleCoverData", "base L1 L2 L3 B1 B2 B3"
 CoverData = Union[DoubleCoverData, BidoubleCoverData]
 
 
+# The ring layer of the covers.
+
+
+def pullback(u: tuple, degree) -> tuple:
+    """a*D0 + b*F on F_e pulled back along the degree-d cyclic cover
+    F_{de} -> F_e branched over two fibers: a*D0 + d*b*F."""
+    a, b = u
+    return a, degree * b
+
+
+def double_formulas(e, L: tuple) -> tuple:
+    """(K2, chi, L(L+K)) of the double cover with data L: K2 = 2(K+L)^2 and
+    chi = 2 + L(L+K)/2, an integer only when L(L+K) is even."""
+    kl = plus(canonical(e, len(L)), L)
+    pair = pairing(e, L, kl)
+    return 2 * pairing(e, kl, kl), 2 + half(pair), pair
+
+
+def bidouble_formulas(e, Ls: tuple, Bs: tuple) -> tuple:
+    """(K2, chi, sum of L_i(L_i+K)) of the bidouble cover with data Ls and
+    Bs: K2 = (2K + B1 + B2 + B3)^2 and chi = 4 + (1/2) * sum of L_i(L_i+K),
+    an integer only when the sum is even."""
+    k = canonical(e, len(Ls[0]))
+    h = compose((2, 1, 1, 1), (k, *Bs))
+    pair = sum([pairing(e, L, plus(L, k)) for L in Ls])
+    return pairing(e, h, h), 4 + half(pair), pair
+
+
+def canonical_sections(e, Ls: tuple) -> int:
+    """p_g of the cover: the sum of h0(K + L) over its L classes."""
+    k = canonical(e, len(Ls[0]))
+    return sum([sections(e, plus(k, L)) for L in Ls])
+
+
 def validate_double(data: DoubleCoverData) -> list[str]:
     """List every violated double-cover condition; an empty list means valid."""
-    problems: list[str] = []
-    for name, div in (("L", data.L), ("B", data.B)):
-        if div.surface != data.base:
-            problems.append(f"{name} does not live on the base surface {data.base}")
+    problems = [
+        f"{name} does not live on the base surface {data.base}"
+        for name, div in (("L", data.L), ("B", data.B))
+        if div.surface != data.base
+    ]
     if problems:
         return problems
-    if data.B != 2 * data.L:
+    if data.B.coeffs != times(2, data.L.coeffs):
         problems.append(f"B = {data.B} is not twice L = {data.L}")
-    if data.L.is_zero():
+    if not any(data.L.coeffs):
         problems.append("L is the trivial class")
     return problems
 
@@ -77,27 +131,25 @@ def validate_bidouble(data: BidoubleCoverData) -> list[str]:
 
     The B_i are allowed to be zero classes; only a trivial L_i is fatal.
     """
-    problems: list[str] = []
-    named = (
-        ("L1", data.L1), ("L2", data.L2), ("L3", data.L3),
-        ("B1", data.B1), ("B2", data.B2), ("B3", data.B3),
-    )
-    for name, div in named:
-        if div.surface != data.base:
-            problems.append(f"{name} does not live on the base surface {data.base}")
+    names = data._fields[1:]
+    problems = [
+        f"{name} does not live on the base surface {data.base}"
+        for name, div in zip(names, data[1:])
+        if div.surface != data.base
+    ]
     if problems:
         return problems
-    if 2 * data.L1 != data.B2 + data.B3:
+    L1, L2, L3, B1, B2, B3 = (div.coeffs for div in data[1:])
+    if times(2, L1) != plus(B2, B3):
         problems.append(f"2*L1 = {2 * data.L1} differs from B2 + B3 = {data.B2 + data.B3}")
-    if 2 * data.L2 != data.B1 + data.B3:
+    if times(2, L2) != plus(B1, B3):
         problems.append(f"2*L2 = {2 * data.L2} differs from B1 + B3 = {data.B1 + data.B3}")
-    if data.L3 != data.L1 + data.L2 - data.B3:
+    if L3 != compose((1, 1, -1), (L1, L2, B3)):
         problems.append(
             f"L3 = {data.L3} differs from L1 + L2 - B3 = {data.L1 + data.L2 - data.B3}"
         )
-    for name, div in named[:3]:
-        if div.is_zero():
-            problems.append(f"{name} is the trivial class")
+    problems += [f"{name} is the trivial class" for name, L in zip(names, (L1, L2, L3))
+                 if not any(L)]
     return problems
 
 
@@ -110,46 +162,32 @@ def _assemble_invariants(K2: int, chi: int, p_g: int) -> SurfaceInvariants:
 
 
 def double_invariants(data: DoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the double cover: K2 = 2(K+L)^2, chi = 2 + L(L+K)/2.
-
-    p_g adds h0(K+L) to the base's geometric genus and q is derived from
-    the chi identity (it vanishes for every datum built in this package).
-    """
+    """Invariants of the double cover (double_formulas); q is derived from
+    the chi identity (it vanishes for every datum built in this package)."""
     problems = validate_double(data)
     if problems:
         raise CoverDataError("; ".join(problems))
-    k = canonical_class(data.base)
-    kl = k + data.L
-    K2 = 2 * intersect(kl, kl)
-    pairing = intersect(data.L, data.L + k)
-    if pairing % 2:
-        raise CoverDataError(f"L(L+K) = {pairing} is odd, chi would not be an integer")
-    chi = 2 * data.base.chi_o + pairing // 2
-    p_g = data.base.p_g + h0(kl)
-    return _assemble_invariants(K2, chi, p_g)
+    e, L = data.base.e, data.L.coeffs
+    K2, chi, pair = double_formulas(e, L)
+    if pair % 2:
+        raise CoverDataError(f"L(L+K) = {pair} is odd, chi would not be an integer")
+    return _assemble_invariants(K2, chi, canonical_sections(e, (L,)))
 
 
 def bidouble_invariants(data: BidoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the bidouble cover: K2 = (2K + B1 + B2 + B3)^2 and
-    chi = 4 + (1/2) * sum of L_i(L_i + K)."""
+    """Invariants of the bidouble cover (bidouble_formulas)."""
     problems = validate_bidouble(data)
     if problems:
         raise CoverDataError("; ".join(problems))
-    k = canonical_class(data.base)
-    branch_total = data.B1 + data.B2 + data.B3
-    half_canonical = 2 * k + branch_total
-    K2 = intersect(half_canonical, half_canonical)
-    pairing = sum(intersect(L, L + k) for L in (data.L1, data.L2, data.L3))
-    if pairing % 2:
-        raise CoverDataError(f"sum of L_i(L_i+K) = {pairing} is odd, chi would not be an integer")
-    chi = 4 * data.base.chi_o + pairing // 2
-    p_g = data.base.p_g + sum(h0(k + L) for L in (data.L1, data.L2, data.L3))
-    return _assemble_invariants(K2, chi, p_g)
+    e, (L1, L2, L3, B1, B2, B3) = data.base.e, (div.coeffs for div in data[1:])
+    K2, chi, pair = bidouble_formulas(e, (L1, L2, L3), (B1, B2, B3))
+    if pair % 2:
+        raise CoverDataError(f"sum of L_i(L_i+K) = {pair} is odd, chi would not be an integer")
+    return _assemble_invariants(K2, chi, canonical_sections(e, (L1, L2, L3)))
 
 
 def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:
-    """Pull a class a*D0 + b*F on F_e back along the degree-d cyclic cover
-    F_{de} -> F_e branched over two fibers, giving a*D0 + d*b*F on F_{de}.
+    """pullback of a class on F_e, as a class on F_{de}.
 
     The formula assumes the class has no branch fiber among its components;
     that is the caller's responsibility (the branch fibers themselves pull
@@ -159,15 +197,15 @@ def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:
         raise ValueError(f"cover degree must be positive, got {degree}")
     if d.surface.kind != RULED:
         raise ValueError("cyclic pullback is defined for classes on a ruled surface")
-    a, b = d.coeffs
-    return hirzebruch(degree * d.surface.e).divisor(a, degree * b)
+    return hirzebruch(degree * d.surface.e).divisor(*pullback(d.coeffs, degree))
 
 
 def canonical_ample_check(data: CoverData) -> bool:
     """Whether the class pulling back to (a multiple of) the cover's canonical
     class is ample on the base: K + L for a double cover, 2K + B1 + B2 + B3
     for a bidouble cover."""
-    k = canonical_class(data.base)
+    e = data.base.e
+    k = canonical(e, data.base.rank)
     if isinstance(data, DoubleCoverData):
-        return is_ample(k + data.L)
-    return is_ample(2 * k + data.B1 + data.B2 + data.B3)
+        return ample(e, plus(k, data.L.coeffs))
+    return ample(e, compose((2, 1, 1, 1), (k, data.B1.coeffs, data.B2.coeffs, data.B3.coeffs)))

@@ -145,7 +145,7 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
         # Here b = 0 and a != 0; swap the variables.
         g = substitute(g, _Y, _X, trunc=jet_bound)
     elif b != 0:
-        g = substitute(g, _X, _Y - (b / (2 * c)) * _X, trunc=jet_bound)
+        g = substitute(g, _X, _Y - Fraction(b, 2 * c) * _X, trunc=jet_bound)
     a, b, c = g.coefficient((2, 0)), g.coefficient((1, 1)), g.coefficient((0, 2))
     if a or b or not c:
         raise ArithmeticError(

@@ -441,7 +441,7 @@ def _b_shared(label: str, k: Poly, b_pair: tuple) -> Optional[tuple[tuple[int, i
         slope = r.coefficient((1, 0))
         if not slope:
             return None
-        q = N.coefficient((1, 0)) / slope
+        q = Fraction(N.coefficient((1, 0)), slope)
         d = N - q * r
         if q.denominator != 1 or d.degree() != 0:
             return None

@@ -1,8 +1,11 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-Polynomials are dictionaries from exponent tuples to Fraction coefficients;
-zero coefficients are never stored, so identity testing is plain dictionary
-equality.  One type, Poly, serves the whole package; it has a fixed number
+Polynomials are dictionaries from exponent tuples to coefficients, each an
+int or a Fraction and never a float: the constructor, the variables, scalars
+and the parser store integral values as ints, so integer polynomials compute
+in plain integers, and every division is a Fraction.  Zero coefficients are
+never stored, so identity testing is plain dictionary equality (a Fraction
+equals the int it is integral to).  One type, Poly, serves the whole package; it has a fixed number
 of variables:
 
   two    curve germs in local coordinates, the symbolic identities of the
@@ -29,7 +32,6 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Optional, Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -54,6 +56,11 @@ def _digits_text(value: int) -> str:
         digits = int(math.log10(abs(value))) + 1
         digits += (abs(value) >= 10**digits) - (abs(value) < 10 ** (digits - 1))
         return f"{'-' * (value < 0)}<{digits} digits>"
+
+
+def _integral(value: Scalar) -> Scalar:
+    """An int or Fraction coefficient as an int where it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +130,7 @@ class Poly:
     __slots__ = ("coeffs", "nvars")
 
     def __init__(self, coeffs: Optional[Mapping[tuple[int, ...], Scalar]] = None, nvars: int = 2):
-        cleaned: dict[tuple[int, ...], Rat] = {}
+        cleaned: dict[tuple[int, ...], Scalar] = {}
         for e, c in (coeffs or {}).items():
             if len(e) != nvars:
                 raise ValueError(f"exponent {e} does not have {nvars} entries")
@@ -131,7 +138,7 @@ class Poly:
                 raise ValueError(f"negative exponent in {e}")
             frac = Fraction(c)
             if frac:
-                cleaned[tuple(int(x) for x in e)] = frac
+                cleaned[tuple(int(x) for x in e)] = _integral(frac)
         self.coeffs = cleaned
         self.nvars = nvars
 
@@ -149,13 +156,13 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         e = [0] * nvars
         e[index] = 1
-        return Poly._wrap({tuple(e): Fraction(1)}, nvars)
+        return Poly._wrap({tuple(e): 1}, nvars)
 
-    def coefficient(self, e: tuple[int, ...]) -> Rat:
-        return self.coeffs.get(e, Fraction(0))
+    def coefficient(self, e: tuple[int, ...]) -> Scalar:
+        return self.coeffs.get(e, 0)
 
     @property
-    def constant_term(self) -> Rat:
+    def constant_term(self) -> Scalar:
         return self.coefficient((0,) * self.nvars)
 
     def __bool__(self) -> bool:
@@ -172,7 +179,7 @@ class Poly:
 
     def _coerce(self, other: object) -> Optional["Poly"]:
         if isinstance(other, (int, Fraction)):
-            return Poly._wrap({(0,) * self.nvars: Fraction(other)} if other else {}, self.nvars)
+            return Poly._wrap({(0,) * self.nvars: _integral(other)} if other else {}, self.nvars)
         if not isinstance(other, Poly):
             return None
         if other.nvars != self.nvars:
@@ -214,7 +221,7 @@ class Poly:
             result = result * self
         return result
 
-    def __call__(self, *point: Scalar) -> Rat:
+    def __call__(self, *point: Scalar) -> Fraction:
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
         pt = [Fraction(x) for x in point]
@@ -245,7 +252,7 @@ class Poly:
         """Drop every term of total degree >= bound."""
         return Poly._wrap({e: c for e, c in self.coeffs.items() if sum(e) < bound}, self.nvars)
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Rat]]:
+    def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
     # Facts read off the coefficients, for a polynomial in the shifted
@@ -294,7 +301,7 @@ class Poly:
         return degrees.pop() if degrees else 0
 
     def partial(self, index: int) -> "Poly":
-        out: dict[tuple[int, ...], Rat] = {}
+        out: dict[tuple[int, ...], Scalar] = {}
         for e, c in self.coeffs.items():
             if e[index] == 0:
                 continue
@@ -396,10 +403,10 @@ def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly
         raise ValueError(f"substitute takes 2 variables, got {f.nvars}, {gx.nvars}, {gy.nvars}")
     max_i = max((e[0] for e in f.coeffs), default=0)
     max_j = max((e[1] for e in f.coeffs), default=0)
-    xpow = [{(0, 0): Fraction(1)}]
+    xpow = [{(0, 0): 1}]
     for _ in range(max_i):
         xpow.append(_mul(xpow[-1], gx.coeffs, trunc))
-    ypow = [{(0, 0): Fraction(1)}]
+    ypow = [{(0, 0): 1}]
     for _ in range(max_j):
         ypow.append(_mul(ypow[-1], gy.coeffs, trunc))
     acc: dict = {}
@@ -436,7 +443,7 @@ def _shift_rows(coeffs: dict, p: Fraction) -> dict:
 
 def _urem(a: dict, b: dict) -> dict:
     top = max(b)
-    inv = 1 / b[top]
+    inv = Fraction(1, b[top])
     while a and (lead := max(a)) >= top:
         shift, factor = lead - top, a[lead] * inv
         a = _add(a, {shift + k: -factor * c for k, c in b.items()})
@@ -494,10 +501,10 @@ def _operand(token: tuple[str, str, int]) -> int:
     return int(token[1])
 
 
-def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Rat]:
-    """The text's terms as exponents to nonzero Fraction coefficients, summed
-    as ints where no p/q made a Fraction and converted once at the end; the
-    whole text is tokenised before any term is read."""
+def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Scalar]:
+    """The text's terms as exponents to nonzero coefficients, summed as ints
+    where no p/q made a Fraction, an integral Fraction made an int at the
+    end; the whole text is tokenised before any term is read."""
     tokens = _tokenize(text)
     result: dict[tuple[int, ...], Scalar] = {}
     pos = 1 if tokens[0][1] in ("+", "-") else 0
@@ -543,7 +550,7 @@ def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple
             result.pop(key, None)
         kind, value, col = tokens[pos]
         if kind == "END":
-            return {key: Fraction(c) for key, c in result.items()}
+            return {key: _integral(c) for key, c in result.items()}
         if value not in ("+", "-"):
             raise PolyParseError(f"expected '+' or '-', found {value!r}", col)
         sign = -1 if value == "-" else 1

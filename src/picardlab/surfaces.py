@@ -7,19 +7,25 @@ section D0 (self-intersection -e) and a fiber F.  For e = 0 the negative
 section and a general fiber simply mean the two rulings, so the pairing
 matrix is [[0, 1], [1, 0]].
 
-Everything in this module is arbitrary-precision integer arithmetic; no
-floating point is used anywhere.  A divisor class checks its coefficients
-once, in its constructor: each must be an integer (operator.index, so a
-bool counts as its int and a float, Fraction or str is refused), and there
-must be one per basis class.  Sums, differences, integer multiples and halves
-of checked classes on one surface are trusted and built without the check.
+The ring layer is a set of plain functions on coefficient tuples, (d,) on
+the plane and (a, b) on F_e, and the ruling parameter e: plus, minus, times,
+compose (a row of multiplicities), half, the intersection pairing, the
+canonical class, ampleness and sections (h0).  All but the last two are ring
+expressions, so they evaluate on ints and on Poly parameters alike.  The
+records are thin callers of the layer: a divisor class checks its
+coefficients once, in its constructor (operator.index, so a bool counts as
+its int and a float, Fraction or str is refused, and one per basis class);
+sums, differences, integer multiples and halves of checked classes on one
+surface are trusted and built without the check.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from fractions import Fraction
 from functools import cache
-from operator import add, index, neg, sub
+from operator import add, index, sub
 
 PLANE = "P2"
 RULED = "F"
@@ -46,19 +52,6 @@ class BaseSurface(namedtuple("BaseSurface", "kind e")):
             raise ValueError(f"unknown surface kind {kind!r}")
         return tuple.__new__(cls, (kind, e))
 
-    # Rational-surface constants consumed by the cover formulas.
-    @property
-    def chi_o(self) -> int:
-        return 1
-
-    @property
-    def p_g(self) -> int:
-        return 0
-
-    @property
-    def q(self) -> int:
-        return 0
-
     @property
     def rank(self) -> int:
         """Number of coefficients a divisor class carries on this surface."""
@@ -80,6 +73,73 @@ def projective_plane() -> BaseSurface:
 
 def hirzebruch(e: int) -> BaseSurface:
     return BaseSurface(RULED, e)
+
+
+# The ring layer.
+
+
+def plus(u: tuple, v: tuple) -> tuple:
+    return tuple(map(add, u, v))
+
+
+def minus(u: tuple, v: tuple) -> tuple:
+    return tuple(map(sub, u, v))
+
+
+def times(k, u: tuple) -> tuple:
+    return tuple([k * c for c in u])
+
+
+def compose(multiplicities, components) -> tuple:
+    """The sum of k * u over the multiplicities k and the tuples u."""
+    return tuple([sum([k * c for k, c in zip(multiplicities, column) if k])
+                  for column in zip(*components)])
+
+
+def half(x):
+    """x / 2: floor division on an int, which the caller has checked to be
+    even, and multiplication by 1/2 on a Poly."""
+    return x // 2 if isinstance(x, int) else Fraction(1, 2) * x
+
+
+def pairing(e, u: tuple, v: tuple):
+    """The intersection number: H^2 = 1 on the plane; D0^2 = -e, D0.F = 1 and
+    F^2 = 0 on F_e."""
+    if len(u) == 1:
+        return u[0] * v[0]
+    (a1, b1), (a2, b2) = u, v
+    return a1 * b2 + a2 * b1 - e * a1 * a2
+
+
+def canonical(e, rank: int) -> tuple:
+    """The canonical class: -3H on the plane (rank 1), -2*D0 - (e + 2)*F on
+    F_e."""
+    return (-3,) if rank == 1 else (-2, -(e + 2))
+
+
+def ample(e, u: tuple) -> bool:
+    """d > 0 on the plane; a > 0 and b > a*e on F_e."""
+    return u[0] > 0 if len(u) == 1 else u[0] > 0 and u[1] > u[0] * e
+
+
+def sections(e, u: tuple) -> int:
+    """The dimension h0 of the space of global sections.
+
+    On the plane this is the count of degree-d monomials in three variables.
+    On F_e the pushforward to the base line splits as a sum of line bundles
+    O(b), O(b-e), ..., O(b-a*e), and the section count is the total number
+    of monomial lattice points, sum over j of max(0, b - j*e + 1), summed
+    in closed form.
+    """
+    if len(u) == 1:
+        deg = u[0]
+        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
+    a, b = u
+    if a < 0 or b < 0:
+        return 0
+    # The summands are positive exactly for j <= b // e.
+    top = a if e == 0 else min(a, b // e)
+    return (top + 1) * (b + 1) - e * top * (top + 1) // 2
 
 
 # Builds a record from already checked fields, without calling its __new__.
@@ -115,19 +175,19 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return _trusted(DivisorClass, (self.surface, tuple(map(add, self.coeffs, other.coeffs))))
+        return _trusted(DivisorClass, (self.surface, plus(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return _trusted(DivisorClass, (self.surface, tuple(map(sub, self.coeffs, other.coeffs))))
+        return _trusted(DivisorClass, (self.surface, minus(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "DivisorClass":
-        return _trusted(DivisorClass, (self.surface, tuple(map(neg, self.coeffs))))
+        return _trusted(DivisorClass, (self.surface, times(-1, self.coeffs)))
 
     def __mul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return _trusted(DivisorClass, (self.surface, tuple([k * x for x in self.coeffs])))
+        return _trusted(DivisorClass, (self.surface, times(k, self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -136,82 +196,45 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
         is odd."""
         if [c for c in self.coeffs if c % 2]:
             raise ValueError(f"{self} is not twice a class")
-        return _trusted(DivisorClass, (self.surface, tuple([c // 2 for c in self.coeffs])))
+        return _trusted(DivisorClass, (self.surface, tuple(map(half, self.coeffs))))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         if self.surface.kind == PLANE:
             d = self.coeffs[0]
-            return "H" if d == 1 else f"{d}*H"
-        parts = []
-        for c, name in zip(self.coeffs, ("D0", "F")):
-            if c == 0:
-                continue
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            elif c < 0:
-                parts.append(f"- {-c}*{name}")
-            else:
-                parts.append(f"+ {c}*{name}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
+            return "0" if not d else "H" if d == 1 else f"{d}*H"
+        a, b = self.coeffs
+        if not a:
+            return _term(b, "F") if b else "0"
+        if not b:
+            return _term(a, "D0")
+        return f"{_term(a, 'D0')} {'-' if b < 0 else '+'} {_term(abs(b), 'F')}"
+
+
+def _term(c: int, name: str) -> str:
+    """c*name for a nonzero c, without a coefficient of 1 or -1."""
+    return name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}"
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
-    """Intersection number of two divisor classes on the same surface.
-
-    The pairing is fixed by H^2 = 1 on the plane and by D0^2 = -e,
-    D0.F = 1, F^2 = 0 on F_e.
-    """
+    """Intersection number of two divisor classes on the same surface."""
     d1._require_same_surface(d2)
-    s = d1.surface
-    if s.kind == PLANE:
-        return d1.coeffs[0] * d2.coeffs[0]
-    a1, b1 = d1.coeffs
-    a2, b2 = d2.coeffs
-    return -s.e * a1 * a2 + a1 * b2 + a2 * b1
+    return pairing(d1.surface.e, d1.coeffs, d2.coeffs)
 
 
 @cache
 def canonical_class(s: BaseSurface) -> DivisorClass:
-    """Canonical divisor class: -3H on the plane, -2*D0 - (e+2)*F on F_e.
-    Computed once per surface."""
-    if s.kind == PLANE:
-        return s.divisor(-3)
-    return s.divisor(-2, -(s.e + 2))
+    """The canonical class as a record, made once per surface."""
+    return DivisorClass(s, canonical(s.e, s.rank))
 
 
 def h0(d: DivisorClass) -> int:
-    """Dimension of the space of global sections of the class.
-
-    On the plane this is the count of degree-d monomials in three variables.
-    On F_e the pushforward to the base line splits as a sum of line bundles
-    O(b), O(b-e), ..., O(b-a*e), and the section count is the total number
-    of monomial lattice points, sum over j of max(0, b - j*e + 1), summed
-    in closed form.
-    """
-    s = d.surface
-    if s.kind == PLANE:
-        deg = d.coeffs[0]
-        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
-    a, b = d.coeffs
-    if a < 0 or b < 0:
-        return 0
-    # The summands are positive exactly for j <= b // e.
-    top = a if s.e == 0 else min(a, b // s.e)
-    return (top + 1) * (b + 1) - s.e * top * (top + 1) // 2
+    """Dimension of the space of global sections of the class."""
+    return sections(d.surface.e, d.coeffs)
 
 
 def is_ample(d: DivisorClass) -> bool:
-    """Ampleness of the class: d > 0 on the plane, a > 0 and b > a*e on F_e."""
-    s = d.surface
-    if s.kind == PLANE:
-        return d.coeffs[0] > 0
-    a, b = d.coeffs
-    return a > 0 and b > a * s.e
+    """Ampleness of the class."""
+    return ample(d.surface.e, d.coeffs)

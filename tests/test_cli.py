@@ -128,6 +128,32 @@ class TestVerifyTheorem:
         assert out.count("maximal: yes") == 21
         assert "certified 21 construction(s)" in out
 
+    def test_a_repeated_value_is_built_once(self, capsys):
+        # Each distinct (m, n) once, in increasing order, whatever the order
+        # and overlap of the ranges.
+        code, out, _ = run(capsys, "verify-theorem", "1", "--sweep", "n=2,2")
+        assert code == 0
+        assert out.count("theorem 1  n=2 ") == 1
+        assert out.endswith("certified 1 construction(s)\n")
+        code, out, _ = run(capsys, "verify-theorem", "2", "--sweep", "n=4,2,4,m=4..5,3..4")
+        assert code == 0
+        heads = [line for line in out.splitlines() if line.startswith("theorem ")]
+        assert heads == [f"theorem 2  m={m} n={n}  (base F_{m})" for m in (3, 4, 5) for n in (2, 4)]
+        assert out.endswith("certified 6 construction(s)\n")
+        assert _parse_sweep("n=2..5,3..4") == {"n": [2, 3, 4, 5]}
+
+    def test_the_cap_counts_distinct_values(self):
+        # A range past the cap is refused before its values are made; two
+        # ranges of the same values stay within it.
+        cap = MAX_SWEEP_BUILDS
+        assert _parse_sweep(f"n=1..{cap},1..{cap}") == {"n": list(range(1, cap + 1))}
+        with pytest.raises(UsageError, match="takes more than"):
+            _parse_sweep(f"n=1..{cap},{cap + 1}")
+        with pytest.raises(UsageError, match="takes more than"):
+            _parse_sweep(f"n=2..{10**30}")
+        with pytest.raises(UsageError, match="combinations"):
+            _parse_sweep("m=1..100,1..100,n=1..101")
+
     def test_sweep_requires_right_keys(self, capsys):
         code, _, err = run(capsys, "verify-theorem", "1", "--sweep", "m=2..3")
         assert code == 2

@@ -11,8 +11,10 @@ import pytest
 
 from picardlab import constructions, covers, curves, singularities
 from picardlab.constructions import (
+    FAMILIES,
     ConstructionReport,
     DoubleBranchPoint,
+    Param,
     ParameterError,
     build,
     build_theorem1,
@@ -24,12 +26,16 @@ from picardlab.covers import (
     BidoubleCoverData,
     DoubleCoverData,
     SurfaceInvariants,
+    bidouble_formulas,
+    double_formulas,
+    pullback,
     validate_bidouble,
     validate_double,
 )
 from picardlab.curves import singular_points_report
+from picardlab.polynomials import Poly, domain_variables
 from picardlab.singularities import A, D, E, BidoubleBranchPoint, SingInventory
-from picardlab.surfaces import hirzebruch, projective_plane
+from picardlab.surfaces import compose, half, hirzebruch, minus, plus, projective_plane, times
 
 
 class TestClosedForms:
@@ -303,6 +309,63 @@ def test_family1_is_the_family2_row_on_the_plane():
     assert constructions.THEOREMS[1].pipeline is constructions.THEOREMS[2].pipeline
     assert build(1, n=3).base.kind == "P2"
     assert build(2, m=3, n=2).base.kind == "F"
+
+
+def _ring_identity(label, row, params):
+    """Whether the ring layer, fed the row as _build feeds it, gives the
+    family's closed-form (K2, chi) on the whole domain of params, the
+    parameters shifted onto it by domain_variables: every halved class is
+    even in every coefficient, and the pairs agree as polynomials.  A family
+    with an m parameter lives on F_m after the cyclic cover, family 1 on the
+    plane."""
+    values = domain_variables(params)
+    if len(params) == 2:
+        m, n = values
+        e, line, section, third = m, (0, 1), (1, 0), pullback((1, 1), m)
+    else:
+        (n,) = values
+        e, line, section, third = 0, (1,), (0,), (1,)
+    branch = [compose(mults, (line, section, third, times(2 * n, third))) for mults in row]
+    if len(branch) == 3:
+        B1, B2, B3 = branch
+        sums = [plus(B2, B3), plus(B1, B3)]
+    else:
+        sums = branch
+    if not all(c.multiple_of(2) if isinstance(c, Poly) else c % 2 == 0 for u in sums for c in u):
+        return False
+    if len(branch) == 3:
+        L1, L2 = (tuple(map(half, u)) for u in sums)
+        K2, chi, _ = bidouble_formulas(e, (L1, L2, minus(plus(L1, L2), B3)), (B1, B2, B3))
+    else:
+        K2, chi, _ = double_formulas(e, tuple(map(half, branch[0])))
+    return (K2, chi) == FAMILIES[label].pair(*values)
+
+
+# Each family's domain, split by the parity of m where its row depends on
+# it, with the row at the smallest m of the part.
+_RING_CASES = {
+    "family 1": ("A1", (Param("n", 2, 1),), 1),
+    "family 2, odd m": ("A2", (Param("m", 3, 2), Param("n", 2, 2)), 3),
+    "family 2, even m": ("A2", (Param("m", 4, 2), Param("n", 2, 2)), 4),
+    "family 3": ("A3", (Param("m", 2, 1), Param("n", 4, 2)), 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RING_CASES))
+def test_the_ring_layer_gives_the_closed_forms_as_identities(case):
+    label, params, m = _RING_CASES[case]
+    row = FAMILIES[label].pipeline(m)
+    assert _ring_identity(label, row, params)
+    # One multiplicity more or less in any entry breaks an identity: a
+    # halving turns odd, or K2 or chi differ from the closed form.  The
+    # plane's negative section is zero, so its column is left out there.
+    for i, mults in enumerate(row):
+        for j in range(4) if len(params) == 2 else (0, 2, 3):
+            for step in (-1, 1, 2):
+                wrong = list(map(list, row))
+                wrong[i][j] += step
+                if wrong[i][j] >= 0:
+                    assert not _ring_identity(label, wrong, params), (case, wrong)
 
 
 def _placements(report):

@@ -118,6 +118,11 @@ class TestClassify:
         # (x + y)^2 + x^3 is A2 after the linear normalization.
         assert classify(parse_local_poly("x^2 + 2*x*y + y^2 + x^3")) == A(2)
 
+    def test_shear_by_a_non_integer(self):
+        # (x + 2y)^2 + x^5 shears by b/(2c) = 4/8 = 1/2 to 4y^2 + x^5: on
+        # integer coefficients the shear must be a Fraction, not a float.
+        assert classify(parse_local_poly("x^2 + 4*x*y + 4*y^2 + x^5")) == A(4)
+
     def test_pure_x_quadratic_swaps_variables(self):
         assert classify(parse_local_poly("x^2 - y^3")) == A(2)
 

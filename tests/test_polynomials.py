@@ -2,7 +2,9 @@
 parsing."""
 
 import random
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -18,11 +20,40 @@ from picardlab.polynomials import (
     Poly,
     PolyParseError,
     _parse_terms,
+    _ugcd,
     domain_variables,
     parse_local_poly,
     parse_ternary_form,
     substitute,
 )
+
+
+def _stored(c):
+    """A coefficient as Poly stores it: an int, or a Fraction that is not
+    integral."""
+    return type(c) is int or type(c) is Fraction and c.denominator != 1
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block after the given wall seconds, so that
+    a loop that never ends (a float remainder never cancels) fails the test
+    instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exact(coeffs):
+    """No coefficient is a float: each is an int or a Fraction."""
+    return all(type(c) in (int, Fraction) for c in coeffs.values())
 
 
 class TestLocalPoly:
@@ -315,6 +346,80 @@ class TestBinaryForm:
             assert form.distinct_projective_roots() == expected, expr
 
 
+_COEFFS = st.one_of(
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7)
+)
+_LOCAL = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _COEFFS, max_size=5
+).map(Poly)
+_INTEGER_LOCAL = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-9, 9), max_size=5
+).map(Poly)
+
+
+class TestExactCoefficients:
+    """Every coefficient is an int or a Fraction, never a float: a float
+    remainder would never cancel and a float shear would be inexact."""
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_LOCAL, _LOCAL, _COEFFS)
+    def test_operations_never_make_a_float(self, f, g, k):
+        x, y = Poly.variable(0), Poly.variable(1)
+        results = [
+            f + g, f - g, f * g, k * f, f + k, k - f, -f, f**2, f.partial(0), f.partial(1),
+            substitute(f, x + g * x, y - k * x, trunc=6), parse_local_poly(f.to_text()),
+        ]
+        # f homogenised to a ternary form of degree 6, through its text.
+        form = Poly({(i, j, 6 - i - j): c for (i, j), c in f.coeffs.items()}, 3)
+        assert parse_ternary_form(form.to_text()) == form
+        results.append(parse_ternary_form(form.to_text()))
+        for result in results:
+            assert _exact(result.coeffs), result
+        assert parse_local_poly(f.to_text()) == f
+        assert all(_stored(c) for c in parse_local_poly(f.to_text()).coeffs.values())
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_INTEGER_LOCAL, _INTEGER_LOCAL)
+    def test_integer_polynomials_stay_integers(self, f, g):
+        x, y = Poly.variable(0), Poly.variable(1)
+        for result in (f + g, f - g, f * g, 3 * f, f + 2, f.partial(0),
+                       substitute(f, x + g * x, y - 2 * x, trunc=6)):
+            assert all(type(c) is int for c in result.coeffs.values()), result
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        st.dictionaries(st.integers(0, 3), _COEFFS, min_size=1, max_size=4),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    )
+    def test_localize_never_makes_a_float(self, row, p1):
+        # X0 * h vanishes on X0 = 0, so (0 : p1 : 1) lies on the curve.
+        h = Poly({(i, 3 - i, 0) if i % 2 else (i, 0, 3 - i): c for i, c in row.items()}, 3)
+        form = Poly.variable(0, 3) * (h + Poly({(0, 3, 0): 1}, 3))
+        assert _exact(form.localize((0, p1, 1), 2).coeffs)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)), min_size=1, max_size=5))
+    def test_binary_forms_count_on_exact_remainders(self, factors):
+        # Non-monic linear factors a*u + b*v: Euclid divides by leading
+        # coefficients other than 1.
+        form = Poly({(0, 0): 1})
+        for a, b in factors:
+            form = form * Poly({(1, 0): b, (0, 1): a})
+        g = {e[0]: c for e, c in form.coeffs.items()}
+        with _time_limit(1):
+            gcd = _ugcd(g, {k - 1: k * c for k, c in g.items() if k})
+            count = form.distinct_projective_roots()
+        assert _exact(gcd)
+        assert count == len({Fraction(-a, b) for a, b in factors})
+
+    def test_a_non_monic_form_is_counted_in_bounded_time(self):
+        form = Poly({(0, 0): 1})
+        for a, b in ((3, 7), (3, 7), (7, -2), (49, 3), (5, 1), (6, -35)):
+            form = form * Poly({(1, 0): a, (0, 1): b})
+        with _time_limit(1):
+            assert form.distinct_projective_roots() == 5
+
+
 class TestParser:
     def test_round_trip_examples(self):
         f = parse_local_poly("y^2 - x^3")
@@ -420,8 +525,9 @@ class TestParserAgainstTheCharacterLoop:
             if not isinstance(ours, dict):
                 continue
             # The parsers wrap the dict unchecked: its coefficients must
-            # already be Fractions, and the result what Poly's checks make.
-            assert all(type(c) is Fraction for c in ours.values()), text
+            # already be ints where integral and Fractions otherwise, and the
+            # result what Poly's checks make.
+            assert all(_stored(c) for c in ours.values()), text
             reference = Poly(ours, nvars)
             try:
                 parsed = parse(text)
@@ -431,5 +537,5 @@ class TestParserAgainstTheCharacterLoop:
                 with pytest.raises(ValueError):
                     reference.form_degree()
                 continue
-            assert all(type(c) is Fraction for c in parsed.coeffs.values()), text
+            assert all(_stored(c) for c in parsed.coeffs.values()), text
             assert parsed == reference and parsed.nvars == nvars, text
