@@ -118,11 +118,9 @@ def _read_fraction(text: str, flag: str) -> Fraction:
         raise UsageError(f"bad {flag} value {text!r}") from None
 
 
-_YN = {True: "yes", False: "NO"}
-
-
 def _print_report(report: ConstructionReport) -> None:
     """Write the report's seven lines to stdout in one piece."""
+    yn = {True: "yes", False: "NO"}
     data, inv, (K2, chi) = report.building_data, report.computed, report.closed_form
     if isinstance(data, BidoubleCoverData):
         classes = (
@@ -135,14 +133,14 @@ def _print_report(report: ConstructionReport) -> None:
         f"theorem {report.theorem}  {report.params_str()}  (base {report.base})\n"
         f"  building data: {classes}\n"
         f"  K2 = {inv.K2} (closed form {K2})   chi = {inv.chi} (closed form {chi})"
-        f"   match: {_YN[report.match]}\n"
+        f"   match: {yn[report.match]}\n"
         f"  p_g = {inv.p_g}   q = {inv.q}   h11 = {inv.h11}\n"
         f"  branch singularities: {report.branch_inventory}\n"
         f"  cover singularities:  {report.cover_inventory}\n"
-        f"  canonical class ample: {_YN[report.ample]}"
+        f"  canonical class ample: {yn[report.ample]}"
         f"   picard lower bound = {report.picard_lower}"
         f" ({report.picard_lower - report.n_indep} exceptional curves"
-        f" + {report.n_indep} base classes)   maximal: {_YN[report.maximal]}\n"
+        f" + {report.n_indep} base classes)   maximal: {yn[report.maximal]}\n"
     )
 
 

@@ -12,14 +12,12 @@ One builder, _build, makes every member from the seed curve C_n and the
 three coordinate lines as the family's row says.  The row is a function of
 m giving each branch divisor as multiplicities of (line, negative section,
 third line, curve); each L is half a sum of them, and an odd half is
-refused.  Everything else is derived.  The builder composes, halves and
-checks the classes as coefficient tuples, with the ring layer of surfaces
-and covers, and makes the report's records at the end; what depends only
-on the row and m is made once per m.  A family with an m parameter
-(families 2 and 3) lives on F_m: the builder blows up the vertex where the
-first two lines cross (it is off the curve), which makes those lines fibers
-of F_1, and pulls back along the degree-m cyclic cover F_m -> F_1 branched
-over them.  A family without one lives on the plane, where the negative
+refused.  Everything else is derived, on coefficient tuples with the ring
+layer of surfaces and covers, and once per m where m decides it.  A family
+with an m parameter (families 2 and 3) lives on F_m: the builder blows up
+the vertex where the first two lines cross (it is off the curve), which
+makes those lines fibers of F_1, and pulls back along the degree-m cyclic
+cover F_m -> F_1 branched over them.  A family without one lives on the plane, where the negative
 section is zero; family 1 is family 2's row at m = 1.  Each batch of seed
 points, on the first two lines or on the third, is placed by the row: it
 joins the curve's divisor if that divisor holds its line, meets each
@@ -68,16 +66,7 @@ from .singularities import (
     union_type,
     CyclicBranchPoint,
 )
-from .surfaces import (
-    DivisorClass,
-    compose,
-    half,
-    hirzebruch,
-    intersect,
-    minus,
-    plus,
-    projective_plane,
-)
+from .surfaces import DivisorClass, compose, half, hirzebruch, intersect, plus, projective_plane
 
 
 class ParameterError(ValueError):
@@ -346,28 +335,23 @@ class ConstructionReport(
 
 
 _JSON_BOOL = {False: "false", True: "true"}
-# Each building-data record's kind and class names in sorted order.
-_CLASS_NAMES = {
-    BidoubleCoverData: ("bidouble", ("B1", "B2", "B3", "L1", "L2", "L3")),
-    DoubleCoverData: ("double", ("B", "L")),
-}
+# Each building-data record's kind and class names, sorted.
+_CLASS_NAMES = {BidoubleCoverData: ("bidouble", ("B1", "B2", "B3", "L1", "L2", "L3")),
+                DoubleCoverData: ("double", ("B", "L"))}
 
 
 @functools.cache
 def _json_string(text: str) -> str:
-    """text as a JSON string, escaped once per distinct text: the parameter
-    names and point origins come from the family table and the builder."""
+    """text as a JSON string, escaped once per distinct text."""
     from json.encoder import encode_basestring_ascii
 
     return encode_basestring_ascii(text)
 
 
 def _coeffs_text(coeffs: tuple, pad: str) -> str:
-    """A class's one or two coefficients as a JSON array opened on a line
-    indented by pad."""
-    if len(coeffs) == 1:
-        return f"[\n  {pad}{coeffs[0]}\n{pad}]"
-    return f"[\n  {pad}{coeffs[0]},\n  {pad}{coeffs[1]}\n{pad}]"
+    """A class's one or two coefficients as a JSON array opened at pad."""
+    second = f",\n  {pad}{coeffs[1]}" if len(coeffs) == 2 else ""
+    return f"[\n  {pad}{coeffs[0]}{second}\n{pad}]"
 
 
 def _json_block(items: list[str], pad: str, brackets: str = "[]") -> str:
@@ -420,18 +404,11 @@ _ORIGINS = {
 
 @functools.lru_cache(maxsize=None)
 def _frame(row, m: int, on_cover: bool) -> tuple:
-    """What a build reads off its row at this m, made once per m: the base;
-    the line, negative section and third line; the row's branch
-    multiplicities; the carrier, the branch divisor that holds the curve;
-    and the placement of the seed points on the first two lines and on the
-    third, each (placement, the divisors holding the line once per
-    multiplicity, the number of lines).
-
-    On F_1 the first two lines are fibers, the third line is D0 + F and the
-    curve 2n(D0 + F), so on F_m, after the cyclic cover, the curve is 2n
-    times the third line, as it is on the plane.  The carrier joins a batch
-    of seed points on a line it holds, as D points; a batch on a line that
-    only other divisors hold meets each of them; any other keeps away."""
+    """A build's base, line, negative section and third line (on F_1 the
+    first two lines are fibers, the third is D0 + F), branch rows, carrier
+    (the divisor holding the curve) and, for the points on the first two
+    lines and on the third, (placement, the divisors holding the line, one
+    per multiplicity, the number of lines): made once per row and m."""
     if on_cover:
         base = hirzebruch(m)
         line, section = base.divisor(0, 1), base.divisor(1, 0)
@@ -452,16 +429,14 @@ def _frame(row, m: int, on_cover: bool) -> tuple:
 
 def _build(family: Family, *values: int) -> ConstructionReport:
     """Build and certify the family member with these parameter values from
-    the family's pipeline row: the branch divisors are composed, halved and
-    checked on coefficient tuples, and the records made once, at the end."""
+    the family's pipeline row; the report's records are made at the end."""
     family.check(*values)
     params = tuple((p.name, v) for p, v in zip(family.params, values))
     named = dict(params)
     m, n = named.get("m", 1), named["n"]
     sing, per_line = _certified_seed(n)
-    base, line, section, third, rows, carrier, placements = _frame(
-        family.pipeline, m, "m" in named
-    )
+    frame = _frame(family.pipeline, m, "m" in named)
+    base, line, section, third, rows, carrier, placements = frame
     if "m" in named:
         # The seed certificate keeps every vertex off the curve: one is
         # blown up, and the other two are where the third line crosses the
@@ -473,7 +448,7 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         (on_third,) = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m).entries
     else:
         on_line = on_third = (sing, per_line)
-    curve = 2 * n * third
+    curve = 2 * n * third  # 2n(D0 + F) on F_1, degree 2n on the plane
     # The curve is transversal to each line at its A points and meets it
     # twice at each; the negative section misses the curve and the third
     # line.
@@ -493,11 +468,10 @@ def _build(family: Family, *values: int) -> ConstructionReport:
     if bidouble:
         B1, B2, B3 = branch
         L1, L2 = _halve(base, "B2 + B3", plus(B2, B3)), _halve(base, "B1 + B3", plus(B1, B3))
-        classes = (L1, L2, minus(plus(L1, L2), B3), B1, B2, B3)
-        data = BidoubleCoverData(base, *[DivisorClass(base, c) for c in classes])
+        record, classes = BidoubleCoverData, (L1, L2, compose((1, 1, -1), (L1, L2, B3)), *branch)
     else:
-        (B,) = branch
-        data = DoubleCoverData(base, DivisorClass(base, _halve(base, "B", B)), DivisorClass(base, B))
+        record, classes = DoubleCoverData, (_halve(base, "B", branch[0]), branch[0])
+    data = record(base, *[DivisorClass(base, c) for c in classes])
 
     joined, met, kept = [], [], []
     for (point_type, count), (placement, holders, lines) in zip((on_line, on_third), placements):

@@ -7,12 +7,9 @@ data; the invariant formulas refuse inconsistent input.  The module also
 transports divisor classes along the degree-d cyclic cover F_{de} -> F_e
 branched over two fibers.
 
-The formulas are ring functions on coefficient tuples and e, the layer of
-surfaces: pullback, double_formulas and bidouble_formulas evaluate on ints
-and on Poly parameters alike, and canonical_sections counts p_g.  The base
-is rational, so chi(O) = 1 and p_g = q = 0 there.  validate_*,
-*_invariants, canonical_ample_check and cyclic_pullback_class take the
-records and call them.
+The formulas are ring functions of coefficient tuples and e (the layer of
+surfaces), on ints and Poly parameters alike; the functions of records call
+them.  The base is rational: chi(O) = 1 and p_g = q = 0.
 
 The invariant formulas stay valid when the cover acquires ADE
 singularities, which is exactly how they are used by the construction
@@ -25,17 +22,7 @@ from collections import namedtuple
 from typing import Union
 
 from .surfaces import (
-    RULED,
-    DivisorClass,
-    ample,
-    canonical,
-    compose,
-    half,
-    hirzebruch,
-    pairing,
-    plus,
-    sections,
-    times,
+    RULED, DivisorClass, ample, canonical, compose, half, hirzebruch, pairing, plus, sections,
 )
 
 
@@ -82,8 +69,7 @@ CoverData = Union[DoubleCoverData, BidoubleCoverData]
 def pullback(u: tuple, degree) -> tuple:
     """a*D0 + b*F on F_e pulled back along the degree-d cyclic cover
     F_{de} -> F_e branched over two fibers: a*D0 + d*b*F."""
-    a, b = u
-    return a, degree * b
+    return u[0], degree * u[1]
 
 
 def double_formulas(e, L: tuple) -> tuple:
@@ -104,22 +90,12 @@ def bidouble_formulas(e, Ls: tuple, Bs: tuple) -> tuple:
     return pairing(e, h, h), 4 + half(pair), pair
 
 
-def canonical_sections(e, Ls: tuple) -> int:
-    """p_g of the cover: the sum of h0(K + L) over its L classes."""
-    k = canonical(e, len(Ls[0]))
-    return sum([sections(e, plus(k, L)) for L in Ls])
-
-
 def validate_double(data: DoubleCoverData) -> list[str]:
     """List every violated double-cover condition; an empty list means valid."""
-    problems = [
-        f"{name} does not live on the base surface {data.base}"
-        for name, div in (("L", data.L), ("B", data.B))
-        if div.surface != data.base
-    ]
+    problems = _off_base(data, ("L", "B"))
     if problems:
         return problems
-    if data.B.coeffs != times(2, data.L.coeffs):
+    if any(compose((1, -2), (data.B.coeffs, data.L.coeffs))):
         problems.append(f"B = {data.B} is not twice L = {data.L}")
     if not any(data.L.coeffs):
         problems.append("L is the trivial class")
@@ -131,47 +107,49 @@ def validate_bidouble(data: BidoubleCoverData) -> list[str]:
 
     The B_i are allowed to be zero classes; only a trivial L_i is fatal.
     """
-    names = data._fields[1:]
-    problems = [
-        f"{name} does not live on the base surface {data.base}"
-        for name, div in zip(names, data[1:])
-        if div.surface != data.base
-    ]
+    problems = _off_base(data, data._fields[1:])
     if problems:
         return problems
     L1, L2, L3, B1, B2, B3 = (div.coeffs for div in data[1:])
-    if times(2, L1) != plus(B2, B3):
+    if any(compose((2, -1, -1), (L1, B2, B3))):
         problems.append(f"2*L1 = {2 * data.L1} differs from B2 + B3 = {data.B2 + data.B3}")
-    if times(2, L2) != plus(B1, B3):
+    if any(compose((2, -1, -1), (L2, B1, B3))):
         problems.append(f"2*L2 = {2 * data.L2} differs from B1 + B3 = {data.B1 + data.B3}")
-    if L3 != compose((1, 1, -1), (L1, L2, B3)):
+    if any(compose((1, -1, -1, 1), (L3, L1, L2, B3))):
         problems.append(
             f"L3 = {data.L3} differs from L1 + L2 - B3 = {data.L1 + data.L2 - data.B3}"
         )
-    problems += [f"{name} is the trivial class" for name, L in zip(names, (L1, L2, L3))
-                 if not any(L)]
-    return problems
+    return problems + [f"L{i} is the trivial class" for i, L in enumerate((L1, L2, L3), 1)
+                       if not any(L)]
 
 
-def _assemble_invariants(K2: int, chi: int, p_g: int) -> SurfaceInvariants:
-    # q is derived, never assumed; a negative value signals bad building data.
-    q = 1 + p_g - chi
+def _off_base(data: CoverData, names) -> list[str]:
+    return [f"{name} does not live on the base surface {data.base}"
+            for name in names if getattr(data, name).surface != data.base]
+
+
+def _invariants(data: CoverData, Ls, formulas: tuple, pairing_name: str) -> SurfaceInvariants:
+    """The invariants from the formulas' K2, chi and pairing and p_g, the sum
+    of h0(K + L) over Ls; q is derived, never assumed."""
+    K2, chi, pair = formulas
+    if pair % 2:
+        raise CoverDataError(f"{pairing_name} = {pair} is odd, chi would not be an integer")
+    e, k = data.base.e, canonical(data.base.e, data.base.rank)
+    p_g = sum([sections(e, plus(k, L)) for L in Ls])
+    q = 1 + p_g - chi  # negative for bad building data
     if q < 0:
         raise CoverDataError(f"derived irregularity q = {q} is negative")
     return SurfaceInvariants(K2=K2, chi=chi, p_g=p_g, q=q, h11=10 * chi - K2 - 2 * q)
 
 
 def double_invariants(data: DoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the double cover (double_formulas); q is derived from
-    the chi identity (it vanishes for every datum built in this package)."""
+    """Invariants of the double cover (double_formulas); q vanishes for
+    every datum built in this package."""
     problems = validate_double(data)
     if problems:
         raise CoverDataError("; ".join(problems))
-    e, L = data.base.e, data.L.coeffs
-    K2, chi, pair = double_formulas(e, L)
-    if pair % 2:
-        raise CoverDataError(f"L(L+K) = {pair} is odd, chi would not be an integer")
-    return _assemble_invariants(K2, chi, canonical_sections(e, (L,)))
+    L = data.L.coeffs
+    return _invariants(data, (L,), double_formulas(data.base.e, L), "L(L+K)")
 
 
 def bidouble_invariants(data: BidoubleCoverData) -> SurfaceInvariants:
@@ -179,11 +157,9 @@ def bidouble_invariants(data: BidoubleCoverData) -> SurfaceInvariants:
     problems = validate_bidouble(data)
     if problems:
         raise CoverDataError("; ".join(problems))
-    e, (L1, L2, L3, B1, B2, B3) = data.base.e, (div.coeffs for div in data[1:])
-    K2, chi, pair = bidouble_formulas(e, (L1, L2, L3), (B1, B2, B3))
-    if pair % 2:
-        raise CoverDataError(f"sum of L_i(L_i+K) = {pair} is odd, chi would not be an integer")
-    return _assemble_invariants(K2, chi, canonical_sections(e, (L1, L2, L3)))
+    coeffs = [div.coeffs for div in data[1:]]
+    formulas = bidouble_formulas(data.base.e, coeffs[:3], coeffs[3:])
+    return _invariants(data, coeffs[:3], formulas, "sum of L_i(L_i+K)")
 
 
 def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:

@@ -1,12 +1,10 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-Polynomials are dictionaries from exponent tuples to coefficients, each an
-int or a Fraction and never a float: the constructor, the variables, scalars
-and the parser store integral values as ints, so integer polynomials compute
-in plain integers, and every division is a Fraction.  Zero coefficients are
-never stored, so identity testing is plain dictionary equality (a Fraction
-equals the int it is integral to).  One type, Poly, serves the whole package; it has a fixed number
-of variables:
+Polynomials are dictionaries from exponent tuples to int coefficients where
+integral and Fraction ones otherwise, never floats, so integer polynomials
+compute in plain integers and every division is exact.  Zero coefficients
+are never stored, so identity testing is plain dictionary equality.  One
+type, Poly, serves the whole package; it has a fixed number of variables:
 
   two    curve germs in local coordinates, the symbolic identities of the
          geography, and binary forms, the restrictions of ternary forms to
@@ -503,8 +501,8 @@ def _operand(token: tuple[str, str, int]) -> int:
 
 def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Scalar]:
     """The text's terms as exponents to nonzero coefficients, summed as ints
-    where no p/q made a Fraction, an integral Fraction made an int at the
-    end; the whole text is tokenised before any term is read."""
+    where no p/q made a Fraction; the whole text is tokenised before any
+    term is read."""
     tokens = _tokenize(text)
     result: dict[tuple[int, ...], Scalar] = {}
     pos = 1 if tokens[0][1] in ("+", "-") else 0

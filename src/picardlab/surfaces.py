@@ -7,17 +7,14 @@ section D0 (self-intersection -e) and a fiber F.  For e = 0 the negative
 section and a general fiber simply mean the two rulings, so the pairing
 matrix is [[0, 1], [1, 0]].
 
-The ring layer is a set of plain functions on coefficient tuples, (d,) on
-the plane and (a, b) on F_e, and the ruling parameter e: plus, minus, times,
-compose (a row of multiplicities), half, the intersection pairing, the
-canonical class, ampleness and sections (h0).  All but the last two are ring
-expressions, so they evaluate on ints and on Poly parameters alike.  The
-records are thin callers of the layer: a divisor class checks its
-coefficients once, in its constructor (operator.index, so a bool counts as
-its int and a float, Fraction or str is refused, and one per basis class);
-sums, differences, integer multiples and halves of checked classes on one
-surface are trusted and built without the check.  No floating point is used
-anywhere.
+The ring layer is plain functions of coefficient tuples, (d,) on the plane
+and (a, b) on F_e, and e: sums, halves, the pairing and the canonical class
+are ring expressions, on ints and Poly parameters alike; ampleness and
+sections (h0) take ints.  The records call them.  A divisor class checks its
+coefficients once, in its constructor: operator.index (a bool counts as its
+int, a float, Fraction or str is refused), one per basis class.  Sums,
+differences, multiples and halves of checked classes on one surface are
+trusted.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache
-from operator import add, index, sub
+from operator import add, index
 
 PLANE = "P2"
 RULED = "F"
@@ -82,14 +79,6 @@ def plus(u: tuple, v: tuple) -> tuple:
     return tuple(map(add, u, v))
 
 
-def minus(u: tuple, v: tuple) -> tuple:
-    return tuple(map(sub, u, v))
-
-
-def times(k, u: tuple) -> tuple:
-    return tuple([k * c for c in u])
-
-
 def compose(multiplicities, components) -> tuple:
     """The sum of k * u over the multiplicities k and the tuples u."""
     return tuple([sum([k * c for k, c in zip(multiplicities, column) if k])
@@ -97,8 +86,7 @@ def compose(multiplicities, components) -> tuple:
 
 
 def half(x):
-    """x / 2: floor division on an int, which the caller has checked to be
-    even, and multiplication by 1/2 on a Poly."""
+    """x / 2 for an int the caller has checked to be even, or a Poly."""
     return x // 2 if isinstance(x, int) else Fraction(1, 2) * x
 
 
@@ -179,15 +167,15 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         self._require_same_surface(other)
-        return _trusted(DivisorClass, (self.surface, minus(self.coeffs, other.coeffs)))
+        return _trusted(DivisorClass, (self.surface, compose((1, -1), (self.coeffs, other.coeffs))))
 
     def __neg__(self) -> "DivisorClass":
-        return _trusted(DivisorClass, (self.surface, times(-1, self.coeffs)))
+        return -1 * self
 
     def __mul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return _trusted(DivisorClass, (self.surface, times(k, self.coeffs)))
+        return _trusted(DivisorClass, (self.surface, compose((k,), (self.coeffs,))))
 
     __rmul__ = __mul__
 
@@ -206,10 +194,8 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
             d = self.coeffs[0]
             return "0" if not d else "H" if d == 1 else f"{d}*H"
         a, b = self.coeffs
-        if not a:
-            return _term(b, "F") if b else "0"
-        if not b:
-            return _term(a, "D0")
+        if not (a and b):
+            return _term(a, "D0") if a else _term(b, "F") if b else "0"
         return f"{_term(a, 'D0')} {'-' if b < 0 else '+'} {_term(abs(b), 'F')}"
 
 

@@ -35,7 +35,7 @@ from picardlab.covers import (
 from picardlab.curves import singular_points_report
 from picardlab.polynomials import Poly, domain_variables
 from picardlab.singularities import A, D, E, BidoubleBranchPoint, SingInventory
-from picardlab.surfaces import compose, half, hirzebruch, minus, plus, projective_plane, times
+from picardlab.surfaces import compose, half, hirzebruch, plus, projective_plane
 
 
 class TestClosedForms:
@@ -325,7 +325,8 @@ def _ring_identity(label, row, params):
     else:
         (n,) = values
         e, line, section, third = 0, (1,), (0,), (1,)
-    branch = [compose(mults, (line, section, third, times(2 * n, third))) for mults in row]
+    curve = compose((2 * n,), (third,))
+    branch = [compose(mults, (line, section, third, curve)) for mults in row]
     if len(branch) == 3:
         B1, B2, B3 = branch
         sums = [plus(B2, B3), plus(B1, B3)]
@@ -335,7 +336,8 @@ def _ring_identity(label, row, params):
         return False
     if len(branch) == 3:
         L1, L2 = (tuple(map(half, u)) for u in sums)
-        K2, chi, _ = bidouble_formulas(e, (L1, L2, minus(plus(L1, L2), B3)), (B1, B2, B3))
+        L3 = compose((1, 1, -1), (L1, L2, B3))
+        K2, chi, _ = bidouble_formulas(e, (L1, L2, L3), (B1, B2, B3))
     else:
         K2, chi, _ = double_formulas(e, tuple(map(half, branch[0])))
     return (K2, chi) == FAMILIES[label].pair(*values)
