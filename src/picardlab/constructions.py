@@ -424,7 +424,7 @@ def _frame(row, m: int, on_cover: bool) -> tuple:
         holders = tuple(i for i, mults in enumerate(rows, 1) for _ in range(mults[column]))
         placement = "join" if carrier in holders else "meet" if holders else "keep"
         placements.append((placement, holders, lines))
-    return base, line, section, third, rows, carrier, placements
+    return base, line, section, third, rows, carrier, tuple(placements)
 
 
 def _build(family: Family, *values: int) -> ConstructionReport:

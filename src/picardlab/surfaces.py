@@ -81,8 +81,12 @@ def plus(u: tuple, v: tuple) -> tuple:
 
 def compose(multiplicities, components) -> tuple:
     """The sum of k * u over the multiplicities k and the tuples u."""
-    return tuple([sum([k * c for k, c in zip(multiplicities, column) if k])
-                  for column in zip(*components)])
+    if len(components[0]) == 1:
+        return (sum([k * d for k, (d,) in zip(multiplicities, components)]),)
+    a = b = 0
+    for k, (x, y) in zip(multiplicities, components):
+        a, b = a + k * x, b + k * y
+    return a, b
 
 
 def half(x):
@@ -175,7 +179,7 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
     def __mul__(self, k: int) -> "DivisorClass":
         if not isinstance(k, int):
             return NotImplemented
-        return _trusted(DivisorClass, (self.surface, compose((k,), (self.coeffs,))))
+        return _trusted(DivisorClass, (self.surface, tuple([k * c for c in self.coeffs])))
 
     __rmul__ = __mul__
 
