@@ -58,10 +58,9 @@ def _default_chi_max() -> int:
 
 def _parse_sweep(spec: str) -> dict[str, list[int]]:
     """Parse a sweep like 'm=2..8,n=4,6,8' into {'m': [...], 'n': [...]},
-    each the parameter's distinct values in increasing order.  Ranges must be
-    nonempty.  Neither a parameter's distinct values nor the number of
-    (m, n) combinations may exceed MAX_SWEEP_BUILDS; a range is checked
-    before it is added to the values."""
+    the distinct values in increasing order.  Ranges must be nonempty.
+    Neither a parameter's values nor the (m, n) combinations may exceed
+    MAX_SWEEP_BUILDS; a range is checked before it is added."""
     out: dict[str, set[int]] = {}
     current: str | None = None
     for token in spec.split(","):

@@ -13,17 +13,17 @@ three coordinate lines as the family's row says.  The row is a function of
 m giving each branch divisor as multiplicities of (line, negative section,
 third line, curve); each L is half a sum of them, and an odd half is
 refused.  Everything else is derived, on coefficient tuples with the ring
-layer of surfaces and covers, and once per m where m decides it.  A family
+layer of surfaces and covers, once per m where only m decides it.  A family
 with an m parameter (families 2 and 3) lives on F_m: the builder blows up
-the vertex where the first two lines cross (it is off the curve), which
-makes those lines fibers of F_1, and pulls back along the degree-m cyclic
-cover F_m -> F_1 branched over them.  A family without one lives on the plane, where the negative
-section is zero; family 1 is family 2's row at m = 1.  Each batch of seed
-points, on the first two lines or on the third, is placed by the row: it
-joins the curve's divisor if that divisor holds its line, meets each
-divisor holding its line if others do, and keeps away from them otherwise.
-The builder checks the intersection numbers that the transport rules rest
-on and certifies three things by integer arithmetic:
+the vertex where the first two lines cross (it is off the curve), making
+them fibers of F_1, and pulls back along the degree-m cyclic cover
+F_m -> F_1 branched over them.  A family without one lives on the plane,
+where the negative section is zero; family 1 is family 2's row at m = 1.
+Each batch of seed points, on the first two lines or on the third, is
+placed by the row: it joins the curve's divisor if that divisor holds its
+line, meets each divisor holding its line if others do, and keeps away
+from them otherwise.  The builder checks the intersection numbers that the
+transport rules rest on and certifies three things by integer arithmetic:
 
   match    the computed (K2, chi) equal the family's closed forms,
   ample    the class pulling back to (a multiple of) the canonical class

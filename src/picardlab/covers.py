@@ -143,8 +143,7 @@ def _invariants(data: CoverData, Ls, formulas: tuple, pairing_name: str) -> Surf
 
 
 def double_invariants(data: DoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the double cover (double_formulas); q vanishes for
-    every datum built in this package."""
+    """Invariants of the double cover (double_formulas)."""
     problems = validate_double(data)
     if problems:
         raise CoverDataError("; ".join(problems))
@@ -163,7 +162,7 @@ def bidouble_invariants(data: BidoubleCoverData) -> SurfaceInvariants:
 
 
 def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:
-    """pullback of a class on F_e, as a class on F_{de}.
+    """The class on F_{de} that a class on F_e pulls back to (pullback).
 
     The formula assumes the class has no branch fiber among its components;
     that is the caller's responsibility (the branch fibers themselves pull

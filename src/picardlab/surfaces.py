@@ -81,12 +81,10 @@ def plus(u: tuple, v: tuple) -> tuple:
 
 def compose(multiplicities, components) -> tuple:
     """The sum of k * u over the multiplicities k and the tuples u."""
-    if len(components[0]) == 1:
-        return (sum([k * d for k, (d,) in zip(multiplicities, components)]),)
     a = b = 0
-    for k, (x, y) in zip(multiplicities, components):
-        a, b = a + k * x, b + k * y
-    return a, b
+    for k, u in zip(multiplicities, components):
+        a, b = a + k * u[0], b + k * u[-1]
+    return (a, b) if len(components[0]) == 2 else (a,)
 
 
 def half(x):
