@@ -63,9 +63,6 @@ class BidoubleCoverData(namedtuple("BidoubleCoverData", "base L1 L2 L3 B1 B2 B3"
 CoverData = Union[DoubleCoverData, BidoubleCoverData]
 
 
-# The ring layer of the covers.
-
-
 def pullback(u: tuple, degree) -> tuple:
     """a*D0 + b*F on F_e pulled back along the degree-d cyclic cover
     F_{de} -> F_e branched over two fibers: a*D0 + d*b*F."""

@@ -1,10 +1,11 @@
 """Exact sparse polynomial arithmetic over the rationals.
 
-Polynomials are dictionaries from exponent tuples to int coefficients where
-integral and Fraction ones otherwise, never floats, so integer polynomials
-compute in plain integers and every division is exact.  Zero coefficients
-are never stored, so identity testing is plain dictionary equality.  One
-type, Poly, serves the whole package; it has a fixed number of variables:
+Polynomials are dictionaries from exponent tuples to int or Fraction
+coefficients, never floats; Poly(), the variables, scalars and the parsers
+store integral values as ints, so integer polynomials compute in plain
+integers, and every division is exact.  Zero coefficients are never stored,
+so identity testing is plain dictionary equality.  One type, Poly, serves
+the whole package; it has a fixed number of variables:
 
   two    curve germs in local coordinates, the symbolic identities of the
          geography, and binary forms, the restrictions of ternary forms to
