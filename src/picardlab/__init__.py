@@ -10,7 +10,6 @@ from .constructions import (
     build_theorem1,
     build_theorem2,
     build_theorem3,
-    closed_form_invariants,
 )
 from .covers import (
     BidoubleCoverData,
@@ -44,7 +43,6 @@ from .geography import (
     emit_figure,
     enumerate_set,
     set_relations_report,
-    slope,
     slope_limit_report,
 )
 from .polynomials import (
@@ -63,7 +61,6 @@ from .singularities import (
     SingInventory,
     SingType,
     TransportError,
-    h11,
     picard_lower_bound,
     resolution_curve_count,
     transport_bidouble,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from typing import Union
 
 from .covers import (
     BidoubleCoverData,
@@ -209,9 +208,6 @@ class DoubleBranchPoint(namedtuple("DoubleBranchPoint", "sing count origin")):
     @property
     def branch_type(self) -> SingType:
         return self.sing
-
-
-BranchPoint = Union[BidoubleBranchPoint, DoubleBranchPoint]
 
 
 class ConstructionReport(
@@ -549,8 +545,8 @@ FAMILIES = {
 THEOREMS = {family.theorem: family for family in FAMILIES.values() if family.theorem}
 
 
-def _theorem_family(theorem: int, n: int, m: int | None) -> tuple[Family, tuple[int, ...]]:
-    """The family of a theorem id and its parameter values in table order."""
+def build(theorem: int, *, n: int, m: int | None = None) -> ConstructionReport:
+    """Build and certify one member by theorem id."""
     family = THEOREMS.get(theorem)
     if family is None:
         raise ParameterError(f"unknown theorem id {theorem}")
@@ -559,20 +555,7 @@ def _theorem_family(theorem: int, n: int, m: int | None) -> tuple[Family, tuple[
         raise ParameterError(f"family {theorem} needs an m parameter")
     if not takes_m and m is not None:
         raise ParameterError(f"family {theorem} takes no m parameter")
-    return family, tuple({"m": m, "n": n}[p.name] for p in family.params)
-
-
-def closed_form_invariants(theorem: int, *, n: int, m: int | None = None) -> tuple[int, int]:
-    """The family's closed-form (K2, chi), after validating the parameters."""
-    family, values = _theorem_family(theorem, n, m)
-    family.check(*values)
-    return family.pair(*values)
-
-
-def build(theorem: int, *, n: int, m: int | None = None) -> ConstructionReport:
-    """Build and certify one member by theorem id."""
-    family, values = _theorem_family(theorem, n, m)
-    return _build(family, *values)
+    return _build(family, *[{"m": m, "n": n}[p.name] for p in family.params])
 
 
 def build_theorem1(n: int) -> ConstructionReport:

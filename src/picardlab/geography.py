@@ -95,11 +95,6 @@ def admissible(K2: int, chi: int) -> bool:
     return K2 >= 1 and chi >= 1 and K2 >= 2 * chi - 6 and K2 <= 9 * chi
 
 
-def slope(pair: GeoPair) -> Fraction:
-    """The exact slope K2 / chi."""
-    return Fraction(pair.K2, pair.chi)
-
-
 # ---------------------------------------------------------------------------
 # Severi-line convergence for family 2.
 

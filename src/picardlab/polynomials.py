@@ -371,7 +371,7 @@ class Poly:
         ints = {e: c.numerator * (den // c.denominator) for e, c in affine.coeffs.items()}
         dx, dy = (max((e[v] for e in ints), default=0) for v in (0, 1))
         s0, s1 = p0.denominator, p1.denominator
-        return Poly._wrap({(k, l): Fraction(b, den * s0 ** (dx - k) * s1 ** (dy - l))
+        return Poly._wrap({(k, l): _integral(Fraction(b, den * s0 ** (dx - k) * s1 ** (dy - l)))
                            for (k, l), b in _shift_rows(_shift_rows(ints, p0), p1).items()}, 2)
 
 

@@ -161,11 +161,6 @@ def picard_lower_bound(inventory: SingInventory, n_indep: int) -> int:
     return resolution_curve_count(inventory) + n_indep
 
 
-def h11(chi: int, K2: int, q: int) -> int:
-    """The Hodge number h^{1,1} = 10*chi - K2 - 2*q."""
-    return 10 * chi - K2 - 2 * q
-
-
 def union_type(branch: Optional[SingType], contact: int) -> SingType:
     """Singularity type of the union of a branch (smooth or A_k) with a second
     smooth curve through the point.

@@ -13,15 +13,15 @@ are ring expressions, on ints and Poly parameters alike; ampleness and
 sections (h0) take ints.  The records call them.  A divisor class checks its
 coefficients once, in its constructor: operator.index (a bool counts as its
 int, a float, Fraction or str is refused), one per basis class.  Sums,
-differences, multiples and halves of checked classes on one surface are
-trusted.  No floating point is used anywhere.
+differences and multiples of checked classes on one surface are trusted.
+A class has no halving of its own: the builder halves coefficient tuples
+and refuses an odd one.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 from operator import add, index
 
 PLANE = "P2"
@@ -181,16 +181,6 @@ class DivisorClass(namedtuple("DivisorClass", "surface coeffs")):
 
     __rmul__ = __mul__
 
-    def half(self) -> "DivisorClass":
-        """The class whose double is this one; ValueError if a coefficient
-        is odd."""
-        if [c for c in self.coeffs if c % 2]:
-            raise ValueError(f"{self} is not twice a class")
-        return _trusted(DivisorClass, (self.surface, tuple(map(half, self.coeffs))))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
     def __str__(self) -> str:
         if self.surface.kind == PLANE:
             d = self.coeffs[0]
@@ -212,9 +202,8 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
     return pairing(d1.surface.e, d1.coeffs, d2.coeffs)
 
 
-@cache
 def canonical_class(s: BaseSurface) -> DivisorClass:
-    """The canonical class as a record, made once per surface."""
+    """The canonical class of the surface."""
     return DivisorClass(s, canonical(s.e, s.rank))
 
 

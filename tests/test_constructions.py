@@ -20,7 +20,6 @@ from picardlab.constructions import (
     build_theorem1,
     build_theorem2,
     build_theorem3,
-    closed_form_invariants,
 )
 from picardlab.covers import (
     BidoubleCoverData,
@@ -40,21 +39,21 @@ from picardlab.surfaces import compose, half, hirzebruch, plus, projective_plane
 
 class TestClosedForms:
     def test_examples(self):
-        assert closed_form_invariants(1, n=2) == (1, 3)
-        assert closed_form_invariants(2, m=3, n=2) == (16, 11)
-        assert closed_form_invariants(3, m=2, n=4) == (24, 13)
+        assert FAMILIES["A1"].pair(2) == (1, 3)
+        assert FAMILIES["A2"].pair(3, 2) == (16, 11)
+        assert FAMILIES["A3"].pair(2, 4) == (24, 13)
 
     def test_constraints_named(self):
         with pytest.raises(ParameterError, match="n >= 2"):
-            closed_form_invariants(1, n=1)
+            build(1, n=1)
         with pytest.raises(ParameterError, match="even"):
-            closed_form_invariants(2, m=3, n=3)
+            build(2, m=3, n=3)
         with pytest.raises(ParameterError, match="m >= 3"):
-            closed_form_invariants(2, m=2, n=2)
+            build(2, m=2, n=2)
         with pytest.raises(ParameterError, match="n even and >= 4"):
-            closed_form_invariants(3, m=2, n=2)
-        with pytest.raises(ParameterError):
-            closed_form_invariants(4, n=2)
+            build(3, m=2, n=2)
+        with pytest.raises(ParameterError, match="unknown theorem id"):
+            build(4, n=2)
 
 
 class TestFamily1:
@@ -123,7 +122,7 @@ class TestFamily2:
     def test_even_and_odd_branch_data_shapes(self):
         even = build_theorem2(4, 2).building_data
         odd = build_theorem2(3, 2).building_data
-        assert isinstance(even, BidoubleCoverData) and even.B1.is_zero()
+        assert isinstance(even, BidoubleCoverData) and not any(even.B1.coeffs)
         assert odd.B1 == hirzebruch(3).divisor(0, 1) == odd.B2
 
 

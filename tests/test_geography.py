@@ -8,7 +8,6 @@ import pytest
 from picardlab import geography
 from picardlab.constructions import FAMILIES
 from picardlab.geography import (
-    GeoPair,
     RELAXED,
     REFUTED,
     VERIFIED,
@@ -17,7 +16,6 @@ from picardlab.geography import (
     emit_figure,
     enumerate_set,
     set_relations_report,
-    slope,
     slope_limit_report,
 )
 from picardlab.polynomials import Poly
@@ -65,11 +63,6 @@ class TestAdmissible:
 
 
 class TestSlope:
-    def test_examples(self):
-        assert slope(GeoPair(11, 16, "A2", (("m", 3), ("n", 2)))) == Fraction(16, 11)
-        assert slope(GeoPair(13, 24, "A3", (("m", 2), ("n", 4)))) == Fraction(24, 13)
-        assert slope(GeoPair(1, 4, "A2", ())) == 4
-
     def test_a2_slopes_below_severi(self):
         for p in enumerate_set("A2", 2000):
             assert 4 * p.chi - p.K2 > 0

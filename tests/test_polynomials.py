@@ -394,11 +394,15 @@ class TestExactCoefficients:
         st.dictionaries(st.integers(0, 3), _COEFFS, min_size=1, max_size=4),
         st.fractions(min_value=-3, max_value=3, max_denominator=4),
     )
+    @example(row={0: -1, 1: 1}, p1=Fraction(0))
     def test_localize_never_makes_a_float(self, row, p1):
         # X0 * h vanishes on X0 = 0, so (0 : p1 : 1) lies on the curve.
+        # Integral coefficients are stored as ints, as Poly stores them.
         h = Poly({(i, 3 - i, 0) if i % 2 else (i, 0, 3 - i): c for i, c in row.items()}, 3)
         form = Poly.variable(0, 3) * (h + Poly({(0, 3, 0): 1}, 3))
-        assert _exact(form.localize((0, p1, 1), 2).coeffs)
+        local = form.localize((0, p1, 1), 2)
+        assert _exact(local.coeffs)
+        assert all(_stored(c) for c in local.coeffs.values()), local
 
     @settings(max_examples=100, deadline=None, database=None)
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5)), min_size=1, max_size=5))

@@ -1,4 +1,5 @@
-"""The record classes: their fields, their slots, and their checks.
+"""The record classes: their fields, their slots, and their checks; and the
+package's public names.
 
 Every record is a collections.namedtuple subclass.  ConstructionReport's
 JSON writer reads the building data's fields in sorted order, and the
@@ -123,3 +124,29 @@ def test_replace_runs_the_check(record, bad):
     assert record._replace() == record
     with pytest.raises(ValueError):
         record._replace(**bad)
+
+
+# Every name that `from picardlab import *` gives, the modules that the
+# package's imports bind among them, so adding or removing an export shows
+# up here.
+PUBLIC_NAMES = [
+    "A", "BaseSurface", "BidoubleBranchPoint", "BidoubleCoverData", "ConstructionReport",
+    "CorankAtLeastTwo", "CoverDataError", "CurveSingularityReport", "CyclicBranchPoint", "D",
+    "DegenerateGermError", "DivisorClass", "DoubleCoverData", "E", "GeoPair", "JetBoundError",
+    "ParameterError", "PointOffCurveError", "Poly", "PolyParseError", "SET_LABELS",
+    "SeedCertificate", "SingInventory", "SingType", "Smooth", "SurfaceInvariants",
+    "SurfaceMismatchError", "TransportError", "admissible", "bidouble_invariants", "build",
+    "build_theorem1", "build_theorem2", "build_theorem3", "canonical_ample_check",
+    "canonical_class", "classify", "classify_ak", "constructions", "covers", "curves",
+    "cyclic_pullback_class", "double_invariants", "emit_figure", "enumerate_set", "figures",
+    "geography", "h0", "hirzebruch", "intersect", "is_ample", "parse_local_poly",
+    "parse_ternary_form", "picard_lower_bound", "polynomials", "projective_plane",
+    "resolution_curve_count", "seed_certificate", "seed_curve", "set_relations_report",
+    "singular_points_report", "singularities", "slope_limit_report", "surfaces",
+    "transport_bidouble", "transport_cyclic", "transport_double", "union_type",
+    "validate_bidouble", "validate_double",
+]
+
+
+def test_public_names_are_pinned():
+    assert picardlab.__all__ == PUBLIC_NAMES

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from picardlab.covers import SurfaceInvariants
 from picardlab.singularities import (
     A,
     BidoubleBranchPoint,
@@ -14,7 +15,6 @@ from picardlab.singularities import (
     SingInventory,
     SingType,
     TransportError,
-    h11,
     picard_lower_bound,
     resolution_curve_count,
     transport_bidouble,
@@ -110,9 +110,13 @@ def test_picard_lower_bound_examples():
 
 
 def test_h11_examples():
-    assert h11(3, 1, 0) == 29
-    assert h11(11, 16, 0) == 94
-    assert h11(1, 9, 0) == 1
+    # SurfaceInvariants holds h11 to 10*chi - K2 - 2q, the number that the
+    # Picard lower bound is compared with.
+    for chi, K2, q, h11 in ((3, 1, 0, 29), (11, 16, 0, 94), (1, 9, 0, 1)):
+        assert SurfaceInvariants(K2, chi, chi - 1 + q, q, h11).h11 == h11
+        for wrong in (h11 - 1, h11 + 1):
+            with pytest.raises(ValueError, match="inconsistent invariants: h11="):
+                SurfaceInvariants(K2, chi, chi - 1 + q, q, wrong)
 
 
 class TestUnionType:

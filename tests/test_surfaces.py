@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from picardlab.constructions import ParameterError, _halve
 from picardlab.surfaces import (
     BaseSurface,
     DivisorClass,
@@ -96,14 +97,15 @@ def test_arithmetic_results_are_int_classes_on_the_same_surface():
 
 
 def test_half_is_the_class_whose_double_it_is():
+    # The builder halves coefficient tuples; an odd coefficient is refused.
     f3 = hirzebruch(3)
     for d in (f3.divisor(4, -6), f3.divisor(0, 0), P2.divisor(-8), f3.divisor(2, 2)):
-        half = d.half()
-        assert 2 * half == d and half.surface == d.surface
-        assert type(half) is DivisorClass and all(type(c) is int for c in half.coeffs)
+        half = _halve(d.surface, "B", d.coeffs)
+        assert 2 * d.surface.divisor(*half) == d
+        assert len(half) == d.surface.rank and all(type(c) is int for c in half)
     for d in (f3.divisor(3, 8), f3.divisor(2, -7), P2.divisor(1)):
-        with pytest.raises(ValueError, match="is not twice a class"):
-            d.half()
+        with pytest.raises(ParameterError, match=r"^validate: B = .* is not twice a class$"):
+            _halve(d.surface, "B", d.coeffs)
 
 
 def test_canonical_classes():
