@@ -3,6 +3,8 @@ constructions and the geography of their numerical invariants."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .constructions import (
     ConstructionReport,
     ParameterError,
@@ -80,4 +82,5 @@ from .surfaces import (
     projective_plane,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported names, without the submodules that the imports bind.
+__all__ = [n for n, v in sorted(globals().items()) if n[0] != "_" and not isinstance(v, _Module)]

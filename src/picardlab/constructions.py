@@ -34,7 +34,7 @@ transport rules rest on and certifies three things by integer arithmetic:
 A failed check raises ParameterError naming its stage and numbers, so none
 is lost under python -O.  The seed curve's singular points (3n points of
 type A_{n-1}, n on each coordinate line) and the fact that it misses the
-coordinate vertices come from curves.seed_certificate.
+coordinate vertices come from curves.seed_proof, proved once for every n.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .covers import (
     cyclic_pullback_class,
     double_invariants,
 )
-from .curves import seed_certificate
+from .curves import seed_proof
 from .singularities import (
     BidoubleBranchPoint,
     SingInventory,
@@ -369,19 +369,20 @@ def _inventory_text(inventory: SingInventory, pad: str) -> str:
     ], pad)
 
 
-@functools.lru_cache(maxsize=None)
 def _certified_seed(n: int) -> tuple[SingType, int]:
     """The seed curve's singular type and its number of points on each
-    coordinate line, as its certificate proves them.  Every member of a
-    family with this n shares the seed, so it is certified once per n; a
-    failed certificate raises and is not kept.  An entry holds only the two
-    values, and a sweep has at most MAX_SWEEP_BUILDS distinct n."""
-    certificate = seed_certificate(n)
-    if not certificate.ok:
+    coordinate line at n, read off its certificate, which is proved once
+    for every n (curves.seed_proof).  A failed proof raises, naming its
+    stages, and is not kept."""
+    if n < 2:
+        raise ValueError(f"the seed curve needs n >= 2, got {n}")
+    proof = seed_proof()
+    if proof.failures:
+        seed_proof.cache_clear()
         raise ParameterError(
-            f"the seed curve certificate fails at n={n}: {', '.join(certificate.failures)}"
+            f"the seed curve certificate fails at n={n}: {', '.join(proof.failures)}"
         )
-    return certificate.singularity, certificate.points_per_line
+    return proof.singularity(n), proof.points_per_line(n)
 
 
 def _halve(base, name: str, u: tuple) -> tuple:

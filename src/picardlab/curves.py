@@ -6,9 +6,9 @@ The seed curve of parameter n is the degree-2n plane curve
     C_n = Q(X0^n, X1^n, X2^n),   Q(u, v, w) = (u + v + w)^2 - 4*(uv + uw + vw),
 
 that is (X0^n + X1^n + X2^n)^2 - 4*((X0*X1)^n + (X0*X2)^n + (X1*X2)^n).
-seed_certificate(n) proves, for every n >= 2 and in a number of exact steps
-that does not grow with n, that its singular points are exactly 3n points
-of type A_{n-1}, n on each coordinate line and transversal to it.
+seed_proof() proves once, with n symbolic, that for every n >= 2 its
+singular points are exactly 3n points of type A_{n-1}, n on each
+coordinate line and transversal to it; seed_certificate(n) reads it at n.
 
 singular_points_report(n) is the independent laboratory check for
 2 <= n <= 63, the range in which the jet cap decides A_{n-1}: it expands
@@ -209,7 +209,14 @@ def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The seed-curve certificate: O(1) exact stages for every n.
+# The seed-curve certificate, proved once for symbolic n on the domain
+# n = 2 + N, N >= 0.  A polynomial in symbolic n is a dict from exponent
+# tuples to coefficients: each exponent is an affine form a*n + b, kept as
+# the pair (a, b), and each coefficient is a Poly in N, whose sign on the
+# domain Poly.nonnegative reads off, as for polynomials.domain_variables.
+
+_SYMBOLIC_N = 2 + Poly.variable(0)
+_POWER_N, _POWER_1 = (1, 0), (0, 1)  # x -> x^n and x -> x
 
 
 def _conic(u, v, w):
@@ -217,14 +224,55 @@ def _conic(u, v, w):
     return (u + v + w) ** 2 - 4 * (u * v + u * w + v * w)
 
 
-def _normal_form_type(f: Poly) -> Optional[SingType]:
-    """A_{k-1} when f is a*y^2 + c*x^k with a, c nonzero and k >= 2, the
-    normal form of that germ; None for any other polynomial."""
-    others = [e for e in f.coeffs if e != (0, 2)]
-    if (0, 2) not in f.coeffs or len(others) != 1:
+def _affine(form: tuple[int, int]) -> Poly:
+    """The exponent a*n + b as a Poly in N."""
+    return form[0] * _SYMBOLIC_N + form[1]
+
+
+def _nonzero(c: Poly) -> bool:
+    """Whether the Poly c in N has one strict sign on the whole domain."""
+    return c.nonnegative(strict=True) or (-c).nonnegative(strict=True)
+
+
+def _collect(terms) -> dict:
+    """The polynomial in symbolic n summing these (exponent, coefficient) terms."""
+    out: dict = {}
+    for e, c in terms:
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _pull(f: Poly, powers: tuple) -> dict:
+    """f at (x_i^(a_i*n + b_i)) for the affine powers (a_i, b_i)."""
+    return {tuple((k * a, k * b) for k, (a, b) in zip(e, powers)): Poly({(0, 0): c})
+            for e, c in f.coeffs.items()}
+
+
+def _times(f: dict, g: dict) -> dict:
+    return _collect((tuple((a + c, b + d) for (a, b), (c, d) in zip(e, h)), u * v)
+                    for e, u in f.items() for h, v in g.items())
+
+
+def _partial(f: dict, i: int) -> dict:
+    return _collect((e[:i] + ((e[i][0], e[i][1] - 1),) + e[i + 1:], c * _affine(e[i]))
+                    for e, c in f.items())
+
+
+def _at(f: dict, n: int, nvars: int) -> Poly:
+    """The polynomial in symbolic n at this n."""
+    return sum((Poly({tuple(a * n + b for a, b in e): c(n - 2, 0)}, nvars)
+                for e, c in f.items()), Poly({}, nvars))
+
+
+def _normal_form_index(f: dict) -> Optional[tuple[int, int]]:
+    """k - 1, as an affine form, when the polynomial f in symbolic n is
+    a*y^2 + c*x^k with a and c nonzero and k >= 2 on the whole domain, the
+    normal form of A_{k-1}; None for any other polynomial."""
+    others = [e for e in f if e != ((0, 0), (0, 2))]
+    if len(f) != 2 or len(others) != 1 or not all(map(_nonzero, f.values())):
         return None
-    k, j = others[0]
-    return A(k - 1) if j == 0 and k >= 2 else None
+    (a, b), j = others[0]
+    return (a, b - 1) if j == (0, 0) and (_affine((a, b)) - 2).nonnegative() else None
 
 
 def _show(value) -> str:
@@ -272,48 +320,35 @@ class SeedCertificate(namedtuple("SeedCertificate", "n stages singularity points
         return next(stage for stage in self.stages if stage.name == name)
 
 
+class SeedProof(namedtuple("SeedProof", "stages singularity points_per_line")):
+    """The seed-curve certificate proved for symbolic n: SeedCertificate's
+    stages, each holding the function n -> its values in place of the
+    values, and the singular type and points per line as functions of n."""
+
+    __slots__ = ()
+    failures = SeedCertificate.failures
+
+    def at(self, n: int) -> SeedCertificate:
+        stages = tuple(stage._replace(values=stage.values(n)) for stage in self.stages)
+        return SeedCertificate(n, stages, self.singularity(n), self.points_per_line(n))
+
+
 @functools.lru_cache(maxsize=None)
-def _conic_facts() -> tuple:
-    """The facts about Q that do not depend on n, computed once per process:
-    Q, its Hessian determinant, its values at the coordinate vertices, Q on
-    the line X2 = 0 and whether Q is the square of the difference of the
-    other two coordinates on every coordinate line, Q near the tangency
-    point (1:1:0), whether it is (x + y)^2 - 4x there and its completed
-    square y^2 - 4x, and whether Q is symmetric in its three arguments."""
-    x0, x1, x2 = (Poly.variable(i, 3) for i in range(3))
-    q = _conic(x0, x1, x2)
-    (a, b, c), (d, e, f), (g, h, i) = (
-        [q.partial(r).partial(s).constant_term for s in range(3)] for r in range(3)
-    )
-    hessian_determinant = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    # The vertices' coordinates are 0 and 1, their own n-th powers, so C_n
-    # takes the same values there as Q.
-    vertices = tuple(q(*vertex) for vertex in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    on_lines = tuple(q.restrict(index) for index in range(3))
-    tangent = all(line == (_X - _Y) ** 2 for line in on_lines)
-    # Chart X0 = 1 at (1:1:0) with u = 1, v = 1 - y, w = x.
-    local = _conic(1, 1 - _Y, _X)
-    local_ok = local == (_X + _Y) ** 2 - 4 * _X
-    completed = substitute(local, _X, _Y - _X)
-    # Two transpositions generate the symmetric group.
-    symmetric = _conic(x1, x0, x2) == q and _conic(x0, x2, x1) == q
-    return (q, hessian_determinant, vertices, on_lines[2], tangent, local, local_ok,
-            completed, symmetric)
-
-
-def seed_certificate(n: int) -> SeedCertificate:
-    """Certify the singular points of the seed curve C_n, for any n >= 2.
+def seed_proof() -> SeedProof:
+    """Prove the certificate of the seed curve C_n once, for every n >= 2.
 
     Each stage is a fixed number of exact operations on polynomials of at
-    most six terms, whatever n is; the curve is never expanded.
+    most six terms, with n symbolic; the curve is never expanded.  A stage
+    holds only if its facts hold at every n >= 2.
 
       smooth conic            Q has nonzero Hessian determinant.
       vertices                C_n is nonzero at the three coordinate
                               vertices.
       tangency                Q is (u - v)^2 on each coordinate line, so C_n
-                              is (u^n - v^n)^2 there; t^n - 1 is prime to its
-                              derivative, so each line carries n distinct
-                              points of C_n.
+                              is (u^n - v^n)^2 there; n*(t^n - 1) minus
+                              t*(n*t^(n-1)) is a nonzero constant, so t^n - 1
+                              is prime to its derivative, and each line
+                              carries n distinct points of C_n.
       etale off the triangle  the power map X -> X^n has Jacobian
                               determinant n^3*(X0*X1*X2)^(n-1), so C_n is
                               smooth off X0*X1*X2 = 0, as the conic is.
@@ -328,71 +363,92 @@ def seed_certificate(n: int) -> SeedCertificate:
                               symmetric, so the same holds on the other two
                               lines.
     """
-    if n < 2:
-        raise ValueError(f"the seed curve needs n >= 2, got {n}")
-    (q, hessian_determinant, vertices, q_line, tangent, q_local, local_ok, completed,
-     symmetric) = _conic_facts()
-    curve = q.power_pullback((n, n, n))
+    x0, x1, x2 = (Poly.variable(i, 3) for i in range(3))
+    q = _conic(x0, x1, x2)
+    (a, b, c), (d, e, f), (g, h, i) = (
+        [q.partial(r).partial(s).constant_term for s in range(3)] for r in range(3)
+    )
+    hessian_determinant = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    # The vertices' coordinates are 0 and 1, their own n-th powers, so C_n
+    # takes the same values there as Q.
+    vertices = tuple(q(*vertex) for vertex in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
-    # Q = (u - v)^2 on a line gives C_n = (u^n - v^n)^2 there, whose roots
-    # are those of t^n - 1.  One Euclid step: t^n - 1 - (t/n)*(n*t^(n-1)) is
-    # a nonzero constant, so t^n - 1 is prime to its derivative and has n
-    # distinct roots.
-    t_root = _X.power_pullback((n, 1)) - 1
-    remainder = t_root - Poly({(1, 0): Fraction(1, n)}) * t_root.partial(0)
-    points_per_line = t_root.degree()
+    on_lines = tuple(q.restrict(index) for index in range(3))
+    curve_line = _pull(on_lines[2], (_POWER_N, _POWER_N))
+    t_root = _pull(_X - 1, (_POWER_N, _POWER_1))
+    step = _times(_pull(_X, (_POWER_1, _POWER_1)), _partial(t_root, 0))
+    n_remainder = _collect([*((e, _SYMBOLIC_N * c) for e, c in t_root.items()),
+                            *((e, -c) for e, c in step.items())])
+    points = max(e[0] for e in t_root)
+    tangency_ok = (
+        all(line == (_X - _Y) ** 2 for line in on_lines)
+        and list(n_remainder) == [((0, 0), (0, 0))] and _nonzero(n_remainder[(0, 0), (0, 0)])
+        and all((_affine(points) - _affine(e[0])).nonnegative() for e in t_root)
+    )
 
     # Each coordinate of the power map depends on one variable only, so its
     # Jacobian matrix is diagonal.
-    power_map = [Poly.variable(i, 3).power_pullback((n, n, n)) for i in range(3)]
-    jacobian = power_map[0].partial(0) * power_map[1].partial(1) * power_map[2].partial(2)
+    diagonal = [_partial(_pull(Poly.variable(i, 3), (_POWER_N,) * 3), i) for i in range(3)]
+    jacobian = _times(_times(diagonal[0], diagonal[1]), diagonal[2])
+    torus = all(b == 0 for e in _pull(q, (_POWER_N,) * 3) for _, b in e)
 
-    torus = curve.exponents_divisible_by(n)
+    # Chart X0 = 1 at (1:1:0) with u = 1, v = 1 - y, w = x.
+    local = _conic(1, 1 - _Y, _X)
+    completed = substitute(local, _X, _Y - _X)
+    normal_form = _pull(completed, (_POWER_N, _POWER_1))
+    index = _normal_form_index(normal_form)
+    # The tangent cone avoids the line X2 = 0, that is x = 0, when y^2 has the
+    # least degree and a nonzero coefficient, and no other term is in y alone.
+    y2 = ((0, 0), (0, 2))
+    transversal = _nonzero(normal_form.get(y2, Poly())) and all(
+        e == y2 or (_affine(e[0]).nonnegative(strict=True)
+                    and (_affine(e[0]) + _affine(e[1]) - 2).nonnegative())
+        for e in normal_form
+    )
+    # Two transpositions generate the symmetric group.
+    symmetric = _conic(x1, x0, x2) == q and _conic(x0, x2, x1) == q
 
-    normal_form = completed.power_pullback((n, 1))
-    singularity = _normal_form_type(normal_form)
-    # The line X2 = 0 is x = 0, running along the y-direction.
-    transversal = tangent_cone_avoids(normal_form, (0, 1))
+    def singularity(n: int) -> Optional[SingType]:
+        return None if index is None else A(index[0] * n + index[1])
+
+    def points_per_line(n: int) -> int:
+        return points[0] * n + points[1]
 
     stages = (
-        Stage(
-            "smooth conic",
-            (("determinant", hessian_determinant),),
-            hessian_determinant != 0,
-            "Hessian determinant of Q = {determinant}",
-        ),
-        Stage(
-            "vertices",
-            (("values", vertices),),
-            all(vertices),
-            "Q = C = {values} at (1:0:0), (0:1:0), (0:0:1)",
-        ),
-        Stage(
-            "tangency",
-            (("conic", q_line), ("curve", q_line.power_pullback((n, n))),
-             ("remainder", remainder), ("points", points_per_line)),
-            tangent and remainder.degree() == 0,
-            "Q = {conic} and C = {curve} on each coordinate line; "
-            "t^n - 1 - (t/n)*(n*t^(n-1)) = {remainder}, so {points} contact points per line",
-        ),
-        Stage(
-            "etale off the triangle",
-            (("jacobian", jacobian), ("torus", torus)),
-            list(jacobian.coeffs) == [(n - 1,) * 3] and torus,
-            "Jacobian determinant of the power map = {jacobian}; "
-            "torus exponent divisibility: {torus}",
-        ),
-        Stage(
-            "local normal form",
-            (("conic", q_local), ("completed", completed), ("curve", normal_form),
-             ("type", singularity), ("transversal", transversal), ("symmetric", symmetric)),
-            local_ok and singularity is not None and transversal and symmetric,
-            "Q(1, 1 - y, x) = {conic} at (1:1:0), {completed} after y -> y - x; "
-            "with x -> x^n the curve is {curve} -> {type}, transversal: {transversal}; "
-            "Q symmetric: {symmetric}",
-        ),
+        Stage("smooth conic", lambda n: (("determinant", hessian_determinant),),
+              hessian_determinant != 0, "Hessian determinant of Q = {determinant}"),
+        Stage("vertices", lambda n: (("values", vertices),), all(vertices),
+              "Q = C = {values} at (1:0:0), (0:1:0), (0:0:1)"),
+        Stage("tangency",
+              lambda n: (("conic", on_lines[2]), ("curve", _at(curve_line, n, 2)),
+                         ("remainder", _at(n_remainder, n, 2) * Fraction(1, n)),
+                         ("points", points_per_line(n))),
+              tangency_ok,
+              "Q = {conic} and C = {curve} on each coordinate line; t^n - 1 - (t/n)*(n*t^(n-1))"
+              " = {remainder}, so {points} contact points per line"),
+        Stage("etale off the triangle",
+              lambda n: (("jacobian", _at(jacobian, n, 3)), ("torus", torus)),
+              list(jacobian) == [((1, -1),) * 3] and _nonzero(*jacobian.values()) and torus,
+              "Jacobian determinant of the power map = {jacobian}; "
+              "torus exponent divisibility: {torus}"),
+        Stage("local normal form",
+              lambda n: (("conic", local), ("completed", completed),
+                         ("curve", _at(normal_form, n, 2)), ("type", singularity(n)),
+                         ("transversal", transversal), ("symmetric", symmetric)),
+              local == (_X + _Y) ** 2 - 4 * _X and index is not None and transversal and symmetric,
+              "Q(1, 1 - y, x) = {conic} at (1:1:0), {completed} after y -> y - x; "
+              "with x -> x^n the curve is {curve} -> {type}, transversal: {transversal}; "
+              "Q symmetric: {symmetric}"),
     )
-    return SeedCertificate(n, stages, singularity, points_per_line)
+    return SeedProof(stages, singularity, points_per_line)
+
+
+def seed_certificate(n: int) -> SeedCertificate:
+    """Certify the singular points of the seed curve C_n, for any n >= 2:
+    the stages of seed_proof with their values at n."""
+    if n < 2:
+        raise ValueError(f"the seed curve needs n >= 2, got {n}")
+    return seed_proof().at(n)
 
 
 # Rational representatives of the singular points, one per coordinate line,

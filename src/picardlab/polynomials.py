@@ -268,16 +268,6 @@ class Poly:
         coordinates is >= 0 (> 0).  False leaves the sign undecided."""
         return all(c >= 0 for c in self.coeffs.values()) and not (strict and self.constant_term <= 0)
 
-    def power_pullback(self, powers: tuple[int, ...]) -> "Poly":
-        """The polynomial at (x0^p0, x1^p1, ...) for positive powers
-        (p0, p1, ...): every exponent scaled, no arithmetic."""
-        if len(powers) != self.nvars or min(powers) < 1:
-            raise ValueError(f"expected {self.nvars} positive powers, got {powers}")
-        return Poly._wrap(
-            {tuple(k * p for k, p in zip(e, powers)): c for e, c in self.coeffs.items()},
-            self.nvars,
-        )
-
     def to_text(self) -> str:
         names = ("x", "y") if self.nvars == 2 else tuple(f"X{i}" for i in range(self.nvars))
         return _render_terms(self.sorted_terms(), names)

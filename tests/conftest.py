@@ -17,3 +17,12 @@ def jet_bounds(monkeypatch):
 
     monkeypatch.setattr(curves, "classify_ak", recording)
     return bounds
+
+
+@pytest.fixture
+def fresh_seed_proof():
+    """The process's seed proof, cleared before and after the test, so a
+    test that breaks the proof for a moment leaves no broken proof behind."""
+    curves.seed_proof.cache_clear()
+    yield curves.seed_proof
+    curves.seed_proof.cache_clear()

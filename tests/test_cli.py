@@ -110,6 +110,24 @@ def peak_rss_mb(*argv):
     return code, maxrss / (2**20 if sys.platform == "darwin" else 2**10), result.stderr
 
 
+# Breaks of the seed proof, each applied through a monkeypatch.
+def _changed_conic_coefficient(patch):
+    # 5 in place of 4: Q is still smooth, but no longer tangent to the lines.
+    patch.setattr(curves, "_conic", lambda u, v, w: (u + v + w) ** 2 - 5 * (u * v + u * w + v * w))
+
+
+def _off_by_one_pullback(patch):
+    # x -> x^(n+1) in place of x^n.
+    pull = curves._pull
+    patch.setattr(curves, "_pull", lambda f, powers: pull(f, tuple((a, b + a) for a, b in powers)))
+
+
+def _extra_normal_form_term(patch):
+    # x*y added to the completed square y^2 - 4x, the proof's one substitute call.
+    sub = curves.substitute
+    patch.setattr(curves, "substitute", lambda *args: sub(*args) + curves._X * curves._Y)
+
+
 class TestVerifyTheorem:
     def test_single_success(self, capsys):
         code, out, _ = run(capsys, "verify-theorem", "1", "--n", "2")
@@ -287,17 +305,25 @@ class TestVerifyTheorem:
         assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
         assert [r["maximal"] for r in payload["reports"]] == [True, False, False]
 
-    def test_a_sweep_certifies_the_seed_once_per_n(self, capsys, monkeypatch):
-        calls = []
-        original = constructions.seed_certificate
-        monkeypatch.setattr(
-            constructions, "seed_certificate", lambda n: calls.append(n) or original(n)
-        )
-        constructions._certified_seed.cache_clear()
-        code, out, _ = run(capsys, "verify-theorem", "2", "--sweep", "m=3..6,n=2,4,6")
-        assert code == 0 and "certified 12 construction(s)" in out
-        assert calls == [2, 4, 6]
-        assert constructions._certified_seed.cache_info().currsize == 3
+    def test_a_sweep_proves_the_seed_certificate_once(self, capsys, fresh_seed_proof):
+        code, out, _ = run(capsys, "verify-theorem", "1", "--sweep", "n=2..10001")
+        assert code == 0 and "certified 10000 construction(s)" in out
+        assert fresh_seed_proof.cache_info().misses == 1
+
+    @pytest.mark.parametrize("mutation, failures", [
+        (_changed_conic_coefficient, ("tangency", "local normal form")),
+        (_off_by_one_pullback, ("tangency", "etale off the triangle")),
+        (_extra_normal_form_term, ("local normal form",)),
+    ])
+    def test_a_broken_proof_names_its_stage(
+        self, capsys, monkeypatch, fresh_seed_proof, mutation, failures
+    ):
+        mutation(monkeypatch)
+        assert fresh_seed_proof().failures == failures
+        fresh_seed_proof.cache_clear()
+        code, out, err = run(capsys, "verify-theorem", "1", "--n", "4")
+        assert (code, out) == (2, "")
+        assert err == f"usage error: the seed curve certificate fails at n=4: {', '.join(failures)}\n"
 
     def test_sweep_json_is_json_dumps_of_the_reports(self, capsys, tmp_path):
         # The sweep sizes of CERTIFY_SWEEPS in perfbench/workloads.py.

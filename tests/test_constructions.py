@@ -1,6 +1,7 @@
 """The family pipeline rows, the builder that reads them and their
 certificates."""
 
+import functools
 import json
 import os
 import subprocess
@@ -440,41 +441,37 @@ def test_building_data_is_validated_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_families_build_without_expanding_the_seed_curve(monkeypatch):
+def test_families_build_without_expanding_the_seed_curve(monkeypatch, fresh_seed_proof):
     def expand(n):
         raise AssertionError(f"seed_curve({n}) was expanded")
 
     monkeypatch.setattr(curves, "seed_curve", expand)
-    constructions._certified_seed.cache_clear()
     reports = (build_theorem1(5), build_theorem2(3, 4), build_theorem2(4, 6), build_theorem3(2, 8))
     assert all(report.certified() for report in reports)
 
 
-def test_a_failing_certificate_stage_stops_the_build(monkeypatch):
-    def broken(n):
-        certificate = curves.seed_certificate(n)
-        stages = tuple(
+def test_a_failing_certificate_stage_stops_the_build(monkeypatch, fresh_seed_proof):
+    @functools.cache
+    def broken():
+        proof = curves.seed_proof()
+        return proof._replace(stages=tuple(
             stage._replace(ok=False) if stage.name == "vertices" else stage
-            for stage in certificate.stages
-        )
-        return certificate._replace(stages=stages)
+            for stage in proof.stages
+        ))
 
-    monkeypatch.setattr(constructions, "seed_certificate", broken)
-    constructions._certified_seed.cache_clear()
+    monkeypatch.setattr(constructions, "seed_proof", broken)
     for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 4}), (3, {"m": 2, "n": 4})):
-        with pytest.raises(ParameterError, match="certificate fails at n=4: vertices"):
+        with pytest.raises(ParameterError, match="certificate fails at n=4: vertices$"):
             build(theorem, **params)
 
 
-def test_failed_seed_certificate_is_not_memoised(monkeypatch):
-    def broken(n):
-        certificate = curves.seed_certificate(n)
-        return certificate._replace(stages=tuple(s._replace(ok=False) for s in certificate.stages))
-
+def test_failed_seed_certificate_is_not_memoised(monkeypatch, fresh_seed_proof):
+    # Q with 5 in place of 4 is still smooth, but not tangent to the lines.
     with monkeypatch.context() as patch:
-        patch.setattr(constructions, "seed_certificate", broken)
-        constructions._certified_seed.cache_clear()
-        with pytest.raises(ParameterError, match="certificate fails at n=4"):
+        patch.setattr(
+            curves, "_conic", lambda u, v, w: (u + v + w) ** 2 - 5 * (u * v + u * w + v * w)
+        )
+        with pytest.raises(ParameterError, match="certificate fails at n=4: tangency"):
             build(1, n=4)
     assert build(1, n=4).certified()
 

@@ -9,17 +9,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import _classify_oracle
+import _seed_oracle
 import pytest
 from _classify_oracle import classify_ak as oracle_classify_ak
 
-from picardlab import curves
+from picardlab import constructions, curves
 from picardlab.curves import (
     JET_BOUND_CAP,
     CorankAtLeastTwo,
     DegenerateGermError,
     JetBoundError,
     Smooth,
-    _normal_form_type,
+    _normal_form_index,
+    _pull,
     classify,
     classify_ak,
     seed_certificate,
@@ -356,10 +358,25 @@ class TestSeedCertificate:
             seed_certificate(1)
 
     def test_type_read_off_the_normal_form(self):
-        assert _normal_form_type(parse_local_poly("y^2 - 4*x^7")) == A(6)
-        assert _normal_form_type(parse_local_poly("2*y^2 + 3*x^2")) == A(1)
+        def index(text, powers=((0, 1), (0, 1))):
+            return _normal_form_index(_pull(parse_local_poly(text), powers))
+
+        # Exponents fixed (x -> x), then y^2 - 4x^n for every n: A_{n-1}.
+        assert index("y^2 - 4*x^7") == (0, 6)
+        assert index("2*y^2 + 3*x^2") == (0, 1)
+        assert index("y^2 - 4*x", ((1, 0), (0, 1))) == (1, -1)
+        # x^(n-1) is x^1 at n = 2, so the form is not A-type at every n.
+        assert index("y^2 - 4*x", ((1, -1), (0, 1))) is None
         for text in ("y^2", "y^2 + x", "y^2 + x*y", "y^2 + x^3 + x^4", "x^2 + y^3"):
-            assert _normal_form_type(parse_local_poly(text)) is None
+            assert index(text) is None
+
+    def test_the_proof_at_n_is_the_per_n_certificate(self):
+        for n in (*range(2, 301), 10**6, 10**12):
+            certificate, expected = seed_certificate(n), _seed_oracle.seed_certificate(n)
+            assert certificate == expected and certificate.ok, n
+            assert list(map(str, certificate.stages)) == list(map(str, expected.stages))
+            assert (certificate.singularity, certificate.points_per_line) == (A(n - 1), n)
+            assert constructions._certified_seed(n) == (A(n - 1), n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -153,17 +153,6 @@ class TestHomPoly:
         assert (germ - germ).degree() == -1
         assert form(2, 5, 7) == 2
 
-    def test_power_pullback(self):
-        f = parse_local_poly("3*x^2*y - y + 1")
-        pulled = f.power_pullback((5, 2))
-        assert pulled == parse_local_poly("3*x^10*y^2 - y^2 + 1")
-        for point in ((2, 3), (Fraction(1, 2), -1)):
-            assert pulled(*point) == f(point[0] ** 5, point[1] ** 2)
-        with pytest.raises(ValueError, match="positive powers"):
-            f.power_pullback((2, 0))
-        with pytest.raises(ValueError, match="positive powers"):
-            f.power_pullback((2, 2, 2))
-
     def test_restrict(self):
         form = parse_ternary_form("X0^2*X1 - X1^3 + X0*X1*X2")
         restricted = form.restrict(2)  # X2 = 0
