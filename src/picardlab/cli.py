@@ -189,12 +189,12 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
     except BaseException as exc:
         # Leave no half-written JSON behind, but remove only a regular file:
         # a device or a symlink given as the path stays.  A failed write is
-        # reported like a path that cannot be opened.
+        # reported like a path that cannot be opened; a closed stdout, by main.
         if out is not None:
             out.close()
             if os.path.isfile(args.json) and not os.path.islink(args.json):
                 os.remove(args.json)
-        if not isinstance(exc, OSError):
+        if not isinstance(exc, OSError) or isinstance(exc, BrokenPipeError):
             raise
         print(f"cannot write outputs: {exc}", file=sys.stderr)
         return FAILURE
@@ -442,10 +442,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError as exc:
+        # The reader of stdout has gone.  Python flushes stdout again at exit,
+        # so it is pointed at devnull, as the Python docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return FAILURE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
-"""The family table, the builder that reads its pipeline rows, and the
-certification reports.
+"""The family table, the builder that reads its pipeline rows, the proof of
+each class of members, and the certification reports.
 
 FAMILIES holds one record per family of invariant pairs: families 1-3
 (set labels A1, A2, A3), the classical double planes B and the overlap
@@ -8,33 +8,26 @@ closed-form (K2, chi), its membership solver and, for families 1-3, its
 pipeline row; validation, building, enumeration and membership all read it,
 and geography derives the A2 and A3 line of each n from the pair.
 
-One builder, _build, makes every member from the seed curve C_n and the
-three coordinate lines as the family's row says.  The row is a function of
-m giving each branch divisor as multiplicities of (line, negative section,
-third line, curve); each L is half a sum of them, and an odd half is
-refused.  Everything else is derived, on coefficient tuples with the ring
-layer of surfaces and covers, once per m where only m decides it.  A family
-with an m parameter (families 2 and 3) lives on F_m: the builder blows up
-the vertex where the first two lines cross (it is off the curve), making
-them fibers of F_1, and pulls back along the degree-m cyclic cover
-F_m -> F_1 branched over them.  A family without one lives on the plane,
-where the negative section is zero; family 1 is family 2's row at m = 1.
-Each batch of seed points, on the first two lines or on the third, is
-placed by the row: it joins the curve's divisor if that divisor holds its
-line, meets each divisor holding its line if others do, and keeps away
-from them otherwise.  The builder checks the intersection numbers that the
-transport rules rest on and certifies three things by integer arithmetic:
+A member is made from the seed curve C_n and the three coordinate lines as
+its family's row says.  The row, a function of m, gives each branch divisor
+as multiplicities of (line, negative section, third line, curve), and each
+L is half a sum of them.  A family with an m parameter lives on F_m: the
+vertex where the first two lines cross (it is off the curve) is blown up,
+making them fibers of F_1, and the degree-m cyclic cover F_m -> F_1
+branched over them pulls everything back.  Family 1 is family 2's row at
+m = 1, on the plane.  Each batch of seed points joins the curve's divisor
+if that divisor holds its line, meets each divisor holding its line if
+others do, and keeps away from them otherwise.
 
-  match    the computed (K2, chi) equal the family's closed forms,
-  ample    the class pulling back to (a multiple of) the canonical class
-           is ample on the base,
-  maximal  the Picard lower bound (exceptional curves plus base classes)
-           equals h^{1,1} exactly.
-
-A failed check raises ParameterError naming its stage and numbers, so none
-is lost under python -O.  The seed curve's singular points (3n points of
-type A_{n-1}, n on each coordinate line) and the fact that it misses the
-coordinate vertices come from curves.seed_proof, proved once for every n.
+_derive computes a build's numbers with the ring rules of surfaces, covers
+and singularities: on ints at a member, on Polys in domain variables on a
+class.  family_proof checks every stage of the certificate once per class
+of members (_facts), and _build makes each member's records from its own
+numbers, checking at the member only its transport intersections, its
+building data and its Picard bound.  A fact not shown raises ParameterError
+naming its stage and the member's numbers, so none is lost under python -O.
+The seed curve's singular points come from curves.seed_proof, proved once
+for every n.
 """
 
 from __future__ import annotations
@@ -42,30 +35,25 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from itertools import islice
 
 from .covers import (
-    BidoubleCoverData,
-    CoverDataError,
-    DoubleCoverData,
-    SurfaceInvariants,
-    bidouble_invariants,
-    canonical_ample_check,
-    cyclic_pullback_class,
-    double_invariants,
+    BidoubleCoverData, DoubleCoverData, SurfaceInvariants, bidouble_formulas, double_formulas,
+    pullback, validate,
 )
 from .curves import seed_proof
+from .polynomials import at_least, domain_variables
 from .singularities import (
-    BidoubleBranchPoint,
-    SingInventory,
-    SingType,
-    picard_lower_bound,
-    transport_bidouble,
-    transport_cyclic,
-    transport_double,
-    union_type,
-    CyclicBranchPoint,
+    BidoubleBranchPoint, SingInventory, SingType, bidouble_rule, cyclic_rule, picard_lower_bound,
+    union_rule,
 )
-from .surfaces import DivisorClass, compose, half, hirzebruch, intersect, plus, projective_plane
+from .surfaces import (
+    DivisorClass, ample, canonical, compose, half, hirzebruch, intersect, pairing, plus,
+    projective_plane, sections,
+)
+
+# Builds a record from already computed fields, without calling its __new__.
+_trusted = tuple.__new__
 
 
 class ParameterError(ValueError):
@@ -166,14 +154,16 @@ class Param(namedtuple("Param", "name minimum step")):
 
 
 class Family(
-    namedtuple("Family", "label theorem params pair solve pipeline", defaults=(None, None))
+    namedtuple("Family", "label theorem params pair solve pipeline period",
+               defaults=(None, None, 1))
 ):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
-    and closed-form pair, the membership solver, and the pipeline row of
-    families 1-3: the function m -> branch multiplicities.  _build derives
-    the base and the placement of the seed points from the row and the
-    parameters."""
+    and closed-form pair, the membership solver, and for families 1-3 the
+    pipeline row, the function m -> branch multiplicities, and its period in
+    m: the members whose m agree modulo the period form one class, proved
+    at once (family_proof).  _build derives the base and the placement of
+    the seed points from the row and the parameters."""
 
     __slots__ = ()
 
@@ -204,10 +194,6 @@ class DoubleBranchPoint(namedtuple("DoubleBranchPoint", "sing count origin")):
     cover: the type on the branch divisor plus a provenance note."""
 
     __slots__ = ()
-
-    @property
-    def branch_type(self) -> SingType:
-        return self.sing
 
 
 class ConstructionReport(
@@ -369,27 +355,17 @@ def _inventory_text(inventory: SingInventory, pad: str) -> str:
     ], pad)
 
 
-def _certified_seed(n: int) -> tuple[SingType, int]:
+def _certified_seed(n) -> tuple:
     """The seed curve's singular type and its number of points on each
-    coordinate line at n, read off its certificate, which is proved once
-    for every n (curves.seed_proof).  A failed proof raises, naming its
-    stages, and is not kept."""
-    if n < 2:
-        raise ValueError(f"the seed curve needs n >= 2, got {n}")
+    coordinate line at n, an int or a Poly, read off its certificate, which
+    is proved once for every n (curves.seed_proof).  A failed proof raises,
+    naming its stages, and is not kept."""
     proof = seed_proof()
     if proof.failures:
         seed_proof.cache_clear()
-        raise ParameterError(
-            f"the seed curve certificate fails at n={n}: {', '.join(proof.failures)}"
-        )
+        raise ParameterError(f"the seed curve certificate fails at n={n}: "
+                             f"{', '.join(proof.failures)}")
     return proof.singularity(n), proof.points_per_line(n)
-
-
-def _halve(base, name: str, u: tuple) -> tuple:
-    """The coefficients whose double is u; ParameterError if one is odd."""
-    if [c for c in u if c % 2]:
-        raise ParameterError(f"validate: {name} = {DivisorClass(base, u)} is not twice a class")
-    return tuple(map(half, u))
 
 
 # The provenance note of a double-cover branch point, by placement.
@@ -397,124 +373,224 @@ _ORIGINS = {
     "join": "curve point joined by a branch fiber component",
     "keep": "curve point away from the branch fibers",
 }
+# The intersections the transport rules rest on, by positions in (line,
+# section, third, curve): the curve meets each line twice at each of its A
+# points, transversally, and the section misses the curve and third line.
+_TRANSPORT = (("line.curve", 0, 3), ("third.curve", 2, 3), ("section.curve", 1, 3),
+              ("section.third", 1, 2))
+
+
+def _layout(rows) -> tuple:
+    """The carrier of the rows (the divisor holding the curve) and, joined
+    batches first, (placement, batch: 0 for the points on the first two lines
+    and 1 for the third, the divisors holding the line, the number of lines)."""
+    carrier = max((i for i, mults in enumerate(rows, 1) if mults[3]), default=None)
+    if carrier is None:
+        raise ParameterError("validate: no branch divisor holds the curve")
+    placements = []
+    for batch, (column, lines) in enumerate(((0, 2), (2, 1))):
+        holders = tuple(i for i, mults in enumerate(rows, 1) for _ in range(mults[column]))
+        placement = "join" if carrier in holders else "meet" if holders else "keep"
+        placements.append((placement, batch, holders, lines))
+    return carrier, sorted(placements, key=lambda p: ("join", "meet", "keep").index(p[0]))
 
 
 @functools.lru_cache(maxsize=None)
-def _frame(row, m: int, on_cover: bool) -> tuple:
-    """A build's base, line, negative section and third line (on F_1 the
-    first two lines are fibers, the third is D0 + F), branch rows, carrier
-    (the divisor holding the curve) and, for the points on the first two
-    lines and on the third, (placement, the divisors holding the line, one
-    per multiplicity, the number of lines): made once per row and m."""
-    if on_cover:
-        base = hirzebruch(m)
-        line, section = base.divisor(0, 1), base.divisor(1, 0)
-        third = cyclic_pullback_class(hirzebruch(1).divisor(1, 1), m)
-    else:
-        base = projective_plane()
-        line = third = base.divisor(1)
-        section = base.zero()
-    rows = row(m)
-    carrier = max(i for i, mults in enumerate(rows, 1) if mults[3])
-    placements = []
-    for column, lines in ((0, 2), (2, 1)):
-        holders = tuple(i for i, mults in enumerate(rows, 1) for _ in range(mults[column]))
-        placement = "join" if carrier in holders else "meet" if holders else "keep"
-        placements.append((placement, holders, lines))
-    return base, line, section, third, rows, carrier, tuple(placements)
+def _frame(family: Family, m) -> tuple:
+    """A member's base, rows, layout and class params (m's residue modulo the
+    period), once per family and m (None for a family without one)."""
+    rows, period = family.pipeline(1 if m is None else m), family.period
+    params = tuple(p if p.name != "m" else p._replace(minimum=p.minimum + (m - p.minimum) % period,
+                                                       step=period) for p in family.params)
+    return projective_plane() if m is None else hirzebruch(m), rows, _layout(rows), params
 
 
-def _build(family: Family, *values: int) -> ConstructionReport:
-    """Build and certify the family member with these parameter values from
-    the family's pipeline row; the report's records are made at the end."""
-    family.check(*values)
-    params = tuple((p.name, v) for p, v in zip(family.params, values))
-    named = dict(params)
-    m, n = named.get("m", 1), named["n"]
-    sing, per_line = _certified_seed(n)
-    frame = _frame(family.pipeline, m, "m" in named)
-    base, line, section, third, rows, carrier, placements = frame
-    if "m" in named:
-        # The seed certificate keeps every vertex off the curve: one is
-        # blown up, and the other two are where the third line crosses the
-        # line fibers.  The cover F_m -> F_1 branches over the line fibers,
-        # so a curve point on one becomes one A_{mn-1} and a point on the
-        # third line m points: on_line and on_third are the (type, count) of
-        # the points on one line and on the third.
-        (on_line,) = transport_cyclic((CyclicBranchPoint(sing, True, count=per_line),), m).entries
-        (on_third,) = transport_cyclic((CyclicBranchPoint(sing, count=per_line),), m).entries
-    else:
+def _derive(rows, layout, m, n, sing, per_line) -> tuple:
+    """A build's numbers on the plane (m None) or F_m, ints at a member and
+    Polys on a class: e; line, section, third line and curve; the expected
+    _TRANSPORT intersections; the sums to halve, by name; the classes L...,
+    B...; the branch points (type, divisor met or None, count, placement);
+    the (type, count) entries of both inventories.  Types are (family,
+    index) pairs from the rules of singularities."""
+    if m is None:
+        e, line, section, third = 0, (1,), (0,), (1,)
         on_line = on_third = (sing, per_line)
-    curve = 2 * n * third  # 2n(D0 + F) on F_1, degree 2n on the plane
-    # The curve is transversal to each line at its A points and meets it
-    # twice at each; the negative section misses the curve and the third
-    # line.
-    for name, d1, d2, expected in (
-        ("line.curve", line, curve, 2 * on_line[1]),
-        ("third.curve", third, curve, 2 * on_third[1]),
-        ("section.curve", section, curve, 0),
-        ("section.third", section, third, 0),
-    ):
-        value = intersect(d1, d2)
-        if value != expected:
-            raise ParameterError(f"transport: {name} = {value}, expected {expected}")
-
-    components = (line.coeffs, section.coeffs, third.coeffs, curve.coeffs)
+    else:
+        # On F_1 the first two lines are fibers, branched over by F_m -> F_1,
+        # and the third is D0 + F.
+        e, line, section, third = m, (0, 1), (1, 0), pullback((1, 1), m)
+        on_line, on_third = (cyclic_rule(sing, per_line, m, fiber) for fiber in (True, False))
+    components = (line, section, third, tuple([2 * n * c for c in third]))
     branch = [compose(mults, components) for mults in rows]
     bidouble = len(branch) == 3
     if bidouble:
         B1, B2, B3 = branch
-        L1, L2 = _halve(base, "B2 + B3", plus(B2, B3)), _halve(base, "B1 + B3", plus(B1, B3))
-        record, classes = BidoubleCoverData, (L1, L2, compose((1, 1, -1), (L1, L2, B3)), *branch)
+        sums = (("B2 + B3", plus(B2, B3)), ("B1 + B3", plus(B1, B3)))
+        L1, L2 = (tuple(map(half, u)) for _, u in sums)
+        classes = (L1, L2, compose((1, 1, -1), (L1, L2, B3)), *branch)
     else:
-        record, classes = DoubleCoverData, (_halve(base, "B", branch[0]), branch[0])
-    data = record(base, *[DivisorClass(base, c) for c in classes])
-
-    joined, met, kept = [], [], []
-    for (point_type, count), (placement, holders, lines) in zip((on_line, on_third), placements):
+        sums = (("B", branch[0]),)
+        classes = (tuple(map(half, branch[0])), branch[0])
+    points = []
+    for placement, batch, holders, lines in layout[1]:
+        point_type, count = (on_line, on_third)[batch]
         if placement == "meet":
-            met += [BidoubleBranchPoint(carrier, point_type, meets=i, count=count) for i in holders]
-            continue
-        if placement == "join":
-            point_type, batch = union_type(point_type, 1), joined
+            points += [(point_type, i, count, placement) for i in holders]
         else:
-            batch = kept
-        if bidouble:
-            batch.append(BidoubleBranchPoint(carrier, point_type, count=lines * count))
+            joined = union_rule(point_type, 1) if placement == "join" else point_type
+            points.append((joined, None, lines * count, placement))
+    branch_entries, cover_entries = [], []
+    for point_type, meets, count, _ in points:
+        # Each meeting point's union type is made once, for both inventories.
+        union = None if meets is None else union_rule(point_type, 1)
+        branch_entries.append((union or point_type, count))
+        upstairs = bidouble_rule(point_type, union, count) if bidouble else (point_type, count)
+        cover_entries += [upstairs] if upstairs else []
+    expected = (2 * on_line[1], 2 * on_third[1], 0, 0)
+    return e, components, expected, sums, classes, points, branch_entries, cover_entries
+
+
+def _even(x) -> bool:
+    return x % 2 == 0 if isinstance(x, int) else x.multiple_of(2)
+
+
+def _plan(entries):
+    """The entries' positions grouped by type in SingInventory's order, which
+    merges equal types; None unless, on the whole class, every type is valid,
+    every count positive and two indices of one family equal polynomials or
+    a strictly positive difference apart."""
+    groups: list = []
+    for position, (t, count) in enumerate(entries):
+        # A_k needs k >= 1 and D_k k >= 4; no rule here makes an E type.
+        if not (at_least(t[1], {"A": 1, "D": 4}[t[0]]) and at_least(count, 1)):
+            return None
+        same = [members for u, members in groups if u == t]
+        if same:
+            same[0].append(position)
         else:
-            batch.append(DoubleBranchPoint(point_type, lines * count, _ORIGINS[placement]))
-    points = joined + met + kept
-    # Each meeting point's union type is built once, for both inventories.
-    branch_types = [p.branch_type for p in points]
-    branch_inventory = SingInventory(tuple(zip(branch_types, [p.count for p in points])))
-    if bidouble:
-        cover_inventory = transport_bidouble(points, branch_types)
-        invariants_of = bidouble_invariants
+            groups.append((t, [position]))
+    order = []
+    for t, members in groups:
+        others = [u[1] for u, _ in groups if u[0] == t[0] and u is not t]
+        if not all(at_least(t[1] - i, 1) or at_least(i - t[1], 1) for i in others):
+            return None
+        order.append(((t[0], sum(at_least(t[1] - i, 1) for i in others)), tuple(members)))
+    return tuple(members for _, members in sorted(order))
+
+
+def _facts(family: Family, values: tuple, numbers: tuple, base=None):
+    """The certificate as (holds, text) facts in stage order on the numbers of
+    _derive: ints at a member, or Polys on a class, where a fact holds only
+    if shown on the whole class.  Given a member's base, text words the fact
+    with its numbers.  The cover relations hold by construction (L halves
+    its sum, L3 = L1 + L2 - B3)."""
+    e, components, expected, sums, classes, _, branch_entries, cover_entries = numbers
+    record = BidoubleCoverData if len(classes) == 6 else DoubleCoverData
+    Ls, Bs = classes[:len(classes) // 2], classes[len(classes) // 2:]
+    show = functools.partial(DivisorClass, base)
+    for (name, i, j), want in zip(_TRANSPORT, expected):
+        value = pairing(e, components[i], components[j])
+        yield value == want, base and f"transport: {name} = {value}, expected {want}"
+    for name, u in sums:
+        yield all(map(_even, u)), base and f"validate: {name} = {show(u)} is not twice a class"
+    for name, L in zip(record._fields[1:], Ls):
+        yield any(at_least(c, 1) or at_least(-c, 1) for c in L), base and (
+            f"assembled building data is invalid: {name} is the trivial class")
+    k = canonical(e, len(components[0]))
+    if record is BidoubleCoverData:
+        (K2, chi, _), amp = bidouble_formulas(e, Ls, Bs), compose((2, 1, 1, 1), (k, *Bs))
     else:
-        cover_inventory, invariants_of = transport_double(branch_inventory), double_invariants
-    try:
-        invariants = invariants_of(data)
-    except CoverDataError as exc:
-        raise ParameterError(f"assembled building data is invalid: {exc}") from None
+        (K2, chi, _), amp = double_formulas(e, Ls[0]), plus(k, Ls[0])
+    p_g = 0
+    for name, L in zip(record._fields[1:], Ls):
+        h0 = sections(e, plus(k, L))
+        yield h0 is not None, base and (
+            f"invariants: h0(K + {name}) of {show(plus(k, L))} is not a closed form on the class")
+        p_g += h0
+    q = 1 + p_g - chi
+    yield q == 0, base and f"invariants: derived irregularity q = {q}, expected 0"
+    yield ample(e, amp), base and f"ample: {show(amp)} is not ample"
+    for which, entries in (("branch", branch_entries), ("cover", cover_entries)):
+        yield _plan(entries) is not None, base and (
+            f"transport: the {which} inventory "
+            f"{', '.join(f'{c} x {f}{i}' for (f, i), c in entries)} is not ordered on the class")
+    lower, h11 = sum(i * c for (_, i), c in cover_entries) + len(components[0]), 10 * chi - K2
+    yield lower == h11, base and f"picard: the lower bound {lower} differs from h11 = {h11}"
+    closed = family.pair(*values)
+    yield (K2, chi) == closed, base and f"match: (K2, chi) = ({K2}, {chi}), closed form {closed}"
+
+
+@functools.lru_cache(maxsize=None)
+def family_proof(family: Family, params: tuple, rows: tuple) -> tuple:
+    """Prove the certificate of every member of a class at once: _derive and
+    _facts on the class params shifted by domain_variables, with the class's
+    rows.  Each fact is an identity or a sign fact (Poly.multiple_of,
+    Poly.nonnegative) in the shifted parameters, so it holds at every member.
+    The proof: the position in _facts of the first fact not shown (None when
+    all are), and the _plan of the branch and of the cover inventory."""
+    values = domain_variables(params)
+    m, n = values if len(values) == 2 else (None, *values)
+    numbers = _derive(rows, _layout(rows), m, n, *_certified_seed(n))
+    facts = enumerate(_facts(family, values, numbers))
+    failed = next((i for i, (holds, _) in facts if not holds), None)
+    return failed, *(None if failed is not None else _plan(x) for x in numbers[6:])
+
+
+def _inventory(plan: tuple, entries: list) -> SingInventory:
+    """The inventory of the entries, merged and ordered as the plan says."""
+    return _trusted(SingInventory, (tuple([
+        (_trusted(SingType, entries[group[0]][0]), sum([entries[i][1] for i in group]))
+        for group in plan
+    ]),))
+
+
+def _build(family: Family, *values: int) -> ConstructionReport:
+    """Build the member with these parameter values from the proof of its
+    class (family_proof) and its numbers (_derive).  A fact the proof does
+    not show raises, worded with the member's numbers; a failed proof is not
+    kept."""
+    family.check(*values)
+    params = tuple(zip([p.name for p in family.params], values))
+    m, n = values if len(values) == 2 else (None, *values)
+    seed = _certified_seed(n)
+    base, rows, layout, class_params = _frame(family, m)
+    numbers = _derive(rows, layout, m, n, *seed)
+    _, components, expected, _, classes, points, branch_entries, cover_entries = numbers
+    divisors = [_trusted(DivisorClass, (base, u)) for u in components]
+    for (name, i, j), want in zip(_TRANSPORT, expected):
+        value = intersect(divisors[i], divisors[j])
+        if value != want:
+            raise ParameterError(f"transport: {name} = {value}, expected {want}")
+    failed, branch_plan, cover_plan = family_proof(family, class_params, rows)
+    if failed is not None:
+        family_proof.cache_clear()
+        holds, text = next(islice(_facts(family, values, numbers, base), failed, None))
+        stage, _, detail = text.partition(": ")
+        where = "on the class of this member, though not at the member: " if holds else ""
+        raise ParameterError(f"{stage}: {where}{detail}")
+
+    bidouble = len(rows) == 3
+    data = _trusted(BidoubleCoverData if bidouble else DoubleCoverData,
+                    (base, *[_trusted(DivisorClass, (base, c)) for c in classes]))
+    problems = validate(data)
+    if problems:
+        raise ParameterError(f"assembled building data is invalid: {'; '.join(problems)}")
+    carrier = layout[0]
+    records = tuple([
+        _trusted(BidoubleBranchPoint, (carrier, _trusted(SingType, t), meets, 1, count)) if bidouble
+        else _trusted(DoubleBranchPoint, (_trusted(SingType, t), count, _ORIGINS[place]))
+        for t, meets, count, place in points
+    ])
+    cover_inventory = _inventory(cover_plan, cover_entries)
     lower = picard_lower_bound(cover_inventory, base.rank)
-    closed_form = family.pair(*values)
-    return ConstructionReport(
-        theorem=family.theorem,
-        params=params,
-        base=base,
-        building_data=data,
-        branch_points=tuple(points),
-        branch_inventory=branch_inventory,
-        cover_inventory=cover_inventory,
-        computed=invariants,
-        closed_form=closed_form,
-        ample=canonical_ample_check(data),
-        n_indep=base.rank,
-        picard_lower=lower,
-        h11=invariants.h11,
-        maximal=lower == invariants.h11,
-        match=(invariants.K2, invariants.chi) == closed_form,
-    )
+    K2, chi = closed_form = family.pair(*values)
+    h11 = 10 * chi - K2
+    # The fields in order; the invariants have q = 0, p_g = chi - 1.
+    return _trusted(ConstructionReport, (
+        family.theorem, params, base, data, records, _inventory(branch_plan, branch_entries),
+        cover_inventory, _trusted(SurfaceInvariants, (K2, chi, chi - 1, 0, h11)), closed_form,
+        True, base.rank, lower, h11, lower == h11, True,
+    ))
 
 
 def _bidouble_branch(m: int) -> tuple[tuple[int, int, int, int], ...]:
@@ -532,7 +608,7 @@ FAMILIES = {
         Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, _bidouble_branch),
         Family(
             "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
-            _bidouble_branch,
+            _bidouble_branch, 2,
         ),
         Family(
             "A3", 3, (Param("m", 2, 1), Param("n", 4, 2)), family3_pair, _solve_a3,

@@ -87,9 +87,14 @@ def bidouble_formulas(e, Ls: tuple, Bs: tuple) -> tuple:
     return pairing(e, h, h), 4 + half(pair), pair
 
 
+def validate(data: CoverData) -> list[str]:
+    """validate_bidouble or validate_double, by the kind of data."""
+    return validate_bidouble(data) if isinstance(data, BidoubleCoverData) else validate_double(data)
+
+
 def validate_double(data: DoubleCoverData) -> list[str]:
     """List every violated double-cover condition; an empty list means valid."""
-    problems = _off_base(data, ("L", "B"))
+    problems = _off_base(data)
     if problems:
         return problems
     if any(compose((1, -2), (data.B.coeffs, data.L.coeffs))):
@@ -104,7 +109,7 @@ def validate_bidouble(data: BidoubleCoverData) -> list[str]:
 
     The B_i are allowed to be zero classes; only a trivial L_i is fatal.
     """
-    problems = _off_base(data, data._fields[1:])
+    problems = _off_base(data)
     if problems:
         return problems
     L1, L2, L3, B1, B2, B3 = (div.coeffs for div in data[1:])
@@ -120,9 +125,9 @@ def validate_bidouble(data: BidoubleCoverData) -> list[str]:
                        if not any(L)]
 
 
-def _off_base(data: CoverData, names) -> list[str]:
+def _off_base(data: CoverData) -> list[str]:
     return [f"{name} does not live on the base surface {data.base}"
-            for name in names if getattr(data, name).surface != data.base]
+            for name, div in zip(data._fields[1:], data[1:]) if div.surface != data.base]
 
 
 def _invariants(data: CoverData, Ls, formulas: tuple, pairing_name: str) -> SurfaceInvariants:

@@ -408,8 +408,10 @@ def seed_proof() -> SeedProof:
     # Two transpositions generate the symmetric group.
     symmetric = _conic(x1, x0, x2) == q and _conic(x0, x2, x1) == q
 
-    def singularity(n: int) -> Optional[SingType]:
-        return None if index is None else A(index[0] * n + index[1])
+    def singularity(n):
+        """A_k at n, or the pair ("A", k) for a Poly n."""
+        k = index and index[0] * n + index[1]
+        return k if k is None else A(k) if isinstance(k, int) else ("A", k)
 
     def points_per_line(n: int) -> int:
         return points[0] * n + points[1]

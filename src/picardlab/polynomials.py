@@ -351,18 +351,20 @@ class Poly:
             raise ValueError(f"chart coordinate {chart} vanishes at the point")
         # Setting X_chart = 1 drops its exponent; a form has one term per
         # remaining pair, so no two terms collide.
-        affine = Poly._wrap({(e[r0], e[r1]): c for e, c in self.coeffs.items()}, 2)
+        affine = {(e[r0], e[r1]): c for e, c in self.coeffs.items()}
         p0, p1 = pt[r0] / pt[chart], pt[r1] / pt[chart]
-        if affine(p0, p1) != 0:
-            raise PointOffCurveError(f"point ({', '.join(map(_fraction_text, pt))}) is not on the zero locus")
         # Shift in integers: with s0, s1 the denominators of p0, p1 and D that of
         # the coefficients, x^k*y^l gets B / (D * s0^(dx - k) * s1^(dy - l)).
-        den = math.lcm(*(c.denominator for c in affine.coeffs.values()))
-        ints = {e: c.numerator * (den // c.denominator) for e, c in affine.coeffs.items()}
+        den = math.lcm(*(c.denominator for c in affine.values()))
+        ints = {e: c.numerator * (den // c.denominator) for e, c in affine.items()}
         dx, dy = (max((e[v] for e in ints), default=0) for v in (0, 1))
         s0, s1 = p0.denominator, p1.denominator
+        shifted = _shift_rows(_shift_rows(ints, p0), p1)
+        # The constant term is the value at the point times a nonzero scale.
+        if (0, 0) in shifted:
+            raise PointOffCurveError(f"point ({', '.join(map(_fraction_text, pt))}) is not on the zero locus")
         return Poly._wrap({(k, l): _integral(Fraction(b, den * s0 ** (dx - k) * s1 ** (dy - l)))
-                           for (k, l), b in _shift_rows(_shift_rows(ints, p0), p1).items()}, 2)
+                           for (k, l), b in shifted.items()}, 2)
 
 
 # Old names of Poly, kept as plain aliases: perfbench/tracing.py patches
@@ -378,6 +380,13 @@ def domain_variables(params) -> tuple[Poly, ...]:
     fact of Poly.multiple_of or Poly.nonnegative about a family's
     expressions in these holds on the whole domain."""
     return tuple(p.minimum + p.step * Poly.variable(i) for i, p in enumerate(params))
+
+
+def at_least(x, bound) -> bool:
+    """Whether x >= bound: for an int, or on the whole domain for a Poly in
+    domain_variables (Poly.nonnegative; False leaves the bound undecided)."""
+    x = x - bound
+    return x >= 0 if isinstance(x, int) else x.nonnegative()
 
 
 def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly:

@@ -1,5 +1,7 @@
 """ADE singularity inventories, branch-to-cover transport rules, and the
-Picard lower-bound certificate.
+Picard lower-bound certificate.  Each rule is a ring function of (family,
+index) types and counts, on ints and Polys alike, that the record-level
+transports call after their checks.
 
 The transport rules implemented here are exactly the ones the construction
 pipelines need:
@@ -36,6 +38,8 @@ import operator
 from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Optional
+
+from .surfaces import half
 
 
 class TransportError(ValueError):
@@ -161,26 +165,26 @@ def picard_lower_bound(inventory: SingInventory, n_indep: int) -> int:
     return resolution_curve_count(inventory) + n_indep
 
 
+def union_rule(branch, contact: int) -> tuple:
+    """The (family, index) of a branch, a (family, index) pair or None when
+    smooth, united with a smooth curve: A_{2c-1} at contact order c with a
+    smooth branch, D_{k+3} with an A_k branch met transversally."""
+    return ("A", 2 * contact - 1) if branch is None else ("D", branch[1] + 3)
+
+
 def union_type(branch: Optional[SingType], contact: int) -> SingType:
     """Singularity type of the union of a branch (smooth or A_k) with a second
-    smooth curve through the point.
-
-    A smooth branch meeting a smooth curve with contact order c gives
-    A_{2c-1}; an A_k branch with a transversal smooth curve gives D_{k+3}.
-    Tangential contact at a singular branch and D/E branches are outside
-    the implemented rules.
-    """
+    smooth curve through the point (union_rule).  Tangential contact at a
+    singular branch and D/E branches are outside the implemented rules."""
     if contact < 1:
         raise ValueError(f"contact order must be positive, got {contact}")
-    if branch is None:
-        return A(2 * contact - 1)
-    if branch.family != "A":
+    if branch is not None and branch.family != "A":
         raise TransportError(f"no union rule for a {branch} branch")
-    if contact != 1:
+    if branch is not None and contact != 1:
         raise TransportError(
             f"tangential contact (order {contact}) at an {branch} point has no union rule"
         )
-    return D(branch.index + 3)
+    return SingType(*union_rule(branch, contact))
 
 
 class BidoubleBranchPoint(namedtuple("BidoubleBranchPoint", "carrier sing meets contact count")):
@@ -247,31 +251,31 @@ class CyclicBranchPoint(namedtuple("CyclicBranchPoint", "sing on_fiber count")):
         return tuple.__new__(cls, (sing, on_fiber, count))
 
 
-def transport_bidouble(
-    points: Sequence[BidoubleBranchPoint], branch_types: Optional[Sequence[SingType]] = None
-) -> SingInventory:
-    """Singularities of the bidouble cover induced by the branch points.
-    branch_types, when the caller has read them already, are the points'
-    branch_type in order, so no union type is built twice."""
-    if branch_types is None:
-        branch_types = [p.branch_type for p in points]  # TransportError outside the rules
+def bidouble_rule(sing, union, count) -> Optional[tuple]:
+    """The (type, count) upstairs of count bidouble branch points of type
+    sing whose union with a meeting divisor has type union (None when they
+    meet none), or None when they are smooth upstairs.  R3: an isolated ADE
+    point doubles; R2: A_k met transversally (union D_{k+3}) gives A_{2k+1};
+    R1: contact c >= 2 (union A_{2c-1}) gives A_{c-1}; R0: a transverse
+    crossing (union A_1) is smooth."""
+    if union is None:
+        return sing, 2 * count
+    if union[0] == "D":
+        return ("A", 2 * union[1] - 5), count
+    return (("A", half(union[1] - 1)), count) if union[1] != 1 else None
+
+
+def transport_bidouble(points: Sequence[BidoubleBranchPoint]) -> SingInventory:
+    """Singularities of the bidouble cover induced by the branch points
+    (bidouble_rule)."""
     out: list[tuple[SingType, int]] = []
-    for p, union in zip(points, branch_types):
-        if p.meets is None:
-            if p.sing is None:
-                raise TransportError(
-                    f"entry '{p.describe()}' carries no singularity and meets nothing"
-                )
-            # R3: an isolated ADE point of the branch locus doubles upstairs.
-            out.append((p.sing, 2 * p.count))
-            continue
-        if union.family == "D":
-            # R2: A_k met transversally (union D_{k+3}) gives A_{2k+1}.
-            out.append((A(2 * union.index - 5), p.count))
-        elif union.index > 1:
-            # R1: contact c >= 2 (union A_{2c-1}) gives A_{c-1}.
-            out.append((A((union.index - 1) // 2), p.count))
-        # R0: a transverse crossing (union A_1) is smooth upstairs.
+    for p in points:
+        if p.meets is None and p.sing is None:
+            raise TransportError(f"entry '{p.describe()}' carries no singularity and meets nothing")
+        # branch_type raises TransportError outside the union rules.
+        upstairs = bidouble_rule(p.sing, None if p.meets is None else p.branch_type, p.count)
+        if upstairs:
+            out.append((SingType(*upstairs[0]), upstairs[1]))
     return SingInventory.from_counts(out)
 
 
@@ -293,18 +297,23 @@ def transport_cyclic(points: Sequence[CyclicBranchPoint], degree: int) -> SingIn
         raise ValueError(f"cover degree must be positive, got {degree}")
     out: list[tuple[SingType, int]] = []
     for p in points:
-        if not p.on_fiber:
-            out.append((p.sing, degree * p.count))
-            continue
-        if p.sing.family != "A":
+        if p.on_fiber and p.sing.family != "A":
             raise TransportError(
                 f"a {p.sing} point on a branch fiber does not pull back to ADE points"
             )
-        n = p.sing.index + 1
-        if n % 2:
+        if p.on_fiber and p.sing.index % 2 == 0:
             raise TransportError(
-                f"on-fiber transport of {p.sing} needs n = {n} even; "
+                f"on-fiber transport of {p.sing} needs n = {p.sing.index + 1} even; "
                 "the odd case is deliberately not implemented"
             )
-        out.append((A(degree * n - 1), p.count))
+        sing, count = cyclic_rule(p.sing, p.count, degree, p.on_fiber)
+        out.append((SingType(*sing), count))
     return SingInventory.from_counts(out)
+
+
+def cyclic_rule(sing, count, degree, on_fiber: bool) -> tuple:
+    """The (type, count) on the degree-d cyclic cover of count points of type
+    sing: one A_{dn-1} per A_{n-1} point on a branch fiber, else d each."""
+    if on_fiber:
+        return ("A", degree * (sing[1] + 1) - 1), count
+    return sing, degree * count

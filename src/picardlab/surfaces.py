@@ -10,7 +10,8 @@ matrix is [[0, 1], [1, 0]].
 The ring layer is plain functions of coefficient tuples, (d,) on the plane
 and (a, b) on F_e, and e: sums, halves, the pairing and the canonical class
 are ring expressions, on ints and Poly parameters alike; ampleness and
-sections (h0) take ints.  The records call them.  A divisor class checks its
+sections (h0) decide their cases on ints, or by sign facts on Poly
+parameters.  The records call them.  A divisor class checks its
 coefficients once, in its constructor: operator.index (a bool counts as its
 int, a float, Fraction or str is refused), one per basis class.  Sums,
 differences and multiples of checked classes on one surface are trusted.
@@ -23,6 +24,8 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from operator import add, index
+
+from .polynomials import Poly, at_least
 
 PLANE = "P2"
 RULED = "F"
@@ -88,8 +91,11 @@ def compose(multiplicities, components) -> tuple:
 
 
 def half(x):
-    """x / 2 for an int the caller has checked to be even, or a Poly."""
-    return x // 2 if isinstance(x, int) else Fraction(1, 2) * x
+    """x / 2 for an int the caller has checked to be even, or a Poly, whose
+    integral coefficients stay ints."""
+    if isinstance(x, int):
+        return x // 2
+    return Poly({e: Fraction(c, 2) for e, c in x.coeffs.items()}, x.nvars)
 
 
 def pairing(e, u: tuple, v: tuple):
@@ -108,28 +114,33 @@ def canonical(e, rank: int) -> tuple:
 
 
 def ample(e, u: tuple) -> bool:
-    """d > 0 on the plane; a > 0 and b > a*e on F_e."""
-    return u[0] > 0 if len(u) == 1 else u[0] > 0 and u[1] > u[0] * e
+    """d > 0 on the plane; a > 0 and b > a*e on F_e (at_least, for Polys)."""
+    return at_least(u[0], 1) and (len(u) == 1 or at_least(u[1] - u[0] * e, 1))
 
 
-def sections(e, u: tuple) -> int:
+def sections(e, u: tuple):
     """The dimension h0 of the space of global sections.
 
     On the plane this is the count of degree-d monomials in three variables.
     On F_e the pushforward to the base line splits as a sum of line bundles
     O(b), O(b-e), ..., O(b-a*e), and the section count is the total number
     of monomial lattice points, sum over j of max(0, b - j*e + 1), summed
-    in closed form.
+    in closed form.  For Poly coefficients each case must be decided on the
+    whole class (polynomials.at_least), or the result is None.
     """
     if len(u) == 1:
         deg = u[0]
-        return (deg + 1) * (deg + 2) // 2 if deg >= 0 else 0
+        return half((deg + 1) * (deg + 2)) if at_least(deg, 0) else 0 if at_least(-deg, 1) else None
     a, b = u
-    if a < 0 or b < 0:
+    if at_least(-a, 1) or at_least(-b, 1):
         return 0
-    # The summands are positive exactly for j <= b // e.
-    top = a if e == 0 else min(a, b // e)
-    return (top + 1) * (b + 1) - e * top * (top + 1) // 2
+    # The summands are positive exactly for j <= b // e, which is a on a
+    # class where the remainder b - e*a lies in [0, e).
+    r = b - e * a
+    if not isinstance(r, int) and not (at_least(a, 0) and at_least(r, 0) and at_least(e - r, 1)):
+        return None
+    top = a if e == 0 or not isinstance(r, int) else min(a, b // e)
+    return (top + 1) * (b + 1) - half(e * top * (top + 1))
 
 
 # Builds a record from already checked fields, without calling its __new__.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from picardlab import curves
+from picardlab import constructions, curves
 
 
 @pytest.fixture
@@ -26,3 +26,15 @@ def fresh_seed_proof():
     curves.seed_proof.cache_clear()
     yield curves.seed_proof
     curves.seed_proof.cache_clear()
+
+
+@pytest.fixture
+def fresh_family_proofs():
+    """The process's family proofs and member frames, cleared before and
+    after the test, so a test that patches a rule proves every class afresh
+    and leaves no proof of the patched rule behind."""
+    constructions.family_proof.cache_clear()
+    constructions._frame.cache_clear()
+    yield constructions.family_proof
+    constructions.family_proof.cache_clear()
+    constructions._frame.cache_clear()

@@ -961,3 +961,29 @@ def test_cli_import_does_not_load_json():
     # Only geography --emit json and verify-theorem --json write JSON; the
     # json package costs about 2 ms of every other command's start-up.
     assert modules_loaded_by_cli_import("json", "json.encoder") == []
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("verify-theorem", "1", "--sweep", "n=2..3000"), 1),
+    (("verify-theorem", "2", "--sweep", "m=3..400,n=2,4", "--json", "reports.json"), 1),
+    (("slopes", "--fix", "m=3", "--n-max", "5000"), 1),
+    (("verify-theorem", "3", "--sweep", "m=2,n=4,6"), 0),
+])
+def test_a_closed_stdout_is_an_io_failure(argv, lines, tmp_path):
+    # The first three commands write far more than a pipe holds, so they are
+    # still writing when the reader closes the pipe after the first line;
+    # the last writes all its lines at once, at exit, after the reader has
+    # closed it unread.  The failure is reported once, as a write that
+    # failed, with no traceback and nothing more at shutdown, and no
+    # half-written JSON is left behind.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "picardlab.cli", *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=CLI_ENV, cwd=tmp_path,
+    )
+    for _ in range(lines):
+        assert child.stdout.readline()
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=60) == 1
+    assert err == b"cannot write outputs: [Errno 32] Broken pipe\n"
+    assert list(tmp_path.iterdir()) == []

@@ -1,7 +1,9 @@
 """The family pipeline rows, the builder that reads them and their
 certificates."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -9,8 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from picardlab import constructions, covers, curves, singularities
+import _build_oracle
+from picardlab import cli, constructions, covers, curves, singularities
 from picardlab.constructions import (
     FAMILIES,
     ConstructionReport,
@@ -370,21 +374,36 @@ def test_the_ring_layer_gives_the_closed_forms_as_identities(case):
                     assert not _ring_identity(label, wrong, params), (case, wrong)
 
 
-def _placements(report):
-    return [(str(p.sing), p.count, p.origin) for p in report.branch_points]
+def _placements(rows, m=4, n=4):
+    """The branch points that the build places for family 3's rows at (m, n),
+    as (type, count, origin)."""
+    numbers = constructions._derive(
+        rows, constructions._layout(rows), m, n, *constructions._certified_seed(n)
+    )
+    return [(f"{family}{index}", count, constructions._ORIGINS[placement])
+            for (family, index), _, count, placement in numbers[5]]
 
 
 def test_placements_follow_the_row(monkeypatch):
     # Family 3's lines carry 8 points of type A15 at (m, n) = (4, 4) and its
     # third line 16 of type A3.  A row that puts the third line in the
     # curve's divisor joins its points as D points; one that holds neither
-    # line keeps the lines' points away from the branch divisor.
+    # line keeps the lines' points away from the branch divisor.  Neither
+    # row halves on every m, so the build refuses both.
     joined, kept = constructions._ORIGINS["join"], constructions._ORIGINS["keep"]
-    assert _placements(build(3, m=4, n=4)) == [("D18", 8, joined), ("A3", 16, kept)]
-    _patch_pipeline(monkeypatch, 3, lambda m: ((2, 1, 1, 1),))
-    assert _placements(build(3, m=4, n=4)) == [("D18", 8, joined), ("D6", 16, joined)]
-    _patch_pipeline(monkeypatch, 3, lambda m: ((0, 1, 1, 1),))
-    assert _placements(build(3, m=4, n=4)) == [("D6", 16, joined), ("A15", 8, kept)]
+    report = build(3, m=4, n=4)
+    assert [(str(p.sing), p.count, p.origin) for p in report.branch_points] == _placements(
+        constructions.THEOREMS[3].pipeline(4)
+    ) == [("D18", 8, joined), ("A3", 16, kept)]
+    for rows, placements in (
+        (((2, 1, 1, 1),), [("D18", 8, joined), ("D6", 16, joined)]),
+        (((0, 1, 1, 1),), [("D6", 16, joined), ("A15", 8, kept)]),
+    ):
+        assert _placements(rows) == placements
+        _patch_pipeline(monkeypatch, 3, lambda m, rows=rows: rows)
+        with pytest.raises(ParameterError, match=r"^validate: on the class of this member, "
+                           r"though not at the member: B = .* is not twice a class$"):
+            build(3, m=4, n=4)
 
 
 def test_transport_checks_survive_python_O():
@@ -394,10 +413,8 @@ def test_transport_checks_survive_python_O():
     script = (
         "from picardlab import constructions\n"
         "from picardlab.constructions import ParameterError, build\n"
-        "from picardlab.surfaces import hirzebruch\n"
         "print('debug', __debug__)\n"
-        "constructions.cyclic_pullback_class = (\n"
-        "    lambda d, degree: hirzebruch(degree * d.surface.e).divisor(*d.coeffs))\n"
+        "constructions.pullback = lambda u, degree: u\n"
         "try:\n"
         "    build(2, m=3, n=2)\n"
         "except ParameterError as exc:\n"
@@ -415,17 +432,21 @@ def test_each_union_type_is_built_once(monkeypatch):
     # One union type per joined batch and per meeting point: the D points on
     # the third line and the two line points, which meet B1 and B2 for odd m
     # (family 1 is m = 1) and B2 twice for even m.  The branch and cover
-    # inventories share them.
+    # inventories share them.  The class proofs, made by the first builds,
+    # are not counted.
     calls = []
-    original = singularities.union_type
+    original = singularities.union_rule
 
     def counting(branch, contact):
         calls.append((branch, contact))
         return original(branch, contact)
 
+    cases = ((1, {"n": 5}), (2, {"m": 3, "n": 4}), (2, {"m": 4, "n": 4}))
+    for theorem, params in cases:
+        build(theorem, **params)
     for module in (singularities, constructions):
-        monkeypatch.setattr(module, "union_type", counting)
-    for theorem, params in ((1, {"n": 5}), (2, {"m": 3, "n": 4}), (2, {"m": 4, "n": 4})):
+        monkeypatch.setattr(module, "union_rule", counting)
+    for theorem, params in cases:
         calls.clear()
         assert build(theorem, **params).certified()
         assert len(calls) == 3, (theorem, params, calls)
@@ -475,3 +496,124 @@ def test_failed_seed_certificate_is_not_memoised(monkeypatch, fresh_seed_proof):
             build(1, n=4)
     assert build(1, n=4).certified()
 
+
+
+# The stage a failed fact of a family proof names.
+_STAGE = r"^(transport|validate|assembled building data is invalid|invariants|ample|picard|match): "
+
+
+def test_a_wrong_on_fiber_rule_fails_the_picard_stage(monkeypatch, fresh_family_proofs):
+    # A(d*n) in place of A(d*n - 1) on a branch fiber: two more exceptional
+    # curves per line point upstairs (families 2 and 3), so the Picard
+    # bound overshoots h11 on every class.
+    original = singularities.cyclic_rule
+
+    def one_more(sing, count, degree, on_fiber):
+        (family, index), count = original(sing, count, degree, on_fiber)
+        return (family, index + on_fiber), count
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "cyclic_rule", one_more)
+    for params in ({"m": 3, "n": 2}, {"m": 4, "n": 4}):
+        with pytest.raises(ParameterError, match=r"^picard: the lower bound \d+ differs from h11"):
+            build(2, **params)
+    with pytest.raises(ParameterError, match=r"^picard: the lower bound 114 differs from h11 = 106$"):
+        build(3, m=2, n=4)
+
+
+def test_a_wrong_union_rule_fails_the_proof(monkeypatch, fresh_family_proofs):
+    # D_{k+2} in place of D_{k+3}: at n = 2 the joined points of families 1
+    # and 2 would be D3, no ADE type, so their inventories are not shown on
+    # the class; family 3's Picard bound falls short.
+    original = singularities.union_rule
+
+    def one_less(branch, contact):
+        family, index = original(branch, contact)
+        return family, index - (family == "D")
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "union_rule", one_less)
+    for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 2}), (2, {"m": 4, "n": 4})):
+        with pytest.raises(ParameterError, match=r"^transport: .*the branch inventory "):
+            build(theorem, **params)
+    with pytest.raises(ParameterError, match=r"^picard: "):
+        build(3, m=2, n=4)
+
+
+@pytest.mark.parametrize("theorem, m", [(1, None), (2, 3), (2, 4), (3, 2), (3, 3)])
+def test_a_row_entry_moved_by_one_fails_the_proof(monkeypatch, theorem, m):
+    # Every entry one more or one less (where it stays >= 0), except the
+    # negative section's on the plane, where the section is zero.
+    row = constructions.THEOREMS[theorem].pipeline(1 if m is None else m)
+    params = {"n": 4} if m is None else {"m": m, "n": 4}
+    for i, mults in enumerate(row):
+        for j in (0, 2, 3) if m is None else range(4):
+            for step in (-1, 1):
+                wrong = [list(x) for x in row]
+                wrong[i][j] += step
+                if wrong[i][j] < 0:
+                    continue
+                _patch_pipeline(monkeypatch, theorem, lambda m, w=tuple(map(tuple, wrong)): w)
+                with pytest.raises(ParameterError, match=_STAGE):
+                    build(theorem, **params)
+
+
+def test_an_h0_remainder_outside_its_range_fails_the_invariants_stage(monkeypatch):
+    # Two more lines in family 3's branch divisor: L = nD0 + (mn + 2)F, and
+    # K + L has b - e*a = m, outside [0, m), so h0(K + L) is not read off.
+    _patch_pipeline(monkeypatch, 3, lambda m: ((4, 0, 0, 1),))
+    with pytest.raises(ParameterError, match=r"^invariants: .*h0\(K \+ L\) of 2\*D0 \+ 6\*F "):
+        build(3, m=2, n=4)
+
+
+def _reports_agree(report, expected):
+    """The report equals the oracle's, as records, JSON text and printed text."""
+    assert report == expected
+    assert report.to_json_text() == expected.to_json_text()
+    texts = []
+    for r in (report, expected):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._print_report(r)
+        texts.append(out.getvalue())
+    assert texts[0] == texts[1]
+
+
+# The sweeps of CERTIFY_SWEEPS in perfbench/workloads.py, then those of the
+# golden verify-theorem cases.
+_ORACLE_SWEEPS = (
+    (1, [None], range(2, 301)),
+    (2, range(3, 9), range(2, 129, 2)),
+    (3, range(2, 8), range(4, 129, 2)),
+    (1, [None], range(2, 7)),
+    (2, range(3, 6), (2, 4)),
+    (3, range(2, 5), (4, 6)),
+)
+
+
+def test_reports_equal_the_per_member_oracle_on_the_sweeps():
+    for theorem, ms, ns in _ORACLE_SWEEPS:
+        for m in ms:
+            for n in ns:
+                params = {"n": n} if m is None else {"m": m, "n": n}
+                _reports_agree(build(theorem, **params), _build_oracle.build(theorem, **params))
+
+
+@pytest.mark.parametrize("theorem, m, n", [
+    (1, None, 10**6), (1, None, 10**12), (2, 10**6, 2), (2, 3, 10**12), (2, 10**12, 10**6),
+    (2, 10**12 + 1, 10**12), (3, 10**6, 4), (3, 2, 10**12), (3, 10**12, 10**12),
+])
+def test_reports_equal_the_per_member_oracle_at_large_parameters(theorem, m, n):
+    params = {"n": n} if m is None else {"m": m, "n": n}
+    _reports_agree(build(theorem, **params), _build_oracle.build(theorem, **params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([(1, None, 2, 1), (2, 3, 2, 2), (2, 4, 2, 2), (3, 2, 4, 2)]),
+       k=st.integers(0, 10**4), j=st.integers(0, 10**4))
+def test_reports_equal_the_per_member_oracle_on_each_class(case, k, j):
+    # (theorem, least m, least n, step of m) for each class of members.
+    theorem, m0, n0, step = case
+    n = n0 + (1 if theorem == 1 else 2) * j
+    params = {"n": n} if m0 is None else {"m": m0 + step * k, "n": n}
+    _reports_agree(build(theorem, **params), _build_oracle.build(theorem, **params))

@@ -53,8 +53,8 @@ RECORDS = {
     ("constructions", "_LineSolver"): (("divisor", "offset", "quadratic"), {}),
     ("constructions", "Param"): (("name", "minimum", "step"), {}),
     ("constructions", "Family"): (
-        ("label", "theorem", "params", "pair", "solve", "pipeline"),
-        {"solve": None, "pipeline": None},
+        ("label", "theorem", "params", "pair", "solve", "pipeline", "period"),
+        {"solve": None, "pipeline": None, "period": 1},
     ),
     ("constructions", "DoubleBranchPoint"): (("sing", "count", "origin"), {}),
     ("constructions", "ConstructionReport"): (

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from picardlab.constructions import ParameterError, _halve
+from picardlab.constructions import _even
 from picardlab.surfaces import (
     BaseSurface,
     DivisorClass,
     SurfaceMismatchError,
     canonical_class,
     h0,
+    half,
     hirzebruch,
     intersect,
     is_ample,
@@ -97,15 +98,16 @@ def test_arithmetic_results_are_int_classes_on_the_same_surface():
 
 
 def test_half_is_the_class_whose_double_it_is():
-    # The builder halves coefficient tuples; an odd coefficient is refused.
+    # The builder halves coefficient tuples with half; a class proof refuses
+    # a tuple that is not even in every coefficient.
     f3 = hirzebruch(3)
     for d in (f3.divisor(4, -6), f3.divisor(0, 0), P2.divisor(-8), f3.divisor(2, 2)):
-        half = _halve(d.surface, "B", d.coeffs)
-        assert 2 * d.surface.divisor(*half) == d
-        assert len(half) == d.surface.rank and all(type(c) is int for c in half)
+        assert all(map(_even, d.coeffs))
+        halved = tuple(map(half, d.coeffs))
+        assert 2 * d.surface.divisor(*halved) == d
+        assert len(halved) == d.surface.rank and all(type(c) is int for c in halved)
     for d in (f3.divisor(3, 8), f3.divisor(2, -7), P2.divisor(1)):
-        with pytest.raises(ParameterError, match=r"^validate: B = .* is not twice a class$"):
-            _halve(d.surface, "B", d.coeffs)
+        assert not all(map(_even, d.coeffs))
 
 
 def test_canonical_classes():
