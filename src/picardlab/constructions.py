@@ -38,8 +38,7 @@ from collections import namedtuple
 from itertools import islice
 
 from .covers import (
-    BidoubleCoverData, DoubleCoverData, SurfaceInvariants, bidouble_formulas, double_formulas,
-    pullback, validate,
+    BidoubleCoverData, DoubleCoverData, SurfaceInvariants, formulas, pullback, validate,
 )
 from .curves import seed_proof
 from .polynomials import at_least, domain_variables
@@ -454,36 +453,13 @@ def _even(x) -> bool:
     return x % 2 == 0 if isinstance(x, int) else x.multiple_of(2)
 
 
-def _plan(entries):
-    """The entries' positions grouped by type in SingInventory's order, which
-    merges equal types; None unless, on the whole class, every type is valid,
-    every count positive and two indices of one family equal polynomials or
-    a strictly positive difference apart."""
-    groups: list = []
-    for position, (t, count) in enumerate(entries):
-        # A_k needs k >= 1 and D_k k >= 4; no rule here makes an E type.
-        if not (at_least(t[1], {"A": 1, "D": 4}[t[0]]) and at_least(count, 1)):
-            return None
-        same = [members for u, members in groups if u == t]
-        if same:
-            same[0].append(position)
-        else:
-            groups.append((t, [position]))
-    order = []
-    for t, members in groups:
-        others = [u[1] for u, _ in groups if u[0] == t[0] and u is not t]
-        if not all(at_least(t[1] - i, 1) or at_least(i - t[1], 1) for i in others):
-            return None
-        order.append(((t[0], sum(at_least(t[1] - i, 1) for i in others)), tuple(members)))
-    return tuple(members for _, members in sorted(order))
-
-
 def _facts(family: Family, values: tuple, numbers: tuple, base=None):
     """The certificate as (holds, text) facts in stage order on the numbers of
     _derive: ints at a member, or Polys on a class, where a fact holds only
     if shown on the whole class.  Given a member's base, text words the fact
     with its numbers.  The cover relations hold by construction (L halves
-    its sum, L3 = L1 + L2 - B3)."""
+    its sum, L3 = L1 + L2 - B3).  The facts stop after a failed h0 fact, as
+    p_g and every later fact rest on it."""
     e, components, expected, sums, classes, _, branch_entries, cover_entries = numbers
     record = BidoubleCoverData if len(classes) == 6 else DoubleCoverData
     Ls, Bs = classes[:len(classes) // 2], classes[len(classes) // 2:]
@@ -496,24 +472,24 @@ def _facts(family: Family, values: tuple, numbers: tuple, base=None):
     for name, L in zip(record._fields[1:], Ls):
         yield any(at_least(c, 1) or at_least(-c, 1) for c in L), base and (
             f"assembled building data is invalid: {name} is the trivial class")
-    k = canonical(e, len(components[0]))
-    if record is BidoubleCoverData:
-        (K2, chi, _), amp = bidouble_formulas(e, Ls, Bs), compose((2, 1, 1, 1), (k, *Bs))
-    else:
-        (K2, chi, _), amp = double_formulas(e, Ls[0]), plus(k, Ls[0])
-    p_g = 0
+    K2, chi, _, amp = formulas(e, Ls, Bs)
+    k, p_g = canonical(e, len(components[0])), 0
     for name, L in zip(record._fields[1:], Ls):
         h0 = sections(e, plus(k, L))
         yield h0 is not None, base and (
             f"invariants: h0(K + {name}) of {show(plus(k, L))} is not a closed form on the class")
+        if h0 is None:
+            return
         p_g += h0
     q = 1 + p_g - chi
     yield q == 0, base and f"invariants: derived irregularity q = {q}, expected 0"
     yield ample(e, amp), base and f"ample: {show(amp)} is not ample"
     for which, entries in (("branch", branch_entries), ("cover", cover_entries)):
-        yield _plan(entries) is not None, base and (
-            f"transport: the {which} inventory "
-            f"{', '.join(f'{c} x {f}{i}' for (f, i), c in entries)} is not ordered on the class")
+        # A_k needs k >= 1 and D_k k >= 4; no rule here makes an E type.
+        yield all(at_least(i, {"A": 1, "D": 4}[f]) and at_least(c, 1) for (f, i), c in entries), (
+            base and f"transport: the {which} inventory "
+            f"{', '.join(f'{c} x {f}{i}' for (f, i), c in entries)} "
+            "has a type or count out of range")
     lower, h11 = sum(i * c for (_, i), c in cover_entries) + len(components[0]), 10 * chi - K2
     yield lower == h11, base and f"picard: the lower bound {lower} differs from h11 = {h11}"
     closed = family.pair(*values)
@@ -521,27 +497,18 @@ def _facts(family: Family, values: tuple, numbers: tuple, base=None):
 
 
 @functools.lru_cache(maxsize=None)
-def family_proof(family: Family, params: tuple, rows: tuple) -> tuple:
+def family_proof(family: Family, params: tuple, rows: tuple) -> int | None:
     """Prove the certificate of every member of a class at once: _derive and
     _facts on the class params shifted by domain_variables, with the class's
     rows.  Each fact is an identity or a sign fact (Poly.multiple_of,
     Poly.nonnegative) in the shifted parameters, so it holds at every member.
-    The proof: the position in _facts of the first fact not shown (None when
-    all are), and the _plan of the branch and of the cover inventory."""
+    The proof is the position in _facts of the first fact not shown, or None
+    when all are."""
     values = domain_variables(params)
     m, n = values if len(values) == 2 else (None, *values)
     numbers = _derive(rows, _layout(rows), m, n, *_certified_seed(n))
-    facts = enumerate(_facts(family, values, numbers))
-    failed = next((i for i, (holds, _) in facts if not holds), None)
-    return failed, *(None if failed is not None else _plan(x) for x in numbers[6:])
-
-
-def _inventory(plan: tuple, entries: list) -> SingInventory:
-    """The inventory of the entries, merged and ordered as the plan says."""
-    return _trusted(SingInventory, (tuple([
-        (_trusted(SingType, entries[group[0]][0]), sum([entries[i][1] for i in group]))
-        for group in plan
-    ]),))
+    return next((i for i, (holds, _) in enumerate(_facts(family, values, numbers)) if not holds),
+                None)
 
 
 def _build(family: Family, *values: int) -> ConstructionReport:
@@ -561,7 +528,7 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         value = intersect(divisors[i], divisors[j])
         if value != want:
             raise ParameterError(f"transport: {name} = {value}, expected {want}")
-    failed, branch_plan, cover_plan = family_proof(family, class_params, rows)
+    failed = family_proof(family, class_params, rows)
     if failed is not None:
         family_proof.cache_clear()
         holds, text = next(islice(_facts(family, values, numbers, base), failed, None))
@@ -581,13 +548,17 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         else _trusted(DoubleBranchPoint, (_trusted(SingType, t), count, _ORIGINS[place]))
         for t, meets, count, place in points
     ])
-    cover_inventory = _inventory(cover_plan, cover_entries)
+    # The proof shows every type valid and every count positive; the
+    # inventories merge and order the member's entries.
+    branch_inventory, cover_inventory = (
+        SingInventory(tuple([(_trusted(SingType, t), c) for t, c in entries]))
+        for entries in (branch_entries, cover_entries))
     lower = picard_lower_bound(cover_inventory, base.rank)
     K2, chi = closed_form = family.pair(*values)
     h11 = 10 * chi - K2
     # The fields in order; the invariants have q = 0, p_g = chi - 1.
     return _trusted(ConstructionReport, (
-        family.theorem, params, base, data, records, _inventory(branch_plan, branch_entries),
+        family.theorem, params, base, data, records, branch_inventory,
         cover_inventory, _trusted(SurfaceInvariants, (K2, chi, chi - 1, 0, h11)), closed_form,
         True, base.rank, lower, h11, lower == h11, True,
     ))

@@ -69,22 +69,17 @@ def pullback(u: tuple, degree) -> tuple:
     return u[0], degree * u[1]
 
 
-def double_formulas(e, L: tuple) -> tuple:
-    """(K2, chi, L(L+K)) of the double cover with data L: K2 = 2(K+L)^2 and
-    chi = 2 + L(L+K)/2, an integer only when L(L+K) is even."""
-    kl = plus(canonical(e, len(L)), L)
-    pair = pairing(e, L, kl)
-    return 2 * pairing(e, kl, kl), 2 + half(pair), pair
-
-
-def bidouble_formulas(e, Ls: tuple, Bs: tuple) -> tuple:
-    """(K2, chi, sum of L_i(L_i+K)) of the bidouble cover with data Ls and
-    Bs: K2 = (2K + B1 + B2 + B3)^2 and chi = 4 + (1/2) * sum of L_i(L_i+K),
-    an integer only when the sum is even."""
+def formulas(e, Ls: tuple, Bs: tuple) -> tuple:
+    """(K2, chi, pairing, A) of the double cover with data (L,), (B,) or the
+    bidouble cover with data Ls, Bs.  A, K + L or 2K + B1 + B2 + B3, pulls
+    back to K or 2K of the cover, so K2 = 2A^2 or A^2.  chi = 2 or 4 plus
+    half the pairing, the sum of L_i(L_i+K): an integer only when the
+    pairing is even."""
     k = canonical(e, len(Ls[0]))
-    h = compose((2, 1, 1, 1), (k, *Bs))
+    double = len(Ls) == 1
+    a = plus(k, Ls[0]) if double else compose((2, 1, 1, 1), (k, *Bs))
     pair = sum([pairing(e, L, plus(L, k)) for L in Ls])
-    return pairing(e, h, h), 4 + half(pair), pair
+    return (1 + double) * pairing(e, a, a), len(Ls) + 1 + half(pair), pair, a
 
 
 def validate(data: CoverData) -> list[str]:
@@ -130,13 +125,16 @@ def _off_base(data: CoverData) -> list[str]:
             for name, div in zip(data._fields[1:], data[1:]) if div.surface != data.base]
 
 
-def _invariants(data: CoverData, Ls, formulas: tuple, pairing_name: str) -> SurfaceInvariants:
-    """The invariants from the formulas' K2, chi and pairing and p_g, the sum
-    of h0(K + L) over Ls; q is derived, never assumed."""
-    K2, chi, pair = formulas
+def _invariants(data: CoverData, problems: list[str], pairing_name: str) -> SurfaceInvariants:
+    """The invariants of valid data from formulas' K2, chi and pairing and
+    p_g, the sum of h0(K + L) over the Ls; q is derived, never assumed."""
+    if problems:
+        raise CoverDataError("; ".join(problems))
+    e, Ls, Bs = _formula_args(data)
+    K2, chi, pair, _ = formulas(e, Ls, Bs)
     if pair % 2:
         raise CoverDataError(f"{pairing_name} = {pair} is odd, chi would not be an integer")
-    e, k = data.base.e, canonical(data.base.e, data.base.rank)
+    k = canonical(e, data.base.rank)
     p_g = sum([sections(e, plus(k, L)) for L in Ls])
     q = 1 + p_g - chi  # negative for bad building data
     if q < 0:
@@ -144,23 +142,20 @@ def _invariants(data: CoverData, Ls, formulas: tuple, pairing_name: str) -> Surf
     return SurfaceInvariants(K2=K2, chi=chi, p_g=p_g, q=q, h11=10 * chi - K2 - 2 * q)
 
 
+def _formula_args(data: CoverData) -> tuple:
+    """The record's e, L coefficients and B coefficients, formulas' arguments."""
+    coeffs = [div.coeffs for div in data[1:]]
+    return data.base.e, coeffs[:len(coeffs) // 2], coeffs[len(coeffs) // 2:]
+
+
 def double_invariants(data: DoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the double cover (double_formulas)."""
-    problems = validate_double(data)
-    if problems:
-        raise CoverDataError("; ".join(problems))
-    L = data.L.coeffs
-    return _invariants(data, (L,), double_formulas(data.base.e, L), "L(L+K)")
+    """Invariants of the double cover (formulas)."""
+    return _invariants(data, validate_double(data), "L(L+K)")
 
 
 def bidouble_invariants(data: BidoubleCoverData) -> SurfaceInvariants:
-    """Invariants of the bidouble cover (bidouble_formulas)."""
-    problems = validate_bidouble(data)
-    if problems:
-        raise CoverDataError("; ".join(problems))
-    coeffs = [div.coeffs for div in data[1:]]
-    formulas = bidouble_formulas(data.base.e, coeffs[:3], coeffs[3:])
-    return _invariants(data, coeffs[:3], formulas, "sum of L_i(L_i+K)")
+    """Invariants of the bidouble cover (formulas)."""
+    return _invariants(data, validate_bidouble(data), "sum of L_i(L_i+K)")
 
 
 def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:
@@ -178,11 +173,7 @@ def cyclic_pullback_class(d: DivisorClass, degree: int) -> DivisorClass:
 
 
 def canonical_ample_check(data: CoverData) -> bool:
-    """Whether the class pulling back to (a multiple of) the cover's canonical
-    class is ample on the base: K + L for a double cover, 2K + B1 + B2 + B3
-    for a bidouble cover."""
-    e = data.base.e
-    k = canonical(e, data.base.rank)
-    if isinstance(data, DoubleCoverData):
-        return ample(e, plus(k, data.L.coeffs))
-    return ample(e, compose((2, 1, 1, 1), (k, data.B1.coeffs, data.B2.coeffs, data.B3.coeffs)))
+    """Whether formulas' A, the class pulling back to (a multiple of) the
+    cover's canonical class, is ample on the base."""
+    e, Ls, Bs = _formula_args(data)
+    return ample(e, formulas(e, Ls, Bs)[3])

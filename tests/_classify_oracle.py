@@ -7,6 +7,8 @@ exact integer division; the tests compare both verdicts, and both
 JetBoundErrors, on the same jets.
 """
 
+from fractions import Fraction
+
 from picardlab.curves import CorankAtLeastTwo, JetBoundError, Smooth
 from picardlab.polynomials import Poly, substitute
 from picardlab.singularities import A
@@ -48,7 +50,7 @@ def classify_ak(f: Poly, jet_bound: int):
     if c == 0:
         g = substitute(g, _Y, _X, trunc=jet_bound)
     elif b != 0:
-        g = substitute(g, _X, _Y - (b / (2 * c)) * _X, trunc=jet_bound)
+        g = substitute(g, _X, _Y - Fraction(b, 2 * c) * _X, trunc=jet_bound)
 
     columns = [[g.coeffs.get((i, j), 0) for i in range(jet_bound - j)] for j in range(jet_bound)]
     fy = [[(j + 1) * v for v in column] for j, column in enumerate(columns[1:])]
@@ -58,7 +60,8 @@ def classify_ak(f: Poly, jet_bound: int):
         m = min(2 * known, jet_bound - 1)
         num, den = _compose(fy, phi, m), _compose(fyy, phi, m - known)
         for t in range(known, m):
-            phi.append(-(num[t] + sum(phi[i] * den[t - i] for i in range(known, t))) / den[0])
+            step = num[t] + sum(phi[i] * den[t - i] for i in range(known, t))
+            phi.append(Fraction(-step, den[0]))
     on_polar = _compose(columns, phi, jet_bound)
     if not any(on_polar):
         raise JetBoundError(f"f(x, phi) on the polar curve vanishes modulo x^{jet_bound}; "

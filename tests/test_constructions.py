@@ -30,8 +30,7 @@ from picardlab.covers import (
     BidoubleCoverData,
     DoubleCoverData,
     SurfaceInvariants,
-    bidouble_formulas,
-    double_formulas,
+    formulas,
     pullback,
     validate_bidouble,
     validate_double,
@@ -341,9 +340,9 @@ def _ring_identity(label, row, params):
     if len(branch) == 3:
         L1, L2 = (tuple(map(half, u)) for u in sums)
         L3 = compose((1, 1, -1), (L1, L2, B3))
-        K2, chi, _ = bidouble_formulas(e, (L1, L2, L3), (B1, B2, B3))
+        K2, chi, _, _ = formulas(e, (L1, L2, L3), (B1, B2, B3))
     else:
-        K2, chi, _ = double_formulas(e, tuple(map(half, branch[0])))
+        K2, chi, _, _ = formulas(e, (tuple(map(half, branch[0])),), tuple(branch))
     return (K2, chi) == FAMILIES[label].pair(*values)
 
 
@@ -538,6 +537,57 @@ def test_a_wrong_union_rule_fails_the_proof(monkeypatch, fresh_family_proofs):
             build(theorem, **params)
     with pytest.raises(ParameterError, match=r"^picard: "):
         build(3, m=2, n=4)
+
+
+def test_a_union_rule_of_d_k_fails_the_range_fact(monkeypatch, fresh_family_proofs):
+    # D_k in place of D_{k+3}: at n = 4 a divisor through an A_3 point of
+    # families 1 and 2 would make a D3 point, no ADE type.
+    original = singularities.union_rule
+
+    def three_less(branch, contact):
+        family, index = original(branch, contact)
+        return family, index - 3 * (family == "D")
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "union_rule", three_less)
+    for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 4}), (2, {"m": 4, "n": 4})):
+        with pytest.raises(ParameterError, match=r"^transport: the branch inventory \d+ x D3, "
+                           r".* has a type or count out of range$"):
+            build(theorem, **params)
+
+
+def test_a_rule_of_zero_count_fails_the_range_fact(monkeypatch, fresh_family_proofs):
+    # R2 (an A_k point met transversally, union D_{k+3}) giving no points
+    # upstairs: a zero count in the cover inventory of families 1 and 2.
+    original = singularities.bidouble_rule
+
+    def none_upstairs(sing, union, count):
+        upstairs = original(sing, union, count)
+        return upstairs and (upstairs[0], 0 if union and union[0] == "D" else upstairs[1])
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "bidouble_rule", none_upstairs)
+    for theorem, params in ((1, {"n": 4}), (2, {"m": 3, "n": 4}), (2, {"m": 4, "n": 4})):
+        with pytest.raises(ParameterError, match=r"^transport: the cover inventory .*, 0 x A"
+                           r".* has a type or count out of range$"):
+            build(theorem, **params)
+
+
+def test_the_facts_of_a_class_stop_at_a_failed_h0_fact():
+    # Family 2's row for even m on m = 2 + 2M with odd n = 3 + 2N, outside
+    # its domain: h0(K + L2) is no closed form on the class, and p_g, q and
+    # every later fact rest on it.
+    family, rows = FAMILIES["A2"], FAMILIES["A2"].pipeline(2)
+
+    def facts(values, base=None):
+        seed = constructions._certified_seed(values[1])
+        numbers = constructions._derive(rows, constructions._layout(rows), *values, *seed)
+        return list(constructions._facts(family, values, numbers, base))
+
+    on_class = facts(domain_variables((Param("m", 2, 2), Param("n", 3, 2))))
+    assert [holds for holds, _ in on_class] == [True] * 10 + [False]
+    _, text = facts((4, 5), hirzebruch(4))[10]
+    assert text.startswith("invariants: h0(K + L2) of ")
 
 
 @pytest.mark.parametrize("theorem, m", [(1, None), (2, 3), (2, 4), (3, 2), (3, 3)])

@@ -236,6 +236,10 @@ class TestIntegerNewton:
                     ours = self.verdict(classify_ak, f, bound)
                     assert ours == self.verdict(oracle_classify_ak, f, bound), (k, branch, bound)
                     assert ours == (JetBoundError if bound == k + 1 else A(k)), (k, branch, bound)
+        # Integer coefficients with a mixed term: the shear and the Newton
+        # steps divide ints.
+        f = parse_local_poly("x^2 + 2*x*y + y^2 - x^5")
+        assert classify_ak(f, 8) == oracle_classify_ak(f, 8) == A(4)
 
     def test_integer_branch_is_the_rational_branch_at_l_x(self, monkeypatch):
         # Each Newton's last composition is with its final branch phi.
