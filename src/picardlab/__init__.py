@@ -41,7 +41,6 @@ from .curves import (
 from .geography import (
     GeoPair,
     SET_LABELS,
-    admissible,
     emit_figure,
     enumerate_set,
     set_relations_report,

@@ -34,9 +34,14 @@ from .polynomials import PointOffCurveError, PolyParseError, parse_local_poly, p
 USAGE_ERROR = 2
 FAILURE = 1
 DEFAULT_CHI_MAX = 10_000
-# The claims sum counts over about sqrt(chi_max) lines, made one at a time,
-# and walk T's members: about 0.21 s and 17 MB at 10^10 (Python 3.11, 2 vCPUs).
+# The claims add up the lengths of about sqrt(chi_max) lines' ranges of m,
+# made one at a time, and walk T's members: about 0.15 s and 16 MB at 10^10
+# (Python 3.11, 2 vCPUs), for --claims and --emit json alike.
 MAX_CHI_MAX = 10**10
+# --emit csv and svg write a row and a marker per pair, about 0.8 per chi
+# value: at 10^7 a 388 MB sets.csv and a 695 MB figure.svg in about 28 s at
+# a peak of 19 MB (same host); at 10^10 it would be over a terabyte.
+MAX_EMIT_CHI_MAX = 10**7
 # Fraction computes 10**exponent for a number like 1e-k, 9 s at k = 10^7.
 # Past twice the 4,300 digits str() converts, no k gives a printable one.
 MAX_THRESHOLD_EXPONENT = 10_000
@@ -253,6 +258,10 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     for emit in emits:
         if emit not in ("csv", "svg", "json"):
             raise UsageError(f"unknown emit format {emit!r} (csv, svg or json)")
+    if chi_max > MAX_EMIT_CHI_MAX and {"csv", "svg"} & set(emits):
+        raise UsageError(
+            f"{source} must be at most {MAX_EMIT_CHI_MAX} to emit csv or svg, got {chi_max}"
+        )
 
     report = set_relations_report(chi_max)
     print(f"set relations within chi <= {chi_max}:")

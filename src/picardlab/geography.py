@@ -1,5 +1,4 @@
-"""Invariant-pair geography: the five enumerable families, admissibility
-against the Noether and Bogomolov-Miyaoka-Yau bounds, exact slopes and
+"""Invariant-pair geography: the five enumerable families, exact slopes and
 their Severi-line limits, the set-relation certificates, and the figure
 and table emitters.
 
@@ -16,23 +15,25 @@ process: claim i) and its parity ingredients, T inside A3, that A2 and A3
 share no pair, that each meets every doubling chi-window, and where each
 meets the Noether line.  B shares exactly one pair, (128, 46), with A3.
 A2 and A3 lie on lines, one per n, on which K2 and chi are affine in m;
-each line is read off the family's pair at m = 0 and m = 1.  The member
-counts are summed over the lines as they are made, so their time grows
-with the number of lines, not of pairs, and only T, with O(sqrt(chi_max))
-members, is walked one by one, for the T-in-A2 audit.
+each line is read off the family's pair at m = 0 and m = 1 (_lines gives
+its n, its coefficients and its range of m).  The member counts add up
+the lengths of those ranges, so their time grows with the number of lines,
+not of pairs, and no record is made per line; only T, with
+O(sqrt(chi_max)) members, is walked one by one, for the T-in-A2 audit.
 
 The figure and table emitters read the same members and lines as sorted
-runs (pair_runs): one run per one-parameter family, over its member list,
-and each A2/A3 line as a run of its own, all in strictly increasing chi.
-figures asks them for the rows of one chi window at a time and sorts each
-window's batch, so the emitters' time grows with the number of pairs and
-their memory with the number of lines.  enumerate_set sorts every member
-of one family into a list of GeoPairs for library callers and tests.
+runs (pair_runs), one record type for both: a run holds the varying
+parameter, chi and K2 as parallel sequences in strictly increasing chi,
+lists for a one-parameter family and ranges for an A2/A3 line, so a line
+lists no pair.  figures asks them for the rows of one chi window at a time
+and sorts each window's batch, so the emitters' time grows with the number
+of pairs and their memory with the number of lines.  enumerate_set sorts
+every member of one family's runs into a list of GeoPairs for library
+callers and tests.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
 from bisect import bisect_left
 from collections import namedtuple
@@ -72,27 +73,15 @@ class GeoPair(namedtuple("GeoPair", "chi K2 set_label params")):
 
 def enumerate_set(which: str, chi_max: int) -> list[GeoPair]:
     """All pairs of the labeled family with chi <= chi_max, sorted by
-    (chi, K2, parameters)."""
-    _check_sets([which], chi_max)
-    names = tuple(p.name for p in FAMILIES[which].params)
-    if len(names) == 1:
-        pairs = [(chi, k2, ((names[0], p),)) for p, (k2, chi) in _sparse_members(which, chi_max)]
-    else:
-        m_name, n_name = names
-        pairs = [
-            (chi, k2, ((m_name, m), (n_name, line.n)))
-            for line in _lines(which, chi_max)
-            for m in range(line.m_first, line.m_last + 1)
-            for k2, chi in (line.value(m),)
-        ]
+    (chi, K2, parameters), read from its runs."""
+    (runs,) = pair_runs([which], chi_max).values()
+    name, *fixed = (p.name for p in FAMILIES[which].params)
+    pairs = []
+    for run in runs:
+        rest = tuple((f, run.n) for f in fixed)
+        pairs += [(c, k, ((name, p), *rest)) for p, c, k in zip(run.params, run.chis, run.k2s)]
     pairs.sort()
     return [GeoPair(chi, k2, which, params) for chi, k2, params in pairs]
-
-
-def admissible(K2: int, chi: int) -> bool:
-    """Strict positivity plus the Noether (K2 >= 2*chi - 6) and
-    Bogomolov-Miyaoka-Yau (K2 <= 9*chi) inequalities."""
-    return K2 >= 1 and chi >= 1 and K2 >= 2 * chi - 6 and K2 <= 9 * chi
 
 
 # ---------------------------------------------------------------------------
@@ -247,76 +236,84 @@ class SetRelationsReport(namedtuple("SetRelationsReport", "bound claims")):
         return {"bound": self.bound, "claims": [c.to_json() for c in self.claims]}
 
 
-def _sparse_members(label: str, chi_max: int):
-    """(parameter, (K2, chi)) for every member with chi <= chi_max, in
-    parameter order, which is also chi order."""
-    family = FAMILIES[label]
-    (param,) = family.params
-    pair, p, step = family.pair, param.minimum, param.step
-    while (value := pair(p))[1] <= chi_max:
-        yield p, value
-        p += step
-
-
-class _Line(namedtuple("_Line", "label n m_first m_last k2_step k2_0 chi_step chi_0")):
-    """Family 2 or 3 at one n.  K2 and chi are affine in m, with K2 =
-    k2_step*m + k2_0 and chi = chi_step*m + chi_0; the members within the
-    bound are m_first <= m <= m_last.  A line is also the emitters' run
-    (figures.Run) of its members: a window is a range of m."""
+class _Run(namedtuple("_Run", "label n params chis k2s head tail")):
+    """One set's members within the bound, the emitters' run (figures.Run):
+    the parameter that varies, chi and K2 as three parallel sequences in
+    strictly increasing chi.  An A2 or A3 line (at n) holds ranges, as K2
+    and chi are affine in m; a one-parameter family (n None) holds lists.
+    A member's CSV line is head, its parameter, tail and its numbers."""
 
     __slots__ = ()
 
-    def value(self, m: int) -> tuple[int, int]:
-        return (self.k2_step * m + self.k2_0, self.chi_step * m + self.chi_0)
+    def _index(self, chi: int) -> int:
+        """The number of members with chi below the given chi, counted on a
+        line as if its range went on past the last member: the length of a
+        range, which is arithmetic, or bisect_left on a list (on a range it
+        would make an int per probe)."""
+        chis = self.chis
+        if type(chis) is range:
+            return len(range(chis.start, chi, chis.step))
+        return bisect_left(chis, chi)
 
-    @property
-    def count(self) -> int:
-        return self.m_last - self.m_first + 1
-
-    def m_window(self, lo: int, hi: int) -> range:
-        """The members' m with lo <= chi <= hi."""
-        first = max(self.m_first, -((self.chi_0 - lo) // self.chi_step))
-        last = min(self.m_last, (hi - self.chi_0) // self.chi_step)
-        return range(first, last + 1)
+    def _window(self, lo: int, hi: int) -> slice:
+        """The members with lo <= chi <= hi."""
+        return slice(self._index(lo), self._index(hi + 1))
 
     def first_chi(self, lo: int) -> Optional[int]:
-        # The smallest member m with chi >= lo, as in m_window.
-        m = max(self.m_first, -((self.chi_0 - lo) // self.chi_step))
-        return self.chi_step * m + self.chi_0 if m <= self.m_last else None
-
-    def _columns(self, lo: int, hi: int) -> tuple[range, range, Iterator[int]]:
-        """The m, chi and K2 of the members with lo <= chi <= hi, as
-        iterators of equal length, K2's open-ended."""
-        ms, c, k = self.m_window(lo, hi), self.chi_step, self.k2_step
-        chis = range(c * ms.start + self.chi_0, c * ms.stop + self.chi_0, c)
-        return ms, chis, itertools.count(k * ms.start + self.k2_0, k)
+        chis, i = self.chis, self._index(lo)
+        return chis[i] if i < len(chis) else None
 
     def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str]]:
-        m_param, n_param = FAMILIES[self.label].params
-        head, n_text = f"{self.label},{m_param.name}=", f" {n_param.name}={self.n},"
+        window, head, tail = self._window(lo, hi), self.head, self.tail
         return [
-            (chi, k2, f"{head}{m}{n_text}{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n")
-            for m, chi, k2 in zip(*self._columns(lo, hi))
+            (chi, k2, f"{head}{p}{tail}{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n")
+            for p, chi, k2 in zip(self.params[window], self.chis[window], self.k2s[window])
         ]
 
     def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        _, chis, k2s = self._columns(lo, hi)
-        return list(zip(chis, k2s))
+        window = self._window(lo, hi)
+        return list(zip(self.chis[window], self.k2s[window]))
 
 
-def _lines(label: str, chi_max: int) -> Iterator[_Line]:
-    """Every line of the family with a member within the bound, made one at
-    a time.  chi at the smallest m grows with n, so the first empty line
-    ends them."""
+def _member_run(label: str, chi_max: int) -> _Run:
+    """A one-parameter family's members within the bound, walked in
+    parameter order, which is also chi order."""
+    family = FAMILIES[label]
+    (param,) = family.params
+    params, chis, k2s = [], [], []
+    p = param.minimum
+    while (value := family.pair(p))[1] <= chi_max:
+        params.append(p)
+        k2s.append(value[0])
+        chis.append(value[1])
+        p += param.step
+    return _Run(label, None, params, chis, k2s, f"{label},{param.name}=", ",")
+
+
+def _line_run(label: str, n: int, coefficients: tuple, ms: range) -> _Run:
+    """The members of the family's line at n, with m in ms."""
+    k2_step, k2_0, chi_step, chi_0 = coefficients
+    m_name, n_name = (p.name for p in FAMILIES[label].params)
+    a, b = ms.start, ms.stop
+    chis = range(chi_step * a + chi_0, chi_step * b + chi_0, chi_step)
+    k2s = range(k2_step * a + k2_0, k2_step * b + k2_0, k2_step)
+    return _Run(label, n, ms, chis, k2s, f"{label},{m_name}=", f" {n_name}={n},")
+
+
+def _lines(label: str, chi_max: int) -> Iterator[tuple[int, tuple, range]]:
+    """(n, line coefficients, m range) of every line of the family with a
+    member within the bound, made one at a time, as in _line_coefficients.
+    chi at the smallest m grows with n, so the first empty line ends them."""
     family = FAMILIES[label]
     m_param, n_param = family.params
     m_first, n = m_param.minimum, n_param.minimum
     while True:
-        k2_step, k2_0, chi_step, chi_0 = _line_coefficients(family, n)
+        coefficients = _line_coefficients(family, n)
+        _, _, chi_step, chi_0 = coefficients
         m_last = (chi_max - chi_0) // chi_step
         if m_last < m_first:
             return
-        yield _Line(label, n, m_first, m_last, k2_step, k2_0, chi_step, chi_0)
+        yield n, coefficients, range(m_first, m_last + 1)
         n += n_param.step
 
 
@@ -331,45 +328,16 @@ def _check_sets(labels: Iterable[str], chi_max: int) -> None:
 def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
     """The selected families' pairs with chi <= chi_max as sorted runs, in
     the form figures reads: one run for a one-parameter family, one per
-    line for A2 and A3.  Only the lines and the O(sqrt(chi_max)) members of
-    the one-parameter families are listed; no line pair is built until a
-    run is asked for it."""
+    line for A2 and A3.  Only the O(sqrt(chi_max)) members of the
+    one-parameter families are listed; a line's run holds ranges, so no
+    line pair is built until a window asks for it."""
     _check_sets(labels, chi_max)
-    runs = {}
-    for label in labels:
-        if len(FAMILIES[label].params) == 1:
-            runs[label] = [_MemberRun(label, chi_max)]
-        else:
-            runs[label] = list(_lines(label, chi_max))
-    return runs
-
-
-class _MemberRun:
-    """A one-parameter family's members within the bound, listed once as
-    (chi, K2, parameter); a window is a bisect slice."""
-
-    __slots__ = ("members", "label", "name")
-
-    def __init__(self, label: str, chi_max: int):
-        self.members = [(chi, k2, p) for p, (k2, chi) in _sparse_members(label, chi_max)]
-        self.label, self.name = label, FAMILIES[label].params[0].name
-
-    def first_chi(self, lo: int) -> Optional[int]:
-        i = bisect_left(self.members, (lo,))
-        return self.members[i][0] if i < len(self.members) else None
-
-    def _slice(self, lo: int, hi: int) -> list[tuple[int, int, int]]:
-        return self.members[bisect_left(self.members, (lo,)) : bisect_left(self.members, (hi + 1,))]
-
-    def csv_rows(self, lo: int, hi: int) -> list[tuple[int, int, str]]:
-        head = f"{self.label},{self.name}="
-        return [
-            (chi, k2, f"{head}{p},{k2},{chi},{k2 // (g := gcd(k2, chi))},{chi // g}\n")
-            for chi, k2, p in self._slice(lo, hi)
-        ]
-
-    def points(self, lo: int, hi: int) -> list[tuple[int, int]]:
-        return [(chi, k2) for chi, k2, _ in self._slice(lo, hi)]
+    return {
+        label: [_member_run(label, chi_max)]
+        if len(FAMILIES[label].params) == 1
+        else [_line_run(label, *line) for line in _lines(label, chi_max)]
+        for label in labels
+    }
 
 
 def _line_coefficients(family, n) -> tuple:
@@ -583,7 +551,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     for left, right in (("A2", "A3"), ("A3", "A2")):
         names = (f"{left}-windows", "A2-A3-lines")
         lines = _lines(left, chi_max) if all(holds[name] for name in names) else []
-        count, first = sum(line.count for line in lines), _first_chi(FAMILIES[left])
+        count, first = sum(len(ms) for _, _, ms in lines), _first_chi(FAMILIES[left])
         claims.append(
             certified(
                 f"{left}-minus-{right}-infinite", names,
@@ -614,34 +582,31 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
 
     # Claim iii) machinery: T inside A3 (identity plus domain map), and the
     # T-in-A2 audit under printed and relaxed parity.
-    t_members = list(_sparse_members("T", chi_max))
+    t_run = _member_run("T", chi_max)
     claims.append(
         certified(
             "T-subset-A3", ("T-in-A3",),
             "substitution (m, n) = (t-3, t): polynomial identity holds and every "
-            f"T pair within the bound is an enumerated A3 pair ({len(t_members)} checked)",
+            f"T pair within the bound is an enumerated A3 pair ({len(t_run.params)} checked)",
             "(m, n) = (t-3, t) may not map T into A3",
         )
     )
 
     t_in_a2_symbolic = _t_identity("A2")
     audits = []
-    strict_hits = 0
-    for t, value in t_members:
+    for t, value in zip(t_run.params, zip(t_run.k2s, t_run.chis)):
         m_w, n_w = t // 2 - 1, t - 1
-        witness_pair = a2.pair(m_w, n_w)
-        strict = bool(a2.members(*value))
-        strict_hits += strict
         audits.append(
             {
                 "t": t,
                 "witness": {"m": m_w, "n": n_w},
-                "witness_value_matches": witness_pair == value,
+                "witness_value_matches": a2.pair(m_w, n_w) == value,
                 "witness_n_parity_ok": (n_w - n_param.minimum) % n_param.step == 0,
                 "witness_m_bound_ok": m_w >= m_param.minimum,
-                "in_A2_printed_constraints": strict,
+                "in_A2_printed_constraints": bool(a2.members(*value)),
             }
         )
+    strict_hits = sum(a["in_A2_printed_constraints"] for a in audits)
     all_values_match = all(a["witness_value_matches"] for a in audits)
     any_parity_ok = any(a["witness_n_parity_ok"] for a in audits)
     if strict_hits == len(audits) and audits:

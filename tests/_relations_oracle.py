@@ -36,6 +36,12 @@ def _is_perfect_square(x):
     return r * r == x
 
 
+def admissible(K2, chi):
+    """Strict positivity plus the Noether (K2 >= 2*chi - 6) and
+    Bogomolov-Miyaoka-Yau (K2 <= 9*chi) inequalities."""
+    return K2 >= 1 and chi >= 1 and 2 * chi - 6 <= K2 <= 9 * chi
+
+
 def _window_coverage(chis, chi_max):
     if not chis:
         return False, "no members within the bound"

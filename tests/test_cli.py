@@ -482,6 +482,42 @@ class TestGeography:
         assert f"{source} must be at most {cli.MAX_CHI_MAX}" in result.stderr
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("emit", ["csv", "svg", "json,svg"])
+    def test_emit_above_the_emit_bound_is_refused_quickly(self, tmp_path, emit):
+        # csv and svg write a row and a marker per pair: at 10^10 some 8*10^9,
+        # of which a first run wrote 200 MB in 6 s before it was stopped.  The
+        # refusal comes before any claim is computed or --out is made.
+        out_dir = tmp_path / "out"
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "picardlab.cli", "geography", "--chi-max",
+             str(cli.MAX_CHI_MAX), "--emit", emit, "--out", str(out_dir)],
+            capture_output=True, text=True, env=CLI_ENV, timeout=20,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert f"--chi-max must be at most {cli.MAX_EMIT_CHI_MAX} to emit csv or svg" in (
+            result.stderr
+        )
+        assert time.perf_counter() - start < 1.0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_emit_bound_is_inclusive_and_json_keeps_the_claims_bound(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(cli, "MAX_EMIT_CHI_MAX", 60)
+        code, _, _ = run(capsys, "geography", "--chi-max", "60", "--emit", "csv,svg",
+                         "--out", str(tmp_path / "at"))
+        assert code == 1 and sorted(p.name for p in (tmp_path / "at").iterdir()) == [
+            "figure.svg", "sets.csv",
+        ]
+        monkeypatch.setenv("PICARDLAB_CHI_MAX", "61")
+        code, _, err = run(capsys, "geography", "--emit", "csv", "--out", str(tmp_path / "above"))
+        assert code == 2 and "PICARDLAB_CHI_MAX must be at most 60 to emit csv or svg" in err
+        assert not (tmp_path / "above").exists()
+        code, _, _ = run(capsys, "geography", "--chi-max", str(cli.MAX_CHI_MAX), "--emit", "json",
+                         "--out", str(tmp_path / "json"))
+        assert code == 1 and [p.name for p in (tmp_path / "json").iterdir()] == ["claims.json"]
+
     @settings(max_examples=150, deadline=None, database=None)
     @given(
         st.one_of(

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from _relations_oracle import admissible
 from picardlab import geography
 from picardlab.constructions import FAMILIES
 from picardlab.geography import (
@@ -12,7 +13,6 @@ from picardlab.geography import (
     REFUTED,
     VERIFIED,
     _lines,
-    admissible,
     emit_figure,
     enumerate_set,
     set_relations_report,
@@ -54,6 +54,8 @@ class TestEnumerate:
 
 class TestAdmissible:
     def test_examples(self):
+        # The oracle's admissibility test, which the enumeration and solver
+        # tests use.
         assert admissible(1, 3)
         assert admissible(16, 11)  # lies on the Noether line
         assert admissible(1, 1)
@@ -130,11 +132,11 @@ class TestLines:
         ):
             lines = list(_lines(label, 10**6))
             assert len(lines) > 100
-            for line in lines:
-                a, b, c = paper_line(line.n)
-                assert line.k2_step < 4 * line.chi_step, (label, line.n)
-                assert a * line.k2_step == b * line.chi_step, (label, line.n)
-                assert a * line.k2_0 == b * line.chi_0 - c, (label, line.n)
+            for n, (k2_step, k2_0, chi_step, chi_0), _ in lines:
+                a, b, c = paper_line(n)
+                assert 0 < k2_step < 4 * chi_step, (label, n)
+                assert a * k2_step == b * chi_step, (label, n)
+                assert a * k2_0 == b * chi_0 - c, (label, n)
 
     def test_parameter_checks(self):
         # The lines are those of the admissible n, in order, each with its
@@ -142,11 +144,11 @@ class TestLines:
         for label in ("A2", "A3"):
             m_param, n_param = FAMILIES[label].params
             lines = list(_lines(label, 10**4))
-            assert [line.n for line in lines] == list(
+            assert [n for n, _, _ in lines] == list(
                 range(n_param.minimum, n_param.minimum + n_param.step * len(lines), n_param.step)
             )
-            assert {line.m_first for line in lines} == {m_param.minimum}
-            assert {line.label for line in lines} == {label}
+            assert {ms.start for _, _, ms in lines} == {m_param.minimum}
+            assert {ms.step for _, _, ms in lines} == {m_param.step}
 
 
 @pytest.fixture(scope="module")

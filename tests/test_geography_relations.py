@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from _relations_oracle import brute_force_set, enumerated_sets, oracle_report, restrict
+from _relations_oracle import admissible, brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
 from picardlab.constructions import FAMILIES, Param, family2_pair, family3_pair
 from picardlab.figures import _WINDOW, figure_svg
@@ -15,7 +15,6 @@ from picardlab.geography import (
     _identities,
     _lines,
     _t_identity,
-    admissible,
     emit_figure,
     enumerate_set,
     pair_runs,
@@ -117,9 +116,9 @@ def test_membership_solver_matches_enumeration(label):
 def test_lines_cover_the_enumerated_sets():
     for label in ("A2", "A3"):
         on_lines = sorted(
-            (line.value(m)[1], line.value(m)[0], m, line.n)
-            for line in _lines(label, 5000)
-            for m in range(line.m_first, line.m_last + 1)
+            (chi_step * m + chi_0, k2_step * m + k2_0, m, n)
+            for n, (k2_step, k2_0, chi_step, chi_0), ms in _lines(label, 5000)
+            for m in ms
         )
         enumerated = [
             (p.chi, p.K2, *(v for _, v in p.params)) for p in brute_force_set(label, 5000)
@@ -128,25 +127,46 @@ def test_lines_cover_the_enumerated_sets():
 
 
 def test_line_windows_match_a_scan():
-    for label in ("A2", "A3"):
-        for line in _lines(label, 3000):
-            members = range(line.m_first, line.m_last + 1)
-            for lo in range(1, 3001, 37):
-                for hi in (lo, 2 * lo, lo + 100):
-                    expected = [m for m in members if lo <= line.value(m)[1] <= hi]
-                    assert list(line.m_window(lo, hi)) == expected, (label, line.n, lo, hi)
-    # Each run's cursor, a line's or a one-parameter family's, against a scan
-    # of its members: lo below the first member, on and between members, and
-    # past the last.
-    runs = [run for runs in pair_runs(SET_LABELS, 3000).values() for run in runs]
-    assert {type(run).__name__ for run in runs} == {"_Line", "_MemberRun"}
+    # Every run of every family, a line's ranges or a one-parameter family's
+    # lists, against a scan of its brute-force members: first_chi, points
+    # and csv_rows for lo below the first member, on and between members and
+    # past the last, and for empty windows (hi below lo, or between members).
+    chi_max = 3000
+    members = {}
+    for label in SET_LABELS:
+        for p in brute_force_set(label, chi_max):
+            n = p.params[1][1] if len(p.params) == 2 else None
+            mu = Fraction(p.K2, p.chi)
+            line = f"{label},{p.params_str()},{p.K2},{p.chi},{mu.numerator},{mu.denominator}\n"
+            members.setdefault((label, n), []).append((p.chi, p.K2, line))
+    runs = [run for runs in pair_runs(SET_LABELS, chi_max).values() for run in runs]
+    assert sorted((run.label, run.n) for run in runs) == sorted(members)
+    assert {type(run.chis) for run in runs} == {range, list}
     for run in runs:
-        chis = [chi for chi, _ in run.points(1, 3000)]
+        rows = members[run.label, run.n]
+        chis = [chi for chi, _, _ in rows]
         los = {1, chis[0] - 1, chis[-1] + 1, chis[-1] + 1000}
         los.update(lo for chi in chis for lo in (chi, chi + 1))
         for lo in los:
             expected = next((chi for chi in chis if chi >= lo), None)
-            assert run.first_chi(lo) == expected, (type(run).__name__, chis[0], lo)
+            assert run.first_chi(lo) == expected, (run.label, run.n, lo)
+            for hi in (lo - 1, lo, lo + 1, lo + 100, chi_max + 1000):
+                window = [row for row in rows if lo <= row[0] <= hi]
+                assert run.csv_rows(lo, hi) == window, (run.label, run.n, lo, hi)
+                assert run.points(lo, hi) == [(chi, k2) for chi, k2, _ in window]
+
+
+@pytest.mark.parametrize("label, other", [("A2", "A3"), ("A3", "A2")])
+def test_claim_counts_match_enumeration_at_line_starts(label, other):
+    # The count of the "infinite" claim adds up the lines' ranges of m; at
+    # each line's first chi the count steps up, and one below it it has not.
+    for _, (_, _, chi_step, chi_0), ms in _lines(label, 20_000):
+        first = chi_step * ms.start + chi_0
+        for bound in (first - 1, first):
+            detail = set_relations_report(bound).claim(f"{label}-minus-{other}-infinite").detail
+            count = len(enumerate_set(label, bound))
+            expected = f"{count} members, first" if count else "no members within the bound"
+            assert detail.startswith(expected), (label, bound, detail)
 
 
 def test_only_dividing_line_pairs_can_meet():
@@ -156,15 +176,15 @@ def test_only_dividing_line_pairs_can_meet():
     # divides n3, and m2, m3 are never both within the families.
     assert _identities()[0]["A2-A3-lines"]
     a2, a3 = list(_lines("A2", 20_000)), list(_lines("A3", 20_000))
-    for l2 in a2:
-        for l3 in a3:
+    for n2, (k2_2, k2_20, chi_2, chi_20), ms2 in a2:
+        for n3, (k2_3, k2_30, chi_3, chi_30), ms3 in a3:
             # chi: a*m2 - b*m3 = e and K2: c*m2 - d*m3 = f, by elimination.
-            a, b, e = l2.chi_step, l3.chi_step, l3.chi_0 - l2.chi_0
-            c, d, f = l2.k2_step, l3.k2_step, l3.k2_0 - l2.k2_0
+            a, b, e = chi_2, chi_3, chi_30 - chi_20
+            c, d, f = k2_2, k2_3, k2_30 - k2_20
             m3 = (f - Fraction(c * e, a)) / (Fraction(c * b, a) - d)
             m2 = (e + b * m3) / a
-            assert (m2, m3) == (Fraction(l3.n, l2.n), Fraction(2 * l2.n, l3.n))
-            assert not (m2 >= l2.m_first and m3 >= l3.m_first)
+            assert (m2, m3) == (Fraction(n3, n2), Fraction(2 * n2, n3))
+            assert not (m2 >= ms2.start and m3 >= ms3.start)
 
 
 def test_certified_meeting_is_real_below_the_printed_bounds():
@@ -218,14 +238,14 @@ def test_a_wrong_family_breaks_the_identity(monkeypatch, fresh_identity):
 
 def test_claim_i_walks_no_a1_or_b_member(monkeypatch):
     # Claim i) and its ingredients rest on identities; only T is walked.
-    original = geography._sparse_members
+    original = geography._member_run
 
     def refuse(label, chi_max):
         if label in ("A1", "B"):
             raise AssertionError(f"set_relations_report walked {label}")
         return original(label, chi_max)
 
-    monkeypatch.setattr(geography, "_sparse_members", refuse)
+    monkeypatch.setattr(geography, "_member_run", refuse)
     report = set_relations_report(10**7)
     assert report.claim("A3-disjoint-B").witnesses == ((128, 46),)
     assert report.claim("A2-disjoint-B").status == geography.VERIFIED

@@ -72,9 +72,7 @@ RECORDS = {
     ),
     ("geography", "Claim"): (("claim_id", "status", "detail", "witnesses"), {"witnesses": ()}),
     ("geography", "SetRelationsReport"): (("bound", "claims"), {}),
-    ("geography", "_Line"): (
-        ("label", "n", "m_first", "m_last", "k2_step", "k2_0", "chi_step", "chi_0"), {}
-    ),
+    ("geography", "_Run"): (("label", "n", "params", "chis", "k2s", "head", "tail"), {}),
 }
 
 
@@ -136,7 +134,7 @@ PUBLIC_NAMES = [
     "DegenerateGermError", "DivisorClass", "DoubleCoverData", "E", "GeoPair", "JetBoundError",
     "ParameterError", "PointOffCurveError", "Poly", "PolyParseError", "SET_LABELS",
     "SeedCertificate", "SingInventory", "SingType", "Smooth", "SurfaceInvariants",
-    "SurfaceMismatchError", "TransportError", "admissible", "bidouble_invariants", "build",
+    "SurfaceMismatchError", "TransportError", "bidouble_invariants", "build",
     "build_theorem1", "build_theorem2", "build_theorem3", "canonical_ample_check",
     "canonical_class", "classify", "classify_ak", "cyclic_pullback_class", "double_invariants",
     "emit_figure", "enumerate_set", "h0", "hirzebruch", "intersect", "is_ample",
