@@ -125,6 +125,8 @@ def classify_ak(f: Poly, jet_bound: int) -> GermType:
     Raises JetBoundError when f(x, phi) vanishes modulo x^N (the bound is too
     small or the germ is degenerate); classify() retries with doubled bounds.
     """
+    if not f:
+        raise ValueError("the germ is the zero polynomial")
     if f.constant_term != 0:
         raise ValueError("the germ must vanish at the origin")
     if jet_bound < 3:

@@ -23,8 +23,10 @@ pipelines need:
   cyclic covers of ruled surfaces branched over two fibers
     an A_{n-1} point on a branch fiber, transversal to it and with n even,
     becomes a single A_{dn-1} point; a point away from the branch fibers
-    becomes d points of the same type.  The odd-n on-fiber case is
-    rejected rather than guessed.
+    becomes d points of the same type.  Builds call cyclic_rule, which
+    has no parity test: the parameter domains of families 2 and 3,
+    Param("n", 2, 2) and Param("n", 4, 2), are what exclude odd n (only
+    the record-level transport_cyclic, which no build calls, refuses it).
 
 Configurations outside these rules (tangential contact at a singular
 point, non-A types on a branch fiber, a point on all three bidouble branch

@@ -844,6 +844,16 @@ class TestClassify:
         assert code == 2
         assert "the germ must vanish at the origin" in err
 
+    @pytest.mark.parametrize("germ", [
+        ("--local", "0"),
+        ("--local", "x^2 - x^2"),
+        ("--homogeneous", "0", "--point", "0,0,1"),
+    ])
+    def test_zero_germ_is_usage_error(self, capsys, germ):
+        code, out, err = run(capsys, "classify", *germ)
+        assert (code, out) == (2, "")
+        assert err.strip() == "usage error: the germ is the zero polynomial"
+
 
 # 10^2200 parses (int() reads up to 4,300 digits), but the numbers it makes
 # printed have more digits than str() converts.

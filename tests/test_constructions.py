@@ -573,6 +573,22 @@ def test_a_rule_of_zero_count_fails_the_range_fact(monkeypatch, fresh_family_pro
             build(theorem, **params)
 
 
+def test_a_rule_of_a0_fails_the_range_fact(monkeypatch, fresh_family_proofs):
+    # R2 giving A_0 upstairs, no ADE type: the A bound of the range fact
+    # refuses it; without that bound the build would fail later, at picard.
+    original = singularities.bidouble_rule
+
+    def a0_upstairs(sing, union, count):
+        upstairs = original(sing, union, count)
+        return (("A", 0), count) if union and union[0] == "D" else upstairs
+
+    for module in (singularities, constructions):
+        monkeypatch.setattr(module, "bidouble_rule", a0_upstairs)
+    with pytest.raises(ParameterError, match=r"^transport: the cover inventory 8 x D6, 4 x A0, "
+                       r"4 x A0 has a type or count out of range$"):
+        build(1, n=4)
+
+
 def test_the_facts_of_a_class_stop_at_a_failed_h0_fact():
     # Family 2's row for even m on m = 2 + 2M with odd n = 3 + 2N, outside
     # its domain: h0(K + L2) is no closed form on the class, and p_g, q and

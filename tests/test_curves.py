@@ -132,6 +132,10 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_ak(parse_local_poly("1 + x"), 8)
 
+    def test_zero_germ_rejected(self):
+        with pytest.raises(ValueError, match="the germ is the zero polynomial"):
+            classify(parse_local_poly("x^2 - x^2"))
+
     def test_jet_bound_too_small(self):
         with pytest.raises(JetBoundError):
             classify_ak(parse_local_poly("y^2 - x^9"), 8)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from picardlab.constructions import _even
+from picardlab.polynomials import Poly
 from picardlab.surfaces import (
     BaseSurface,
     DivisorClass,
@@ -17,6 +18,7 @@ from picardlab.surfaces import (
     intersect,
     is_ample,
     projective_plane,
+    sections,
 )
 
 P2 = projective_plane()
@@ -154,6 +156,10 @@ def test_h0_matches_lattice_point_oracle():
 
 def test_h0_negative_a_vanishes():
     assert h0(hirzebruch(2).divisor(-1, 40)) == 0
+    # On a class, a negative a or b decides h0 = 0 for every member, however
+    # large the other coefficient.
+    big = 3 + Poly.variable(0)
+    assert sections(2, (-1, big)) == sections(2, (big, -1)) == 0
 
 
 def test_plane_h0_matches_monomial_count():
