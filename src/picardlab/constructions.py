@@ -4,9 +4,10 @@ each class of members, and the certification reports.
 FAMILIES holds one record per family of invariant pairs: families 1-3
 (set labels A1, A2, A3), the classical double planes B and the overlap
 family T.  Each record defines the family's parameter domain, its
-closed-form (K2, chi), its membership solver and, for families 1-3, its
-pipeline row; validation, building, enumeration and membership all read it,
-and geography derives the A2 and A3 line of each n from the pair.
+closed-form (K2, chi), for the line families A2 and A3 its membership
+solver and, for families 1-3, its pipeline row; validation, building,
+enumeration and membership all read it, and geography derives the A2 and
+A3 line of each n from the pair.
 
 A member is made from the seed curve C_n and the three coordinate lines as
 its family's row says.  The row, a function of m, gives each branch divisor
@@ -89,37 +90,19 @@ def set_t_pair(t):
     return (2 * t * (t - 1) * (t - 4) + 8, half(t * (t - 1) * (t - 3)) + 1)
 
 
-# Closed-form membership.  Each solver returns the candidate parameters of
-# the members with the value (K2, chi); Family.members keeps the candidates
-# inside the domain whose pair is that value.
-
-
-def _is_perfect_square(x: int) -> bool:
-    if x < 0:
-        return False
-    r = math.isqrt(x)
-    return r * r == x
+# Closed-form membership of the line families A2 and A3.  Each solver
+# returns the candidate parameters of the members with the value (K2, chi);
+# Family.members keeps the candidates inside the domain whose pair is that
+# value.
 
 
 def _integer_roots(a: int, b: int, c: int) -> list[int]:
     """The integer roots of a*x^2 + b*x + c, for a > 0."""
     disc = b * b - 4 * a * c
-    if not _is_perfect_square(disc):
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
         return []
-    s = math.isqrt(disc)
     return sorted({(e - b) // (2 * a) for e in (s, -s) if (e - b) % (2 * a) == 0})
-
-
-def _solve_a1(K2: int, chi: int) -> list:
-    # K2 = (2n - 3)^2 with 2n - 3 >= 1.
-    return [((math.isqrt(K2) + 3) // 2,)] if _is_perfect_square(K2) else []
-
-
-def _solve_b(K2: int, chi: int) -> list:
-    # K2 = 2*(n - 3)^2 with n - 3 >= 1.
-    if K2 % 2 or not _is_perfect_square(K2 // 2):
-        return []
-    return [(3 + math.isqrt(K2 // 2),)]
 
 
 class _LineSolver(namedtuple("_LineSolver", "divisor offset quadratic")):
@@ -158,7 +141,8 @@ class Family(
 ):
     """One family of invariant pairs: its set label, the theorem that
     constructs it (None for the comparison families B and T), its parameters
-    and closed-form pair, the membership solver, and for families 1-3 the
+    and closed-form pair, the membership solver (only the line families A2
+    and A3 carry one: geography asks no other), and for families 1-3 the
     pipeline row, the function m -> branch multiplicities, and its period in
     m: the members whose m agree modulo the period form one class, proved
     at once (family_proof).  _build derives the base and the placement of
@@ -211,9 +195,6 @@ class ConstructionReport(
 
     def params_str(self) -> str:
         return " ".join(f"{k}={v}" for k, v in self.params)
-
-    def certified(self) -> bool:
-        return self.match and self.ample and self.maximal
 
     def to_json(self) -> dict:
         data = self.building_data
@@ -576,7 +557,7 @@ def _bidouble_branch(m: int) -> tuple[tuple[int, int, int, int], ...]:
 FAMILIES = {
     family.label: family
     for family in (
-        Family("A1", 1, (Param("n", 2, 1),), family1_pair, _solve_a1, _bidouble_branch),
+        Family("A1", 1, (Param("n", 2, 1),), family1_pair, pipeline=_bidouble_branch),
         Family(
             "A2", 2, (Param("m", 3, 1), Param("n", 2, 2)), family2_pair, _solve_a2,
             _bidouble_branch, 2,
@@ -586,7 +567,7 @@ FAMILIES = {
             # A double cover of F_m branched over the curve and both lines.
             lambda m: ((2, 0, 0, 1),),
         ),
-        Family("B", None, (Param("n", 4, 1),), set_b_pair, _solve_b),
+        Family("B", None, (Param("n", 4, 1),), set_b_pair),
         Family("T", None, (Param("t", 6, 2),), set_t_pair),
     )
 }

@@ -5,8 +5,11 @@ and table emitters.
 The five families are the records of constructions.FAMILIES, by label: A1,
 A2 and A3 (families 1-3), the classical double planes B, kept for
 disjointness checks, and the overlap-witness family T.  Each record gives
-the parameter domain, the closed-form pair and the membership solver; this
-module reads them from there and keeps no family constant of its own.
+the parameter domain, the closed-form pair and, for A2 and A3, the
+membership solver.  The few family constants kept here are each checked
+against FAMILIES by an identity: the roots of _B_ROOTS, the substitutions
+of _t_identity, family 2's slope _mu_closed_form (row by row; its limits
+are 4 - 4/n and 4) and A2's Noether slice (8m - 8, 4m - 1).
 
 The set relations are computed from the closed forms, without enumerating
 a pair.  Every verdict, for every chi, rests on one table of named
@@ -66,9 +69,6 @@ class GeoPair(namedtuple("GeoPair", "chi K2 set_label params")):
     @property
     def value(self) -> tuple[int, int]:
         return (self.K2, self.chi)
-
-    def params_str(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in self.params)
 
 
 def enumerate_set(which: str, chi_max: int) -> list[GeoPair]:

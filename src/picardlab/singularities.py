@@ -70,10 +70,6 @@ class SingType(namedtuple("SingType", "family index")):
             raise ValueError(f"unknown singularity family {family!r}")
         return tuple.__new__(cls, (family, index))
 
-    @property
-    def resolution_curves(self) -> int:
-        return self.index
-
     def __str__(self) -> str:
         return f"{self.family}{self.index}"
 
@@ -84,10 +80,6 @@ def A(k: int) -> SingType:
 
 def D(k: int) -> SingType:
     return SingType("D", k)
-
-
-def E(k: int) -> SingType:
-    return SingType("E", k)
 
 
 class SingInventory(namedtuple("SingInventory", "entries")):
@@ -116,22 +108,6 @@ class SingInventory(namedtuple("SingInventory", "entries")):
         items = counts.items() if isinstance(counts, Mapping) else counts
         return cls(tuple(items))
 
-    @classmethod
-    def of(cls, *types: SingType) -> "SingInventory":
-        return cls(tuple((t, 1) for t in types))
-
-    def items(self) -> tuple[tuple[SingType, int], ...]:
-        return self.entries
-
-    def count(self, sing: SingType) -> int:
-        return dict(self.entries).get(sing, 0)
-
-    def total_points(self) -> int:
-        return sum(c for _, c in self.entries)
-
-    def __add__(self, other: "SingInventory") -> "SingInventory":
-        return SingInventory(self.entries + other.entries)
-
     def __bool__(self) -> bool:
         return bool(self.entries)
 
@@ -147,11 +123,6 @@ class SingInventory(namedtuple("SingInventory", "entries")):
         ]
 
 
-def resolution_curve_count(inventory: SingInventory) -> int:
-    """Total number of exceptional (-2)-curves over the inventory."""
-    return sum(t.resolution_curves * c for t, c in inventory.items())
-
-
 def picard_lower_bound(inventory: SingInventory, n_indep: int) -> int:
     """Lower bound on the Picard number of the minimal resolution: one class
     per exceptional curve plus n_indep independent classes from the base.
@@ -164,7 +135,7 @@ def picard_lower_bound(inventory: SingInventory, n_indep: int) -> int:
             "independent divisor count must be 1 (plane: a line) or "
             "2 (ruled surface: section and fiber)"
         )
-    return resolution_curve_count(inventory) + n_indep
+    return sum(t.index * c for t, c in inventory.entries) + n_indep
 
 
 def union_rule(branch, contact: int) -> tuple:

@@ -37,7 +37,7 @@ from picardlab.covers import (
 )
 from picardlab.curves import singular_points_report
 from picardlab.polynomials import Poly, domain_variables
-from picardlab.singularities import A, D, E, BidoubleBranchPoint, SingInventory
+from picardlab.singularities import A, D, BidoubleBranchPoint, SingInventory, SingType
 from picardlab.surfaces import compose, half, hirzebruch, plus, projective_plane
 
 
@@ -81,7 +81,7 @@ class TestFamily1:
     def test_sweep_certifies(self):
         for n in range(2, 13):
             r = build_theorem1(n)
-            assert r.certified()
+            assert r.match and r.ample and r.maximal
             assert r.computed.p_g == n * n - n
             assert r.computed.q == 0
             assert r.picard_lower == 6 * n * n + 2 * n + 1
@@ -114,7 +114,7 @@ class TestFamily2:
         for m in range(3, 9):
             for n in (2, 4, 6):
                 r = build_theorem2(m, n)
-                assert r.certified()
+                assert r.match and r.ample and r.maximal
                 assert r.computed.p_g == m * n * n - n
                 assert r.computed.q == 0
                 assert r.cover_inventory == SingInventory.from_counts(
@@ -151,7 +151,7 @@ class TestFamily3:
         for m in range(2, 9):
             for n in (4, 6, 8):
                 r = build_theorem3(m, n)
-                assert r.certified()
+                assert r.match and r.ample and r.maximal
                 assert r.computed.p_g == m * n * (n - 1) // 2
                 assert r.computed.q == 0
                 assert r.cover_inventory == SingInventory.from_counts(
@@ -240,7 +240,7 @@ def _hand_made_reports():
         ),
         ConstructionReport(
             3, (), plane, double, double_points,
-            SingInventory.of(E(8)), SingInventory(),
+            SingInventory.from_counts({SingType("E", 8): 1}), SingInventory(),
             ample=False, maximal=True, match=False, **common,
         ),
         ConstructionReport(
@@ -302,7 +302,8 @@ def test_family2_without_the_section_in_b3_is_refused(monkeypatch):
 
 def test_family2_even_row_at_odd_m_is_refused(monkeypatch):
     _patch_pipeline(monkeypatch, 2, lambda m: ((0, 0, 0, 0), (2, 0, 0, 0), (0, 1, 1, 1)))
-    assert build(2, m=4, n=2).certified()
+    r = build(2, m=4, n=2)
+    assert r.match and r.ample and r.maximal
     with pytest.raises(ParameterError, match=r"^validate: B2 \+ B3 = .* is not twice a class"):
         build(2, m=3, n=2)
 
@@ -447,7 +448,8 @@ def test_each_union_type_is_built_once(monkeypatch):
         monkeypatch.setattr(module, "union_rule", counting)
     for theorem, params in cases:
         calls.clear()
-        assert build(theorem, **params).certified()
+        r = build(theorem, **params)
+        assert r.match and r.ample and r.maximal
         assert len(calls) == 3, (theorem, params, calls)
 
 
@@ -467,7 +469,7 @@ def test_families_build_without_expanding_the_seed_curve(monkeypatch, fresh_seed
 
     monkeypatch.setattr(curves, "seed_curve", expand)
     reports = (build_theorem1(5), build_theorem2(3, 4), build_theorem2(4, 6), build_theorem3(2, 8))
-    assert all(report.certified() for report in reports)
+    assert all(r.match and r.ample and r.maximal for r in reports)
 
 
 def test_a_failing_certificate_stage_stops_the_build(monkeypatch, fresh_seed_proof):
@@ -493,7 +495,8 @@ def test_failed_seed_certificate_is_not_memoised(monkeypatch, fresh_seed_proof):
         )
         with pytest.raises(ParameterError, match="certificate fails at n=4: tangency"):
             build(1, n=4)
-    assert build(1, n=4).certified()
+    r = build(1, n=4)
+    assert r.match and r.ample and r.maximal
 
 
 

@@ -5,34 +5,37 @@ from fractions import Fraction
 
 import pytest
 
+from picardlab.constructions import FAMILIES
 from picardlab.covers import SurfaceInvariants
+from picardlab.polynomials import domain_variables
 from picardlab.singularities import (
     A,
     BidoubleBranchPoint,
     CyclicBranchPoint,
     D,
-    E,
     SingInventory,
     SingType,
     TransportError,
+    bidouble_rule,
+    cyclic_rule,
     picard_lower_bound,
-    resolution_curve_count,
     transport_bidouble,
     transport_cyclic,
     transport_double,
+    union_rule,
     union_type,
 )
 
 
 class TestSingType:
     def test_index_bounds(self):
-        A(1), D(4), E(6), E(7), E(8)
+        A(1), D(4), SingType("E", 6), SingType("E", 7), SingType("E", 8)
         with pytest.raises(ValueError, match=r"^A-type index must be >= 1, got 0$"):
             A(0)
         with pytest.raises(ValueError, match=r"^D-type index must be >= 4, got 3$"):
             D(3)
         with pytest.raises(ValueError, match=r"^E-type index must be 6, 7 or 8, got 5$"):
-            E(5)
+            SingType("E", 5)
         with pytest.raises(ValueError, match=r"^unknown singularity family 'F'$"):
             SingType("F", 4)
 
@@ -53,18 +56,14 @@ class TestSingType:
         assert SingType("A", True) == A(1) and str(SingType("A", True)) == "A1"
         assert type(SingType("A", True).index) is int
 
-    def test_resolution_curves_equal_index(self):
-        assert A(3).resolution_curves == 3
-        assert D(10).resolution_curves == 10
-        assert E(8).resolution_curves == 8
-
 
 class TestInventory:
     def test_merges_and_sorts(self):
         inv = SingInventory(((D(4), 2), (A(3), 1), (D(4), 2), (A(3), 3)))
-        assert inv.items() == ((A(3), 4), (D(4), 4))
+        assert inv.entries == ((A(3), 4), (D(4), 4))
         assert inv == SingInventory.from_counts({A(3): 4, D(4): 4})
-        assert SingInventory()._replace(entries=inv.entries[::-1] + ((E(6), 0),)) == inv
+        e6 = SingType("E", 6)
+        assert SingInventory()._replace(entries=inv.entries[::-1] + ((e6, 0),)) == inv
 
     def test_zero_counts_drop(self):
         assert SingInventory.from_counts({A(1): 0}) == SingInventory()
@@ -81,28 +80,21 @@ class TestInventory:
 
     def test_bool_count_is_its_int(self):
         inv = SingInventory(((A(1), True), (A(2), False)))
-        assert inv == SingInventory.of(A(1)) and str(inv) == "1 x A1"
+        assert inv == SingInventory(((A(1), 1),)) and str(inv) == "1 x A1"
         assert type(inv.entries[0][1]) is int
-
-    def test_add_and_scale(self):
-        inv = SingInventory.of(A(1)) + SingInventory.from_counts({A(1): 2, D(5): 1})
-        assert inv.count(A(1)) == 3
 
     def test_str(self):
         assert str(SingInventory()) == "none"
         assert str(SingInventory.from_counts({A(3): 4, D(4): 12})) == "4 x A3, 12 x D4"
 
 
-def test_resolution_curve_count_examples():
-    assert resolution_curve_count(SingInventory.from_counts({D(4): 4, A(3): 4})) == 28
-    assert resolution_curve_count(SingInventory()) == 0
-    assert resolution_curve_count(SingInventory.of(E(8))) == 8
-
-
 def test_picard_lower_bound_examples():
-    assert picard_lower_bound(SingInventory.from_counts({D(4): 4, A(3): 4}), 1) == 29
+    # One class per exceptional curve (a type's index counts them) plus n_indep.
+    for n_indep in (1, 2):
+        for counts, curves in (({D(4): 4, A(3): 4}, 28), ({}, 0), ({SingType("E", 8): 1}, 8)):
+            inventory = SingInventory.from_counts(counts)
+            assert picard_lower_bound(inventory, n_indep) == curves + n_indep
     assert picard_lower_bound(SingInventory.from_counts({D(10): 8, A(3): 8}), 2) == 106
-    assert picard_lower_bound(SingInventory(), 2) == 2
     with pytest.raises(ValueError):
         picard_lower_bound(SingInventory(), 3)
     with pytest.raises(ValueError):
@@ -138,18 +130,34 @@ class TestUnionType:
         with pytest.raises(TransportError):
             union_type(D(4), 1)
         with pytest.raises(TransportError):
-            union_type(E(6), 1)
+            union_type(SingType("E", 6), 1)
+
+
+def test_ring_rules_on_ints_and_polys():
+    # The rules the builds call: on ints at a member, and on Polys in the
+    # domain variables of family 2's (m, n) on a class.
+    m, n = domain_variables(FAMILIES["A2"].params)
+    for k, c, d in ((3, 3, 2), (n - 1, n, m)):
+        assert union_rule(None, 1) == ("A", 1)
+        assert union_rule(None, c) == ("A", 2 * c - 1)
+        assert union_rule(("A", k), 1) == ("D", k + 3)
+        assert bidouble_rule(None, union_rule(None, 1), 5) is None  # R0
+        assert bidouble_rule(None, ("A", 2 * c - 1), 5) == (("A", c - 1), 5)  # R1
+        assert bidouble_rule(("A", k), ("D", k + 3), 5) == (("A", 2 * k + 1), 5)  # R2
+        assert bidouble_rule(("D", k + 3), None, 5) == (("D", k + 3), 10)  # R3
+        assert cyclic_rule(("A", k), 5, d, True) == (("A", d * (k + 1) - 1), 5)
+        assert cyclic_rule(("D", k + 3), 5, d, False) == (("D", k + 3), 5 * d)
 
 
 class TestTransportBidouble:
     def test_smooth_tangency_rule(self):
         points = [BidoubleBranchPoint(carrier=1, meets=2, contact=2)]
-        assert transport_bidouble(points) == SingInventory.of(A(1))
+        assert transport_bidouble(points) == SingInventory.from_counts({A(1): 1})
 
     def test_singular_carrier_rule(self):
         # A11 upstairs from an A5 point met transversally (m = 3, n = 2 chain).
         points = [BidoubleBranchPoint(carrier=3, sing=A(5), meets=2, count=1)]
-        assert transport_bidouble(points) == SingInventory.of(A(11))
+        assert transport_bidouble(points) == SingInventory.from_counts({A(11): 1})
 
     def test_isolated_point_doubles(self):
         points = [BidoubleBranchPoint(carrier=3, sing=D(4))]
@@ -179,13 +187,13 @@ class TestTransportDouble:
         inv = SingInventory.from_counts({D(10): 8, A(3): 8})
         assert transport_double(inv) == inv
         assert transport_double(SingInventory()) == SingInventory()
-        assert transport_double(SingInventory.of(A(1))) == SingInventory.of(A(1))
+        assert transport_double(SingInventory.from_counts({A(1): 1})) == SingInventory.from_counts({A(1): 1})
 
 
 class TestTransportCyclic:
     def test_on_fiber_node(self):
         points = [CyclicBranchPoint(A(1), on_fiber=True)]
-        assert transport_cyclic(points, 3) == SingInventory.of(A(5))
+        assert transport_cyclic(points, 3) == SingInventory.from_counts({A(5): 1})
 
     def test_off_fiber_replication(self):
         points = [CyclicBranchPoint(A(3))]
@@ -225,10 +233,10 @@ class TestTransportCyclic:
             out = transport_cyclic(off + on, d)
             n_off = sum(p.count for p in off)
             n_on = sum(p.count for p in on)
-            assert out.total_points() == d * n_off + n_on
+            assert sum(c for _, c in out.entries) == d * n_off + n_on
             off_only = transport_cyclic(off, d)
-            assert resolution_curve_count(off_only) == d * sum(
-                p.sing.resolution_curves * p.count for p in off
+            assert picard_lower_bound(off_only, 1) == 1 + d * sum(
+                p.sing.index * p.count for p in off
             )
 
     def test_degree_must_be_positive(self):
@@ -242,4 +250,4 @@ def test_union_then_transport_reproduces_proof_chain():
     n = 4
     assert union_type(A(n - 1), 1) == D(n + 2)
     out = transport_bidouble([BidoubleBranchPoint(carrier=3, sing=A(n - 1), meets=1)])
-    assert out == SingInventory.of(A(2 * n - 1))
+    assert out == SingInventory.from_counts({A(2 * n - 1): 1})
