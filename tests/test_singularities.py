@@ -88,12 +88,15 @@ class TestInventory:
         assert str(SingInventory.from_counts({A(3): 4, D(4): 12})) == "4 x A3, 12 x D4"
 
 
-def test_picard_lower_bound_examples():
+def test_resolution_curve_count_examples():
     # One class per exceptional curve (a type's index counts them) plus n_indep.
     for n_indep in (1, 2):
         for counts, curves in (({D(4): 4, A(3): 4}, 28), ({}, 0), ({SingType("E", 8): 1}, 8)):
             inventory = SingInventory.from_counts(counts)
             assert picard_lower_bound(inventory, n_indep) == curves + n_indep
+
+
+def test_picard_lower_bound_examples():
     assert picard_lower_bound(SingInventory.from_counts({D(10): 8, A(3): 8}), 2) == 106
     with pytest.raises(ValueError):
         picard_lower_bound(SingInventory(), 3)
