@@ -55,6 +55,14 @@ CASES = {
     "classify_point_off_curve": (
         ("classify", "--homogeneous", "X1^2*X2 - X0^3", "--point", "1,0,1", "--chart", "2"), ()
     ),
+    # A grammar error, and a token error reported before an earlier grammar
+    # error.
+    "classify_parse_error_grammar": (
+        ("classify", "--homogeneous", "X0^2 - X1*X2 + * X0", "--point", "0,0,1"), ()
+    ),
+    "classify_parse_error_token_wins": (
+        ("classify", "--homogeneous", "X0^2 - X1*X2 + * X0 # ", "--point", "0,0,1"), ()
+    ),
 }
 
 
