@@ -29,7 +29,7 @@ import re
 import sys
 from fractions import Fraction
 from operator import add
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 Scalar = Union[int, Fraction]
 
@@ -469,27 +469,25 @@ class PolyParseError(ValueError):
 # str.isdigit() accepts; a name, alphanumeric as str.isalnum() is; an
 # operator; or any other character.  Whitespace, exactly str.isspace() and so
 # the complement of \S, matches no alternative, and finditer skips it.  The
-# name class admits a start such as '²' that is not str.isalpha(), so
-# _tokenize checks the start.  re compiles it on first use, so only a command
-# that parses pays for it.
+# name class admits a start such as '²' that is not str.isalpha(), so _tokens
+# checks the start.  re compiles it on first use, so only a command that
+# parses pays for it.
 _TOKEN = r"([0-9]+)|([^\W\d_][^\W_]*)|([-+*/^])|(\S)"
 _KINDS = (None, "NUM", "NAME", "OP", None)
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokens(text: str) -> Iterator[tuple[str, str, int]]:
     # int() refuses longer literals with a message of its own; Python before
     # 3.10.7 has no limit (0 means none too).
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    tokens: list[tuple[str, str, int]] = []
     for match in re.finditer(_TOKEN, text):
         kind, value, col = _KINDS[match.lastindex], match.group(), match.start() + 1
         if kind == "NUM" and limit and len(value) > limit:
             raise PolyParseError(f"number of {len(value)} digits exceeds the limit of {limit}", col)
         if kind is None or kind == "NAME" and not value[0].isalpha():
             raise PolyParseError(f"unexpected character {value[0]!r}", col)
-        tokens.append((kind, value, col))
-    tokens.append(("END", "", len(text) + 1))
-    return tokens
+        yield kind, value, col
+    yield "END", "", len(text) + 1
 
 
 def _operand(token: tuple[str, str, int]) -> int:
@@ -501,58 +499,60 @@ def _operand(token: tuple[str, str, int]) -> int:
 
 def _parse_terms(text: str, variables: dict[str, int], nvars: int) -> dict[tuple[int, ...], Scalar]:
     """The text's terms as exponents to nonzero coefficients, summed as ints
-    where no p/q made a Fraction; the whole text is tokenised before any
-    term is read."""
-    tokens = _tokenize(text)
+    where no p/q made a Fraction.  One pass reads the tokens as they are
+    matched, with one token of lookahead and no token list; after a grammar
+    error it reads the rest of the text, so a token error anywhere in it is
+    the one reported."""
+    tokens = _tokens(text)
     result: dict[tuple[int, ...], Scalar] = {}
-    pos = 1 if tokens[0][1] in ("+", "-") else 0
-    sign = -1 if tokens[0][1] == "-" else 1
-    while True:
-        # A term: factors joined by '*'.
-        coeff: Scalar = sign
-        expo = [0] * nvars
+    try:
+        kind, value, col = next(tokens)
         while True:
-            kind, value, col = tokens[pos]
-            if kind == "NUM":
-                if tokens[pos + 1][1] == "/":
-                    den = _operand(tokens[pos + 2])
-                    if not den:
-                        raise PolyParseError("zero denominator", tokens[pos + 2][2])
-                    coeff *= Fraction(int(value), den)
-                    pos += 3
-                else:
+            # A term: its sign, optional before the first term, then factors
+            # joined by '*'.
+            coeff: Scalar = -1 if value == "-" else 1
+            if value in ("+", "-"):
+                kind, value, col = next(tokens)
+            expo = [0] * nvars
+            while True:
+                if kind == "NUM":
                     coeff *= int(value)
-                    pos += 1
-            elif kind == "NAME":
-                if value not in variables:
-                    allowed = ", ".join(sorted(variables))
-                    raise PolyParseError(f"unknown variable {value!r} (allowed: {allowed})", col)
-                if tokens[pos + 1][1] == "^":
-                    expo[variables[value]] += _operand(tokens[pos + 2])
-                    pos += 3
+                    kind, value, col = next(tokens)
+                    if value == "/":
+                        token = next(tokens)
+                        den = _operand(token)
+                        if not den:
+                            raise PolyParseError("zero denominator", token[2])
+                        coeff = Fraction(coeff, den)
+                        kind, value, col = next(tokens)
+                elif kind == "NAME":
+                    if value not in variables:
+                        allowed = ", ".join(sorted(variables))
+                        raise PolyParseError(f"unknown variable {value!r} (allowed: {allowed})", col)
+                    index = variables[value]
+                    kind, value, col = next(tokens)
+                    power = 1
+                    if value == "^":
+                        power = _operand(next(tokens))
+                        kind, value, col = next(tokens)
+                    expo[index] += power
                 else:
-                    expo[variables[value]] += 1
-                    pos += 1
-            else:
-                raise PolyParseError(
-                    f"expected a coefficient or a variable, found {value or 'end of input'!r}", col
-                )
-            if tokens[pos][1] != "*":
-                break
-            pos += 1
-        key = tuple(expo)
-        total = result.get(key, 0) + coeff
-        if total:
-            result[key] = total
-        else:
-            result.pop(key, None)
-        kind, value, col = tokens[pos]
-        if kind == "END":
-            return {key: _integral(c) for key, c in result.items()}
-        if value not in ("+", "-"):
-            raise PolyParseError(f"expected '+' or '-', found {value!r}", col)
-        sign = -1 if value == "-" else 1
-        pos += 1
+                    raise PolyParseError(
+                        f"expected a coefficient or a variable, found {value or 'end of input'!r}", col
+                    )
+                if value != "*":
+                    break
+                kind, value, col = next(tokens)
+            key = tuple(expo)
+            result[key] = result.get(key, 0) + coeff
+            if kind == "END":
+                return {key: _integral(c) for key, c in result.items() if c}
+            if value not in ("+", "-"):
+                raise PolyParseError(f"expected '+' or '-', found {value!r}", col)
+    except PolyParseError:
+        for _ in tokens:  # a token error in the rest of the text wins
+            pass
+        raise
 
 
 def parse_local_poly(text: str) -> Poly:

@@ -2,9 +2,10 @@
 
 It walks the text one character at a time, classifying each with the str
 predicates (isspace, isalpha, isalnum) and ASCII digit ranges, and
-accumulates Fraction coefficients.  picardlab tokenises with one regular
-expression instead; the tests compare both on the same texts, dict for dict
-and error for error.
+accumulates Fraction coefficients from a list of every token.  picardlab
+instead reads the matches of one regular expression in a single pass, with
+one token of lookahead and no token list; the tests compare both on the same
+texts, dict for dict and error for error.
 """
 
 import sys

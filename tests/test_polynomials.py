@@ -4,6 +4,7 @@ parsing."""
 import random
 import signal
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -460,6 +461,24 @@ class TestParser:
         f = parse_local_poly(text)
         assert parse_local_poly(f.to_text()) == f
 
+    def test_parse_memory_grows_with_the_terms_not_the_tokens(self):
+        # A dense form at the degree cap, 128: 8,385 terms with 50-digit
+        # coefficients, about 0.6 MB of text in 117,389 tokens.  Its dict
+        # takes about 1.5 MB; a list of every token took 17 MB.
+        terms = [
+            f"{10**49 + 7919 * (a * 129 + b)}*X0^{a}*X1^{b}*X2^{128 - a - b}"
+            for a in range(129) for b in range(129 - a)
+        ]
+        text = " - ".join(terms)
+        tracemalloc.start()
+        try:
+            form = parse_ternary_form(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(form.coeffs) == len(terms) == 8385 and form.form_degree() == 128
+        assert peak < 4_000_000, peak
+
 
 # The grammar's own pieces, names that are not variables, and characters the
 # str predicates and int() treat differently: '²' is a digit but not decimal,
@@ -491,8 +510,9 @@ def _outcome(parse, text, variables, nvars):
 
 
 class TestParserAgainstTheCharacterLoop:
-    """The regex tokenizer and integer accumulation against the
-    character-by-character parser of tests/_parser_oracle.py."""
+    """The one-pass parser over the regex's tokens, with integer
+    accumulation, against the character-by-character parser of
+    tests/_parser_oracle.py."""
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.one_of(
@@ -512,6 +532,8 @@ class TestParserAgainstTheCharacterLoop:
     @example("9" * 5000)
     @example("X0^" + "9" * 4300 + " - X1^" + "9" * 4300)
     @example("X0^" + "9" * 4301 + " $")
+    @example("x^ + " + "9" * 5000)
+    @example("1/0*x + $")
     def test_same_dict_or_same_error(self, text):
         for (variables, nvars), parse in zip(_VARIABLES, (parse_local_poly, parse_ternary_form)):
             ours, seconds = _outcome(_parse_terms, text, variables, nvars)
