@@ -47,6 +47,8 @@ CASES = {
     "classify_curve_c2": (("classify", "--curve-C", "2"), ()),
     "classify_curve_c9": (("classify", "--curve-C", "9"), ()),
     "classify_curve_c1": (("classify", "--curve-C", "1"), ()),
+    # No laboratory reaches this n: only the proof for symbolic n prints it.
+    "classify_curve_c_1e12": (("classify", "--curve-C", "1000000000000"), ()),
     "classify_local_a4": (("classify", "--local", "y^2 - x^5"), ()),
     "classify_local_jet_cap": (("classify", "--local", "x^100000000 + y^2"), ()),
     "classify_homogeneous_cusp": (
