@@ -211,14 +211,14 @@ def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The seed-curve certificate, proved once for symbolic n on the domain
-# n = 2 + N, N >= 0.  A polynomial in symbolic n is a dict from exponent
-# tuples to coefficients: each exponent is an affine form a*n + b, kept as
-# the pair (a, b), and each coefficient is a Poly in N, whose sign on the
-# domain Poly.nonnegative reads off, as for polynomials.domain_variables.
+# The seed-curve certificate, proved once for every n >= 2.  A polynomial in
+# symbolic n is a Poly in the x_i, then the X_i = x_i^n, then n; x_i^b*X_i^a
+# is x_i^(a*n + b).  Pulling back by x_i -> x_i^n renames x_i to X_i, _euler
+# is x_i*d/dx_i and _at reads the polynomial at one n.  A coefficient fact is
+# a Poly identity; an exponent fact a*n + b >= 0 holds for every n >= 2 when
+# a >= 0 and 2*a + b >= 0.
 
-_SYMBOLIC_N = 2 + Poly.variable(0)
-_POWER_N, _POWER_1 = (1, 0), (0, 1)  # x -> x^n and x -> x
+_Y2 = (0, 2, 0, 0, 0)  # y^2 among (x, y, X, Y, n)
 
 
 def _conic(u, v, w):
@@ -226,55 +226,39 @@ def _conic(u, v, w):
     return (u + v + w) ** 2 - 4 * (u * v + u * w + v * w)
 
 
-def _affine(form: tuple[int, int]) -> Poly:
-    """The exponent a*n + b as a Poly in N."""
-    return form[0] * _SYMBOLIC_N + form[1]
+def _pull(f: Poly, powered: tuple) -> Poly:
+    """f with x_i renamed X_i wherever powered[i], a Poly in (x_i, X_i, n)."""
+    return Poly._wrap({tuple(0 if p else k for k, p in zip(e, powered))
+                       + tuple(k if p else 0 for k, p in zip(e, powered)) + (0,): c
+                       for e, c in f.coeffs.items()}, 2 * f.nvars + 1)
 
 
-def _nonzero(c: Poly) -> bool:
-    """Whether the Poly c in N has one strict sign on the whole domain."""
-    return c.nonnegative(strict=True) or (-c).nonnegative(strict=True)
+def _euler(f: Poly, i: int) -> Poly:
+    """x_i*d/dx_i, which maps x_i^b*X_i^a to (b + a*n)*x_i^b*X_i^a."""
+    x, power, n = (Poly.variable(j, f.nvars) for j in (i, f.nvars // 2 + i, f.nvars - 1))
+    return x * f.partial(i) + n * power * f.partial(f.nvars // 2 + i)
 
 
-def _collect(terms) -> dict:
-    """The polynomial in symbolic n summing these (exponent, coefficient) terms."""
-    out: dict = {}
-    for e, c in terms:
-        out[e] = out.get(e, 0) + c
-    return {e: c for e, c in out.items() if c}
+def _at(f: Poly, n: int) -> Poly:
+    """The polynomial in symbolic n at this n, a Poly in the x_i."""
+    k = f.nvars // 2
+    return sum((Poly({tuple(b + a * n for b, a in zip(e[:k], e[k:])): c * n ** e[-1]}, k)
+                for e, c in f.coeffs.items()), Poly({}, k))
 
 
-def _pull(f: Poly, powers: tuple) -> dict:
-    """f at (x_i^(a_i*n + b_i)) for the affine powers (a_i, b_i)."""
-    return {tuple((k * a, k * b) for k, (a, b) in zip(e, powers)): Poly({(0, 0): c})
-            for e, c in f.coeffs.items()}
+def _every_n(a: int, b: int) -> bool:
+    """Whether a*n + b >= 0 for every n >= 2."""
+    return a >= 0 and 2 * a + b >= 0
 
 
-def _times(f: dict, g: dict) -> dict:
-    return _collect((tuple((a + c, b + d) for (a, b), (c, d) in zip(e, h)), u * v)
-                    for e, u in f.items() for h, v in g.items())
-
-
-def _partial(f: dict, i: int) -> dict:
-    return _collect((e[:i] + ((e[i][0], e[i][1] - 1),) + e[i + 1:], c * _affine(e[i]))
-                    for e, c in f.items())
-
-
-def _at(f: dict, n: int, nvars: int) -> Poly:
-    """The polynomial in symbolic n at this n."""
-    return sum((Poly({tuple(a * n + b for a, b in e): c(n - 2, 0)}, nvars)
-                for e, c in f.items()), Poly({}, nvars))
-
-
-def _normal_form_index(f: dict) -> Optional[tuple[int, int]]:
-    """k - 1, as an affine form, when the polynomial f in symbolic n is
-    a*y^2 + c*x^k with a and c nonzero and k >= 2 on the whole domain, the
-    normal form of A_{k-1}; None for any other polynomial."""
-    others = [e for e in f if e != ((0, 0), (0, 2))]
-    if len(f) != 2 or len(others) != 1 or not all(map(_nonzero, f.values())):
+def _normal_form_index(f: Poly) -> Optional[tuple[int, int]]:
+    """(a, b - 1), that is k - 1, when the polynomial f in (x, y, X, Y, n)
+    is c*y^2 + d*x^b*X^a with rational c and d and k = a*n + b >= 2 at every
+    n, the normal form of A_{k-1}; None for any other polynomial."""
+    if len(f.coeffs) != 2 or _Y2 not in f.coeffs:
         return None
-    (a, b), j = others[0]
-    return (a, b - 1) if j == (0, 0) and (_affine((a, b)) - 2).nonnegative() else None
+    b, y, a, power_y, power_n = next(e for e in f.coeffs if e != _Y2)
+    return (a, b - 1) if not (y or power_y or power_n) and _every_n(a, b - 2) else None
 
 
 def _show(value) -> str:
@@ -376,36 +360,34 @@ def seed_proof() -> SeedProof:
     vertices = tuple(q(*vertex) for vertex in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     on_lines = tuple(q.restrict(index) for index in range(3))
-    curve_line = _pull(on_lines[2], (_POWER_N, _POWER_N))
-    t_root = _pull(_X - 1, (_POWER_N, _POWER_1))
-    step = _times(_pull(_X, (_POWER_1, _POWER_1)), _partial(t_root, 0))
-    n_remainder = _collect([*((e, _SYMBOLIC_N * c) for e, c in t_root.items()),
-                            *((e, -c) for e, c in step.items())])
-    points = max(e[0] for e in t_root)
+    curve_line = _pull(on_lines[2], (True, True))
+    t_root, n = _pull(_X - 1, (True, False)), Poly.variable(4, 5)
+    n_remainder = n * t_root - _euler(t_root, 0)
+    points = max((e[2], e[0]) for e in t_root.coeffs)
     tangency_ok = (
-        all(line == (_X - _Y) ** 2 for line in on_lines)
-        and list(n_remainder) == [((0, 0), (0, 0))] and _nonzero(n_remainder[(0, 0), (0, 0)])
-        and all((_affine(points) - _affine(e[0])).nonnegative() for e in t_root)
+        all(line == (_X - _Y) ** 2 for line in on_lines) and n_remainder == -n
+        and all(_every_n(points[0] - e[2], points[1] - e[0]) for e in t_root.coeffs)
     )
 
-    # Each coordinate of the power map depends on one variable only, so its
-    # Jacobian matrix is diagonal.
-    diagonal = [_partial(_pull(Poly.variable(i, 3), (_POWER_N,) * 3), i) for i in range(3)]
-    jacobian = _times(_times(diagonal[0], diagonal[1]), diagonal[2])
-    torus = all(b == 0 for e in _pull(q, (_POWER_N,) * 3) for _, b in e)
+    # Each coordinate X_i of the power map depends on x_i only, so its Jacobian
+    # matrix is diagonal, and x0*x1*x2 times its determinant is the product of
+    # the X_i's Euler derivatives.
+    power_map = [_pull(Poly.variable(i, 3), (True,) * 3) for i in range(3)]
+    euler_jacobian = math.prod(_euler(coordinate, i) for i, coordinate in enumerate(power_map))
+    etale = euler_jacobian == Poly.variable(6, 7) ** 3 * math.prod(power_map)
+    torus = not any(any(e[:3]) for e in _pull(q, (True,) * 3).coeffs)
 
     # Chart X0 = 1 at (1:1:0) with u = 1, v = 1 - y, w = x.
     local = _conic(1, 1 - _Y, _X)
     completed = substitute(local, _X, _Y - _X)
-    normal_form = _pull(completed, (_POWER_N, _POWER_1))
+    normal_form = _pull(completed, (True, False))
     index = _normal_form_index(normal_form)
     # The tangent cone avoids the line X2 = 0, that is x = 0, when y^2 has the
-    # least degree and a nonzero coefficient, and no other term is in y alone.
-    y2 = ((0, 0), (0, 2))
-    transversal = _nonzero(normal_form.get(y2, Poly())) and all(
-        e == y2 or (_affine(e[0]).nonnegative(strict=True)
-                    and (_affine(e[0]) + _affine(e[1]) - 2).nonnegative())
-        for e in normal_form
+    # least degree and a rational coefficient, and every other term has x to
+    # a positive power and degree at least 2.
+    transversal = _Y2 in normal_form.coeffs and all(
+        e == _Y2 or _every_n(e[2], e[0] - 1) and _every_n(e[2] + e[3], e[0] + e[1] - 2)
+        for e in normal_form.coeffs
     )
     # Two transpositions generate the symmetric group.
     symmetric = _conic(x1, x0, x2) == q and _conic(x0, x2, x1) == q
@@ -424,20 +406,22 @@ def seed_proof() -> SeedProof:
         Stage("vertices", lambda n: (("values", vertices),), all(vertices),
               "Q = C = {values} at (1:0:0), (0:1:0), (0:0:1)"),
         Stage("tangency",
-              lambda n: (("conic", on_lines[2]), ("curve", _at(curve_line, n, 2)),
-                         ("remainder", _at(n_remainder, n, 2) * Fraction(1, n)),
+              lambda n: (("conic", on_lines[2]), ("curve", _at(curve_line, n)),
+                         ("remainder", _at(n_remainder, n) * Fraction(1, n)),
                          ("points", points_per_line(n))),
               tangency_ok,
               "Q = {conic} and C = {curve} on each coordinate line; t^n - 1 - (t/n)*(n*t^(n-1))"
               " = {remainder}, so {points} contact points per line"),
         Stage("etale off the triangle",
-              lambda n: (("jacobian", _at(jacobian, n, 3)), ("torus", torus)),
-              list(jacobian) == [((1, -1),) * 3] and _nonzero(*jacobian.values()) and torus,
+              lambda n: (("jacobian", Poly({tuple(k - 1 for k in e): c for e, c
+                                            in _at(euler_jacobian, n).coeffs.items()}, 3)),
+                         ("torus", torus)),
+              etale and torus,
               "Jacobian determinant of the power map = {jacobian}; "
               "torus exponent divisibility: {torus}"),
         Stage("local normal form",
               lambda n: (("conic", local), ("completed", completed),
-                         ("curve", _at(normal_form, n, 2)), ("type", singularity(n)),
+                         ("curve", _at(normal_form, n)), ("type", singularity(n)),
                          ("transversal", transversal), ("symmetric", symmetric)),
               local == (_X + _Y) ** 2 - 4 * _X and index is not None and transversal and symmetric,
               "Q(1, 1 - y, x) = {conic} at (1:1:0), {completed} after y -> y - x; "

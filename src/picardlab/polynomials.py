@@ -10,7 +10,8 @@ the whole package; it has a fixed number of variables:
   two    curve germs in local coordinates, the symbolic identities of the
          geography, and binary forms, the restrictions of ternary forms to
          the coordinate lines,
-  three  projective plane curves, which are homogeneous ternary forms.
+  three  projective plane curves, which are homogeneous ternary forms,
+  2k+1   curves.seed_proof's polynomials in (x_i, X_i, n), i < k, X_i for x_i^n.
 
 Poly.localize projects a form's exponents into a chart, with no arithmetic,
 then moves the point to the origin by an integer Taylor shift.  substitute,
@@ -121,9 +122,9 @@ class Poly:
     """Sparse polynomial with exact rational coefficients in nvars variables.
 
     Germs, symbolic identities and binary forms use two variables, plane
-    curves three; partial, restrict, exponents_divisible_by and localize
-    are the methods for ternary forms, distinct_projective_roots the one
-    for binary forms.
+    curves three, the seed proof five or seven; partial, restrict,
+    exponents_divisible_by and localize are the methods for ternary forms,
+    distinct_projective_roots the one for binary forms.
     """
 
     __slots__ = ("coeffs", "nvars")

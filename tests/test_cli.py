@@ -19,7 +19,7 @@ import picardlab
 from picardlab import cli, constructions, curves
 from picardlab.cli import MAX_SWEEP_BUILDS, UsageError, _parse_sweep, main
 from picardlab.constructions import ParameterError, build
-from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS
+from picardlab.polynomials import MAX_LOCALIZE_DEGREE, MAX_LOCALIZE_PRODUCTS, Poly
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -117,9 +117,26 @@ def _changed_conic_coefficient(patch):
 
 
 def _off_by_one_pullback(patch):
-    # x -> x^(n+1) in place of x^n.
+    # x -> x^(n+1) in place of x^n: each powered X_i times x_i.
     pull = curves._pull
-    patch.setattr(curves, "_pull", lambda f, powers: pull(f, tuple((a, b + a) for a, b in powers)))
+
+    def pull_plus_one(f, powered):
+        k, g = f.nvars, pull(f, powered)
+        return Poly({tuple(b + a for b, a in zip(e[:k], e[k:])) + e[k:]: c
+                     for e, c in g.coeffs.items()}, g.nvars)
+
+    patch.setattr(curves, "_pull", pull_plus_one)
+
+
+def _wrong_euler_factor(patch):
+    # (n - 1)*X_i*d/dX_i in place of n*X_i*d/dX_i: a wrong derivative of x_i^n.
+    euler = curves._euler
+
+    def euler_n_minus_one(f, i):
+        power = f.nvars // 2 + i
+        return euler(f, i) - Poly.variable(power, f.nvars) * f.partial(power)
+
+    patch.setattr(curves, "_euler", euler_n_minus_one)
 
 
 def _extra_normal_form_term(patch):
@@ -314,6 +331,7 @@ class TestVerifyTheorem:
         (_changed_conic_coefficient, ("tangency", "local normal form")),
         (_off_by_one_pullback, ("tangency", "etale off the triangle")),
         (_extra_normal_form_term, ("local normal form",)),
+        (_wrong_euler_factor, ("tangency", "etale off the triangle")),
     ])
     def test_a_broken_proof_names_its_stage(
         self, capsys, monkeypatch, fresh_seed_proof, mutation, failures

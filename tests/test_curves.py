@@ -12,6 +12,7 @@ import _classify_oracle
 import _seed_oracle
 import pytest
 from _classify_oracle import classify_ak as oracle_classify_ak
+from hypothesis import given, settings, strategies as st
 
 from picardlab import constructions, curves
 from picardlab.curves import (
@@ -20,6 +21,8 @@ from picardlab.curves import (
     DegenerateGermError,
     JetBoundError,
     Smooth,
+    _at,
+    _euler,
     _normal_form_index,
     _pull,
     classify,
@@ -366,15 +369,18 @@ class TestSeedCertificate:
             seed_certificate(1)
 
     def test_type_read_off_the_normal_form(self):
-        def index(text, powers=((0, 1), (0, 1))):
-            return _normal_form_index(_pull(parse_local_poly(text), powers))
+        def index(text, powered=(False, False)):
+            return _normal_form_index(_pull(parse_local_poly(text), powered))
 
         # Exponents fixed (x -> x), then y^2 - 4x^n for every n: A_{n-1}.
         assert index("y^2 - 4*x^7") == (0, 6)
         assert index("2*y^2 + 3*x^2") == (0, 1)
-        assert index("y^2 - 4*x", ((1, 0), (0, 1))) == (1, -1)
-        # x^(n-1) is x^1 at n = 2, so the form is not A-type at every n.
-        assert index("y^2 - 4*x", ((1, -1), (0, 1))) is None
+        assert index("y^2 - 4*x", (True, False)) == (1, -1)
+        # y^2 - 4x is A_0, not a singular point, at every n.
+        assert index("y^2 - 4*x") is None
+        # A coefficient that depends on n is not read off: y^2 - n*x^n.
+        y2, power = (_pull(parse_local_poly(text), (True, False)) for text in ("y^2", "x"))
+        assert _normal_form_index(y2 - Poly.variable(4, 5) * power) is None
         for text in ("y^2", "y^2 + x", "y^2 + x*y", "y^2 + x^3 + x^4", "x^2 + y^3"):
             assert index(text) is None
 
@@ -385,6 +391,27 @@ class TestSeedCertificate:
             assert list(map(str, certificate.stages)) == list(map(str, expected.stages))
             assert (certificate.singularity, certificate.points_per_line) == (A(n - 1), n)
             assert constructions._certified_seed(n) == (A(n - 1), n)
+
+
+def _small_polys(nvars):
+    """Small integer Polys in nvars variables, exponents at most 3."""
+    return st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), st.integers(-5, 5),
+                           max_size=5).map(lambda coeffs: Poly(coeffs, nvars))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(2, 40))
+def test_the_symbolic_operations_commute_with_reading_at_n(data, k, n):
+    """The seed proof's operations on Polys in (x_i, X_i, n), X_i = x_i^n,
+    read at n, are the operations on the Polys in x_i that they stand for."""
+    f = data.draw(_small_polys(k))
+    powered = data.draw(st.tuples(*[st.booleans()] * k))
+    g, h = data.draw(_small_polys(2 * k + 1)), data.draw(_small_polys(2 * k + 1))
+    i = data.draw(st.integers(0, k - 1))
+    powers = tuple(n if p else 1 for p in powered)
+    assert _at(_pull(f, powered), n) == _seed_oracle.power_pullback(f, powers)
+    assert _at(_euler(g, i), n) == Poly.variable(i, k) * _at(g, n).partial(i)
+    assert _at(g * h, n) == _at(g, n) * _at(h, n)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
