@@ -43,6 +43,11 @@ CASES = {
     "verify_3_m2": (("verify-theorem", "3", "--m", "2", "--n", "2"), ()),
     "verify_1_with_m": (("verify-theorem", "1", "--n", "2", "--m", "3"), ()),
     "slopes_fix_n3": (("slopes", "--fix", "n=3", "--m-max", "5"), ()),
+    # The refusals of each fixed parameter and of an unknown one.
+    "slopes_fix_m2": (("slopes", "--fix", "m=2", "--n-max", "10"), ()),
+    "slopes_fix_m3_no_bound": (("slopes", "--fix", "m=3"), ()),
+    "slopes_fix_n4_no_bound": (("slopes", "--fix", "n=4"), ()),
+    "slopes_fix_unknown": (("slopes", "--fix", "x=3", "--m-max", "5"), ()),
     "geography_sets_a4": (("geography", "--sets", "A4"), ()),
     "classify_curve_c2": (("classify", "--curve-C", "2"), ()),
     "classify_curve_c9": (("classify", "--curve-C", "9"), ()),
