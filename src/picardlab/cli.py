@@ -355,6 +355,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# The parameter --fix holds -> the parameter the table sweeps, its bound's flag.
+_SWEEPS = {"n": ("m", "--m-max"), "m": ("n", "--n-max")}
+
+
 def _cmd_slopes(args: argparse.Namespace) -> int:
     key, _, value = args.fix.partition("=")
     key = key.strip()
@@ -363,32 +367,24 @@ def _cmd_slopes(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"bad --fix value {args.fix!r}") from None
     threshold = _read_fraction(args.threshold or "1/100", "--threshold")
+    if key not in _SWEEPS:
+        raise UsageError("--fix expects n=<even> or m=<int>")
+    moving, flag = _SWEEPS[key]
+    bound = getattr(args, f"{moving}_max")
+    if bound is None:
+        raise UsageError(f"--fix {key}=... needs {flag}")
     try:
-        if key == "n":
-            if args.m_max is None:
-                raise UsageError("--fix n=... needs --m-max")
-            report = slope_limit_report(
-                fixed_n=fixed_value, sweep_bound=args.m_max, threshold=threshold
-            )
-            moving = "m"
-        elif key == "m":
-            if args.n_max is None:
-                raise UsageError("--fix m=... needs --n-max")
-            report = slope_limit_report(
-                fixed_m=fixed_value, sweep_bound=args.n_max, threshold=threshold
-            )
-            moving = "n"
-        else:
-            raise UsageError("--fix expects n=<even> or m=<int>")
+        report = slope_limit_report(
+            **{f"fixed_{key}": fixed_value}, sweep_bound=bound, threshold=threshold
+        )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
     print(f"slopes of family 2 with {report.fixed[0]} = {report.fixed[1]}:")
     print(f"  {moving:>4}  {'K2':>8}  {'chi':>8}  slope (exact)        identity")
     for row in report.rows:
-        varying = row.m if moving == "m" else row.n
         print(
-            f"  {varying:>4}  {row.K2:>8}  {row.chi:>8}  "
+            f"  {getattr(row, moving):>4}  {row.K2:>8}  {row.chi:>8}  "
             f"{str(row.mu):>14} ~ {float(row.mu):.5f}  {'ok' if row.identity_ok else 'BAD'}"
         )
     print(f"  closed-form slope identity (symbolic): {'ok' if report.symbolic_identity else 'BAD'}")

@@ -7,22 +7,22 @@ A2 and A3 (families 1-3), the classical double planes B, kept for
 disjointness checks, and the overlap-witness family T.  Each record gives
 the parameter domain, the closed-form pair and, for A2 and A3, the
 membership solver.  The few family constants kept here are each checked
-against FAMILIES by an identity: the roots of _B_ROOTS, the substitutions
-of _t_identity, family 2's slope _mu_closed_form (row by row; its limits
-are 4 - 4/n and 4) and A2's Noether slice (8m - 8, 4m - 1).
+against FAMILIES by an identity: the roots of _B_ROOTS, T's witness
+substitutions _T_WITNESS, family 2's slope _mu_closed_form (row by row; its
+limits are read off the pair) and A2's Noether slice (8m - 8, 4m - 1).
 
-The set relations are computed from the closed forms, without enumerating
-a pair.  Every verdict, for every chi, rests on one table of named
-identities in the family parameters (_identities), checked once per
-process: claim i) and its parity ingredients, T inside A3, that A2 and A3
-share no pair, that each meets every doubling chi-window, and where each
-meets the Noether line.  B shares exactly one pair, (128, 46), with A3.
-A2 and A3 lie on lines, one per n, on which K2 and chi are affine in m;
-each line is read off the family's pair at m = 0 and m = 1 (_lines gives
-its n, its coefficients and its range of m).  The member counts add up
-the lengths of those ranges, so their time grows with the number of lines,
-not of pairs, and no record is made per line; only T, with
-O(sqrt(chi_max)) members, is walked one by one, for the T-in-A2 audit.
+The set relations are computed from the closed forms, without enumerating a
+pair.  Every verdict, for every chi, rests on one table of named identities
+in the family parameters (_identities), checked once per process: claim i)
+and its parity ingredients, T inside A3 and A2, family 2's gap to the Severi
+line, that A2 and A3 share no pair, that each meets every doubling
+chi-window, and where each meets the Noether line.  B shares exactly one
+pair, (128, 46), with A3.  A2 and A3 lie on lines, one per n, on which K2
+and chi are affine in m; each line is read off the family's pair at m = 0
+and m = 1 (_lines gives its n, its coefficients and its range of m).  The
+member counts add up the lengths of those ranges, so their time grows with
+the number of lines, not of pairs, and no record is made per line; only T,
+with O(sqrt(chi_max)) members, is walked one by one, for the T-in-A2 audit.
 
 The figure and table emitters read the same members and lines as sorted
 runs (pair_runs), one record type for both: a run holds the varying
@@ -48,6 +48,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS
 from .figures import Run, figure_csv, figure_svg
 from .polynomials import Poly, domain_variables
+from .surfaces import half
 
 SET_LABELS = tuple(FAMILIES)
 
@@ -101,13 +102,14 @@ class SlopeLimitReport(
     )
 ):
     """Exact slope table for family 2 with one parameter fixed, as the
-    pair fixed = (name, value).
+    pair fixed = (name, value), the other parameter sweeping its domain.
 
-    Fixing n sweeps m with limit 4 - 4/n; fixing m sweeps even n with
-    limit 4.  identity_ok certifies, row by row, the exact closed form
+    limit is the ratio of the leading coefficients of K2 and chi in the
+    sweeping parameter, read off the family's pair: 4 - 4/n for fixed n, 4
+    for fixed m.  identity_ok certifies, row by row, the exact closed form
     mu = 4 + 4*(1 - n - m*n) / (1 - n + m*n^2); symbolic_identity is the
-    same identity checked once as a polynomial identity in (m, n).
-    final_gap is |mu - limit| in the last row.
+    same identity, A2-slope-gap of _identities, as a polynomial identity in
+    (m, n).  final_gap is |mu - limit| in the last row.
     """
 
     __slots__ = ()
@@ -119,14 +121,6 @@ class SlopeLimitReport(
 
 def _mu_closed_form(m, n):
     return 4 + Fraction(4) * (1 - n - m * n) / (1 - n + m * n * n)
-
-
-def _symbolic_slope_identity() -> bool:
-    # K2 == 4*chi + 4*(1 - n - m*n) as polynomials in (m, n).
-    m = Poly.variable(0)
-    n = Poly.variable(1)
-    k2, chi = FAMILIES["A2"].pair(m, n)
-    return k2 == 4 * chi + 4 * (1 - n - m * n)
 
 
 def refuse_unprintable(numbers: Iterable[int], what: str) -> None:
@@ -153,27 +147,27 @@ def slope_limit_report(
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     a2 = FAMILIES["A2"]
-    m_param, n_param = a2.params
-    if fixed_n is not None:
-        if not n_param.admits(fixed_n):
-            raise ValueError(f"fixed n must be even and >= {n_param.minimum}, got {fixed_n}")
-        limit = 4 - Fraction(4, fixed_n)
-        moving = range(m_param.minimum, sweep_bound + 1)
-        fixed = ("n", fixed_n)
-    else:
-        if not m_param.admits(fixed_m):
-            raise ValueError(f"fixed m must be >= {m_param.minimum}, got {fixed_m}")
-        limit = Fraction(4)
-        moving = range(n_param.minimum, sweep_bound + 1, n_param.step)
-        fixed = ("m", fixed_m)
+    name, value = fixed = ("n", fixed_n) if fixed_m is None else ("m", fixed_m)
+    held, moved = sorted(a2.params, key=lambda p: p.name != name)
+    if not held.admits(value):
+        even = " even and" if held.step == 2 else ""
+        raise ValueError(f"fixed {name} must be{even} >= {held.minimum}, got {value}")
+    moving = range(moved.minimum, sweep_bound + 1, moved.step)
+
+    def at(x) -> list:  # A2's parameters, the moving one at x
+        return [value if p is held else x for p in a2.params]
+
+    k2, chi = a2.pair(*at(Poly.variable(0, 1)))
+    top = (chi.degree(),)
+    limit = Fraction(k2.coefficient(top), chi.coefficient(top))
     if not moving:
         raise ValueError("empty sweep range")
     # Not len(moving): it overflows past sys.maxsize.
     if moving[MAX_SWEEP_BUILDS:]:
         raise ValueError(f"the sweep has more than {MAX_SWEEP_BUILDS} rows")
 
-    def row(value: int) -> SlopeRow:
-        m, n = (value, fixed_n) if fixed_n is not None else (fixed_m, value)
+    def row(x: int) -> SlopeRow:
+        m, n = at(x)
         k2, chi = a2.pair(m, n)
         mu = Fraction(k2, chi)
         return SlopeRow(m, n, k2, chi, mu, mu == _mu_closed_form(m, n))
@@ -192,7 +186,7 @@ def slope_limit_report(
         fixed=fixed,
         rows=rows,
         limit=limit,
-        symbolic_identity=_symbolic_slope_identity(),
+        symbolic_identity=_identities()[0]["A2-slope-gap"],
         final_gap=final_gap,
         threshold=threshold,
         within_threshold=final_gap < threshold,
@@ -347,20 +341,14 @@ def _line_coefficients(family, n) -> tuple:
     return k2_1 - k2_0, k2_0, chi_1 - chi_0, chi_0
 
 
-@cache
-def _t_identity(label: str) -> bool:
-    """T's pair equals the family's pair at the substitution (m, n) = (t-3, t)
-    for A3 and (t/2 - 1, t - 1) for A2, as polynomial identities in t
-    (coefficient comparison)."""
-    t = Poly.variable(0)
-    m, n = {"A3": (t - 3, t), "A2": (Fraction(1, 2) * t - 1, t - 1)}[label]
-    return FAMILIES["T"].pair(t) == FAMILIES[label].pair(m, n)
-
-
 def _first_chi(family) -> int:
     """chi at the parameter minima."""
     return family.pair(*(p.minimum for p in family.params))[1]
 
+
+# The parameters (m, n) of A3 and A2 at which each family's pair is T's pair
+# at t, for an int t or a Poly in t.
+_T_WITNESS = {"A3": lambda t: (t - 3, t), "A2": lambda t: (half(t) - 1, t - 1)}
 
 # The roots n(k) of A2's and A3's membership quadratics at B's pair at n = k.
 _B_ROOTS = {
@@ -427,8 +415,12 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
     no negative coefficient nonnegative, on the whole domain.
     - Parity: K2 is odd on A1 and even on B, A2 and A3, so A1 shares no pair
       with any of them; B's K2 is twice a square.
-    - T-in-A3: _t_identity("A3") plus the domain map: for every t = 6 + 2P
-      of T, (m, n) = (t-3, t) lies in A3's domain.
+    - T-in-A3: T's pair is A3's at (m, n) = (t-3, t) (_T_WITNESS), and
+      for every t = 6 + 2P of T that (m, n) lies in A3's domain.
+    - T-A2-substitution: T's pair is A2's at (m, n) = (t/2 - 1, t - 1), an
+      n outside A2's domain (the T-subset-A2 audit).
+    - A2-slope-gap: K2 = 4*chi + 4*(1 - n - m*n) on A2's domain, the
+      closed form of family 2's slope (slope_limit_report).
     - Windows: chi >= first on the domain, first being chi at the minima,
       and the first line (n at its minimum) steps chi by 1 to first + 1.
       Its smallest chi >= c is then at most c + first <= 2c, so it meets
@@ -443,12 +435,11 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
       below the product of the two positive m minima, so no line pair meets
       inside both families."""
     a2, a3 = FAMILIES["A2"], FAMILIES["A3"]
-    (k,), (t,) = domain_variables(FAMILIES["B"].params), domain_variables(FAMILIES["T"].params)
-    pairs = {
-        label: FAMILIES[label].pair(*domain_variables(FAMILIES[label].params))
-        for label in ("A1", "A2", "A3")
-    }
+    variables = {label: domain_variables(family.params) for label, family in FAMILIES.items()}
+    (k,), (t,), (m, n) = variables["B"], variables["T"], variables["A2"]
+    pairs = {label: FAMILIES[label].pair(*variables[label]) for label in ("A1", "A2", "A3")}
     b_pair = FAMILIES["B"].pair(k)
+    t_pair, t_in = FAMILIES["T"].pair(t), {label: w(t) for label, w in _T_WITNESS.items()}
     shared = {label: _b_shared(label, k, b_pair) for label in _B_ROOTS}
 
     def covers(family, chi: Poly) -> bool:
@@ -472,10 +463,12 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
         "A2-chi-odd": (pairs["A2"][1] - 1).multiple_of(2),
         "A2-B-roots": shared["A2"] is not None,
         "A3-B-roots": shared["A3"] is not None,
-        "T-in-A3": _t_identity("A3") and all(
+        "T-in-A3": t_pair == a3.pair(*t_in["A3"]) and all(
             (value - p.minimum).nonnegative() and (value - p.minimum).multiple_of(p.step)
-            for value, p in zip((t - 3, t), a3.params)
+            for value, p in zip(t_in["A3"], a3.params)
         ),
+        "T-A2-substitution": t_pair == a2.pair(*t_in["A2"]),
+        "A2-slope-gap": pairs["A2"][0] == 4 * pairs["A2"][1] + 4 * (1 - n - m * n),
         "A2-windows": covers(a2, pairs["A2"][1]),
         "A3-windows": covers(a3, pairs["A3"][1]),
         "A2-noether-n2": a2.pair(x, n2.minimum) == (8 * x - 8, 4 * x - 1)
@@ -498,8 +491,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     process (_identities); a claim whose identity fails is refuted and names
     it.  The counts are summed over the A2 and A3 lines, T is walked member
     by member for the T-in-A2 audit, and no pair set is built."""
-    if chi_max < 3:
-        raise ValueError(f"chi_max must be at least 3, got {chi_max}")
+    _check_sets((), chi_max)
     a2 = FAMILIES["A2"]
     m_param, n_param = a2.params
     holds, b_shared = _identities()
@@ -562,9 +554,10 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
             )
         )
 
-    # Noether-line slices: A2's are its n=2 members (8m-8, 4m-1), m from its
-    # minimum up to (chi_max+1)/4.
-    found = max(0, ((chi_max + 1) // 4 - m_param.minimum) // m_param.step + 1)
+    # Noether-line slices: A2's are the members (8m-8, 4m-1) of its first
+    # line, n=2.
+    first_line = next(_lines("A2", chi_max), None)
+    found = len(first_line[2]) if first_line else 0
     claims.append(
         certified(
             "A2-noether-slice", ("A2-noether-n2",),
@@ -592,10 +585,9 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
         )
     )
 
-    t_in_a2_symbolic = _t_identity("A2")
     audits = []
     for t, value in zip(t_run.params, zip(t_run.k2s, t_run.chis)):
-        m_w, n_w = t // 2 - 1, t - 1
+        m_w, n_w = _T_WITNESS["A2"](t)
         audits.append(
             {
                 "t": t,
@@ -611,7 +603,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     any_parity_ok = any(a["witness_n_parity_ok"] for a in audits)
     if strict_hits == len(audits) and audits:
         status, detail = VERIFIED, "every T pair is an enumerated A2 pair"
-    elif all_values_match and t_in_a2_symbolic:
+    elif all_values_match and holds["T-A2-substitution"]:
         status = RELAXED
         detail = (
             "substitution (m, n) = (t/2-1, t-1): polynomial identity holds, but the "

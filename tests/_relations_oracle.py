@@ -25,8 +25,15 @@ from picardlab.geography import (
     Claim,
     GeoPair,
     SetRelationsReport,
-    _t_identity,
 )
+from picardlab.polynomials import Poly
+
+
+def t_substitution_holds(pair, witness):
+    """Whether T's pair is pair at the parameters witness(t), as polynomials
+    in t, checked here by expanding both sides on a Poly variable."""
+    t = Poly.variable(0, 1)
+    return set_t_pair(t) == pair(*witness(t))
 
 
 def _is_perfect_square(x):
@@ -193,7 +200,7 @@ def oracle_report(chi_max, sets=None):
         )
     )
 
-    t_in_a3_symbolic = _t_identity("A3")
+    t_in_a3_symbolic = t_substitution_holds(family3_pair, lambda t: (t - 3, t))
     t_members_in_a3 = all(p.value in values["A3"] for p in sets["T"])
     claims.append(
         Claim(
@@ -204,7 +211,9 @@ def oracle_report(chi_max, sets=None):
         )
     )
 
-    t_in_a2_symbolic = _t_identity("A2")
+    t_in_a2_symbolic = t_substitution_holds(
+        family2_pair, lambda t: (Fraction(1, 2) * t - 1, t - 1)
+    )
     audits = []
     strict_hits = 0
     for p in sets["T"]:

@@ -4,9 +4,12 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _relations_oracle import admissible, brute_force_set, enumerated_sets, oracle_report, restrict
 from picardlab import geography
+from picardlab.cli import main
 from picardlab.constructions import FAMILIES, Param, family2_pair, family3_pair
 from picardlab.figures import _WINDOW, figure_svg
 from picardlab.geography import (
@@ -14,11 +17,11 @@ from picardlab.geography import (
     SET_LABELS,
     _identities,
     _lines,
-    _t_identity,
     emit_figure,
     enumerate_set,
     pair_runs,
     set_relations_report,
+    slope_limit_report,
 )
 
 
@@ -202,17 +205,12 @@ def test_certified_meeting_is_real_below_the_printed_bounds():
     assert m2 < FAMILIES["A2"].params[0].minimum and m3 < FAMILIES["A3"].params[0].minimum
 
 
-_IDENTITY_CACHES = (_identities, _t_identity)
-
-
 @pytest.fixture
 def fresh_identity():
     # A mutated family must not leave its verdicts cached for later tests.
-    for cached in _IDENTITY_CACHES:
-        cached.cache_clear()
+    _identities.cache_clear()
     yield
-    for cached in _IDENTITY_CACHES:
-        cached.cache_clear()
+    _identities.cache_clear()
 
 
 def test_identity_is_checked_once_per_process(fresh_identity):
@@ -321,6 +319,11 @@ _MUTATIONS = {
          "A2-minus-A3-infinite": "A2-A3-lines", "A3-noether-empty": "A3-noether-positive",
          "A2-intersect-A3-infinite": "A2-A3-lines"},
     ),
+    # T's pair is then neither A3's at (t-3, t) nor A2's at (t/2-1, t-1).
+    "T K2 + 2": (
+        "T", lambda: _shifted_pair("T", lambda t: (2, 0)),
+        {"T-subset-A3": "T-in-A3", "T-subset-A2": None},
+    ),
 }
 
 
@@ -328,8 +331,7 @@ _MUTATIONS = {
 def test_a_wrong_family_refutes_the_claims_on_its_identities(monkeypatch, fresh_identity, mutation):
     label, mutated, refuted = _MUTATIONS[mutation]
     before = set_relations_report(1000)
-    for cached in _IDENTITY_CACHES:
-        cached.cache_clear()
+    _identities.cache_clear()
     monkeypatch.setitem(FAMILIES, label, mutated())
     report = set_relations_report(1000)
     for claim_id, identity in refuted.items():
@@ -342,3 +344,51 @@ def test_a_wrong_family_refutes_the_claims_on_its_identities(monkeypatch, fresh_
     for claim in before.claims:
         if claim.claim_id not in refuted:
             assert report.claim(claim.claim_id).status == claim.status, (mutation, claim.claim_id)
+
+
+def test_a_wrong_family_2_fails_the_symbolic_slope_identity(monkeypatch, capsys, fresh_identity):
+    # K2 + 2 breaks K2 = 4*chi + 4*(1 - n - m*n) in every row and as a
+    # polynomial identity, so the slopes command exits 1.
+    monkeypatch.setitem(FAMILIES, "A2", _shifted_pair("A2", lambda m, n: (2, 0)))
+    report = slope_limit_report(fixed_m=3, sweep_bound=10)
+    assert not report.symbolic_identity
+    assert not report.all_identities_hold
+    assert main(["slopes", "--fix", "m=3", "--n-max", "10"]) == 1
+    assert "closed-form slope identity (symbolic): BAD\n" in capsys.readouterr().out
+
+
+def _member_facts(label, values):
+    """The polynomial entries of _identities about the family's member at
+    values, each evaluated there in plain ints from the paper's formulas."""
+    k2, chi = FAMILIES[label].pair(*values)
+    if label == "A1":
+        return {"A1-K2-odd": k2 % 2 == 1}
+    if label == "B":
+        (k,) = values
+        return {"B-half-K2-square": k2 == 2 * (k - 3) ** 2}
+    if label == "T":
+        (t,) = values
+        a2, a3 = FAMILIES["A2"], FAMILIES["A3"]
+        return {
+            "T-in-A3": a3.admits(t - 3, t) and a3.pair(t - 3, t) == (k2, chi),
+            "T-A2-substitution": a2.pair(t // 2 - 1, t - 1) == (k2, chi),
+        }
+    m, n = values
+    facts = {"A2-A3-K2-even": k2 % 2 == 0}
+    if label == "A2":
+        facts["A2-chi-odd"] = chi % 2 == 1
+        facts["A2-slope-gap"] = k2 == 4 * chi + 4 * (1 - n - m * n)
+    return facts
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.sampled_from(SET_LABELS), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_every_identity_that_holds_is_true_at_a_member(label, i, j):
+    # Soundness of the table: an entry reported as holding for every member
+    # holds at a drawn one.  (The cache is the real families': the tests that
+    # mutate a family clear it before and after.)
+    holds, _ = _identities()
+    params = FAMILIES[label].params
+    values = [p.minimum + p.step * s for p, s in zip(params, (i, j))]
+    for name, true in _member_facts(label, values).items():
+        assert true or not holds[name], (name, label, values)
