@@ -24,6 +24,7 @@ from .curves import DegenerateGermError, classify, seed_certificate
 from .figures import csv_lines, svg_lines
 from .geography import (
     SET_LABELS,
+    check_sets,
     pair_runs,
     refuse_unprintable,
     set_relations_report,
@@ -45,6 +46,10 @@ MAX_EMIT_CHI_MAX = 10**7
 # Fraction computes 10**exponent for a number like 1e-k, 9 s at k = 10^7.
 # Past twice the 4,300 digits str() converts, no k gives a printable one.
 MAX_THRESHOLD_EXPONENT = 10_000
+# verify-theorem builds this many reports, then prints, then writes them:
+# builds kept apart from the printing and the JSON text run faster (batches
+# of 8 to 64 time alike), and memory holds one batch, not the sweep.
+REPORT_BATCH = 16
 
 
 class UsageError(ValueError):
@@ -215,23 +220,30 @@ def _cmd_verify_theorem(args: argparse.Namespace) -> int:
 def _stream_reports(
     theorem: int, names: list[str], combos: list[tuple[int, ...]], out
 ) -> str | None:
-    """Build, print and write one report at a time; return the FAIL line of
-    the first report with a false field, if any.  The JSON has the layout of
+    """Build up to REPORT_BATCH reports, print them, then write them, until
+    the sweep is done; return the FAIL line of the first report with a false
+    field, if any.  A build that raises stops the sweep once the reports
+    built before it are printed.  The JSON has the layout of
     json.dumps({"reports": [...]}, indent=2, sort_keys=True)."""
     separator = '{\n  "reports": [\n    '
     failure = None
-    for values in combos:
+    for start in range(0, len(combos), REPORT_BATCH):
+        batch = []
         try:
-            report = build(theorem, **dict(zip(names, values)))
+            for values in combos[start:start + REPORT_BATCH]:
+                batch.append(build(theorem, **dict(zip(names, values))))
         except ParameterError as exc:
             raise UsageError(str(exc)) from None
-        _print_report(report)
+        finally:
+            for report in batch:
+                _print_report(report)
         if out is not None:
-            out.write(separator + report.to_json_text("    "))
-            separator = ",\n    "
-        if failure is None:
+            for report in batch:
+                out.write(separator + report.to_json_text("    "))
+                separator = ",\n    "
+        for report in batch:
             false = [name for name in ("match", "ample", "maximal") if not getattr(report, name)]
-            if false:
+            if false and failure is None:
                 failure = (
                     f"FAIL: field {false[0]} is false for theorem {report.theorem} "
                     f"{report.params_str()}"
@@ -251,9 +263,10 @@ def _cmd_geography(args: argparse.Namespace) -> int:
     if chi_max > MAX_CHI_MAX:
         raise UsageError(f"{source} must be at most {MAX_CHI_MAX}, got {chi_max}")
     labels = [s.strip() for s in args.sets.split(",") if s.strip()]
-    for label in labels:
-        if label not in SET_LABELS:
-            raise UsageError(f"unknown set {label!r} (choose from {','.join(SET_LABELS)})")
+    try:
+        check_sets(labels, chi_max)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     emits = [e.strip().lower() for e in args.emit.split(",") if e.strip()] if args.emit else []
     for emit in emits:
         if emit not in ("csv", "svg", "json"):

@@ -492,6 +492,17 @@ def family_proof(family: Family, params: tuple, rows: tuple) -> int | None:
                 None)
 
 
+def _inventory(entries) -> SingInventory:
+    """The member's entries merged by type and in type order, as
+    SingInventory's constructor would make them; the class proof shows every
+    type valid and every count positive, so they are not checked again."""
+    merged: dict[tuple, int] = {}
+    for t, c in entries:
+        merged[t] = merged.get(t, 0) + c
+    return _trusted(SingInventory, (tuple([(_trusted(SingType, t), c)
+                                           for t, c in sorted(merged.items())]),))
+
+
 def _build(family: Family, *values: int) -> ConstructionReport:
     """Build the member with these parameter values from the proof of its
     class (family_proof) and its numbers (_derive).  A fact the proof does
@@ -529,11 +540,7 @@ def _build(family: Family, *values: int) -> ConstructionReport:
         else _trusted(DoubleBranchPoint, (_trusted(SingType, t), count, _ORIGINS[place]))
         for t, meets, count, place in points
     ])
-    # The proof shows every type valid and every count positive; the
-    # inventories merge and order the member's entries.
-    branch_inventory, cover_inventory = (
-        SingInventory(tuple([(_trusted(SingType, t), c) for t, c in entries]))
-        for entries in (branch_entries, cover_entries))
+    branch_inventory, cover_inventory = map(_inventory, (branch_entries, cover_entries))
     lower = picard_lower_bound(cover_inventory, base.rank)
     K2, chi = closed_form = family.pair(*values)
     h11 = 10 * chi - K2

@@ -311,10 +311,11 @@ def _lines(label: str, chi_max: int) -> Iterator[tuple[int, tuple, range]]:
         n += n_param.step
 
 
-def _check_sets(labels: Iterable[str], chi_max: int) -> None:
+def check_sets(labels: Iterable[str], chi_max: int) -> None:
+    """Raise ValueError on a label outside SET_LABELS or a chi_max below 3."""
     for label in labels:
         if label not in SET_LABELS:
-            raise ValueError(f"unknown set label {label!r} (expected one of {', '.join(SET_LABELS)})")
+            raise ValueError(f"unknown set {label!r} (choose from {','.join(SET_LABELS)})")
     if chi_max < 3:
         raise ValueError(f"chi_max must be at least 3, got {chi_max}")
 
@@ -325,7 +326,7 @@ def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
     line for A2 and A3.  Only the O(sqrt(chi_max)) members of the
     one-parameter families are listed; a line's run holds ranges, so no
     line pair is built until a window asks for it."""
-    _check_sets(labels, chi_max)
+    check_sets(labels, chi_max)
     return {
         label: [_member_run(label, chi_max)]
         if len(FAMILIES[label].params) == 1
@@ -491,7 +492,7 @@ def set_relations_report(chi_max: int) -> SetRelationsReport:
     process (_identities); a claim whose identity fails is refuted and names
     it.  The counts are summed over the A2 and A3 lines, T is walked member
     by member for the T-in-A2 audit, and no pair set is built."""
-    _check_sets((), chi_max)
+    check_sets((), chi_max)
     a2 = FAMILIES["A2"]
     m_param, n_param = a2.params
     holds, b_shared = _identities()

@@ -257,31 +257,53 @@ class TestVerifyTheorem:
         assert str(path) in result.stderr
         assert "Traceback" not in result.stderr
 
-    def test_error_mid_sweep_removes_the_partial_json(self, capsys, tmp_path, monkeypatch):
+    # Reports are built a batch at a time: a failure at the second member, at
+    # the first member of the second batch and in the middle of a later batch.
+    _FAILING_N = pytest.mark.parametrize("failing_n", [
+        pytest.param(3, id="second-member"),
+        pytest.param(2 + cli.REPORT_BATCH, id="first-of-second-batch"),
+        pytest.param(2 + 2 * cli.REPORT_BATCH + cli.REPORT_BATCH // 2, id="mid-later-batch"),
+    ])
+
+    @staticmethod
+    def reports_before(capsys, failing_n):
+        """The stdout of theorem 1's reports for n = 2 .. failing_n - 1."""
+        code, out, _ = run(capsys, "verify-theorem", "1", "--sweep", f"n=2..{failing_n - 1}")
+        assert code == 0
+        return out.removesuffix(f"certified {failing_n - 2} construction(s)\n")
+
+    @_FAILING_N
+    def test_error_mid_sweep_removes_the_partial_json(
+        self, capsys, tmp_path, monkeypatch, failing_n
+    ):
+        expected = self.reports_before(capsys, failing_n)
         real_build = cli.build
 
         def build(theorem, **params):
-            if params["n"] == 3:
+            if params["n"] == failing_n:
                 raise ParameterError("assembled building data is invalid: planted")
             return real_build(theorem, **params)
 
         monkeypatch.setattr(cli, "build", build)
         path = tmp_path / "out.json"
         code, out, err = run(
-            capsys, "verify-theorem", "1", "--sweep", "n=2..4", "--json", str(path)
+            capsys, "verify-theorem", "1", "--sweep", "n=2..60", "--json", str(path)
         )
         assert code == 2
         assert err == "usage error: assembled building data is invalid: planted\n"
-        assert out.count("theorem 1") == 1 and "wrote" not in out
+        assert out == expected and out.count("theorem 1") == failing_n - 2
+        assert "wrote" not in out
         assert not path.exists()
 
+    @_FAILING_N
     def test_failed_write_mid_sweep_is_reported_and_spares_a_symlink(
-        self, capsys, tmp_path, monkeypatch
+        self, capsys, tmp_path, monkeypatch, failing_n
     ):
+        expected = self.reports_before(capsys, failing_n)
         real_build = cli.build
 
         def build(theorem, **params):
-            if params["n"] == 3:
+            if params["n"] == failing_n:
                 raise OSError(28, "No space left on device")
             return real_build(theorem, **params)
 
@@ -291,11 +313,11 @@ class TestVerifyTheorem:
             if path.name == "link.json":
                 path.symlink_to(target)
             code, out, err = run(
-                capsys, "verify-theorem", "1", "--sweep", "n=2..4", "--json", str(path)
+                capsys, "verify-theorem", "1", "--sweep", "n=2..60", "--json", str(path)
             )
             assert code == 1
             assert err == "cannot write outputs: [Errno 28] No space left on device\n"
-            assert "wrote" not in out
+            assert out == expected and "wrote" not in out
         assert not (tmp_path / "out.json").exists()
         assert (tmp_path / "link.json").is_symlink() and target.exists()
 
