@@ -23,6 +23,7 @@ from .covers import BidoubleCoverData
 from .curves import DegenerateGermError, classify, seed_certificate
 from .figures import csv_lines, svg_lines
 from .geography import (
+    MIN_CHI_MAX,
     SET_LABELS,
     check_sets,
     pair_runs,
@@ -258,8 +259,8 @@ def _cmd_geography(args: argparse.Namespace) -> int:
         chi_max, source = args.chi_max, "--chi-max"
     else:
         chi_max, source = _default_chi_max(), "PICARDLAB_CHI_MAX"
-    if chi_max < 3:
-        raise UsageError(f"{source} must be at least 3, got {chi_max}")
+    if chi_max < MIN_CHI_MAX:
+        raise UsageError(f"{source} must be at least {MIN_CHI_MAX}, got {chi_max}")
     if chi_max > MAX_CHI_MAX:
         raise UsageError(f"{source} must be at most {MAX_CHI_MAX}, got {chi_max}")
     labels = [s.strip() for s in args.sets.split(",") if s.strip()]

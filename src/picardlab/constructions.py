@@ -42,7 +42,7 @@ from .covers import (
     BidoubleCoverData, DoubleCoverData, SurfaceInvariants, formulas, pullback, validate,
 )
 from .curves import seed_proof
-from .polynomials import at_least, domain_variables
+from .polynomials import Poly, at_least, domain_variables, multiple_of
 from .singularities import (
     BidoubleBranchPoint, SingInventory, SingType, bidouble_rule, cyclic_rule, picard_lower_bound,
     union_rule,
@@ -131,8 +131,16 @@ class Param(namedtuple("Param", "name minimum step")):
 
     __slots__ = ()
 
-    def admits(self, value: int) -> bool:
-        return value >= self.minimum and (value - self.minimum) % self.step == 0
+    def admits(self, value) -> bool:
+        """Whether an int, or a class Poly of domain_variables, is in the domain."""
+        if not isinstance(value, (int, Poly)):
+            return False
+        return at_least(value, self.minimum) and multiple_of(value - self.minimum, self.step)
+
+    @property
+    def domain(self) -> str:
+        """The domain in words, after the parameter's name."""
+        return f"{' even and' if self.step == 2 else ''} >= {self.minimum}"
 
 
 class Family(
@@ -157,9 +165,8 @@ class Family(
         """Raise ParameterError for the first parameter outside its domain."""
         for p, v in zip(self.params, values):
             if not p.admits(v):
-                even = " even and" if p.step == 2 else ""
                 raise ParameterError(
-                    f"family {self.theorem} needs {p.name}{even} >= {p.minimum}, got {p.name}={v}"
+                    f"family {self.theorem} needs {p.name}{p.domain}, got {p.name}={v}"
                 )
 
     def members(self, K2: int, chi: int) -> list:
@@ -197,55 +204,25 @@ class ConstructionReport(
         return " ".join(f"{k}={v}" for k, v in self.params)
 
     def to_json(self) -> dict:
+        """The report as JSON data, read off its fields and each nested
+        record's; a branch point's kind is its cover's."""
         data = self.building_data
-        if isinstance(data, BidoubleCoverData):
-            classes = {
-                "type": "bidouble",
-                "L1": list(data.L1.coeffs), "L2": list(data.L2.coeffs), "L3": list(data.L3.coeffs),
-                "B1": list(data.B1.coeffs), "B2": list(data.B2.coeffs), "B3": list(data.B3.coeffs),
-            }
-        else:
-            classes = {"type": "double", "L": list(data.L.coeffs), "B": list(data.B.coeffs)}
-        points = []
-        for p in self.branch_points:
-            if isinstance(p, BidoubleBranchPoint):
-                points.append({
-                    "kind": "bidouble",
-                    "carrier": p.carrier,
-                    "sing": str(p.sing) if p.sing else None,
-                    "meets": p.meets,
-                    "contact": p.contact,
-                    "count": p.count,
-                })
-            else:
-                points.append({
-                    "kind": "double",
-                    "sing": str(p.sing),
-                    "count": p.count,
-                    "origin": p.origin,
-                })
+        kind, names = _CLASS_NAMES[type(data)]
+        classes = {name: list(getattr(data, name).coeffs) for name in names}
+        points = [{k: str(v) if isinstance(v, SingType) else v for k, v in p._asdict().items()}
+                  for p in self.branch_points]
+        fields = self._asdict()
+        fields["picard_lower_bound"] = fields.pop("picard_lower")
         return {
-            "theorem": self.theorem,
+            **fields,
             "params": dict(self.params),
-            "base": {"kind": self.base.kind, "e": self.base.e},
-            "building_data": classes,
-            "branch_points": points,
+            "base": self.base._asdict(),
+            "building_data": {"type": kind, **classes},
+            "branch_points": [{"kind": kind, **point} for point in points],
             "branch_inventory": self.branch_inventory.to_json(),
             "cover_inventory": self.cover_inventory.to_json(),
-            "computed": {
-                "K2": self.computed.K2,
-                "chi": self.computed.chi,
-                "p_g": self.computed.p_g,
-                "q": self.computed.q,
-                "h11": self.computed.h11,
-            },
+            "computed": self.computed._asdict(),
             "closed_form": {"K2": self.closed_form[0], "chi": self.closed_form[1]},
-            "ample": self.ample,
-            "n_indep": self.n_indep,
-            "picard_lower_bound": self.picard_lower,
-            "h11": self.h11,
-            "match": self.match,
-            "maximal": self.maximal,
         }
 
     def to_json_text(self, pad: str = "") -> str:
@@ -298,8 +275,8 @@ class ConstructionReport(
 
 _JSON_BOOL = {False: "false", True: "true"}
 # Each building-data record's kind and class names, sorted.
-_CLASS_NAMES = {BidoubleCoverData: ("bidouble", ("B1", "B2", "B3", "L1", "L2", "L3")),
-                DoubleCoverData: ("double", ("B", "L"))}
+_CLASS_NAMES = {record: (kind, tuple(sorted(record._fields[1:])))
+                for record, kind in ((BidoubleCoverData, "bidouble"), (DoubleCoverData, "double"))}
 
 
 @functools.cache
@@ -430,10 +407,6 @@ def _derive(rows, layout, m, n, sing, per_line) -> tuple:
     return e, components, expected, sums, classes, points, branch_entries, cover_entries
 
 
-def _even(x) -> bool:
-    return x % 2 == 0 if isinstance(x, int) else x.multiple_of(2)
-
-
 def _facts(family: Family, values: tuple, numbers: tuple, base=None):
     """The certificate as (holds, text) facts in stage order on the numbers of
     _derive: ints at a member, or Polys on a class, where a fact holds only
@@ -449,7 +422,8 @@ def _facts(family: Family, values: tuple, numbers: tuple, base=None):
         value = pairing(e, components[i], components[j])
         yield value == want, base and f"transport: {name} = {value}, expected {want}"
     for name, u in sums:
-        yield all(map(_even, u)), base and f"validate: {name} = {show(u)} is not twice a class"
+        yield all(multiple_of(c, 2) for c in u), base and (
+            f"validate: {name} = {show(u)} is not twice a class")
     for name, L in zip(record._fields[1:], Ls):
         yield any(at_least(c, 1) or at_least(-c, 1) for c in L), base and (
             f"assembled building data is invalid: {name} is the trivial class")

@@ -51,6 +51,8 @@ from .polynomials import Poly, domain_variables
 from .surfaces import half
 
 SET_LABELS = tuple(FAMILIES)
+# The least chi bound the set relations accept.
+MIN_CHI_MAX = 3
 
 
 class GeoPair(namedtuple("GeoPair", "chi K2 set_label params")):
@@ -150,8 +152,7 @@ def slope_limit_report(
     name, value = fixed = ("n", fixed_n) if fixed_m is None else ("m", fixed_m)
     held, moved = sorted(a2.params, key=lambda p: p.name != name)
     if not held.admits(value):
-        even = " even and" if held.step == 2 else ""
-        raise ValueError(f"fixed {name} must be{even} >= {held.minimum}, got {value}")
+        raise ValueError(f"fixed {name} must be{held.domain}, got {value}")
     moving = range(moved.minimum, sweep_bound + 1, moved.step)
 
     def at(x) -> list:  # A2's parameters, the moving one at x
@@ -312,12 +313,12 @@ def _lines(label: str, chi_max: int) -> Iterator[tuple[int, tuple, range]]:
 
 
 def check_sets(labels: Iterable[str], chi_max: int) -> None:
-    """Raise ValueError on a label outside SET_LABELS or a chi_max below 3."""
+    """Raise ValueError on a label outside SET_LABELS or chi_max < MIN_CHI_MAX."""
     for label in labels:
         if label not in SET_LABELS:
             raise ValueError(f"unknown set {label!r} (choose from {','.join(SET_LABELS)})")
-    if chi_max < 3:
-        raise ValueError(f"chi_max must be at least 3, got {chi_max}")
+    if chi_max < MIN_CHI_MAX:
+        raise ValueError(f"chi_max must be at least {MIN_CHI_MAX}, got {chi_max}")
 
 
 def pair_runs(labels: Sequence[str], chi_max: int) -> dict[str, list[Run]]:
@@ -464,10 +465,7 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
         "A2-chi-odd": (pairs["A2"][1] - 1).multiple_of(2),
         "A2-B-roots": shared["A2"] is not None,
         "A3-B-roots": shared["A3"] is not None,
-        "T-in-A3": t_pair == a3.pair(*t_in["A3"]) and all(
-            (value - p.minimum).nonnegative() and (value - p.minimum).multiple_of(p.step)
-            for value, p in zip(t_in["A3"], a3.params)
-        ),
+        "T-in-A3": t_pair == a3.pair(*t_in["A3"]) and a3.admits(*t_in["A3"]),
         "T-A2-substitution": t_pair == a2.pair(*t_in["A2"]),
         "A2-slope-gap": pairs["A2"][0] == 4 * pairs["A2"][1] + 4 * (1 - n - m * n),
         "A2-windows": covers(a2, pairs["A2"][1]),

@@ -18,7 +18,9 @@ then moves the point to the origin by an integer Taylor shift.  substitute,
 f(gx, gy), changes germ coordinates and is the shift's test reference.
 domain_variables shifts parameters onto their domains, where
 Poly.multiple_of and Poly.nonnegative read parity and sign off the
-coefficients.
+coefficients; at_least and multiple_of decide a bound or a divisor alike on
+an int (a member) and on such a Poly (a whole class), so one test, such as
+constructions.Param.admits, serves both.
 
 All values are immutable by convention: no method mutates its receiver.
 """
@@ -387,7 +389,13 @@ def at_least(x, bound) -> bool:
     """Whether x >= bound: for an int, or on the whole domain for a Poly in
     domain_variables (Poly.nonnegative; False leaves the bound undecided)."""
     x = x - bound
-    return x >= 0 if isinstance(x, int) else x.nonnegative()
+    return x.nonnegative() if isinstance(x, Poly) else x >= 0
+
+
+def multiple_of(x, d: int) -> bool:
+    """Whether d divides x: for an int, or on the whole domain for a Poly in
+    domain_variables (Poly.multiple_of; False leaves it undecided)."""
+    return x.multiple_of(d) if isinstance(x, Poly) else x % d == 0
 
 
 def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly:

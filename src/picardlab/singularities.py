@@ -117,10 +117,7 @@ class SingInventory(namedtuple("SingInventory", "entries")):
         return ", ".join(f"{c} x {t}" for t, c in self.entries)
 
     def to_json(self) -> list[dict]:
-        return [
-            {"family": t.family, "index": t.index, "count": c}
-            for t, c in self.entries
-        ]
+        return [{**t._asdict(), "count": c} for t, c in self.entries]
 
 
 def picard_lower_bound(inventory: SingInventory, n_indep: int) -> int:

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,7 @@ from picardlab.covers import (
     validate_double,
 )
 from picardlab.curves import singular_points_report
+from picardlab.geography import slope_limit_report
 from picardlab.polynomials import Poly, domain_variables
 from picardlab.singularities import A, D, BidoubleBranchPoint, SingInventory, SingType
 from picardlab.surfaces import compose, half, hirzebruch, plus, projective_plane
@@ -58,6 +60,25 @@ class TestClosedForms:
             build(3, m=2, n=2)
         with pytest.raises(ParameterError, match="unknown theorem id"):
             build(4, n=2)
+
+    def test_non_int_parameters_are_refused_before_any_work(self):
+        # An integral float or Fraction lies on the domain's values but is no
+        # member: the domain test refuses it, with the domain's usual text,
+        # instead of the build failing deep inside on a float.
+        refusals = [
+            (lambda: build(3, m=2, n=4.0), "family 3 needs n even and >= 4, got n=4.0"),
+            (lambda: build(2, m=4.0, n=2), "family 2 needs m >= 3, got m=4.0"),
+            (lambda: build(1, n=2.5), "family 1 needs n >= 2, got n=2.5"),
+            (lambda: build(2, m=Fraction(7, 2), n=2), "family 2 needs m >= 3, got m=7/2"),
+        ]
+        for call, text in refusals:
+            with pytest.raises(ParameterError) as info:
+                call()
+            assert str(info.value) == text
+        with pytest.raises(ValueError) as info:
+            slope_limit_report(fixed_n=4.0, sweep_bound=6)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "fixed n must be even and >= 2, got 4.0"
 
 
 class TestFamily1:

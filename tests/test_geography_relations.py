@@ -319,6 +319,12 @@ _MUTATIONS = {
          "A2-minus-A3-infinite": "A2-A3-lines", "A3-noether-empty": "A3-noether-positive",
          "A2-intersect-A3-infinite": "A2-A3-lines"},
     ),
+    # A3's pair is unchanged, so T's pair is still A3's at (t-3, t), but
+    # t = 8, 12, ... is then no n of A3: only the domain half of T-in-A3 fails.
+    "A3 n = 6 + 4k": (
+        "A3", lambda: FAMILIES["A3"]._replace(params=(Param("m", 2, 1), Param("n", 6, 4))),
+        {"T-subset-A3": "T-in-A3"},
+    ),
     # T's pair is then neither A3's at (t-3, t) nor A2's at (t/2-1, t-1).
     "T K2 + 2": (
         "T", lambda: _shifted_pair("T", lambda t: (2, 0)),
