@@ -44,8 +44,8 @@ from .covers import (
 from .curves import seed_proof
 from .polynomials import Poly, at_least, domain_variables, multiple_of
 from .singularities import (
-    BidoubleBranchPoint, SingInventory, SingType, bidouble_rule, cyclic_rule, picard_lower_bound,
-    union_rule,
+    MIN_INDEX, BidoubleBranchPoint, SingInventory, SingType, bidouble_rule, cyclic_rule,
+    picard_lower_bound, union_rule,
 )
 from .surfaces import (
     DivisorClass, ample, canonical, compose, half, hirzebruch, intersect, pairing, plus,
@@ -440,8 +440,8 @@ def _facts(family: Family, values: tuple, numbers: tuple, base=None):
     yield q == 0, base and f"invariants: derived irregularity q = {q}, expected 0"
     yield ample(e, amp), base and f"ample: {show(amp)} is not ample"
     for which, entries in (("branch", branch_entries), ("cover", cover_entries)):
-        # A_k needs k >= 1 and D_k k >= 4; no rule here makes an E type.
-        yield all(at_least(i, {"A": 1, "D": 4}[f]) and at_least(c, 1) for (f, i), c in entries), (
+        # SingType's A and D minima; no rule here makes an E type.
+        yield all(at_least(i, MIN_INDEX[f]) and at_least(c, 1) for (f, i), c in entries), (
             base and f"transport: the {which} inventory "
             f"{', '.join(f'{c} x {f}{i}' for (f, i), c in entries)} "
             "has a type or count out of range")
@@ -455,8 +455,8 @@ def _facts(family: Family, values: tuple, numbers: tuple, base=None):
 def family_proof(family: Family, params: tuple, rows: tuple) -> int | None:
     """Prove the certificate of every member of a class at once: _derive and
     _facts on the class params shifted by domain_variables, with the class's
-    rows.  Each fact is an identity or a sign fact (Poly.multiple_of,
-    Poly.nonnegative) in the shifted parameters, so it holds at every member.
+    rows.  Each fact is an identity or a fact of at_least or multiple_of in
+    the shifted parameters, so it holds at every member.
     The proof is the position in _facts of the first fact not shown, or None
     when all are."""
     values = domain_variables(params)

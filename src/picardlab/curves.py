@@ -38,7 +38,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Optional, Union
 
-from .polynomials import Poly, substitute
+from .polynomials import Poly, at_least, substitute
 from .singularities import A, SingType
 
 JET_BOUND_CAP = 64
@@ -215,10 +215,11 @@ def tangent_cone_avoids(f: Poly, direction: tuple[int, int]) -> bool:
 # symbolic n is a Poly in the x_i, then the X_i = x_i^n, then n; x_i^b*X_i^a
 # is x_i^(a*n + b).  Pulling back by x_i -> x_i^n renames x_i to X_i, _euler
 # is x_i*d/dx_i and _at reads the polynomial at one n.  A coefficient fact is
-# a Poly identity; an exponent fact a*n + b >= 0 holds for every n >= 2 when
-# a >= 0 and 2*a + b >= 0.
+# a Poly identity; an exponent fact a*n + b >= c is at_least(a*_N + b, c),
+# with _N the n of every n >= 2 shifted onto its domain (domain_variables).
 
 _Y2 = (0, 2, 0, 0, 0)  # y^2 among (x, y, X, Y, n)
+_N = 2 + Poly.variable(0)
 
 
 def _conic(u, v, w):
@@ -246,11 +247,6 @@ def _at(f: Poly, n: int) -> Poly:
                 for e, c in f.coeffs.items()), Poly({}, k))
 
 
-def _every_n(a: int, b: int) -> bool:
-    """Whether a*n + b >= 0 for every n >= 2."""
-    return a >= 0 and 2 * a + b >= 0
-
-
 def _normal_form_index(f: Poly) -> Optional[tuple[int, int]]:
     """(a, b - 1), that is k - 1, when the polynomial f in (x, y, X, Y, n)
     is c*y^2 + d*x^b*X^a with rational c and d and k = a*n + b >= 2 at every
@@ -258,7 +254,7 @@ def _normal_form_index(f: Poly) -> Optional[tuple[int, int]]:
     if len(f.coeffs) != 2 or _Y2 not in f.coeffs:
         return None
     b, y, a, power_y, power_n = next(e for e in f.coeffs if e != _Y2)
-    return (a, b - 1) if not (y or power_y or power_n) and _every_n(a, b - 2) else None
+    return (a, b - 1) if not (y or power_y or power_n) and at_least(a * _N + b, 2) else None
 
 
 def _show(value) -> str:
@@ -366,7 +362,7 @@ def seed_proof() -> SeedProof:
     points = max((e[2], e[0]) for e in t_root.coeffs)
     tangency_ok = (
         all(line == (_X - _Y) ** 2 for line in on_lines) and n_remainder == -n
-        and all(_every_n(points[0] - e[2], points[1] - e[0]) for e in t_root.coeffs)
+        and all(at_least(points[0] * _N + points[1], e[2] * _N + e[0]) for e in t_root.coeffs)
     )
 
     # Each coordinate X_i of the power map depends on x_i only, so its Jacobian
@@ -386,7 +382,7 @@ def seed_proof() -> SeedProof:
     # least degree and a rational coefficient, and every other term has x to
     # a positive power and degree at least 2.
     transversal = _Y2 in normal_form.coeffs and all(
-        e == _Y2 or _every_n(e[2], e[0] - 1) and _every_n(e[2] + e[3], e[0] + e[1] - 2)
+        e == _Y2 or at_least(e[2] * _N + e[0], 1) and at_least((e[2] + e[3]) * _N + e[0] + e[1], 2)
         for e in normal_form.coeffs
     )
     # Two transpositions generate the symmetric group.

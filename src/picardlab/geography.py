@@ -42,12 +42,12 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import cache
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .constructions import FAMILIES, MAX_SWEEP_BUILDS
 from .figures import Run, figure_csv, figure_svg
-from .polynomials import Poly, domain_variables
+from .polynomials import Poly, at_least, domain_variables, multiple_of
 from .surfaces import half
 
 SET_LABELS = tuple(FAMILIES)
@@ -141,11 +141,16 @@ def slope_limit_report(
     threshold: Fraction = Fraction(1, 100),
 ) -> SlopeLimitReport:
     """Slope table and convergence evidence for family 2, one parameter fixed.
-    A table of more than MAX_SWEEP_BUILDS rows, a threshold that is not
-    positive, or a table that would print a number longer than str()
-    converts, is refused before any row is built."""
+    A table of more than MAX_SWEEP_BUILDS rows, a threshold that is not a
+    positive int or Fraction, a sweep_bound that is not an int, or a table
+    that would print a number longer than str() converts, is refused before
+    any row is built."""
     if (fixed_n is None) == (fixed_m is None):
         raise ValueError("fix exactly one of n or m")
+    if not isinstance(threshold, (int, Fraction)):
+        raise ValueError(f"threshold must be an int or a Fraction, got {threshold!r}")
+    if not isinstance(sweep_bound, int):
+        raise ValueError(f"sweep_bound must be an int, got {sweep_bound!r}")
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     a2 = FAMILIES["A2"]
@@ -387,9 +392,9 @@ def _b_shared(label: str, k: Poly, b_pair: tuple) -> Optional[tuple[tuple[int, i
         return None
     shared = set()
     for r in roots:
-        if not r.nonnegative(strict=True):
+        if not at_least(r, 1):
             return None
-        if ((m_param.minimum + solver.offset) * r - N).nonnegative(strict=True):
+        if at_least((m_param.minimum + solver.offset) * r - N, 1):
             continue
         slope = r.coefficient((1, 0))
         if not slope:
@@ -413,8 +418,7 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
     (_b_shared), where their identities hold.
 
     Most are read off the pairs in shifted parameters (domain_variables),
-    where a polynomial with even integer coefficients is even, and one with
-    no negative coefficient nonnegative, on the whole domain.
+    where at_least and multiple_of decide them on the whole domain.
     - Parity: K2 is odd on A1 and even on B, A2 and A3, so A1 shares no pair
       with any of them; B's K2 is twice a square.
     - T-in-A3: T's pair is A3's at (m, n) = (t-3, t) (_T_WITNESS), and
@@ -433,9 +437,9 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
       chi_2*m2 - chi_3*m3 = e (equal chi) and k2_2*m2 - k2_3*m3 = f (equal
       K2).  As polynomials in (x, y) the determinant is 2*x*y*(x - y + 1),
       nonzero because both n are positive and even (so x - y + 1 is odd),
-      and Cramer's rule gives m2 = y/x and m3 = 2*x/y.  Then m2*m3 = 2,
-      below the product of the two positive m minima, so no line pair meets
-      inside both families."""
+      and Cramer's rule gives m2 = y/x and m3 = 2*x/y.  Then m2*m3 = 2, but
+      m2*m3 >= 3 on the two m domains, so no line pair meets inside both
+      families."""
     a2, a3 = FAMILIES["A2"], FAMILIES["A3"]
     variables = {label: domain_variables(family.params) for label, family in FAMILIES.items()}
     (k,), (t,), (m, n) = variables["B"], variables["T"], variables["A2"]
@@ -446,12 +450,12 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
 
     def covers(family, chi: Poly) -> bool:
         first, step = _first_chi(family), _line_coefficients(family, family.params[1].minimum)[2]
-        return first > 0 and 0 < step <= first + 1 and (chi - first).nonnegative()
+        return first > 0 and 0 < step <= first + 1 and at_least(chi, first)
 
     def above_noether(k2: Poly, chi: Poly) -> bool:
-        return (k2 - 2 * chi + 6).nonnegative(strict=True)
+        return at_least(k2 - 2 * chi + 6, 1)
 
-    (m2, n2), (m3, n3) = a2.params, a3.params
+    (m2, n2), (m3, _) = a2.params, a3.params
     past_n2 = domain_variables((m2, n2._replace(minimum=n2.minimum + n2.step)))
     x, y = Poly.variable(0), Poly.variable(1)
     k2_2, k2_20, chi_2, chi_20 = _line_coefficients(a2, x)
@@ -460,9 +464,9 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
     det = chi_3 * k2_2 - chi_2 * k2_3
     holds = {
         "B-half-K2-square": b_pair[0] == 2 * (k - 3) * (k - 3),
-        "A1-K2-odd": (pairs["A1"][0] - 1).multiple_of(2),
-        "A2-A3-K2-even": pairs["A2"][0].multiple_of(2) and pairs["A3"][0].multiple_of(2),
-        "A2-chi-odd": (pairs["A2"][1] - 1).multiple_of(2),
+        "A1-K2-odd": multiple_of(pairs["A1"][0] - 1, 2),
+        "A2-A3-K2-even": multiple_of(pairs["A2"][0], 2) and multiple_of(pairs["A3"][0], 2),
+        "A2-chi-odd": multiple_of(pairs["A2"][1] - 1, 2),
         "A2-B-roots": shared["A2"] is not None,
         "A3-B-roots": shared["A3"] is not None,
         "T-in-A3": t_pair == a3.pair(*t_in["A3"]) and a3.admits(*t_in["A3"]),
@@ -476,9 +480,8 @@ def _identities() -> tuple[dict[str, bool], dict[str, tuple[tuple[int, int], ...
         "A2-A3-lines": det == 2 * x * y * (x - y + 1)
         and (chi_3 * f - k2_3 * e) * x == y * det
         and (chi_2 * f - k2_2 * e) * y == 2 * x * det
-        and all(p.minimum > 0 and p.minimum % 2 == p.step % 2 == 0 for p in (n2, n3))
-        and min(m2.minimum, m3.minimum) > 0
-        and m2.minimum * m3.minimum > 2,
+        and all(at_least(v, 1) and multiple_of(v, 2) for v in (n, variables["A3"][1]))
+        and at_least(prod(domain_variables((m2, m3))), 3),
     }
     return holds, {label: value or () for label, value in shared.items()}
 

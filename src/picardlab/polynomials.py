@@ -16,11 +16,10 @@ the whole package; it has a fixed number of variables:
 Poly.localize projects a form's exponents into a chart, with no arithmetic,
 then moves the point to the origin by an integer Taylor shift.  substitute,
 f(gx, gy), changes germ coordinates and is the shift's test reference.
-domain_variables shifts parameters onto their domains, where
-Poly.multiple_of and Poly.nonnegative read parity and sign off the
-coefficients; at_least and multiple_of decide a bound or a divisor alike on
-an int (a member) and on such a Poly (a whole class), so one test, such as
-constructions.Param.admits, serves both.
+domain_variables shifts parameters onto their domains, where at_least and
+multiple_of read sign and divisibility off the coefficients; they decide a
+bound or a divisor alike on an int (a member) and on such a Poly (a whole
+class), so one test, such as constructions.Param.admits, serves both.
 
 All values are immutable by convention: no method mutates its receiver.
 """
@@ -257,20 +256,6 @@ class Poly:
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.coeffs.items(), key=lambda item: (sum(item[0]), item[0]))
 
-    # Facts read off the coefficients, for a polynomial in the shifted
-    # parameters of domain_variables.
-
-    def multiple_of(self, d: int) -> bool:
-        """Whether every coefficient is an integer multiple of d, so that the
-        value at every integer point is one."""
-        return all(c.denominator == 1 and c.numerator % d == 0 for c in self.coeffs.values())
-
-    def nonnegative(self, strict: bool = False) -> bool:
-        """Whether no coefficient is negative (and, if strict, the constant
-        term is positive), so that the value at every point with nonnegative
-        coordinates is >= 0 (> 0).  False leaves the sign undecided."""
-        return all(c >= 0 for c in self.coeffs.values()) and not (strict and self.constant_term <= 0)
-
     def to_text(self) -> str:
         names = ("x", "y") if self.nvars == 2 else tuple(f"X{i}" for i in range(self.nvars))
         return _render_terms(self.sorted_terms(), names)
@@ -380,22 +365,26 @@ def domain_variables(params) -> tuple[Poly, ...]:
     """minimum + step*P_i for the i-th parameter of params (anything with a
     minimum and a step, such as constructions.Param), P_i the i-th variable:
     a parameter ranging over minimum, minimum + step, ... is P_i >= 0, so a
-    fact of Poly.multiple_of or Poly.nonnegative about a family's
-    expressions in these holds on the whole domain."""
+    fact of at_least or multiple_of about a family's expressions in these
+    holds on the whole domain."""
     return tuple(p.minimum + p.step * Poly.variable(i) for i, p in enumerate(params))
 
 
 def at_least(x, bound) -> bool:
     """Whether x >= bound: for an int, or on the whole domain for a Poly in
-    domain_variables (Poly.nonnegative; False leaves the bound undecided)."""
+    domain_variables, where no coefficient of x - bound is negative (False
+    leaves the bound undecided)."""
     x = x - bound
-    return x.nonnegative() if isinstance(x, Poly) else x >= 0
+    return all(c >= 0 for c in x.coeffs.values()) if isinstance(x, Poly) else x >= 0
 
 
 def multiple_of(x, d: int) -> bool:
     """Whether d divides x: for an int, or on the whole domain for a Poly in
-    domain_variables (Poly.multiple_of; False leaves it undecided)."""
-    return x.multiple_of(d) if isinstance(x, Poly) else x % d == 0
+    domain_variables, where every coefficient is an integer multiple of d
+    (False leaves it undecided)."""
+    if isinstance(x, Poly):
+        return all(c.denominator == 1 and c.numerator % d == 0 for c in x.coeffs.values())
+    return x % d == 0
 
 
 def substitute(f: Poly, gx: Poly, gy: Poly, trunc: Optional[int] = None) -> Poly:

@@ -48,6 +48,10 @@ class TransportError(ValueError):
     """A branch-point configuration matches no implemented transport rule."""
 
 
+# The least index of an A and a D type; an E type's index is 6, 7 or 8.
+MIN_INDEX = {"A": 1, "D": 4}
+
+
 class SingType(namedtuple("SingType", "family index")):
     """An ADE singularity type; the index counts exceptional (-2)-curves.
     Types order by (family, index)."""
@@ -57,17 +61,13 @@ class SingType(namedtuple("SingType", "family index")):
 
     def __new__(cls, family: str, index: int) -> "SingType":
         index = operator.index(index)
-        if family == "A":
-            if index < 1:
-                raise ValueError(f"A-type index must be >= 1, got {index}")
-        elif family == "D":
-            if index < 4:
-                raise ValueError(f"D-type index must be >= 4, got {index}")
-        elif family == "E":
+        if family == "E":
             if index not in (6, 7, 8):
                 raise ValueError(f"E-type index must be 6, 7 or 8, got {index}")
-        else:
+        elif not isinstance(family, str) or family not in MIN_INDEX:
             raise ValueError(f"unknown singularity family {family!r}")
+        elif index < MIN_INDEX[family]:
+            raise ValueError(f"{family}-type index must be >= {MIN_INDEX[family]}, got {index}")
         return tuple.__new__(cls, (family, index))
 
     def __str__(self) -> str:

@@ -1062,14 +1062,14 @@ def test_a_closed_stdout_is_an_io_failure(argv, lines, tmp_path):
     # closed it unread.  The failure is reported once, as a write that
     # failed, with no traceback and nothing more at shutdown, and no
     # half-written JSON is left behind.
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "picardlab.cli", *argv], stdout=subprocess.PIPE,
         stderr=subprocess.PIPE, env=CLI_ENV, cwd=tmp_path,
-    )
-    for _ in range(lines):
-        assert child.stdout.readline()
-    child.stdout.close()
-    err = child.stderr.read()
-    assert child.wait(timeout=60) == 1
+    ) as child:
+        for _ in range(lines):
+            assert child.stdout.readline()
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 1
     assert err == b"cannot write outputs: [Errno 32] Broken pipe\n"
     assert list(tmp_path.iterdir()) == []

@@ -38,7 +38,7 @@ from picardlab.covers import (
 )
 from picardlab.curves import singular_points_report
 from picardlab.geography import slope_limit_report
-from picardlab.polynomials import Poly, domain_variables
+from picardlab.polynomials import domain_variables, multiple_of
 from picardlab.singularities import A, D, BidoubleBranchPoint, SingInventory, SingType
 from picardlab.surfaces import compose, half, hirzebruch, plus, projective_plane
 
@@ -357,7 +357,7 @@ def _ring_identity(label, row, params):
         sums = [plus(B2, B3), plus(B1, B3)]
     else:
         sums = branch
-    if not all(c.multiple_of(2) if isinstance(c, Poly) else c % 2 == 0 for u in sums for c in u):
+    if not all(multiple_of(c, 2) for u in sums for c in u):
         return False
     if len(branch) == 3:
         L1, L2 = (tuple(map(half, u)) for u in sums)

@@ -105,6 +105,18 @@ class TestSlopeLimits:
         with pytest.raises(ValueError):
             slope_limit_report(fixed_n=2, fixed_m=3, sweep_bound=10)
 
+    @pytest.mark.parametrize("bad, text", [
+        ({"threshold": 0.01}, "threshold must be an int or a Fraction, got 0.01"),
+        ({"threshold": "1/100"}, "threshold must be an int or a Fraction, got '1/100'"),
+        ({"sweep_bound": 6.0}, "sweep_bound must be an int, got 6.0"),
+    ], ids=["float-threshold", "str-threshold", "float-sweep-bound"])
+    def test_non_rational_inputs_are_refused_before_any_row(self, bad, text, monkeypatch):
+        # A float or a string used to fail deep inside, past the checks.
+        monkeypatch.setattr(geography, "_mu_closed_form", None)  # building a row would fail
+        with pytest.raises(ValueError) as refused:
+            slope_limit_report(**{"fixed_n": 4, "sweep_bound": 6, **bad})
+        assert str(refused.value) == text
+
 
 class TestLines:
     """The paper's line equations are the reference here: geography derives

@@ -1,6 +1,7 @@
 """Exact polynomial arithmetic, restriction, binary forms, localization and
 parsing."""
 
+import math
 import random
 import signal
 import time
@@ -22,7 +23,9 @@ from picardlab.polynomials import (
     PolyParseError,
     _parse_terms,
     _ugcd,
+    at_least,
     domain_variables,
+    multiple_of,
     parse_local_poly,
     parse_ternary_form,
     substitute,
@@ -58,6 +61,18 @@ def _time_limit(seconds):
 def _exact(coeffs):
     """No coefficient is a float: each is an int or a Fraction."""
     return all(type(c) in (int, Fraction) for c in coeffs.values())
+
+
+@st.composite
+def _class_expressions(draw):
+    """One or two parameters with small minima and steps 1-3, and an integer
+    or half-integer polynomial of degree <= 3 in them, as halved coefficients
+    keyed by exponents."""
+    params = draw(st.lists(st.builds(Param, st.just("p"), st.integers(-2, 4), st.integers(1, 3)),
+                           min_size=1, max_size=2))
+    exponents = [e for e in ((i, j) for i in range(4) for j in range(4 - i)) if len(params) == 2 or not e[1]]
+    halves = draw(st.dictionaries(st.sampled_from(exponents), st.integers(-4, 8), max_size=5))
+    return params, {e[:len(params)]: h for e, h in halves.items()}
 
 
 class TestLocalPoly:
@@ -119,15 +134,35 @@ class TestLocalPoly:
         m, n = domain_variables([Param("m", 3, 1), Param("n", 2, 2)])
         x, y = LocalPoly.variable(0), LocalPoly.variable(1)
         assert (m, n) == (3 + x, 2 + 2 * y)
-        assert (n * n - 4).multiple_of(4) and not (n * n - 2).multiple_of(4)
-        assert (Fraction(1, 2) * n).multiple_of(1) and not (Fraction(1, 2) * m).multiple_of(1)
-        assert (m - 3).nonnegative() and not (m - 3).nonnegative(strict=True)
-        assert (m * n).nonnegative(strict=True) and not (m - 4).nonnegative()
+        assert multiple_of(n * n - 4, 4) and not multiple_of(n * n - 2, 4)
+        assert multiple_of(Fraction(1, 2) * n, 1) and not multiple_of(Fraction(1, 2) * m, 1)
+        assert at_least(m, 3) and not at_least(m, 4)
+        assert at_least(m * n, 1) and not at_least(m - 4, 0)
         # A fact read off the coefficients holds at every point of the domain.
         for p in range(6):
             for q in range(6):
                 value = (n * n - 4)(p, q)
                 assert value % 4 == 0 and (m * n)(p, q) > 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(_class_expressions(), st.integers(-8, 8), st.integers(1, 4),
+           st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=4))
+    def test_a_class_fact_holds_at_every_member(self, drawn, bound, d, shifts):
+        # Sound: when at_least or multiple_of holds on the class, the same
+        # expression, evaluated in ints at members of the domain, obeys it.
+        params, halves = drawn
+
+        def expression(point):
+            return sum(Fraction(h, 2) * math.prod(v ** k for v, k in zip(point, e))
+                       for e, h in halves.items())
+
+        on_class = expression(domain_variables(params))
+        for shift in shifts:
+            value = expression([p.minimum + p.step * k for p, k in zip(params, shift)])
+            if at_least(on_class, bound):
+                assert value >= bound, (params, halves, shift)
+            if multiple_of(on_class, d):
+                assert value.denominator == 1 and value.numerator % d == 0, (params, halves, shift)
 
     def test_substitution_refuses_other_variable_counts(self):
         x, y = LocalPoly.variable(0), LocalPoly.variable(1)
